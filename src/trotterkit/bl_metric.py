@@ -216,23 +216,27 @@ def bl_dual_norm(mu: SignedMeasure, metric) -> tuple[float, LipschitzWitness]:
     return float(max(value * scale, 0.0)) + 0.0, witness
 
 
-def _max_step(f, dist, M, L, mask, up):
-    """Largest feasible uniform step of the subset ``mask`` in direction ``up``."""
-    ins = np.flatnonzero(mask)
-    outs = np.flatnonzero(~mask)
-    if up:
-        step = float(np.min(M - f[ins]))
-        if outs.size:
-            # (f_i + step) - f_j <= L d_ij for i in S, j outside
-            slack = L * dist[np.ix_(ins, outs)] - (f[ins][:, None] - f[outs][None, :])
-            step = min(step, float(np.min(slack)))
-    else:
-        step = float(np.min(f[ins] + M))
-        if outs.size:
-            # f_j - (f_i - step) <= L d_ji for i in S, j outside
-            slack = L * dist[np.ix_(outs, ins)] - (f[outs][:, None] - f[ins][None, :])
-            step = min(step, float(np.min(slack)))
-    return max(0.0, step)
+def _subset_masks(k):
+    """Boolean (2^k - 1, k) matrix: row b-1 marks the points of nonempty subset b."""
+    bits = np.arange(1, 1 << k)[:, None]
+    return (bits >> np.arange(k)[None, :]) & 1 == 1
+
+
+def _max_steps(f, dist, M, L, ins, pairs):
+    """Largest feasible uniform steps of every subset, up and down.
+
+    ``ins`` is the subset mask matrix and ``pairs[s, i, j]`` marks i in
+    subset s and j outside it.  Raising the subset by u keeps f <= M inside
+    and (f_i + u) - f_j <= L d_ij across the cut; lowering it by u keeps
+    f >= -M and f_j - (f_i - u) <= L d_ji.
+    """
+    up_box = np.where(ins, M - f, np.inf).min(axis=1)
+    down_box = np.where(ins, f + M, np.inf).min(axis=1)
+    up_cut = L * dist - (f[:, None] - f[None, :])
+    down_cut = L * dist.T - (f[None, :] - f[:, None])
+    up = np.minimum(up_box, np.where(pairs, up_cut, np.inf).min(axis=(1, 2)))
+    down = np.minimum(down_box, np.where(pairs, down_cut, np.inf).min(axis=(1, 2)))
+    return np.maximum(up, 0.0), np.maximum(down, 0.0)
 
 
 def _inner_max(wts, dist, L):
@@ -240,32 +244,23 @@ def _inner_max(wts, dist, L):
 
     Improving directions of this difference-constraint polytope are uniform
     shifts of point subsets, so searching all subsets until none improves
-    solves the LP exactly (support <= 6 keeps 2^k small).
+    solves the LP exactly (support <= 6 keeps 2^k small).  Each round
+    scores every subset at once and takes the best move.
     """
     k = len(wts)
     M = 1.0 - L
     f = np.zeros(k)
-    masks = []
-    for bits in range(1, 1 << k):
-        masks.append(np.array([(bits >> i) & 1 == 1 for i in range(k)]))
+    ins = _subset_masks(k)
+    pairs = ins[:, :, None] & ~ins[:, None, :]
+    mass = ins @ wts  # signed mass of each subset
+    rising = mass > 0.0
     for _ in range(10000):
-        best_gain, best_move = 0.0, None
-        for mask in masks:
-            cS = float(np.sum(wts[mask]))
-            if cS > 0.0:
-                step = _max_step(f, dist, M, L, mask, up=True)
-                gain = cS * step
-                if gain > best_gain + 1e-15:
-                    best_gain, best_move = gain, (mask, step)
-            elif cS < 0.0:
-                step = _max_step(f, dist, M, L, mask, up=False)
-                gain = -cS * step
-                if gain > best_gain + 1e-15:
-                    best_gain, best_move = gain, (mask, -step)
-        if best_move is None:
+        up, down = _max_steps(f, dist, M, L, ins, pairs)
+        gains = np.where(rising, mass * up, -mass * down)
+        best = int(np.argmax(gains))
+        if not gains[best] > 1e-15:
             break
-        mask, delta = best_move
-        f = f + np.where(mask, delta, 0.0)
+        f = f + np.where(ins[best], up[best] if rising[best] else -down[best], 0.0)
     return float(np.dot(wts, f))
 
 

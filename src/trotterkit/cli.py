@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -55,13 +54,6 @@ from .splitting import (
 
 class ScenarioError(ValueError):
     pass
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("TROTTERKIT_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def load_scenario(path):
@@ -374,7 +366,6 @@ def _load_measure_file(space, path) -> SignedMeasure:
 @click.group()
 def main():
     """Switching-scheme studies, identity suites, and diagnostics."""
-    _apply_thread_cap()
 
 
 @main.command()

@@ -141,6 +141,26 @@ def _merge_atoms(space: StateSpace, points, weights):
     return out_p, out_w
 
 
+def prune_dense(v: np.ndarray):
+    """Nonzero entries of a dense weight vector, pruned as ``_merge_atoms`` prunes.
+
+    Returns (indices, weights) of the kept entries in index order.  The
+    cut is PRUNE_REL_TOL times the builtin ``sum`` over the nonzero
+    entries, the same float ``_merge_atoms`` computes, so the kept weights
+    are bitwise those of the atom path.  Raises ValueError on a negative
+    entry, as ``PositiveMeasure.from_atoms`` does.
+    """
+    idx = v.nonzero()[0]
+    w = v[idx]
+    keep = w > PRUNE_REL_TOL * sum(w.tolist())
+    # all kept implies all positive: a negative entry never clears the cut
+    if np.count_nonzero(keep) < len(w):
+        if (w < 0.0).any():
+            raise ValueError("positive measure cannot carry negative weights")
+        idx, w = idx[keep], w[keep]  # w >= 0 here, so w > cut is |w| > cut
+    return idx, w
+
+
 @dataclass(frozen=True)
 class PositiveMeasure:
     """A finitely supported positive measure: parallel atom/weight lists."""
@@ -178,14 +198,14 @@ class PositiveMeasure:
         if self.space.kind != "finite":
             raise ValueError("dense weight vector only exists for finite spaces")
         v = np.zeros(self.space.size)
-        for p, w in zip(self.points, self.weights):
-            v[int(p)] += w
+        np.add.at(v, np.asarray(self.points, dtype=np.intp), self.weights)
         return v
 
     @staticmethod
     def from_weight_vector(space: StateSpace, v) -> "PositiveMeasure":
-        v = np.asarray(v, dtype=float)
-        return PositiveMeasure.from_atoms(space, [(i, v[i]) for i in range(space.size) if v[i] != 0.0])
+        """Atoms of a dense weight vector, merged and pruned as ``from_atoms`` does."""
+        idx, w = prune_dense(np.asarray(v, dtype=float))
+        return PositiveMeasure(space=space, points=tuple(idx.tolist()), weights=w)
 
     def to_json_dict(self) -> dict:
         return {"atoms": [{"point": _point_json(self.space, p), "weight": w}
@@ -258,7 +278,7 @@ def linear_combine(coeffs, measures) -> SignedMeasure:
         raise ValueError("coefficient and measure lists differ in length")
     if not measures:
         raise ValueError("need at least one measure")
-    space = measures[0].space if isinstance(measures[0], SignedMeasure) else measures[0].space
+    space = measures[0].space
     points: list = []
     weights: list = []
     for c, m in zip(coeffs, measures):

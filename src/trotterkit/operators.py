@@ -23,6 +23,7 @@ from .measures import (
     SpaceMismatchError,
     StateSpace,
     linear_combine,
+    prune_dense,
 )
 
 STOCHASTICITY_TOL = 1e-12
@@ -83,14 +84,30 @@ class MarkovOperatorSpec:
                                   point_map=lambda x: x)
 
 
+def _check_space(P: MarkovOperatorSpec, space: StateSpace) -> None:
+    # identity first: StateSpace.__eq__ compares the distance matrices
+    if space is not P.space and space != P.space:
+        raise SpaceMismatchError("measure and operator live on different spaces")
+
+
+def _check_tv(P: MarkovOperatorSpec, tv_in: float, tv_out: float) -> None:
+    if abs(tv_out - tv_in) > TV_PRESERVATION_TOL * max(1.0, tv_in):
+        raise RuntimeError(
+            f"TV not preserved: {tv_in} -> {tv_out} under {P.kind} operator")
+
+
+def check_input(P: MarkovOperatorSpec, mu: PositiveMeasure) -> None:
+    """The input checks of ``apply``: same space, nonnegative weights."""
+    _check_space(P, mu.space)
+    if np.any(mu.weights < 0.0):
+        raise ValueError("apply takes positive measures; split signed input first")
+
+
 def apply(P: MarkovOperatorSpec, mu: PositiveMeasure) -> PositiveMeasure:
     """Push a positive measure through the operator; preserves TV to 1e-12."""
     global APPLY_COUNT
     APPLY_COUNT += 1
-    if mu.space != P.space:
-        raise SpaceMismatchError("measure and operator live on different spaces")
-    if np.any(mu.weights < 0.0):
-        raise ValueError("apply takes positive measures; split signed input first")
+    check_input(P, mu)
     tv_in = mu.tv
     if P.kind == "stochastic_matrix":
         out = PositiveMeasure.from_weight_vector(P.space, P.matrix @ mu.weight_vector())
@@ -113,10 +130,40 @@ def apply(P: MarkovOperatorSpec, mu: PositiveMeasure) -> PositiveMeasure:
             return mu
         combined = linear_combine(coeffs, parts)
         out = combined.pos
-    if abs(out.tv - tv_in) > TV_PRESERVATION_TOL * max(1.0, tv_in):
-        raise RuntimeError(
-            f"TV not preserved: {tv_in} -> {out.tv} under {P.kind} operator")
+    _check_tv(P, tv_in, out.tv)
     return out
+
+
+def apply_dense(ops, n: int, mu: PositiveMeasure) -> PositiveMeasure:
+    """(ops[-1] ... ops[0])^n mu for stochastic matrices, on one dense vector.
+
+    Every step gets the checks ``apply`` makes, with the same exceptions:
+    matching spaces, nonnegative output, the ``PRUNE_REL_TOL`` prune and TV
+    preservation.  The weights are bitwise those of ``n * len(ops)``
+    chained ``apply`` calls; atoms are built once, at the end.  Steps are
+    not counted in APPLY_COUNT, which counts ``apply`` calls only.
+    """
+    if n < 1 or not ops:
+        raise ValueError("need n >= 1 and at least one operator")
+    if any(P.kind != "stochastic_matrix" for P in ops):
+        raise ValueError("apply_dense takes stochastic-matrix operators only")
+    check_input(ops[0], mu)
+    space = mu.space
+    tv = mu.tv
+    v = mu.weight_vector()
+    for _ in range(n):
+        for P in ops:
+            _check_space(P, space)
+            idx, w = prune_dense(P.matrix @ v)
+            tv_out = float(w.sum())
+            _check_tv(P, tv, tv_out)
+            space, tv = P.space, tv_out
+            if len(w) < space.size:
+                v = np.zeros(space.size)
+                v[idx] = w
+            else:
+                v = w
+    return PositiveMeasure(space=space, points=tuple(idx.tolist()), weights=w)
 
 
 def apply_signed(P: MarkovOperatorSpec, mu: SignedMeasure) -> SignedMeasure:
@@ -191,6 +238,10 @@ class SemigroupSpec:
     matrix ``A``, P_t pushes atoms forward by e^{tA}.  kind "map_flow":
     named closed-form flow with parameters.  ``aux_norm_weight`` optionally
     realizes the per-point weight of the auxiliary seminorm for lifts.
+
+    ``Q`` and ``A`` are stored as read-only copies, because each instance
+    memoizes results computed from them: ``at_time`` operators per t, and
+    ``splitting.trotter_iterate`` results.
     """
 
     kind: str
@@ -201,10 +252,12 @@ class SemigroupSpec:
     flow_name: str = ""
     flow_params: dict = field(default_factory=dict)
     aux_norm_weight: object = None
+    _operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _iterates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "matrix_exponential":
-            q = np.asarray(self.Q, dtype=float)
+            q = _read_only(self.Q)
             if q.shape != (self.space.size, self.space.size):
                 raise GeneratorError("generator shape does not match space size")
             off = q[~np.eye(self.space.size, dtype=bool)]
@@ -214,7 +267,7 @@ class SemigroupSpec:
                 raise GeneratorError("generator columns do not sum to zero")
             object.__setattr__(self, "Q", q)
         elif self.kind == "linear_flow_lift":
-            a = np.asarray(self.A, dtype=float)
+            a = _read_only(self.A)
             if a.shape != (self.space.dim, self.space.dim):
                 raise ValueError("flow matrix shape does not match space dim")
             object.__setattr__(self, "A", a)
@@ -241,10 +294,29 @@ class SemigroupSpec:
                              flow_params=dict(params or {}), aux_norm_weight=aux_norm_weight)
 
 
+def _read_only(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 def at_time(G: SemigroupSpec, t: float) -> MarkovOperatorSpec:
-    """The operator P_t; errors on negative t or a non-stochastic exponential."""
+    """The operator P_t; errors on negative t or a non-stochastic exponential.
+
+    Each semigroup instance memoizes its operators by t, so repeated calls
+    return one shared operator (stochastic matrices are read-only).
+    Failures are raised on every call and never memoized.
+    """
     if t < 0.0:
         raise ValueError("semigroup is defined for t >= 0 only")
+    key = float(t)
+    P = G._operators.get(key)
+    if P is None:
+        P = G._operators[key] = _operator_at(G, t)
+    return P
+
+
+def _operator_at(G: SemigroupSpec, t: float) -> MarkovOperatorSpec:
     if G.kind == "matrix_exponential":
         E = expm(t * G.Q)
         colsums = E.sum(axis=0)
@@ -255,6 +327,7 @@ def at_time(G: SemigroupSpec, t: float) -> MarkovOperatorSpec:
                 f"max column deviation {np.max(np.abs(colsums - 1.0)):.3e}")
         E = np.clip(E, 0.0, None)
         E = E / E.sum(axis=0, keepdims=True)
+        E.setflags(write=False)
         return MarkovOperatorSpec(kind="stochastic_matrix", space=G.space, matrix=E)
     if G.kind == "linear_flow_lift":
         Et = expm(t * G.A)

@@ -16,7 +16,15 @@ import numpy as np
 
 from .bl_metric import LipschitzWitness, bl_distance, bl_dual_norm
 from .measures import PositiveMeasure, SignedMeasure, StateSpace, linear_combine
-from .operators import MarkovOperatorSpec, SemigroupSpec, apply, at_time, pairing
+from .operators import (
+    MarkovOperatorSpec,
+    SemigroupSpec,
+    apply,
+    apply_dense,
+    at_time,
+    check_input,
+    pairing,
+)
 
 
 @dataclass(frozen=True)
@@ -89,16 +97,34 @@ def _block(g1, g2, h, order):
 
 def trotter_iterate(g1: SemigroupSpec, g2: SemigroupSpec, t: float, n: int,
                     mu: PositiveMeasure, order: str = "g1_first") -> PositiveMeasure:
-    """[P1_{t/n} P2_{t/n}]^n mu (or the swapped composition)."""
+    """[P1_{t/n} P2_{t/n}]^n mu (or the swapped composition).
+
+    When both block factors are stochastic matrices, the blocks run on one
+    dense weight vector (``operators.apply_dense``, same per-step checks as
+    ``apply``) and the result is memoized on ``g1`` per (g2, t, n, order,
+    mu's points and weight bytes), so every caller shares one iterate.
+    Other operator kinds are applied atom by atom.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     first, second = _block(g1, g2, t / n, order)
-    out = mu
-    for _ in range(n):
-        out = apply(second, apply(first, out))
-    return out
+    if first.kind != "stochastic_matrix" or second.kind != "stochastic_matrix":
+        out = mu
+        for _ in range(n):
+            out = apply(second, apply(first, out))
+        return out
+    check_input(first, mu)  # a memo hit must still refuse a foreign space
+    key = (id(g2), float(t), int(n), order, tuple(mu.points),
+           np.asarray(mu.weights, dtype=float).tobytes())
+    hit = g1._iterates.get(key)
+    if hit is None:
+        out = apply_dense((first, second), n, mu)
+        out.weights.setflags(write=False)  # shared by every caller
+        # holding g2 keeps its id from being reused while the entry lives
+        hit = g1._iterates[key] = (g2, out)
+    return hit[1]
 
 
 def exact_reference(g1: SemigroupSpec, g2: SemigroupSpec, t: float,

@@ -23,7 +23,7 @@ from trotterkit.cli import build_witnesses, load_scenario, run_identities, run_s
 from trotterkit.diagnostics import limit_semigroup_check, stochastic_continuity_check
 from trotterkit.identities import run_identity_suite
 from trotterkit.measures import PositiveMeasure, SignedMeasure, StateSpace
-from trotterkit.operators import SemigroupSpec
+from trotterkit.operators import MarkovOperatorSpec, SemigroupSpec, apply, at_time
 from trotterkit.splitting import (
     ModulusEstimate,
     SplittingStudy,
@@ -266,11 +266,58 @@ def test_criterion_9_limit_semigroup_law(three_state):
 
 
 def test_criterion_10_markov_axioms():
-    count = ops_module.APPLY_COUNT
+    start = time.time()
+    rng = np.random.default_rng(10)
+    pts = rng.normal(size=(5, 3))
+    space = StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+    plane = StateSpace.euclidean(2)
+
+    def fresh_pair():
+        return (SemigroupSpec.matrix_exponential(space, _random_rate_matrix(5, rng)),
+                SemigroupSpec.matrix_exponential(space, _random_rate_matrix(5, rng)))
+
+    def halves(p):
+        return PositiveMeasure.from_atoms(space, [(p, 0.5), ((p + 1) % 5, 0.5)])
+
+    g1, g2 = fresh_pair()
+    w = rng.uniform(0.1, 1.0, size=5)
+    mu = PositiveMeasure.from_atoms(space, list(enumerate(w / w.sum())))
+    cloud = PositiveMeasure.from_atoms(
+        plane, [(rng.normal(size=2), float(x)) for x in rng.uniform(0.1, 1.0, size=4)])
+    cases = [(at_time(g1, 0.4), mu), (at_time(g2, 2.5), mu),
+             (MarkovOperatorSpec(kind="kernel", space=space, kernel=halves), mu),
+             (at_time(SemigroupSpec.map_flow(plane, "rotation", {"rate": 0.7}), 1.3), cloud),
+             (at_time(SemigroupSpec.linear_flow_lift(plane, [[-0.2, 1.0], [-1.0, -0.2]]),
+                      0.9), cloud)]
+    count_before = ops_module.APPLY_COUNT
+    outputs = [(nu, apply(P, nu)) for P, nu in cases]
+    applied = ops_module.APPLY_COUNT - count_before
+    outputs += [(mu, trotter_iterate(g1, g2, 1.0, n, mu, order))
+                for n in (1, 64, 1024) for order in ("g1_first", "g2_first")]
+    dense_counted = ops_module.APPLY_COUNT - count_before - applied
+    drift = max(abs(out.tv - nu.tv) for nu, out in outputs)
+    min_weight = min(float(out.weights.min()) for _, out in outputs)
+
+    # corrupt a stochastic matrix after construction, past its checks; the
+    # dense loop gets the same operator from the at_time memo
+    refused = 0
+    for make_bad, error in ((lambda m: 1.1 * m, RuntimeError),
+                            (lambda m: m + np.outer([1, -1, 0, 0, 0], m[1] + 0.1), ValueError)):
+        h1, h2 = fresh_pair()
+        bad = at_time(h1, 0.5)
+        object.__setattr__(bad, "matrix", make_bad(bad.matrix))
+        for attempt in (lambda: apply(bad, mu),
+                        lambda: trotter_iterate(h1, h2, 1.0, 2, mu)):
+            with pytest.raises(error):
+                attempt()
+            refused += 1
+    elapsed = time.time() - start
     _report(10, "tv preservation and positivity",
-            count > 0,
-            f"{count} operator applications so far, each inline-checked at "
-            f"1e-12 TV drift with positivity enforced; zero violations raised")
+            drift <= 1e-12 and min_weight >= 0.0 and applied == len(cases)
+            and dense_counted == 0 and refused == 4 and elapsed < 30.0,
+            f"{len(outputs)} applications (matrix, kernel, map, lift, dense scheme): "
+            f"max TV drift {drift:.2e}, min output weight {min_weight:.2e}; "
+            f"{refused}/4 corrupted-matrix runs refused, {elapsed:.1f}s")
 
 
 def test_criterion_11_stochastic_continuity_table():
