@@ -1,11 +1,27 @@
 """Exact dual bounded-Lipschitz norm on finitely supported signed measures.
 
-The norm is the supremum of the pairing against functions f with
-``sup|f| + Lip(f) <= 1``.  On a finite support the supremum is a linear
-program over the function values, the sup bound M and the Lipschitz bound L;
-restriction to the support is lossless because any feasible assignment
-extends to the whole space by the McShane construction without increasing
-``M + L``.
+The norm is the supremum of the pairing <w, f> against functions f with
+``sup|f| + Lip(f) <= 1``.  On a finite support that is a linear program over
+the values f_i, a sup bound M and a Lipschitz bound L (restriction to the
+support is lossless: the McShane extension keeps ``M + L``).  It is solved in
+its dual flow form (Kantorovich-Rubinstein duality for the flat metric):
+
+    min t  s.t.  r+ - r- + div y = w,  sum(r+ + r-) <= t,  sum d_ij y_ij <= t
+
+over r+, r- >= 0 per point, flows y_ij >= 0 on directed pairs, and t, with
+(div y)_i the flow out of i minus the flow into i: k sparse equality rows and
+two inequality rows.  The witness is read off the duals: f from the equality
+rows, (M, L) from the two inequality rows.
+
+Pruning: pair (i, j) gets no flow column when some point l splits it into
+two strictly shorter hops with d_il + d_lj <= d_ij.  Its flow routes through
+l at no extra cost, and |f_i - f_j| <= L d_ij follows from the kept pairs by
+the triangle inequality (induction on d), so the optimum is unchanged.
+
+Tie-break: ``bl_dual_norm`` returns an optimal witness of least Lipschitz
+bound, picked by a second LP, the flow dual of "min L over feasible witnesses
+with <w, f> >= value - 1e-11"; if that solve fails, the stage-one witness is
+returned.  ``bl_norm_value`` and ``bl_distance`` solve the first LP only.
 """
 
 from __future__ import annotations
@@ -15,8 +31,9 @@ from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
-from .measures import PositiveMeasure, SignedMeasure, StateSpace
+from .measures import SignedMeasure, StateSpace, linear_combine
 
 LP_FEAS_TOL = 1e-9
 ORACLE_MAX_SUPPORT = 6
@@ -128,92 +145,87 @@ def build_envelope_metric(base: StateSpace, family) -> EnvelopeMetric:
     return EnvelopeMetric(base=base, family=tuple(family))
 
 
-def _metric_space(metric):
-    return metric.space if isinstance(metric, EnvelopeMetric) else metric
-
-
-def _support_and_distances(mu: SignedMeasure, metric):
+def _unit_support(mu: SignedMeasure, metric):
+    """(points, TV scale, weights at unit TV, distances).  Norms are solved at
+    unit TV so solver tolerances cannot swallow tiny measures."""
     pts, wts = mu.support()
+    scale = float(np.sum(np.abs(wts)))
+    wts = wts / scale if scale else wts
+    if isinstance(metric, StateSpace) and metric.kind == "finite":
+        idx = np.asarray(pts, dtype=np.intp)
+        return pts, scale, wts, metric.dist[np.ix_(idx, idx)]
     k = len(pts)
-    space = _metric_space(metric)
     dist = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
             dist[i, j] = dist[j, i] = metric.distance(pts[i], pts[j])
-    return pts, wts, dist, space
+    return pts, scale, wts, dist
+
+
+def _flow_pairs(dist):
+    """Directed pairs (i, j) that keep a flow column: those that no point l
+    splits into two strictly shorter hops with d_il + d_lj <= d_ij."""
+    k = len(dist)
+    pruned = np.eye(k, dtype=bool)
+    via, hop = np.empty((k, k)), np.empty((k, k))
+    for l in range(k):
+        np.add(dist[:, l, None], dist[None, l, :], out=via)
+        np.maximum(dist[:, l, None], dist[None, l, :], out=hop)
+        pruned |= (via <= dist) & (hop < dist)
+    return np.nonzero(~pruned)
+
+
+def _flow_lp(wts, dist, pairs, value=None):
+    """Solve the flow LP of unit-TV weights over columns r+, r-, y (kept pairs)
+    and t or, given its optimum ``value``, the tie-break LP (one more column s)."""
+    tie = value is not None
+    src, dst = pairs
+    k, e = len(wts), len(src)
+    t = 2 * k + e
+    pts, flows = np.arange(k), np.arange(2 * k, t)
+    rows, cols = [pts, pts, src, dst], [pts, k + pts, flows, flows]
+    vals = [np.ones(k), -np.ones(k), np.ones(e), -np.ones(e)]
+    c = np.zeros(t + 1 + tie)
+    c[t] = 1.0
+    if tie:
+        rows, cols, vals = rows + [pts], cols + [np.full(k, t + 1)], vals + [-wts]
+        c[t + 1] = -(value - 1e-11)
+    A_eq = csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                     shape=(k, len(c)))
+    A_ub = csr_array((np.concatenate([np.ones(2 * k), dist[src, dst], [-1.0, -1.0]]),
+                      (np.repeat([0, 1, 0, 1], [2 * k, e, 1, 1]),
+                       np.concatenate([np.arange(2 * k), flows, [t, t]]))), shape=(2, len(c)))
+    res = linprog(c, A_ub=A_ub, b_ub=[0.0, float(tie)], A_eq=A_eq,
+                  b_eq=np.zeros(k) if tie else wts, method="highs")
+    if not (tie or res.success):
+        raise RuntimeError(f"BL norm LP failed: {res.message}")
+    return res
+
+
+def bl_norm_value(mu: SignedMeasure, metric) -> float:
+    """Dual BL norm of ``mu`` alone: one flow LP, no witness."""
+    _, scale, wts, dist = _unit_support(mu, metric)
+    if scale == 0.0:
+        return 0.0
+    res = _flow_lp(wts, dist, _flow_pairs(dist))
+    return float(max(res.fun * scale, 0.0)) + 0.0
 
 
 def bl_dual_norm(mu: SignedMeasure, metric) -> tuple[float, LipschitzWitness]:
-    """Dual BL norm of ``mu`` with an attaining unit-ball witness.
-
-    ``metric`` is the StateSpace itself or an EnvelopeMetric over it.  Ties
-    between optimal witnesses are broken by preferring the smaller Lipschitz
-    bound, which keeps the returned witness deterministic.
-    """
-    pts, wts, dist, space = _support_and_distances(mu, metric)
-    k = len(pts)
-    if k == 0:
-        return 0.0, LipschitzWitness(points=(), values=np.zeros(0), sup_bound=0.0, lip_bound=0.0)
-
-    # solve at unit TV scale so solver tolerances cannot swallow tiny
-    # measures; the norm is exactly homogeneous
-    scale = float(np.sum(np.abs(wts)))
+    """Dual BL norm of ``mu`` (``metric``: a StateSpace or an EnvelopeMetric over
+    it) with an attaining unit-ball witness of least Lipschitz bound."""
+    pts, scale, wts, dist = _unit_support(mu, metric)
     if scale == 0.0:
-        return 0.0, LipschitzWitness(points=tuple(pts), values=np.zeros(k),
-                                     sup_bound=1.0, lip_bound=0.0)
-    wts = wts / scale
-
-    # variables: f_1..f_k, M, L
-    n_var = k + 2
-    rows, rhs = [], []
-
-    def add_row(coeffs, b):
-        rows.append(coeffs)
-        rhs.append(b)
-
-    for i in range(k):
-        r = np.zeros(n_var)
-        r[i], r[k] = 1.0, -1.0  # f_i - M <= 0
-        add_row(r, 0.0)
-        r = np.zeros(n_var)
-        r[i], r[k] = -1.0, -1.0  # -f_i - M <= 0
-        add_row(r, 0.0)
-    for i in range(k):
-        for j in range(i + 1, k):
-            r = np.zeros(n_var)
-            r[i], r[j], r[k + 1] = 1.0, -1.0, -dist[i, j]
-            add_row(r, 0.0)
-            r = np.zeros(n_var)
-            r[i], r[j], r[k + 1] = -1.0, 1.0, -dist[i, j]
-            add_row(r, 0.0)
-    r = np.zeros(n_var)
-    r[k], r[k + 1] = 1.0, 1.0  # M + L <= 1
-    add_row(r, 1.0)
-
-    A_ub = np.asarray(rows)
-    b_ub = np.asarray(rhs)
-    bounds = [(None, None)] * k + [(0.0, 1.0), (0.0, 1.0)]
-
-    c = np.zeros(n_var)
-    c[:k] = -wts  # maximize <mu, f>
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"BL norm LP failed: {res.message}")
-    value = -res.fun
-
-    # second stage: among optimal witnesses, minimize L
-    r = np.zeros(n_var)
-    r[:k] = -wts  # -<mu, f> <= -(value - tol)
-    A_ub2 = np.vstack([A_ub, r])
-    b_ub2 = np.concatenate([b_ub, [-(value - 1e-11)]])
-    c2 = np.zeros(n_var)
-    c2[k + 1] = 1.0
-    res2 = linprog(c2, A_ub=A_ub2, b_ub=b_ub2, bounds=bounds, method="highs")
-    x = res2.x if res2.success else res.x
-
-    witness = LipschitzWitness(points=tuple(pts), values=np.asarray(x[:k]),
-                               sup_bound=float(x[k]), lip_bound=float(x[k + 1]))
-    return float(max(value * scale, 0.0)) + 0.0, witness
+        return 0.0, LipschitzWitness(points=tuple(pts), values=np.zeros(len(pts)),
+                                     sup_bound=float(len(pts) > 0), lip_bound=0.0)
+    pairs = _flow_pairs(dist)
+    res = _flow_lp(wts, dist, pairs)
+    res2 = _flow_lp(wts, dist, pairs, value=res.fun)
+    best = res2 if res2.success else res  # a failed tie-break keeps stage one's witness
+    sup_bound, lip_bound = -best.ineqlin.marginals + 0.0
+    witness = LipschitzWitness(points=tuple(pts), values=best.eqlin.marginals + 0.0,
+                               sup_bound=float(sup_bound), lip_bound=float(lip_bound))
+    return float(max(res.fun * scale, 0.0)) + 0.0, witness
 
 
 def _subset_masks(k):
@@ -271,16 +283,11 @@ def bl_dual_norm_oracle(mu: SignedMeasure, metric) -> float:
     for M = 1 - L), so a coarse grid followed by ternary refinement recovers
     the optimum.  Refuses supports larger than ORACLE_MAX_SUPPORT.
     """
-    pts, wts, dist, _ = _support_and_distances(mu, metric)
-    k = len(pts)
-    if k == 0:
-        return 0.0
-    if k > ORACLE_MAX_SUPPORT:
+    pts, scale, wts, dist = _unit_support(mu, metric)
+    if len(pts) > ORACLE_MAX_SUPPORT:
         raise OracleSupportError(f"oracle limited to supports of size <= {ORACLE_MAX_SUPPORT}")
-    scale = float(np.sum(np.abs(wts)))
     if scale == 0.0:
         return 0.0
-    wts = wts / scale
 
     def value(L):
         return _inner_max(wts, dist, L)
@@ -304,11 +311,8 @@ def bl_dual_norm_oracle(mu: SignedMeasure, metric) -> float:
 
 
 def bl_distance(mu, nu, metric) -> float:
-    """BL distance between two measures (positive or signed)."""
-    from .measures import linear_combine
-
-    value, _ = bl_dual_norm(linear_combine([1.0, -1.0], [mu, nu]), metric)
-    return value
+    """BL distance between two measures (positive or signed): one flow LP."""
+    return bl_norm_value(linear_combine([1.0, -1.0], [mu, nu]), metric)
 
 
 def dirac_distance_exact(d: float) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bl_metric import bl_dual_norm
+from .bl_metric import bl_distance
 from .measures import PositiveMeasure, SignedMeasure, StateSpace, linear_combine
 from .operators import SemigroupSpec, apply, apply_signed, at_time
 
@@ -60,11 +60,6 @@ def _commutator(mu, pa, pb) -> SignedMeasure:
     return linear_combine([1.0, -1.0], [_chain(mu, [pa, pb]), _chain(mu, [pb, pa])])
 
 
-def _deviation(lhs: SignedMeasure, rhs: SignedMeasure, space) -> float:
-    value, _ = bl_dual_norm(linear_combine([1.0, -1.0], [lhs, rhs]), space)
-    return value
-
-
 def check_lemma_a(g1, g2, t, m, j, test_measures) -> IdentityCheckResult:
     """Commutator of one first-factor step against j second-factor steps."""
     if not 1 <= j <= m:
@@ -81,7 +76,7 @@ def check_lemma_a(g1, g2, t, m, j, test_measures) -> IdentityCheckResult:
                                p1, at_time(g2, h))
             terms.append(_chain(core, [at_time(g2, l * h)]))
         rhs = linear_combine([1.0] * len(terms), terms)
-        worst = max(worst, _deviation(lhs, rhs, mu.space))
+        worst = max(worst, bl_distance(lhs, rhs, mu.space))
     return IdentityCheckResult("telescoping_single_step", worst, len(test_measures),
                                _tolerance_for(g1))
 
@@ -107,7 +102,7 @@ def check_lemma_b(g1, g2, t, m, k, test_measures) -> IdentityCheckResult:
             terms.append(_chain(core, [at_time(g1, j * h)]))
         rhs = (linear_combine([1.0] * len(terms), terms) if terms
                else linear_combine([0.0], [mu]))
-        worst = max(worst, _deviation(lhs, rhs, mu.space))
+        worst = max(worst, bl_distance(lhs, rhs, mu.space))
     return IdentityCheckResult("telescoping_block", worst, len(test_measures),
                                _tolerance_for(g1))
 
@@ -134,7 +129,7 @@ def check_lemma_c(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
                 [_chain(tail, [p1k, p2k]), _chain(tail, [p1, p2] * k)])
             terms.append(_chain(middle, [p1k, p2k] * i))
         rhs = linear_combine([1.0] * len(terms), terms)
-        worst = max(worst, _deviation(lhs, rhs, mu.space))
+        worst = max(worst, bl_distance(lhs, rhs, mu.space))
     return IdentityCheckResult("telescoping_refinement", worst, len(test_measures),
                                _tolerance_for(g1))
 
@@ -171,7 +166,7 @@ def check_corollary(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
                     terms.append(_chain(core, [p1k, p2k] * i))
         rhs = (linear_combine([1.0] * len(terms), terms) if terms
                else linear_combine([0.0], [mu]))
-        worst = max(worst, _deviation(lhs, rhs, mu.space))
+        worst = max(worst, bl_distance(lhs, rhs, mu.space))
     return IdentityCheckResult("triple_sum_decomposition", worst, len(test_measures),
                                _tolerance_for(g1))
 
@@ -218,7 +213,7 @@ def check_corollary_recomposition(g1, g2, t, n, k, test_measures) -> IdentityChe
             rhs = linear_combine([1.0] * len(recomposed), recomposed)
         else:
             lhs = rhs = linear_combine([0.0], [mu])
-        worst = max(worst, _deviation(lhs, rhs, mu.space))
+        worst = max(worst, bl_distance(lhs, rhs, mu.space))
     return IdentityCheckResult("triple_sum_recomposition", worst, len(test_measures),
                                _tolerance_for(g1))
 
@@ -240,7 +235,7 @@ def check_swap_identity(g1, g2, t, n, test_measures) -> IdentityCheckResult:
                 core = _commutator(inner, p1, p2)
                 terms.append(_chain(core, leading * (n - i - 1)))
             rhs = linear_combine([1.0] * len(terms), terms)
-            worst = max(worst, _deviation(direct, rhs, mu.space))
+            worst = max(worst, bl_distance(direct, rhs, mu.space))
     return IdentityCheckResult("order_swap_expansion", worst, len(test_measures),
                                _tolerance_for(g1))
 

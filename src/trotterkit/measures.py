@@ -56,10 +56,10 @@ class StateSpace:
             off = d[~np.eye(self.size, dtype=bool)]
             if off.size and np.any(off <= 0.0):
                 raise InvalidMetricError("off-diagonal distances must be positive")
-            # triangle inequality, exhaustive: d_ik <= d_ij + d_jk
-            if self.size >= 3:
-                via = d[:, :, None] + d[None, :, :]  # via[i,j,k] = d_ij + d_jk
-                if np.any(d[:, None, :] > via + 1e-12):
+            # triangle inequality, exhaustive: d_ik <= d_ij + d_jk, one middle
+            # point j at a time so memory stays O(size^2)
+            for j in range(self.size):
+                if np.any(d > d[:, j, None] + d[None, j, :] + 1e-12):
                     raise InvalidMetricError("triangle inequality violated")
             object.__setattr__(self, "dist", d)
         elif self.kind == "euclidean":
@@ -79,20 +79,27 @@ class StateSpace:
 
     def distance(self, p, q) -> float:
         if self.kind == "finite":
-            return float(self.dist[int(p), int(q)])
+            return float(self.dist[self.point_key(p), self.point_key(q)])
         return float(np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)))
 
     def points_equal(self, p, q) -> bool:
         if self.kind == "finite":
-            return int(p) == int(q)
+            return self.point_key(p) == self.point_key(q)
         return bool(
             np.all(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)) < COINCIDENCE_TOL)
         )
 
     def point_key(self, p):
-        """Hashable canonical form of a point, for atom merging."""
+        """Hashable canonical form of a point, for atom merging.
+
+        On finite spaces that is the state index; ValueError for a point
+        that is not an integer in ``0..size-1``.
+        """
         if self.kind == "finite":
-            return int(p)
+            i = int(p)
+            if i != p or not 0 <= i < self.size:
+                raise ValueError(f"{p!r} is not a state of a {self.size}-state space")
+            return i
         return tuple(np.asarray(p, dtype=float).tolist())
 
     def __eq__(self, other):

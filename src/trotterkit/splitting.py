@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bl_metric import LipschitzWitness, bl_distance, bl_dual_norm
+from .bl_metric import LipschitzWitness, bl_distance
 from .measures import PositiveMeasure, SignedMeasure, StateSpace, linear_combine
 from .operators import (
     MarkovOperatorSpec,

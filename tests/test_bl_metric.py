@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, linprog
 
+from trotterkit import bl_metric
 from trotterkit.bl_metric import (
     OracleSupportError,
     bl_distance,
     bl_dual_norm,
     bl_dual_norm_oracle,
+    bl_norm_value,
     build_envelope_metric,
     dirac_distance_exact,
 )
-from trotterkit.measures import PositiveMeasure, SignedMeasure, StateSpace
+from trotterkit.measures import PositiveMeasure, SignedMeasure, StateSpace, linear_combine
 
 
 @pytest.fixture
@@ -64,7 +69,6 @@ class TestDualNorm:
             b = SignedMeasure.from_atoms(path3, list(enumerate(rng.normal(size=3))))
             na, _ = bl_dual_norm(a, path3)
             nb, _ = bl_dual_norm(b, path3)
-            from trotterkit.measures import linear_combine
             nab, _ = bl_dual_norm(linear_combine([1.0, 1.0], [a, b]), path3)
             assert nab <= na + nb + 1e-9
 
@@ -119,3 +123,244 @@ class TestDistances:
         a = PositiveMeasure.dirac(s, [0.0, 0.0])
         b = PositiveMeasure.dirac(s, [3.0, 4.0])
         assert bl_distance(a, b, s) == pytest.approx(dirac_distance_exact(5.0), abs=1e-9)
+
+
+def grid_metric(rng, rows, cols):
+    """Shortest paths on a rows x cols grid with edge weights in {1, 2, 3}/8.
+
+    The sums are exact in floating point, so every shortest path through an
+    intermediate point is an exact triangle equality and pruning removes
+    all but (some of) the grid edges.
+    """
+    k = rows * cols
+    d = np.full((k, k), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for i in range(k):
+        r, c = divmod(i, cols)
+        for nb in ([i + 1] if c + 1 < cols else []) + ([i + cols] if r + 1 < rows else []):
+            d[i, nb] = d[nb, i] = float(rng.integers(1, 4))
+    for m in range(k):
+        d = np.minimum(d, d[:, m:m + 1] + d[m:m + 1, :])
+    return StateSpace.finite(d / 8.0)
+
+
+def full_support_measure(rng, space, zero_mass=False):
+    w = rng.normal(size=space.size)
+    if zero_mass:
+        w -= w.mean()
+    return SignedMeasure.from_atoms(space, list(enumerate((w / np.abs(w).sum()).tolist())))
+
+
+def primal_lp(mu, space):
+    """Reference: the box/Lipschitz primal LP over (f, M, L) with every pair,
+    dense, in both stages.  Returns (norm, least optimal Lipschitz bound)."""
+    pts, wts = mu.support()
+    scale = float(np.abs(wts).sum())
+    wts = wts / scale
+    k, n = len(pts), len(pts) + 2
+    rows = []
+    for i in range(k):
+        for sign in (1.0, -1.0):
+            r = np.zeros(n)
+            r[i], r[k] = sign, -1.0  # +-f_i <= M
+            rows.append(r)
+        for j in range(k):
+            if j != i:
+                r = np.zeros(n)
+                r[i], r[j], r[k + 1] = 1.0, -1.0, -space.distance(pts[i], pts[j])
+                rows.append(r)  # f_i - f_j <= L d_ij
+    r = np.zeros(n)
+    r[k] = r[k + 1] = 1.0  # M + L <= 1
+    rows.append(r)
+    A, b = np.array(rows), np.zeros(len(rows))
+    b[-1] = 1.0
+    bounds = [(None, None)] * k + [(0.0, 1.0)] * 2
+    c = np.zeros(n)
+    c[:k] = -wts
+    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    assert res.success
+    value = -res.fun
+    c2 = np.zeros(n)
+    c2[k + 1] = 1.0
+    res2 = linprog(c2, A_ub=np.vstack([A, c]), b_ub=np.append(b, -(value - 1e-11)),
+                   bounds=bounds, method="highs")
+    assert res2.success
+    return value * scale, res2.x[k + 1]
+
+
+def assert_certificate(mu, space, value, witness, tol=1e-9):
+    """The witness is feasible on every pair of its points (pruned ones too),
+    lies in the unit BL ball and attains the value."""
+    assert witness.check_feasible(space, slack=tol)
+    assert witness.sup_bound >= 0.0 and witness.lip_bound >= 0.0
+    assert witness.sup_bound + witness.lip_bound <= 1.0 + tol
+    assert witness.pair(mu) == pytest.approx(value, abs=tol * mu.tv)
+
+
+class TestFlowForm:
+    def test_matches_primal_lp_on_random_metrics(self):
+        rng = np.random.default_rng(23)
+        for k in range(2, 13):
+            for _ in range(3):
+                space = random_metric_space(rng, k)
+                mu = full_support_measure(rng, space, zero_mass=k % 2 == 0)
+                value, witness = bl_dual_norm(mu, space)
+                ref_value, ref_lip = primal_lp(mu, space)
+                assert value == pytest.approx(ref_value, abs=1e-9)
+                assert bl_norm_value(mu, space) == pytest.approx(ref_value, abs=1e-9)
+                assert witness.lip_bound == pytest.approx(ref_lip, abs=1e-9)
+                assert_certificate(mu, space, value, witness)
+
+    def test_near_triangle_equalities_are_not_pruned(self):
+        # points close to a line: d_il + d_lj exceeds d_ij by a relative 1e-6
+        # to 1e-3, so every pair must keep its flow column
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            pts = np.column_stack([np.arange(10.0), rng.uniform(-0.03, 0.03, 10)])
+            space = StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+            assert len(bl_metric._flow_pairs(space.dist)[0]) == 90
+            mu = full_support_measure(rng, space, zero_mass=True)
+            value, witness = bl_dual_norm(mu, space)
+            assert value == pytest.approx(primal_lp(mu, space)[0], abs=1e-9)
+            assert_certificate(mu, space, value, witness)
+
+    def test_pruning_is_exact_on_a_graph_metric(self):
+        rng = np.random.default_rng(48)
+        space = grid_metric(rng, 6, 8)
+        kept = len(bl_metric._flow_pairs(space.dist)[0])
+        assert kept <= 2 * (5 * 8 + 6 * 7)  # at most the directed grid edges
+        for zero_mass in (True, False):
+            mu = full_support_measure(rng, space, zero_mass)
+            value, witness = bl_dual_norm(mu, space)
+            ref_value, ref_lip = primal_lp(mu, space)
+            assert value == pytest.approx(ref_value, abs=1e-9)
+            assert witness.lip_bound == pytest.approx(ref_lip, abs=1e-9)
+            assert_certificate(mu, space, value, witness)
+
+    def test_path_metric_keeps_only_neighbour_pairs(self):
+        pts = np.arange(7, dtype=float)
+        src, dst = bl_metric._flow_pairs(np.abs(pts[:, None] - pts[None, :]))
+        assert sorted(zip(src.tolist(), dst.tolist())) == sorted(
+            [(i, i + 1) for i in range(6)] + [(i + 1, i) for i in range(6)])
+
+    def test_hop_below_rounding_does_not_prune(self):
+        # d_02 = 1e-17 vanishes in d_01 + d_12, so 1 + 1e-17 <= 1 holds in
+        # floating point both for (0, 1) via 2 and for (0, 2) via 1; pruning
+        # both would cut point 0 off.  Neither hop is strictly shorter.
+        space = StateSpace.finite([[0.0, 1.0, 1.0], [1.0, 0.0, 1e-17], [1.0, 1e-17, 0.0]])
+        assert len(bl_metric._flow_pairs(space.dist)[0]) == 6
+        mu = SignedMeasure.from_atoms(space, [(0, 1.0), (1, -0.5), (2, -0.5)])
+        value, witness = bl_dual_norm(mu, space)
+        assert value == pytest.approx(dirac_distance_exact(1.0), abs=1e-9)
+        assert_certificate(mu, space, value, witness)
+
+    @pytest.mark.parametrize("k", [12, 48, 200])
+    def test_certificate_on_large_supports(self, k):
+        rng = np.random.default_rng(k)
+        spaces = [random_metric_space(rng, k)]
+        if k >= 48:
+            spaces.append(grid_metric(rng, 8, k // 8))
+        for space in spaces:
+            mu = full_support_measure(rng, space, zero_mass=True)
+            value, witness = bl_dual_norm(mu, space)
+            assert len(witness.points) == k
+            assert_certificate(mu, space, value, witness)
+            assert bl_norm_value(mu, space) == pytest.approx(value, abs=1e-12)
+
+    def test_distance_solves_one_lp_and_norm_two(self, path3, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["A_eq"].shape)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(bl_metric, "linprog", counting)
+        a = PositiveMeasure.from_atoms(path3, [(0, 0.5), (1, 0.5)])
+        b = PositiveMeasure.from_atoms(path3, [(2, 1.0)])
+        bl_distance(a, b, path3)
+        assert len(calls) == 1
+        bl_dual_norm(linear_combine([1.0, -1.0], [a, b]), path3)
+        assert len(calls) == 3
+        # path3 prunes (0, 2) and (2, 0): 6 r columns, 4 flows, t (and s)
+        assert calls[0] == (3, 11) and calls[2] == (3, 12)
+
+    def test_failed_tie_break_keeps_stage_one_witness(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        space = random_metric_space(rng, 9)
+        mu = full_support_measure(rng, space, zero_mass=True)
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                return OptimizeResult(success=False, status=4, message="forced failure")
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(bl_metric, "linprog", second_fails)
+        value, witness = bl_dual_norm(mu, space)
+        assert len(calls) == 2
+        assert value == pytest.approx(primal_lp(mu, space)[0], abs=1e-9)
+        assert_certificate(mu, space, value, witness)
+
+    def test_failed_stage_one_raises(self, path3, monkeypatch):
+        monkeypatch.setattr(bl_metric, "linprog", lambda *a, **kw: OptimizeResult(
+            success=False, status=2, message="forced failure"))
+        mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (2, -1.0)])
+        for norm in (bl_dual_norm, bl_norm_value):
+            with pytest.raises(RuntimeError, match="forced failure"):
+                norm(mu, path3)
+
+
+@st.composite
+def lattice_spaces(draw, min_size=2, max_size=6):
+    """Distinct points of a coarse 2-D lattice: their Euclidean metric has
+    exact triangle equalities along lattice lines, which pruning removes."""
+    coords = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    pts = np.array(draw(st.lists(coords, min_size=min_size, max_size=max_size, unique=True)),
+                   dtype=float) / 2.0
+    return StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+
+
+def measures_on(space, draw, positive):
+    weights = st.floats(0.0, 1.0) if positive else st.floats(-1.0, 1.0)
+    w = draw(st.lists(weights, min_size=space.size, max_size=space.size))
+    build = PositiveMeasure.from_atoms if positive else SignedMeasure.from_atoms
+    return build(space, list(enumerate(w)))
+
+
+class TestNormProperties:
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_distance_is_symmetric_and_satisfies_triangle(self, data):
+        space = data.draw(lattice_spaces())
+        a, b, c = (measures_on(space, data.draw, positive=True) for _ in range(3))
+        ab, ba = bl_distance(a, b, space), bl_distance(b, a, space)
+        assert ab == pytest.approx(ba, abs=1e-9)
+        assert bl_distance(a, c, space) <= ab + bl_distance(b, c, space) + 1e-9
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_norm_is_dominated_by_total_variation(self, data):
+        space = data.draw(lattice_spaces())
+        mu = measures_on(space, data.draw, positive=False)
+        assert bl_norm_value(mu, space) <= mu.tv + 1e-9
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_dirac_distance_has_closed_form(self, data):
+        space = data.draw(lattice_spaces())
+        i, j = data.draw(st.lists(st.integers(0, space.size - 1), min_size=2, max_size=2,
+                                  unique=True))
+        a, b = PositiveMeasure.dirac(space, i), PositiveMeasure.dirac(space, j)
+        expected = dirac_distance_exact(space.distance(i, j))
+        assert bl_distance(a, b, space) == pytest.approx(expected, abs=1e-9)
+
+    @settings(max_examples=60)
+    @given(st.data(), st.floats(-1e3, 1e3).filter(lambda c: abs(c) > 1e-6))
+    def test_norm_is_homogeneous(self, data, c):
+        space = data.draw(lattice_spaces())
+        mu = measures_on(space, data.draw, positive=False)
+        assume(mu.tv > 0.0)
+        scaled = linear_combine([c], [mu])
+        assert bl_norm_value(scaled, space) == pytest.approx(
+            abs(c) * bl_norm_value(mu, space), rel=1e-9, abs=1e-12)

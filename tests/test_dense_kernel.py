@@ -72,14 +72,14 @@ def _matrix_and_measure(draw):
     return P, PositiveMeasure.from_atoms(space, list(enumerate(weights)))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_matrix_and_measure())
 def test_dense_apply_matches_atom_path(case):
     P, mu = case
     assert _outcome(apply, P, mu) == _outcome(_atom_path_apply, P, mu)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=12))
 def test_weight_vector_round_trip(weights):
     space = _discrete(len(weights))

@@ -37,6 +37,49 @@ class TestStateSpace:
         with pytest.raises(InvalidMetricError):
             StateSpace.finite([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
 
+    def test_finite_validates_triangle_at_large_size(self):
+        # a path metric on 60 points with one shortcut broken: only the middle
+        # point 31 exposes d(30, 32) > d(30, 31) + d(31, 32)
+        pts = np.arange(60, dtype=float)
+        d = np.abs(pts[:, None] - pts[None, :])
+        StateSpace.finite(d)
+        d[30, 32] = d[32, 30] = 2.0 + 1e-9
+        with pytest.raises(InvalidMetricError, match="triangle"):
+            StateSpace.finite(d)
+
+    def test_triangle_check_keeps_its_tolerance(self):
+        eps = 5e-13  # within the 1e-12 slack of the check
+        StateSpace.finite([[0.0, 1.0, 2.0 + eps], [1.0, 0.0, 1.0], [2.0 + eps, 1.0, 0.0]])
+        with pytest.raises(InvalidMetricError):
+            StateSpace.finite([[0.0, 1.0, 2.0 + 4 * eps], [1.0, 0.0, 1.0],
+                               [2.0 + 4 * eps, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("point", [-1, 3, 7])
+    def test_finite_rejects_out_of_range_points(self, path3, point):
+        with pytest.raises(ValueError, match="not a state"):
+            path3.point_key(point)
+        with pytest.raises(ValueError, match="not a state"):
+            path3.distance(0, point)
+        with pytest.raises(ValueError, match="not a state"):
+            PositiveMeasure.from_atoms(path3, [(point, 1.0)])
+
+    @pytest.mark.parametrize("point", [1.7, -0.5, np.float64(2.25)])
+    def test_finite_rejects_non_integral_points(self, path3, point):
+        with pytest.raises(ValueError, match="not a state"):
+            path3.point_key(point)
+        with pytest.raises(ValueError, match="not a state"):
+            path3.distance(point, 0)
+        with pytest.raises(ValueError, match="not a state"):
+            path3.points_equal(point, 1)
+        with pytest.raises(ValueError, match="not a state"):
+            SignedMeasure.from_atoms(path3, [(0, 1.0), (point, -1.0)])
+
+    def test_finite_accepts_integral_points_of_any_type(self, path3):
+        mu = PositiveMeasure.from_atoms(path3, [(np.int64(2), 0.5), (2.0, 0.25), (0, 0.25)])
+        assert mu.points == (2, 0)
+        assert mu.weight_vector().tolist() == [0.25, 0.0, 0.75]
+        assert path3.distance(np.int64(0), 2.0) == 2.0
+
     def test_euclidean_distance(self):
         s = StateSpace.euclidean(2)
         assert s.distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
