@@ -27,7 +27,6 @@ returned.  ``bl_norm_value`` and ``bl_distance`` solve the first LP only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
@@ -78,11 +77,8 @@ class LipschitzWitness:
         v = np.asarray(self.values, dtype=float)
         if np.any(np.abs(v) > self.sup_bound + slack):
             return False
-        for (i, p), (j, q) in combinations(enumerate(self.points), 2):
-            d = space.distance(p, q)
-            if abs(v[i] - v[j]) > self.lip_bound * d + slack:
-                return False
-        return True
+        dist = pairwise_distances(space, self.points)
+        return not np.any(np.abs(v[:, None] - v[None, :]) > self.lip_bound * dist + slack)
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,21 +141,34 @@ def build_envelope_metric(base: StateSpace, family) -> EnvelopeMetric:
     return EnvelopeMetric(base=base, family=tuple(family))
 
 
+def pairwise_distances(metric, points) -> np.ndarray:
+    """Distance matrix of ``points`` under a StateSpace or an EnvelopeMetric:
+    read off a finite space's matrix, else one ``metric.distance`` per pair."""
+    if isinstance(metric, StateSpace) and metric.kind == "finite":
+        idx = np.asarray([metric.point_key(p) for p in points], dtype=np.intp)
+        return metric.dist[np.ix_(idx, idx)]
+    k = len(points)
+    dist = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            dist[i, j] = dist[j, i] = metric.distance(points[i], points[j])
+    return dist
+
+
+def lipschitz_constant(values, dist) -> float:
+    """Largest |v_i - v_j| / d_ij over the pairs with d_ij > 0; 0 below two points."""
+    v = np.asarray(values, dtype=float)
+    apart = dist > 0.0
+    return float(np.max(np.abs(v[:, None] - v[None, :])[apart] / dist[apart], initial=0.0))
+
+
 def _unit_support(mu: SignedMeasure, metric):
     """(points, TV scale, weights at unit TV, distances).  Norms are solved at
     unit TV so solver tolerances cannot swallow tiny measures."""
     pts, wts = mu.support()
     scale = float(np.sum(np.abs(wts)))
     wts = wts / scale if scale else wts
-    if isinstance(metric, StateSpace) and metric.kind == "finite":
-        idx = np.asarray(pts, dtype=np.intp)
-        return pts, scale, wts, metric.dist[np.ix_(idx, idx)]
-    k = len(pts)
-    dist = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            dist[i, j] = dist[j, i] = metric.distance(pts[i], pts[j])
-    return pts, scale, wts, dist
+    return pts, scale, wts, pairwise_distances(metric, pts)
 
 
 def _flow_pairs(dist):

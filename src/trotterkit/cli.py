@@ -26,6 +26,7 @@ from .bl_metric import (
     bl_distance,
     build_envelope_metric,
     dirac_distance_exact,
+    lipschitz_constant,
 )
 from .diagnostics import (
     EquicontinuityProbe,
@@ -88,8 +89,26 @@ def load_scenario(path):
             schedule = tuple(range(1, int(sched_spec["linear"]) + 1))
         else:
             raise ScenarioError(f"{path}: schedule needs 'dyadic' or 'linear'")
-        if not schedule:
-            raise ScenarioError(f"{path}: empty schedule")
+        if len(schedule) < 3:
+            raise ScenarioError(f"{path}: schedule needs at least 3 entries")
+        order = study.get("order", "g1_first")
+        if order not in ("g1_first", "g2_first"):
+            raise ScenarioError(f"{path}: unknown order {order!r}")
+        metric = study.get("metric", "base")
+        if metric not in ("base", "envelope"):
+            raise ScenarioError(f"{path}: unknown metric {metric!r}")
+        witness_specs = doc.get("witnesses", [])
+        # numpy would wrap a negative index around, or broadcast a short center
+        for spec in witness_specs:
+            kind = spec["kind"]
+            if space.kind == "finite" and kind in ("coordinate", "indicator"):
+                for i in [spec["index"]] if kind == "coordinate" else spec["subset"]:
+                    space.point_key(i)
+            elif kind == "coordinate":
+                if not (int(spec["index"]) == spec["index"] and 0 <= spec["index"] < space.dim):
+                    raise ValueError(f"coordinate index {spec['index']!r} outside R^{space.dim}")
+            elif kind == "indicator":
+                space.point_key(spec["center"])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
@@ -100,9 +119,9 @@ def load_scenario(path):
         "space": space, "g1": g1, "g2": g2, "mu0": mu0,
         "t": float(study["t"]),
         "schedule": schedule,
-        "order": study.get("order", "g1_first"),
-        "metric": study.get("metric", "base"),
-        "witness_specs": doc.get("witnesses", []),
+        "order": order,
+        "metric": metric,
+        "witness_specs": witness_specs,
         "dyadic": "dyadic" in sched_spec,
     }
 
@@ -160,10 +179,7 @@ def build_witnesses(space: StateSpace, specs, rng):
 def _finite_witness(space: StateSpace, values: np.ndarray) -> LipschitzWitness:
     values = np.asarray(values, dtype=float)
     sup = float(np.max(np.abs(values))) if values.size else 0.0
-    lip = 0.0
-    for i in range(space.size):
-        for j in range(i + 1, space.size):
-            lip = max(lip, abs(values[i] - values[j]) / space.dist[i, j])
+    lip = lipschitz_constant(values, space.dist)
     norm = sup + lip
     if norm > 0.0:
         values, sup, lip = values / norm, sup / norm, lip / norm

@@ -11,21 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bl_metric import bl_distance
-from .measures import PositiveMeasure, StateSpace, linear_combine
-from .operators import MarkovOperatorSpec, SemigroupSpec, apply, at_time
+from .measures import PositiveMeasure
+from .operators import SemigroupSpec, apply, at_time
 from .splitting import trotter_iterate
-
-
-def _apply(P, mu):
-    """Apply either a MarkovOperatorSpec or a callable composite operator."""
-    if isinstance(P, MarkovOperatorSpec):
-        return apply(P, mu)
-    return P(mu)
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,7 @@ def equicontinuity_modulus(probe: EquicontinuityProbe):
     for nu, din in zip(probe.perturbations, probe.input_distances):
         worst = 0.0
         for P in probe.family:
-            worst = max(worst, bl_distance(_apply(P, probe.center), _apply(P, nu), space))
+            worst = max(worst, bl_distance(apply(P, probe.center), apply(P, nu), space))
         rows.append((float(din), worst))
     rows.sort(key=lambda r: r[0])
     out, running = [], 0.0

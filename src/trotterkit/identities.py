@@ -60,6 +60,30 @@ def _commutator(mu, pa, pb) -> SignedMeasure:
     return linear_combine([1.0, -1.0], [_chain(mu, [pa, pb]), _chain(mu, [pb, pa])])
 
 
+def _triple_sum(mu, g1, g2, h, n, k, inner) -> SignedMeasure:
+    """Sum of [P1k P2k]^i P1(jh) P2(lh) [P1, P2] inner(i, j, l) over i < n,
+    1 <= j < k, l < j, term by term in that order (P1k: P1 at kh)."""
+    p1, p2 = at_time(g1, h), at_time(g2, h)
+    p1k, p2k = at_time(g1, k * h), at_time(g2, k * h)
+    terms = []
+    for i in range(n):
+        for j in range(1, k):
+            for l in range(j):
+                core = _commutator(inner(i, j, l), p1, p2)
+                core = _chain(core, [at_time(g2, l * h)])
+                core = _chain(core, [at_time(g1, j * h)])
+                terms.append(_chain(core, [p1k, p2k] * i))
+    return linear_combine([1.0] * len(terms), terms) if terms else linear_combine([0.0], [mu])
+
+
+def _displayed_triple_sum(mu, g1, g2, h, n, k) -> SignedMeasure:
+    """The triple sum as displayed: the trailing second-factor time is
+    (j - l) h and the trailing block exponent k(n - i) - j - 1, verbatim."""
+    p1, p2 = at_time(g1, h), at_time(g2, h)
+    return _triple_sum(mu, g1, g2, h, n, k, lambda i, j, l: _chain(
+        mu, [at_time(g2, (j - l) * h)] + [p1, p2] * (k * (n - i) - j - 1)))
+
+
 def check_lemma_a(g1, g2, t, m, j, test_measures) -> IdentityCheckResult:
     """Commutator of one first-factor step against j second-factor steps."""
     if not 1 <= j <= m:
@@ -137,10 +161,9 @@ def check_lemma_c(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
 def check_corollary(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
     """Triple-sum decomposition, evaluated exactly as displayed.
 
-    The trailing second-factor time is (j - l) h and the trailing block
-    exponent is k(n - i) - j - 1; both are taken verbatim, and the separate
-    recomposition through the three telescoping checks localizes any
-    discrepancy.
+    The indices are taken verbatim (see ``_displayed_triple_sum``), and the
+    separate recomposition through the three telescoping checks localizes
+    any discrepancy.
     """
     if n < 1 or k < 1:
         raise ValueError("need n, k >= 1")
@@ -154,18 +177,7 @@ def check_corollary(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
         lhs = linear_combine(
             [1.0, -1.0],
             [_chain(mu, [p1k, p2k] * n), _chain(mu, [p1, p2] * m)])
-        terms = []
-        for i in range(n):
-            for j in range(1, k):
-                for l in range(j):
-                    inner = _chain(mu, [p1, p2] * (k * (n - i) - j - 1))
-                    inner = _chain(inner, [at_time(g2, (j - l) * h)])
-                    core = _commutator(inner, p1, p2)
-                    core = _chain(core, [at_time(g2, l * h)])
-                    core = _chain(core, [at_time(g1, j * h)])
-                    terms.append(_chain(core, [p1k, p2k] * i))
-        rhs = (linear_combine([1.0] * len(terms), terms) if terms
-               else linear_combine([0.0], [mu]))
+        rhs = _displayed_triple_sum(mu, g1, g2, h, n, k)
         worst = max(worst, bl_distance(lhs, rhs, mu.space))
     return IdentityCheckResult("triple_sum_decomposition", worst, len(test_measures),
                                _tolerance_for(g1))
@@ -185,34 +197,13 @@ def check_corollary_recomposition(g1, g2, t, n, k, test_measures) -> IdentityChe
     m = n * k
     h = t / m
     p1, p2 = at_time(g1, h), at_time(g2, h)
-    p1k, p2k = at_time(g1, k * h), at_time(g2, k * h)
     worst = 0.0
     for mu in test_measures:
         mu = _as_signed(mu)
-        displayed, recomposed = [], []
-        for i in range(n):
-            for j in range(1, k):
-                for l in range(j):
-                    inner = _chain(mu, [p1, p2] * (k * (n - i) - j - 1))
-                    inner = _chain(inner, [at_time(g2, (j - l) * h)])
-                    core = _commutator(inner, p1, p2)
-                    core = _chain(core, [at_time(g2, l * h)])
-                    core = _chain(core, [at_time(g1, j * h)])
-                    displayed.append(_chain(core, [p1k, p2k] * i))
-
-                    inner = _chain(mu, [p1, p2] * (k * (n - 1 - i)))
-                    inner = _chain(inner, [p1, p2] * (k - 1 - j))
-                    inner = _chain(inner, [p2])
-                    inner = _chain(inner, [at_time(g2, (j - 1 - l) * h)])
-                    core = _commutator(inner, p1, p2)
-                    core = _chain(core, [at_time(g2, l * h)])
-                    core = _chain(core, [at_time(g1, j * h)])
-                    recomposed.append(_chain(core, [p1k, p2k] * i))
-        if displayed:
-            lhs = linear_combine([1.0] * len(displayed), displayed)
-            rhs = linear_combine([1.0] * len(recomposed), recomposed)
-        else:
-            lhs = rhs = linear_combine([0.0], [mu])
+        lhs = _displayed_triple_sum(mu, g1, g2, h, n, k)
+        rhs = _triple_sum(mu, g1, g2, h, n, k, lambda i, j, l: _chain(
+            mu, [at_time(g2, (j - 1 - l) * h), p2]
+            + [p1, p2] * (k - 1 - j) + [p1, p2] * (k * (n - 1 - i))))
         worst = max(worst, bl_distance(lhs, rhs, mu.space))
     return IdentityCheckResult("triple_sum_recomposition", worst, len(test_measures),
                                _tolerance_for(g1))

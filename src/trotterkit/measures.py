@@ -92,15 +92,19 @@ class StateSpace:
     def point_key(self, p):
         """Hashable canonical form of a point, for atom merging.
 
-        On finite spaces that is the state index; ValueError for a point
-        that is not an integer in ``0..size-1``.
+        On finite spaces that is the state index, on Euclidean spaces the
+        coordinate tuple; ValueError for a point that is not an integer in
+        ``0..size-1``, or not ``dim`` finite coordinates.
         """
         if self.kind == "finite":
             i = int(p)
             if i != p or not 0 <= i < self.size:
                 raise ValueError(f"{p!r} is not a state of a {self.size}-state space")
             return i
-        return tuple(np.asarray(p, dtype=float).tolist())
+        x = np.asarray(p, dtype=float)
+        if x.shape != (self.dim,) or not np.isfinite(x).all():
+            raise ValueError(f"{p!r} is not a point of R^{self.dim}")
+        return tuple(x.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, StateSpace):

@@ -1,9 +1,10 @@
 """Markov operators and semigroups on finitely supported measures.
 
-Three operator kinds share one interface: column-stochastic matrices on a
-finite space, deterministic-map lifts (Dirac pushforwards), and kernels that
-send each point to a probability measure.  Semigroups are generated by a
-rate matrix (matrix exponential), a linear flow on R^dim, or a named
+Four operator kinds share one interface: column-stochastic matrices on a
+finite space, deterministic-map lifts (Dirac pushforwards), kernels that
+send each point to a probability measure, and products of operators
+(``compose``), which run through one chain runner.  Semigroups are generated
+by a rate matrix (matrix exponential), a linear flow on R^dim, or a named
 closed-form flow.
 """
 
@@ -11,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 from scipy.linalg import expm
 
-from .bl_metric import LipschitzWitness
+from .bl_metric import LipschitzWitness, lipschitz_constant, pairwise_distances
 from .measures import (
     PositiveMeasure,
     SignedMeasure,
@@ -43,8 +43,9 @@ class MarkovOperatorSpec:
     """A TV-preserving positive map on measures, with a dual action on functions.
 
     kind is one of "stochastic_matrix" (column-stochastic ``matrix``),
-    "deterministic_map" (``point_map`` sends points to points), or "kernel"
-    (``kernel`` sends points to unit-mass PositiveMeasures).
+    "deterministic_map" (``point_map`` sends points to points), "kernel"
+    (``kernel`` sends points to unit-mass PositiveMeasures), or "composite"
+    (``factors`` on the same space, in written order: the last acts first).
     """
 
     kind: str
@@ -52,6 +53,7 @@ class MarkovOperatorSpec:
     matrix: np.ndarray | None = None
     point_map: object = None
     kernel: object = None
+    factors: tuple = ()
 
     def __post_init__(self):
         if self.kind == "stochastic_matrix":
@@ -72,6 +74,11 @@ class MarkovOperatorSpec:
         elif self.kind == "kernel":
             if self.kernel is None:
                 raise ValueError("kernel operator needs a kernel")
+        elif self.kind == "composite":
+            if not self.factors:
+                raise ValueError("composite operator needs at least one factor")
+            for F in self.factors:
+                _check_space(F, self.space)
         else:
             raise ValueError(f"unknown operator kind {self.kind!r}")
 
@@ -82,6 +89,13 @@ class MarkovOperatorSpec:
                                       matrix=np.eye(space.size))
         return MarkovOperatorSpec(kind="deterministic_map", space=space,
                                   point_map=lambda x: x)
+
+
+def compose(*ops: MarkovOperatorSpec) -> MarkovOperatorSpec:
+    """The product ``ops[0] ... ops[-1]``: ``apply(compose(A, B), mu)`` is
+    ``apply(A, apply(B, mu))`` bit for bit (factors are never multiplied)."""
+    return MarkovOperatorSpec(kind="composite", space=ops[0].space if ops else None,
+                              factors=ops)
 
 
 def _check_space(P: MarkovOperatorSpec, space: StateSpace) -> None:
@@ -108,6 +122,8 @@ def apply(P: MarkovOperatorSpec, mu: PositiveMeasure) -> PositiveMeasure:
     global APPLY_COUNT
     APPLY_COUNT += 1
     check_input(P, mu)
+    if P.kind == "composite":
+        return _apply_chain(P.factors[::-1], mu)
     tv_in = mu.tv
     if P.kind == "stochastic_matrix":
         out = PositiveMeasure.from_weight_vector(P.space, P.matrix @ mu.weight_vector())
@@ -134,35 +150,34 @@ def apply(P: MarkovOperatorSpec, mu: PositiveMeasure) -> PositiveMeasure:
     return out
 
 
-def apply_dense(ops, n: int, mu: PositiveMeasure) -> PositiveMeasure:
-    """(ops[-1] ... ops[0])^n mu for stochastic matrices, on one dense vector.
+def _apply_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
+    """Apply the nonempty sequence ``ops`` to ``mu``, first operator first.
 
-    Every step gets the checks ``apply`` makes, with the same exceptions:
-    matching spaces, nonnegative output, the ``PRUNE_REL_TOL`` prune and TV
-    preservation.  The weights are bitwise those of ``n * len(ops)``
-    chained ``apply`` calls; atoms are built once, at the end.  Steps are
-    not counted in APPLY_COUNT, which counts ``apply`` calls only.
+    Stochastic matrices run on one dense weight vector, with the checks and
+    exceptions of ``apply`` at every step (matching spaces, nonnegative
+    output, the ``PRUNE_REL_TOL`` prune, TV preservation) and bitwise its
+    weights; these steps are not counted in APPLY_COUNT.  Any other chain
+    is one counted ``apply`` per operator.
     """
-    if n < 1 or not ops:
-        raise ValueError("need n >= 1 and at least one operator")
     if any(P.kind != "stochastic_matrix" for P in ops):
-        raise ValueError("apply_dense takes stochastic-matrix operators only")
+        for P in ops:
+            mu = apply(P, mu)
+        return mu
     check_input(ops[0], mu)
     space = mu.space
     tv = mu.tv
     v = mu.weight_vector()
-    for _ in range(n):
-        for P in ops:
-            _check_space(P, space)
-            idx, w = prune_dense(P.matrix @ v)
-            tv_out = float(w.sum())
-            _check_tv(P, tv, tv_out)
-            space, tv = P.space, tv_out
-            if len(w) < space.size:
-                v = np.zeros(space.size)
-                v[idx] = w
-            else:
-                v = w
+    for P in ops:
+        _check_space(P, space)
+        idx, w = prune_dense(P.matrix @ v)
+        tv_out = float(w.sum())
+        _check_tv(P, tv, tv_out)
+        space, tv = P.space, tv_out
+        if len(w) < space.size:
+            v = np.zeros(space.size)
+            v[idx] = w
+        else:
+            v = w
     return PositiveMeasure(space=space, points=tuple(idx.tolist()), weights=w)
 
 
@@ -197,17 +212,11 @@ def dual_apply(P: MarkovOperatorSpec, f: LipschitzWitness) -> LipschitzWitness:
         values.append(pairing(px, f))
     values = np.asarray(values)
     sup_bound = f.sup_bound
+    dist = pairwise_distances(P.space, points)
     if P.space.kind == "finite":
-        lip = 0.0
-        for (i, p), (j, q) in combinations(enumerate(points), 2):
-            d = P.space.distance(p, q)
-            if d > 0.0:
-                lip = max(lip, abs(values[i] - values[j]) / d)
-        lip_bound = lip
+        lip_bound = lipschitz_constant(values, dist)
     else:
-        dmin = math.inf
-        for p, q in combinations(points, 2):
-            dmin = min(dmin, P.space.distance(p, q))
+        dmin = dist[np.triu_indices(len(points), 1)].min(initial=math.inf)
         lip_bound = 2.0 * sup_bound / dmin if math.isfinite(dmin) and dmin > 0 else f.lip_bound
     return LipschitzWitness(points=points, values=values,
                             sup_bound=sup_bound, lip_bound=lip_bound)
@@ -275,6 +284,12 @@ class SemigroupSpec:
             if self.flow is None:
                 if self.flow_name not in _NAMED_FLOWS:
                     raise ValueError(f"unknown flow {self.flow_name!r}")
+                dim = self.space.dim
+                velocity = np.shape(self.flow_params.get("velocity", [1.0]))
+                if (self.flow_name == "rotation" and dim < 2) or (
+                        self.flow_name == "translation" and velocity not in ((), (1,), (dim,))):
+                    raise ValueError(f"{self.flow_name} flow {self.flow_params} does not fit "
+                                     f"a space of dim {dim}")
                 object.__setattr__(self, "flow", _NAMED_FLOWS[self.flow_name](self.flow_params))
         else:
             raise ValueError(f"unknown semigroup kind {self.kind!r}")

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bl_metric import LipschitzWitness, bl_distance
-from .measures import PositiveMeasure, SignedMeasure, StateSpace, linear_combine
+from .measures import PositiveMeasure
 from .operators import (
-    MarkovOperatorSpec,
     SemigroupSpec,
+    _apply_chain,
     apply,
-    apply_dense,
     at_time,
     check_input,
+    compose,
     pairing,
 )
 
@@ -99,28 +99,25 @@ def trotter_iterate(g1: SemigroupSpec, g2: SemigroupSpec, t: float, n: int,
                     mu: PositiveMeasure, order: str = "g1_first") -> PositiveMeasure:
     """[P1_{t/n} P2_{t/n}]^n mu (or the swapped composition).
 
-    When both block factors are stochastic matrices, the blocks run on one
-    dense weight vector (``operators.apply_dense``, same per-step checks as
-    ``apply``) and the result is memoized on ``g1`` per (g2, t, n, order,
-    mu's points and weight bytes), so every caller shares one iterate.
-    Other operator kinds are applied atom by atom.
+    The n blocks run through the operators' chain runner: on one dense
+    weight vector when both factors are stochastic matrices (same per-step
+    checks as ``apply``, not counted in APPLY_COUNT), one ``apply`` per
+    factor otherwise.  The result is memoized on ``g1`` per (g2, t, n,
+    order, mu's point and weight bytes) and shared by every caller; that
+    holds for every semigroup kind, because matrix exponentials and flows
+    are deterministic in (t, x).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     first, second = _block(g1, g2, t / n, order)
-    if first.kind != "stochastic_matrix" or second.kind != "stochastic_matrix":
-        out = mu
-        for _ in range(n):
-            out = apply(second, apply(first, out))
-        return out
     check_input(first, mu)  # a memo hit must still refuse a foreign space
-    key = (id(g2), float(t), int(n), order, tuple(mu.points),
+    key = (id(g2), float(t), int(n), order, np.asarray(mu.points, dtype=float).tobytes(),
            np.asarray(mu.weights, dtype=float).tobytes())
     hit = g1._iterates.get(key)
     if hit is None:
-        out = apply_dense((first, second), n, mu)
+        out = _apply_chain((first, second) * n, mu)
         out.weights.setflags(write=False)  # shared by every caller
         # holding g2 keeps its id from being reused while the entry lives
         hit = g1._iterates[key] = (g2, out)
@@ -225,7 +222,7 @@ def extended_commutator_constant(g1, g2, mu0, t_grid, family_sample,
     c_hat = 1.0
     flags = []
     for idx, P in enumerate(family_sample):
-        pushed = _apply_any(P, mu0)
+        pushed = apply(P, mu0)
         mod = commutator_modulus(g1, g2, pushed, t_grid, metric)
         for t, num, den in zip(base.t_grid, mod.values, base.values):
             if den <= zero_tol:
@@ -245,35 +242,9 @@ def sample_scheme_family(g1, g2, delta, count, rng, order="g1_first"):
         s2 = float(rng.uniform(0.0, delta))
         t = float(rng.uniform(0.0, delta))
         n = int(rng.integers(1, 9))
-        p_pre = at_time(g1, s)
-        p_post = at_time(g2, s2)
-
-        def composed(mu, _pre=p_pre, _post=p_post, _t=t, _n=n):
-            out = apply(_pre, mu)
-            out = trotter_iterate(g1, g2, _t, _n, out, order)
-            return apply(_post, out)
-
-        ops.append(_CompositeOperator(g1.space, composed))
+        first, second = _block(g1, g2, t / n, order)
+        ops.append(compose(at_time(g2, s2), *(second, first) * n, at_time(g1, s)))
     return ops
-
-
-class _CompositeOperator:
-    """Ad-hoc Markov operator given by a composition closure."""
-
-    kind = "composite"
-
-    def __init__(self, space, fn):
-        self.space = space
-        self._fn = fn
-
-    def __call__(self, mu):
-        return self._fn(mu)
-
-
-def _apply_any(P, mu):
-    if isinstance(P, _CompositeOperator):
-        return P(mu)
-    return apply(P, mu)
 
 
 def refinement_bound_check(g1, g2, mu0, f: LipschitzWitness, t, pairs,

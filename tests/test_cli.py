@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -39,6 +40,41 @@ class TestScenarioLoading:
         p.write_text("{nope")
         with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario(str(p))
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("three_state", lambda d: d["study"].update(metric="bogus"), "unknown metric 'bogus'"),
+        ("three_state", lambda d: d["study"].update(order="bogus"), "unknown order 'bogus'"),
+        ("three_state", lambda d: d["witnesses"].append({"kind": "coordinate", "index": -1}),
+         "-1 is not a state"),
+        ("three_state", lambda d: d["witnesses"].append({"kind": "coordinate", "index": 7}),
+         "7 is not a state"),
+        ("three_state", lambda d: d["witnesses"].append({"kind": "indicator", "subset": [0, -1]}),
+         "-1 is not a state"),
+        ("three_state", lambda d: d["study"].update(schedule={"dyadic": 1}),
+         "at least 3 entries"),
+        ("linear_flow", lambda d: d["witnesses"].append({"kind": "coordinate", "index": -1}),
+         "coordinate index -1 outside R\\^2"),
+        ("linear_flow", lambda d: d["witnesses"].append({"kind": "coordinate", "index": 2}),
+         "coordinate index 2 outside R\\^2"),
+        ("linear_flow", lambda d: d["mu0"]["atoms"].append({"point": [1.0, 0.0, 5.0], "weight": 1}),
+         "not a point of R\\^2"),
+        ("linear_flow", lambda d: d["witnesses"][2].update(center=[0.5]), "not a point of R\\^2"),
+        ("translation", lambda d: d["g1"].update(map="rotation"), "rotation flow"),
+    ])
+    def test_rejects_invalid_fields_with_one_message(self, tmp_path, name, edit, message):
+        doc = json.loads(Path(scenario_path(name)).read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(str(bad))
+        result = CliRunner().invoke(main, ["study", "--scenario", str(bad),
+                                           "--out", str(tmp_path / "out")])
+        assert (result.exit_code, type(result.exception)) == (1, SystemExit)
+        lines = result.output.strip().splitlines()  # one message, no traceback
+        assert len(lines) == 1 and lines[0].startswith(f"{bad}: ")
+        assert re.search(message, lines[0])
+        assert not (tmp_path / "out").exists()
 
     def test_witnesses_lie_in_unit_ball(self):
         scn = load_scenario(scenario_path("three_state"))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trotterkit import operators as ops_module
+from trotterkit.diagnostics import tightness_probe
 from trotterkit.measures import (
     PRUNE_REL_TOL,
     PositiveMeasure,
@@ -25,7 +26,11 @@ from trotterkit.operators import (
     apply,
     at_time,
 )
-from trotterkit.splitting import trotter_iterate
+from trotterkit.splitting import (
+    extended_commutator_constant,
+    sample_scheme_family,
+    trotter_iterate,
+)
 
 
 def _discrete(k):
@@ -234,3 +239,92 @@ class TestIterateMemo:
         b = SemigroupSpec.matrix_exponential(StateSpace.finite([[0.0, 3.0], [3.0, 0.0]]), q)
         with pytest.raises(SpaceMismatchError):
             trotter_iterate(a, b, 1.0, 4, PositiveMeasure.dirac(a.space, 0))
+
+
+def _closure_family(g1, g2, delta, count, rng, order):
+    """The scheme family as closures: pre, then ``trotter_iterate``, then post."""
+    ops = []
+    for _ in range(count):
+        s, s2, t = (float(rng.uniform(0.0, delta)) for _ in range(3))
+        n = int(rng.integers(1, 9))
+        pre, post = at_time(g1, s), at_time(g2, s2)
+        ops.append(lambda mu, pre=pre, post=post, t=t, n=n:
+                   apply(post, trotter_iterate(g1, g2, t, n, apply(pre, mu), order)))
+    return ops
+
+
+def _bits(mu):
+    return np.asarray(mu.points, dtype=float).tobytes(), mu.weights.tobytes()
+
+
+def _plane_pair():
+    plane = StateSpace.euclidean(2)
+    return (SemigroupSpec.linear_flow_lift(plane, [[0.0, 1.0], [0.0, 0.0]]),
+            SemigroupSpec.map_flow(plane, "rotation", {"rate": 0.7}),
+            PositiveMeasure.from_atoms(plane, [([1.0, 0.0], 0.6), ([0.0, 1.0], 0.4)]))
+
+
+@pytest.mark.parametrize("order", ["g1_first", "g2_first"])
+def test_scheme_family_acts_like_the_closure(absorbing_pair, order):
+    for g1, g2, mu in (absorbing_pair, _plane_pair()):
+        family = sample_scheme_family(g1, g2, 0.4, 6, np.random.default_rng(3), order)
+        closures = _closure_family(g1, g2, 0.4, 6, np.random.default_rng(3), order)
+        assert [P.kind for P in family] == ["composite"] * 6
+        for P, closure in zip(family, closures):
+            assert _bits(apply(P, mu)) == _bits(closure(mu))
+
+
+def test_extended_constant_takes_the_scheme_family():
+    g1, g2, mu = _plane_pair()
+    family = sample_scheme_family(g1, g2, 0.1, 2, np.random.default_rng(0))
+    c_hat, flags = extended_commutator_constant(g1, g2, mu, [0.2, 0.1], family)
+    assert c_hat >= 1.0 and flags == []
+
+
+def test_tightness_probe_takes_the_scheme_family():
+    g1, g2, mu = _plane_pair()
+    family = sample_scheme_family(g1, g2, 0.1, 3, np.random.default_rng(0))
+    table = tightness_probe(family, mu, [0.25, 0.5, 4.0]).mass_outside
+    pushed = [apply(P, mu) for P in family]
+    assert table.shape == (3, 3)
+    assert np.all(table[:, 0] > 0.0) and np.all(table[:, -1] == 0.0)
+    assert np.all(table <= [[nu.tv] for nu in pushed])
+
+
+class TestEuclideanIterateMemo:
+    def test_hit_returns_the_first_result(self):
+        g1, g2, mu = _plane_pair()
+        before = ops_module.APPLY_COUNT
+        out = trotter_iterate(g1, g2, 0.5, 16, mu)
+        assert ops_module.APPLY_COUNT - before == 32  # one apply per factor
+        again = PositiveMeasure.from_atoms(mu.space, [([1.0, 0.0], 0.6), ([0.0, 1.0], 0.4)])
+        assert trotter_iterate(g1, g2, 0.5, 16, again) is out
+        assert ops_module.APPLY_COUNT - before == 32  # a hit applies nothing
+        with pytest.raises(ValueError):
+            out.weights[0] = 1.0  # shared, so read-only
+
+    @pytest.mark.parametrize("order", ["g1_first", "g2_first"])
+    def test_matches_chained_apply(self, order):
+        g1, g2, mu = _plane_pair()
+        p1, p2 = at_time(g1, 0.5 / 7), at_time(g2, 0.5 / 7)
+        first, second = (p2, p1) if order == "g1_first" else (p1, p2)
+        ref = mu
+        for _ in range(7):
+            ref = apply(second, apply(first, ref))
+        for _ in range(2):  # a miss, then a hit
+            assert _bits(trotter_iterate(g1, g2, 0.5, 7, mu, order)) == _bits(ref)
+
+    def test_foreign_space_refused_after_a_hit(self):
+        g1, g2, mu = _plane_pair()
+        trotter_iterate(g1, g2, 0.5, 8, mu)
+        for foreign in (PositiveMeasure.dirac(StateSpace.euclidean(3), [1.0, 0.0, 0.0]),
+                        PositiveMeasure.dirac(_discrete(2), 0)):
+            with pytest.raises(SpaceMismatchError):
+                trotter_iterate(g1, g2, 0.5, 8, foreign)
+
+    def test_key_tells_signed_zeros_apart(self):
+        g1, g2, mu = _plane_pair()
+        plus = PositiveMeasure.dirac(mu.space, [0.0, 1.0])
+        minus = PositiveMeasure.dirac(mu.space, [-0.0, 1.0])
+        assert plus.points == minus.points  # equal as tuples, not as bytes
+        assert trotter_iterate(g1, g2, 0.5, 8, minus) is not trotter_iterate(g1, g2, 0.5, 8, plus)

@@ -84,6 +84,24 @@ class TestStateSpace:
         s = StateSpace.euclidean(2)
         assert s.distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("point", [[1.0, 0.0, 5.0], [1.0], 1.0, [[1.0, 0.0]],
+                                       [np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
+    def test_euclidean_rejects_points_of_wrong_shape_or_not_finite(self, point):
+        plane = StateSpace.euclidean(2)
+        with pytest.raises(ValueError, match="not a point of R\\^2"):
+            plane.point_key(point)
+        with pytest.raises(ValueError, match="not a point of R\\^2"):
+            PositiveMeasure.dirac(plane, point)
+        with pytest.raises(ValueError, match="not a point of R\\^2"):
+            SignedMeasure.from_atoms(plane, [([0.0, 0.0], 1.0), (point, -1.0)])
+
+    def test_euclidean_accepts_points_of_any_sequence_type(self):
+        plane = StateSpace.euclidean(2)
+        for point in ([1, 2], (1.0, 2.0), np.array([1.0, 2.0]), np.array([1, 2], dtype=np.int32)):
+            assert plane.point_key(point) == (1.0, 2.0)
+        mu = PositiveMeasure.from_atoms(StateSpace.euclidean(1), [([0.5], 1.0), ((0.5,), 1.0)])
+        assert mu.points == ((0.5,),) and mu.tv == 2.0
+
     def test_equality_and_hash(self, path3):
         other = StateSpace.finite([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         assert path3 == other
