@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -89,8 +90,7 @@ def load_scenario(path):
             schedule = tuple(range(1, int(sched_spec["linear"]) + 1))
         else:
             raise ScenarioError(f"{path}: schedule needs 'dyadic' or 'linear'")
-        if len(schedule) < 3:
-            raise ScenarioError(f"{path}: schedule needs at least 3 entries")
+        t = float(study["t"])
         order = study.get("order", "g1_first")
         if order not in ("g1_first", "g2_first"):
             raise ScenarioError(f"{path}: unknown order {order!r}")
@@ -113,17 +113,29 @@ def load_scenario(path):
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"{path}: invalid scenario: {exc}")
-    return {
+    return _check_schedule_and_t(path, {
         "name": doc.get("name", Path(path).stem),
         "hash": hashlib.sha256(raw).hexdigest()[:16],
         "space": space, "g1": g1, "g2": g2, "mu0": mu0,
-        "t": float(study["t"]),
+        "t": t,
         "schedule": schedule,
         "order": order,
         "metric": metric,
         "witness_specs": witness_specs,
         "dyadic": "dyadic" in sched_spec,
-    }
+    })
+
+
+def _check_schedule_and_t(path, scn: dict) -> dict:
+    """The checks on the schedule and the time horizon t, which command-line
+    overrides may change: ScenarioError unless the schedule has at least 3
+    entries and t is finite and nonnegative."""
+    if len(scn["schedule"]) < 3:
+        raise ScenarioError(f"{path}: schedule needs at least 3 entries")
+    if not (math.isfinite(scn["t"]) and scn["t"] >= 0.0):
+        raise ScenarioError(f"{path}: time horizon t must be finite and nonnegative, "
+                            f"got {scn['t']!r}")
+    return scn
 
 
 def build_witnesses(space: StateSpace, specs, rng):
@@ -227,6 +239,7 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
         scn["order"] = {"12": "g1_first", "21": "g2_first"}[overrides["order"]]
     if overrides.get("metric") is not None:
         scn["metric"] = overrides["metric"]
+    _check_schedule_and_t(scenario_path, scn)
 
     rng = np.random.default_rng(seed)
     space, g1, g2, mu0, t = scn["space"], scn["g1"], scn["g2"], scn["mu0"], scn["t"]

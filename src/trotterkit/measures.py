@@ -163,12 +163,16 @@ def prune_dense(v: np.ndarray):
     """
     idx = v.nonzero()[0]
     w = v[idx]
-    keep = w > PRUNE_REL_TOL * sum(w.tolist())
-    # all kept implies all positive: a negative entry never clears the cut
-    if np.count_nonzero(keep) < len(w):
+    listed = w.tolist()
+    cut = PRUNE_REL_TOL * sum(listed)
+    # all kept implies all positive: a negative entry never clears the cut.
+    # The list minimum is the cheap test on these small supports; it is
+    # False when a NaN makes the cut NaN, as the vector comparison is.
+    if listed and not min(listed) > cut:
         if (w < 0.0).any():
             raise ValueError("positive measure cannot carry negative weights")
-        idx, w = idx[keep], w[keep]  # w >= 0 here, so w > cut is |w| > cut
+        keep = w > cut  # w >= 0 here, so w > cut is |w| > cut
+        idx, w = idx[keep], w[keep]
     return idx, w
 
 
@@ -295,7 +299,8 @@ def linear_combine(coeffs, measures) -> SignedMeasure:
     for c, m in zip(coeffs, measures):
         if isinstance(m, PositiveMeasure):
             m = m.as_signed()
-        if m.space != space:
+        # identity first: StateSpace.__eq__ compares the distance matrices
+        if m.space is not space and m.space != space:
             raise SpaceMismatchError("measures live on different state spaces")
         pts, wts = m.support()
         points.extend(pts)

@@ -18,6 +18,7 @@ from scipy.linalg import expm
 
 from .bl_metric import LipschitzWitness, lipschitz_constant, pairwise_distances
 from .measures import (
+    PRUNE_REL_TOL,
     PositiveMeasure,
     SignedMeasure,
     SpaceMismatchError,
@@ -150,39 +151,147 @@ def apply(P: MarkovOperatorSpec, mu: PositiveMeasure) -> PositiveMeasure:
     return out
 
 
-def _apply_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
+def _apply_chain(ops, mu):
     """Apply the nonempty sequence ``ops`` to ``mu``, first operator first.
 
-    Stochastic matrices run on one dense weight vector, with the checks and
-    exceptions of ``apply`` at every step (matching spaces, nonnegative
-    output, the ``PRUNE_REL_TOL`` prune, TV preservation) and bitwise its
-    weights; these steps are not counted in APPLY_COUNT.  Any other chain
-    is one counted ``apply`` per operator.
+    ``mu`` is a positive measure, or a signed one, which runs as its Jordan
+    pair and is re-split after every operator exactly as ``apply_signed``
+    re-splits after one.  Stochastic matrices run on dense weight vectors:
+    each part takes the checks and exceptions of ``apply`` (matching spaces,
+    nonnegative input, the ``PRUNE_REL_TOL`` prune, TV preservation) and
+    bitwise its weights, then the pair takes the merge and prunes of
+    ``linear_combine([1, -1], [pos, neg])`` (see ``_resplit``).  These steps
+    are not counted in APPLY_COUNT.  Any other chain is one ``apply``
+    (``apply_signed``) per operator.
     """
+    signed = isinstance(mu, SignedMeasure)
     if any(P.kind != "stochastic_matrix" for P in ops):
+        step = apply_signed if signed else apply
         for P in ops:
-            mu = apply(P, mu)
+            mu = step(P, mu)
         return mu
-    check_input(ops[0], mu)
+    # The pair (pos, neg): the caller's parts until their first step, then
+    # _dense_step's tuples.  None is an empty part of a signed measure, which
+    # apply_signed skips; a positive measure is the pair (mu, None), and its
+    # one part always runs, as in apply.
+    if signed:
+        pos = mu.pos if len(mu.pos) else None
+        neg = mu.neg if len(mu.neg) else None
+        pos_space, neg_space = mu.pos.space, mu.neg.space
+    else:
+        pos, neg = mu, None
     space = mu.space
-    tv = mu.tv
-    v = mu.weight_vector()
     for P in ops:
+        if pos is not None:
+            pos = _dense_step(P, pos, space)
+        if neg is not None:
+            neg = _dense_step(P, neg, space)
+        if not signed:
+            space = P.space
+            continue
+        # linear_combine([1, -1], [pos, neg]) puts both on the positive part's space
+        pos_space = P.space if pos is not None else pos_space
+        neg_space = P.space if neg is not None else neg_space
+        if neg_space is not pos_space and neg_space != pos_space:
+            raise SpaceMismatchError("measures live on different state spaces")
+        space = neg_space = pos_space
+        pos = pos if pos is not None and len(pos[3]) else None
+        neg = neg if neg is not None and len(neg[3]) else None
+        if pos is not None and neg is not None:
+            pos, neg = [_dense_part(space, *cut) for cut in _resplit(*pos[2:], *neg[2:])]
+    if not signed:
+        return _measure(space, pos)
+    return SignedMeasure(pos=_measure(space, pos), neg=_measure(space, neg))
+
+
+def _dense_step(P: MarkovOperatorSpec, part, space: StateSpace):
+    """One stochastic-matrix step of ``apply`` on one part of a chain.
+
+    ``part`` is the caller's measure, which gets ``apply``'s input checks, or
+    a (dense weights, tv, points, weights) tuple on ``space``; dense steps
+    only output positive weights, so the sign check is not repeated.
+    Returns the tuple of the result.
+    """
+    if isinstance(part, PositiveMeasure):
+        check_input(P, part)
+        v, tv_in = part.weight_vector(), part.tv
+    else:
         _check_space(P, space)
-        idx, w = prune_dense(P.matrix @ v)
-        tv_out = float(w.sum())
-        _check_tv(P, tv, tv_out)
-        space, tv = P.space, tv_out
-        if len(w) < space.size:
-            v = np.zeros(space.size)
-            v[idx] = w
-        else:
-            v = w
-    return PositiveMeasure(space=space, points=tuple(idx.tolist()), weights=w)
+        v, tv_in = part[0], part[1]
+    idx, w = prune_dense(P.matrix @ v)
+    tv = float(w.sum())
+    _check_tv(P, tv_in, tv)
+    if len(w) < P.space.size:
+        v = np.zeros(P.space.size)
+        v[idx] = w
+    else:
+        v = w
+    return v, tv, idx, w
+
+
+def _resplit(pos_points, pos_weights, neg_points, neg_weights):
+    """``linear_combine([1, -1], [pos, neg])`` of two nonempty dense-step
+    outputs, as (points, weights) lists of the new positive and negative part.
+
+    Atoms merge in first-appearance order: the positive part's points, then
+    the points only in the negative part.  The cut is PRUNE_REL_TOL times
+    the builtin ``sum`` of ``|w|`` in that order, the kept atoms split by
+    sign, and each part is pruned against its own total, as
+    ``PositiveMeasure.from_atoms`` prunes.
+    """
+    merged = dict(zip(pos_points.tolist(), pos_weights.tolist()))
+    for i, x in zip(neg_points.tolist(), neg_weights.tolist()):
+        merged[i] = merged[i] - x if i in merged else -x
+    cut = PRUNE_REL_TOL * sum(abs(x) for x in merged.values())
+    out = ([], []), ([], [])
+    for i, x in merged.items():
+        # |x| > cut and x != 0, split by sign: cut >= 0, or NaN and nothing is kept
+        if x > cut:
+            out[0][0].append(i)
+            out[0][1].append(x)
+        elif x < -cut:
+            out[1][0].append(i)
+            out[1][1].append(-x)
+    for points, weights in out:
+        part_cut = PRUNE_REL_TOL * sum(weights)
+        if weights and min(weights) <= part_cut:
+            kept = [k for k, x in enumerate(weights) if x > part_cut]
+            points[:] = [points[k] for k in kept]
+            weights[:] = [weights[k] for k in kept]
+    return out
+
+
+def _dense_part(space: StateSpace, points: list, weights: list):
+    """A re-split part as a ``_dense_step`` tuple, or None when it is empty."""
+    if not points:
+        return None
+    w = np.array(weights)
+    v = np.zeros(space.size)
+    v[points] = w
+    return (v, float(w.sum()), points, w)
+
+
+def _measure(space: StateSpace, part) -> PositiveMeasure:
+    if part is None:
+        return PositiveMeasure(space=space)
+    points = part[2]
+    return PositiveMeasure(space=space, weights=part[3], points=tuple(
+        points.tolist() if isinstance(points, np.ndarray) else points))
 
 
 def apply_signed(P: MarkovOperatorSpec, mu: SignedMeasure) -> SignedMeasure:
-    """Extend the operator to signed measures through the Jordan pair."""
+    """Extend the operator to signed measures through the Jordan pair.
+
+    Both parts go through the operator, and the results are merged and
+    re-split into a Jordan pair.  A composite re-splits after every factor,
+    so ``apply_signed(compose(A, B), mu)`` is ``apply_signed(A,
+    apply_signed(B, mu))`` bit for bit; stochastic matrices and their
+    products run through the dense chain runner.
+    """
+    if P.kind == "composite":
+        return _apply_chain(P.factors[::-1], mu)
+    if P.kind == "stochastic_matrix":
+        return _apply_chain((P,), mu)
     pos = apply(P, mu.pos) if len(mu.pos) else mu.pos
     neg = apply(P, mu.neg) if len(mu.neg) else mu.neg
     return linear_combine([1.0, -1.0], [pos, neg])

@@ -52,6 +52,9 @@ class TestScenarioLoading:
          "-1 is not a state"),
         ("three_state", lambda d: d["study"].update(schedule={"dyadic": 1}),
          "at least 3 entries"),
+        ("three_state", lambda d: d["study"].update(t=-1), "t must be finite and nonnegative"),
+        ("three_state", lambda d: d["study"].update(t=float("nan")),
+         "t must be finite and nonnegative"),
         ("linear_flow", lambda d: d["witnesses"].append({"kind": "coordinate", "index": -1}),
          "coordinate index -1 outside R\\^2"),
         ("linear_flow", lambda d: d["witnesses"].append({"kind": "coordinate", "index": 2}),
@@ -73,6 +76,21 @@ class TestScenarioLoading:
         assert (result.exit_code, type(result.exception)) == (1, SystemExit)
         lines = result.output.strip().splitlines()  # one message, no traceback
         assert len(lines) == 1 and lines[0].startswith(f"{bad}: ")
+        assert re.search(message, lines[0])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        (["--dyadic", "1"], "at least 3 entries"),
+        (["--linear", "2"], "at least 3 entries"),
+        (["--t", "-1"], "t must be finite and nonnegative, got -1.0"),
+    ])
+    def test_rejects_invalid_overrides_with_one_message(self, tmp_path, override, message):
+        scenario = scenario_path("three_state")
+        result = CliRunner().invoke(main, ["study", "--scenario", scenario,
+                                           "--out", str(tmp_path / "out")] + override)
+        assert (result.exit_code, type(result.exception)) == (1, SystemExit)
+        lines = result.output.strip().splitlines()  # one message, no traceback
+        assert len(lines) == 1 and lines[0].startswith(f"{scenario}: ")
         assert re.search(message, lines[0])
         assert not (tmp_path / "out").exists()
 

@@ -11,20 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trotterkit import identities
 from trotterkit import operators as ops_module
 from trotterkit.diagnostics import tightness_probe
 from trotterkit.measures import (
     PRUNE_REL_TOL,
     PositiveMeasure,
+    SignedMeasure,
     SpaceMismatchError,
     StateSpace,
+    linear_combine,
 )
 from trotterkit.operators import (
     GeneratorError,
     MarkovOperatorSpec,
     SemigroupSpec,
     apply,
+    apply_signed,
     at_time,
+    compose,
 )
 from trotterkit.splitting import (
     extended_commutator_constant,
@@ -111,6 +116,14 @@ def test_prune_cut_uses_the_atom_path_sum():
     ref = PositiveMeasure.from_atoms(_discrete(10), list(enumerate(v.tolist())))
     assert mu.points == ref.points == tuple(range(10))
     assert mu.weights.tobytes() == ref.weights.tobytes()
+
+
+def test_weight_at_the_cut_is_pruned():
+    v = np.array([0.5, 5.000000000005e-13])
+    assert PRUNE_REL_TOL * sum(v.tolist()) == v[1]  # not above the cut
+    for mu in (PositiveMeasure.from_weight_vector(_discrete(2), v),
+               PositiveMeasure.from_atoms(_discrete(2), list(enumerate(v.tolist())))):
+        assert mu.points == (0,)
 
 
 def test_from_weight_vector_rejects_negative_weights():
@@ -328,3 +341,203 @@ class TestEuclideanIterateMemo:
         minus = PositiveMeasure.dirac(mu.space, [-0.0, 1.0])
         assert plus.points == minus.points  # equal as tuples, not as bytes
         assert trotter_iterate(g1, g2, 0.5, 8, minus) is not trotter_iterate(g1, g2, 0.5, 8, plus)
+
+
+# Signed chains: ``apply_signed`` on a product against the per-factor loop it
+# replaces, which applied each factor to both parts with ``apply`` and merged
+# them with ``linear_combine`` after every factor.
+
+
+def _per_factor_apply_signed(P, mu):
+    if P.kind == "composite":
+        for factor in reversed(P.factors):
+            mu = _per_factor_apply_signed(factor, mu)
+        return mu
+    pos = apply(P, mu.pos) if len(mu.pos) else mu.pos
+    neg = apply(P, mu.neg) if len(mu.neg) else mu.neg
+    return linear_combine([1.0, -1.0], [pos, neg])
+
+
+def _signed_outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return ("raised", type(exc), str(exc))
+    return ("ok",) + tuple((np.asarray(part.points, dtype=float).tobytes(),
+                            part.weights.tobytes()) for part in (out.pos, out.neg))
+
+
+def _corrupted(P, edit):
+    """A copy of a stochastic-matrix operator whose matrix is edited after
+    construction, past the checks of MarkovOperatorSpec."""
+    bad = MarkovOperatorSpec(kind="stochastic_matrix", space=P.space, matrix=P.matrix.copy())
+    object.__setattr__(bad, "matrix", edit(bad.matrix))
+    return bad
+
+
+def _signed(space, pos_atoms, neg_atoms):
+    return SignedMeasure(pos=PositiveMeasure.from_atoms(space, pos_atoms),
+                         neg=PositiveMeasure.from_atoms(space, neg_atoms))
+
+
+@st.composite
+def _signed_chain(draw):
+    k = draw(st.integers(1, 8))
+    space = _discrete(k)
+    column = st.lists(_entries, min_size=k, max_size=k).filter(lambda c: sum(c) > 0.0)
+    pool = [MarkovOperatorSpec(kind="stochastic_matrix", space=space, matrix=np.eye(k))]
+    for _ in range(draw(st.integers(1, 3))):
+        a = np.array(draw(st.lists(column, min_size=k, max_size=k))).T
+        pool.append(MarkovOperatorSpec(kind="stochastic_matrix", space=space,
+                                       matrix=a / a.sum(axis=0)))
+    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    pos = draw(st.lists(_entries, min_size=k, max_size=k))
+    shape = draw(st.sampled_from(["overlapping", "disjoint", "cancelling", "no negative part",
+                                  "no positive part"]))
+    if shape == "cancelling":  # equal parts on a random subset of the support
+        neg = [w if draw(st.booleans()) else 0.0 for w in pos]
+    else:
+        neg = draw(st.lists(_entries, min_size=k, max_size=k))
+    if shape == "disjoint":
+        neg = [0.0 if p else w for p, w in zip(pos, neg)]
+    elif shape == "no negative part":
+        neg = [0.0] * k
+    elif shape == "no positive part":
+        pos = [0.0] * k
+    order = draw(st.permutations(range(k)))  # parts need not list their points sorted
+    mu = _signed(space, [(i, pos[i]) for i in order], [(i, neg[i]) for i in order])
+    return factors, mu
+
+
+@settings(max_examples=300)
+@given(_signed_chain())
+def test_signed_product_matches_per_factor_loop(case):
+    factors, mu = case
+    P = compose(*factors)
+    assert _signed_outcome(apply_signed, P, mu) == _signed_outcome(_per_factor_apply_signed, P, mu)
+
+
+class TestSignedChains:
+    @pytest.fixture
+    def ops(self):
+        space = _discrete(3)
+        rng = np.random.default_rng(8)
+        q1, q2 = (identities.random_generator(3, rng) for _ in range(2))
+        a = at_time(SemigroupSpec.matrix_exponential(space, q1), 0.3)
+        b = at_time(SemigroupSpec.matrix_exponential(space, q2), 1.7)
+        kernel = MarkovOperatorSpec(kind="kernel", space=space, kernel=lambda p: (
+            PositiveMeasure.from_atoms(space, [(p, 0.25), ((int(p) + 1) % 3, 0.75)])))
+        shift = MarkovOperatorSpec(kind="deterministic_map", space=space,
+                                   point_map=lambda p: (int(p) + 2) % 3)
+        return space, a, b, kernel, shift
+
+    def test_products_match_per_factor_loop(self, ops):
+        space, a, b, kernel, shift = ops
+        scaled, negative = _corrupted(a, lambda m: 1.1 * m), _corrupted(
+            b, lambda m: m + np.outer([1.0, -1.0, 0.0], m[1] + 0.1))
+        foreign = StateSpace.finite(2.0 * space.dist)
+        bad = PositiveMeasure(space=space, points=(1,), weights=np.array([-0.5]))
+        measures = [_signed(space, [(0, 0.5), (2, 0.2)], [(1, 0.3), (2, 0.4)]),
+                    _signed(space, [(2, 1e-300), (1, 3.0)], [(0, 3.0)]),
+                    _signed(space, [(0, 1.0), (1, 1.0)], [(1, 1.0), (0, 1.0)]),
+                    _signed(space, [], [(2, 0.7), (0, 0.1)]),
+                    _signed(space, [], []),
+                    SignedMeasure(pos=PositiveMeasure.dirac(space, 0), neg=bad),
+                    _signed(foreign, [(1, 1.0)], [(0, 0.5)]),
+                    SignedMeasure(pos=PositiveMeasure(space=foreign),
+                                  neg=PositiveMeasure.dirac(space, 1))]
+        products = [(a,), (a, b), (b, a, b, a, b, a), (a, kernel, b), (kernel, a),
+                    (shift, a, shift), (shift, kernel), (compose(a, b), kernel),
+                    (a, compose(b, compose(a, b))), (scaled, b), (a, negative, a),
+                    (kernel, scaled), (negative,), (scaled,)]
+        for factors in products:
+            for mu in measures:
+                P = compose(*factors)
+                assert (_signed_outcome(apply_signed, P, mu)
+                        == _signed_outcome(_per_factor_apply_signed, P, mu)), (factors, mu)
+
+    def test_refusals_come_in_the_per_factor_order(self, ops):
+        space, a, b, _, _ = ops
+        scaled = _corrupted(a, lambda m: 1.1 * m)
+        negative = _corrupted(b, lambda m: m + np.outer([1.0, -1.0, 0.0], m[1] + 0.1))
+        mu = _signed(space, [(0, 0.6)], [(2, 0.4)])
+        with pytest.raises(RuntimeError, match=r"TV not preserved: 0\.6 -> "):
+            apply_signed(compose(b, scaled), mu)  # the positive part first
+        with pytest.raises(ValueError, match="negative weights"):
+            apply_signed(compose(a, negative, a), mu)
+        bad_neg = SignedMeasure(pos=mu.pos, neg=PositiveMeasure(
+            space=space, points=(1,), weights=np.array([-0.5])))
+        with pytest.raises(RuntimeError, match=r"TV not preserved: 0\.6 -> "):
+            apply_signed(compose(b, scaled), bad_neg)
+        with pytest.raises(ValueError, match="apply takes positive measures"):
+            apply_signed(compose(b, a), bad_neg)
+        foreign = MarkovOperatorSpec.identity(StateSpace.finite(2.0 * space.dist))
+        with pytest.raises(SpaceMismatchError):
+            apply_signed(foreign, mu)
+        with pytest.raises(SpaceMismatchError):
+            apply_signed(compose(a, b), _signed(foreign.space, [(0, 1.0)], [(1, 1.0)]))
+
+    def test_euclidean_products_match_per_factor_loop(self):
+        plane = StateSpace.euclidean(2)
+        rot = at_time(SemigroupSpec.map_flow(plane, "rotation", {"rate": 0.7}), 0.4)
+        lift = at_time(SemigroupSpec.linear_flow_lift(plane, [[-0.2, 1.0], [-1.0, -0.2]]), 0.9)
+        shift = at_time(SemigroupSpec.map_flow(plane, "translation", {"velocity": [1.0, -1.0]}),
+                        0.25)
+        mu = _signed(plane, [([0.3, -1.2], 0.5), ([2.0, 0.1], 0.25)],
+                     [([-0.7, 0.4], 0.25), ([0.3, -1.2], 0.1)])
+        for factors in [(rot,), (rot, lift), (lift, shift, rot, lift), (rot, compose(lift, shift))]:
+            P = compose(*factors)
+            assert (_signed_outcome(apply_signed, P, mu)
+                    == _signed_outcome(_per_factor_apply_signed, P, mu)), factors
+
+    def test_negative_part_keeps_merge_order(self):
+        eye = MarkovOperatorSpec.identity(_discrete(3))
+        mu = _signed(eye.space, [(0, 1.0), (2, 0.5)], [(1, 0.3), (2, 0.9)])
+        out = apply_signed(eye, mu)
+        assert out.neg.points == (2, 1)  # the positive part's points merge first
+        assert apply_signed(compose(eye, eye), mu).neg.points == (1, 2)
+        for P in (eye, compose(eye, eye)):
+            assert (_signed_outcome(apply_signed, P, mu)
+                    == _signed_outcome(_per_factor_apply_signed, P, mu))
+
+    def test_resplit_cut_uses_the_builtin_sum(self):
+        """The negative atom lies between the cuts of a sequential and a
+        pairwise sum of the merged weights; linear_combine keeps it."""
+        v = [0.40250535449109437, 0.23525152020535517, 0.5053054299843583,
+             0.8166918432585648, 0.3075779880943727, 0.14681917095796865,
+             0.4640966558393754, 0.2786617400583298, 0.1816777410572097]
+        tiny = 3.338587443949968e-12
+        assert PRUNE_REL_TOL * sum(v + [tiny]) < tiny <= PRUNE_REL_TOL * float(np.sum(v + [tiny]))
+        eye = MarkovOperatorSpec.identity(_discrete(10))
+        mu = _signed(eye.space, list(enumerate(v)), [(9, tiny)])
+        out = apply_signed(compose(eye, eye), mu)
+        assert out.neg.points == (9,) and out.neg.weights.tolist() == [tiny]
+        assert _signed_outcome(apply_signed, eye, mu) == _signed_outcome(
+            _per_factor_apply_signed, eye, mu)
+        at_cut = _signed(eye.space, [(0, 0.5)], [(1, 5.000000000005e-13)])
+        assert apply_signed(eye, at_cut).neg.points == ()  # not above the cut
+
+    def test_dense_steps_are_not_counted(self, ops):
+        space, a, b, kernel, _ = ops
+        mu = _signed(space, [(0, 0.5)], [(1, 0.5)])  # mass 0: both parts stay nonempty
+        before = ops_module.APPLY_COUNT
+        apply_signed(a, mu)
+        apply_signed(compose(a, b, a), mu)
+        assert ops_module.APPLY_COUNT == before
+        apply_signed(compose(a, kernel, b), mu)  # the kernel applies to each nonempty part
+        assert ops_module.APPLY_COUNT - before == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_identity_suite_matches_per_factor_loop(self, seed, monkeypatch):
+        def per_factor_chain(mu, ops):
+            for P in reversed(ops):
+                mu = _per_factor_apply_signed(P, mu)
+            return mu
+
+        def run():
+            results, failures = identities.run_identity_suite(seed, 4, 6)
+            return repr([r.to_json_dict() for r in results]), repr(failures)
+
+        new = run()
+        monkeypatch.setattr(identities, "_chain", per_factor_chain)
+        assert new == run()

@@ -155,6 +155,17 @@ class TestSignedMeasure:
         with pytest.raises(SpaceMismatchError):
             linear_combine([1.0, 1.0], [a, b])
 
+    def test_linear_combine_compares_spaces_by_identity_first(self, path3, monkeypatch):
+        a = PositiveMeasure.dirac(path3, 0)
+        twin = PositiveMeasure.dirac(StateSpace.finite(path3.dist.copy()), 1)
+        out = linear_combine([1.0, -1.0], [a, twin])  # distinct but equal: accepted
+        assert (out.pos.points, out.neg.points) == ((0,), (1,))
+        other = PositiveMeasure.dirac(StateSpace.finite(2.0 * path3.dist), 1)
+        with pytest.raises(SpaceMismatchError):
+            linear_combine([1.0, -1.0], [a, other])
+        monkeypatch.setattr(StateSpace, "__eq__", lambda *_: pytest.fail("compared by value"))
+        assert linear_combine([1.0, 1.0], [a, a]).pos.weights.tolist() == [2.0]
+
     def test_normalize_prunes_dust(self, path3):
         mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (1, 1e-16)])
         assert len(normalize_atoms(mu).pos) == 1
