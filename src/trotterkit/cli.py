@@ -25,6 +25,7 @@ from .bl_metric import (
     FunctionWitness,
     LipschitzWitness,
     bl_distance,
+    bl_distances,
     build_envelope_metric,
     dirac_distance_exact,
     lipschitz_constant,
@@ -39,7 +40,7 @@ from .diagnostics import (
     tightness_probe,
 )
 from .identities import run_identity_suite
-from .measures import PositiveMeasure, SignedMeasure, StateSpace
+from .measures import PositiveMeasure, StateSpace, measure_from_json
 from .operators import at_time, semigroup_from_json
 from .splitting import (
     SplittingStudy,
@@ -343,7 +344,7 @@ def run_diagnostics(scenario_path, probe, out_dir, seed) -> int:
     if probe == "equicontinuity":
         sizes = [10.0 ** -e for e in range(1, 5)]
         perts = [perturb_measure(mu0, s, rng) for s in sizes]
-        dins = [bl_distance(mu0, p, space) for p in perts]
+        dins = bl_distances([(mu0, p) for p in perts], space)
         family = sample_scheme_family(g1, g2, t / 8.0, 5, rng, scn["order"])
         ops = [at_time(g1, t / 8.0), at_time(g2, t / 8.0)]
         eprobe = EquicontinuityProbe(mu0, tuple(perts), tuple(dins),
@@ -384,12 +385,6 @@ def run_diagnostics(scenario_path, probe, out_dir, seed) -> int:
     else:
         raise ScenarioError(f"unknown probe {probe!r}")
     return code
-
-
-def _load_measure_file(space, path) -> SignedMeasure:
-    doc = json.loads(Path(path).read_text())
-    return SignedMeasure.from_atoms(
-        space, [(a["point"], float(a["weight"])) for a in doc["atoms"]])
 
 
 @click.group()
@@ -457,9 +452,9 @@ def norm(scenario, measure_a, measure_b):
     """Ad-hoc BL distance between two measure files."""
     try:
         scn = load_scenario(scenario)
-        mu = _load_measure_file(scn["space"], measure_a)
-        nu = _load_measure_file(scn["space"], measure_b)
-    except (ScenarioError, OSError, KeyError, json.JSONDecodeError) as exc:
+        mu, nu = (measure_from_json(scn["space"], Path(path).read_text())
+                  for path in (measure_a, measure_b))
+    except (OSError, KeyError, ValueError) as exc:  # ScenarioError is a ValueError
         click.echo(str(exc), err=True)
         sys.exit(1)
     click.echo(_fmt(bl_distance(mu, nu, scn["space"])))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bl_metric import bl_distance
+from .bl_metric import bl_distance, bl_distances
 from .measures import PositiveMeasure
 from .operators import SemigroupSpec, apply, at_time
 from .splitting import trotter_iterate
@@ -51,13 +51,13 @@ def equicontinuity_modulus(probe: EquicontinuityProbe):
     distance, with the output column replaced by its running maximum so the
     table is a valid modulus candidate.
     """
-    space = probe.center.space
-    rows = []
-    for nu, din in zip(probe.perturbations, probe.input_distances):
-        worst = 0.0
-        for P in probe.family:
-            worst = max(worst, bl_distance(apply(P, probe.center), apply(P, nu), space))
-        rows.append((float(din), worst))
+    outs = [apply(P, probe.center) for P in probe.family]
+    m = len(outs)
+    inputs = list(zip(probe.perturbations, probe.input_distances))
+    dists = bl_distances([(out, apply(P, nu)) for nu, _ in inputs
+                          for P, out in zip(probe.family, outs)], probe.center.space)
+    rows = [(float(din), max([0.0] + dists[i * m:(i + 1) * m]))
+            for i, (_, din) in enumerate(inputs)]
     rows.sort(key=lambda r: r[0])
     out, running = [], 0.0
     for din, dout in rows:
@@ -101,25 +101,17 @@ def limit_semigroup_check(g1, g2, mu, t, s, n_finest, order="g1_first"):
     self_convergence), the last being the distance between the two finest
     iterates at t, for judging whether n_finest was large enough.
     """
-    space = mu.space
-
     def estimate(time, measure):
         if time == 0.0:
             return measure
         return trotter_iterate(g1, g2, time, n_finest, measure, order)
 
-    self_conv = bl_distance(
-        estimate(t, mu) if t > 0 else mu,
-        trotter_iterate(g1, g2, t, max(n_finest // 2, 1), mu, order) if t > 0 else mu,
-        space)
-
-    est_2t = estimate(2.0 * t, mu)
-    est_t_twice = estimate(t, estimate(t, mu))
-    dist_power = bl_distance(est_2t, est_t_twice, space)
-
-    est_sum = estimate(t + s, mu)
-    est_comp = estimate(t, estimate(s, mu))
-    dist_additive = bl_distance(est_sum, est_comp, space)
+    self_conv, dist_power, dist_additive = bl_distances([
+        (estimate(t, mu) if t > 0 else mu,
+         trotter_iterate(g1, g2, t, max(n_finest // 2, 1), mu, order) if t > 0 else mu),
+        (estimate(2.0 * t, mu), estimate(t, estimate(t, mu))),
+        (estimate(t + s, mu), estimate(t, estimate(s, mu))),
+    ], mu.space)
     return dist_power, dist_additive, self_conv
 
 
@@ -132,14 +124,11 @@ def feller_continuity_check(g1, g2, t, mu, perturb_sizes, n_finest, rng,
     """
     if any(s <= 0.0 for s in perturb_sizes):
         raise ValueError("perturbation sizes must be positive")
-    space = mu.space
     base = trotter_iterate(g1, g2, t, n_finest, mu, order) if t > 0 else mu
-    rows = []
-    for size in perturb_sizes:
-        nu = perturb_measure(mu, size, rng)
-        din = bl_distance(mu, nu, space)
-        out = trotter_iterate(g1, g2, t, n_finest, nu, order) if t > 0 else nu
-        rows.append((din, bl_distance(base, out, space)))
+    perts = [perturb_measure(mu, size, rng) for size in perturb_sizes]
+    dins = bl_distances([(mu, nu) for nu in perts], mu.space)
+    outs = [trotter_iterate(g1, g2, t, n_finest, nu, order) if t > 0 else nu for nu in perts]
+    rows = list(zip(dins, bl_distances([(base, out) for out in outs], mu.space)))
     rows.sort(key=lambda r: r[0])
     return rows
 
@@ -150,8 +139,8 @@ def stochastic_continuity_check(g: SemigroupSpec, mu: PositiveMeasure, h_grid):
     if any(h <= 0.0 for h in h_grid) or any(
             h_grid[i] <= h_grid[i + 1] for i in range(len(h_grid) - 1)):
         raise ValueError("h grid must be positive and strictly decreasing")
-    space = mu.space
-    return [(h, bl_distance(apply(at_time(g, h), mu), mu, space)) for h in h_grid]
+    return list(zip(h_grid, bl_distances([(apply(at_time(g, h), mu), mu) for h in h_grid],
+                                         mu.space)))
 
 
 def perturb_measure(mu: PositiveMeasure, target_distance: float, rng,

@@ -125,7 +125,8 @@ def _merge_atoms(space: StateSpace, points, weights):
     """Merge coincident atoms and drop those below the prune tolerance.
 
     On Euclidean spaces, points within the coincidence tolerance count as the
-    same atom even when their exact keys differ.
+    same atom even when their exact keys differ.  Raises ValueError when a
+    weight is NaN or infinite (or the total mass overflows).
     """
     merged: dict = {}
     order: list = []
@@ -142,6 +143,8 @@ def _merge_atoms(space: StateSpace, points, weights):
             merged[key] = float(w)
             order.append((key, p))
     total = sum(abs(w) for w in merged.values())
+    if not math.isfinite(total):  # a NaN or infinite weight would fail every cut
+        raise ValueError(f"atom weights must be finite, got total mass {total!r}")
     cut = PRUNE_REL_TOL * total
     out_p, out_w = [], []
     for key, p in order:
@@ -159,7 +162,7 @@ def prune_dense(v: np.ndarray):
     cut is PRUNE_REL_TOL times the builtin ``sum`` over the nonzero
     entries, the same float ``_merge_atoms`` computes, so the kept weights
     are bitwise those of the atom path.  Raises ValueError on a negative
-    entry, as ``PositiveMeasure.from_atoms`` does.
+    or non-finite entry, as ``PositiveMeasure.from_atoms`` does.
     """
     idx = v.nonzero()[0]
     w = v[idx]
@@ -167,8 +170,10 @@ def prune_dense(v: np.ndarray):
     cut = PRUNE_REL_TOL * sum(listed)
     # all kept implies all positive: a negative entry never clears the cut.
     # The list minimum is the cheap test on these small supports; it is
-    # False when a NaN makes the cut NaN, as the vector comparison is.
+    # False when a NaN or infinite entry makes the cut NaN or infinite.
     if listed and not min(listed) > cut:
+        if not math.isfinite(cut):
+            raise ValueError(f"atom weights must be finite, got total mass {sum(listed)!r}")
         if (w < 0.0).any():
             raise ValueError("positive measure cannot carry negative weights")
         keep = w > cut  # w >= 0 here, so w > cut is |w| > cut
@@ -316,8 +321,4 @@ def measure_to_json(mu, *, indent=None) -> str:
 
 def measure_from_json(space: StateSpace, text: str) -> SignedMeasure:
     d = json.loads(text)
-    atoms = [(a["point"], float(a["weight"])) for a in d["atoms"]]
-    for p, w in atoms:
-        if not math.isfinite(w):
-            raise ValueError("non-finite atom weight")
-    return SignedMeasure.from_atoms(space, atoms)
+    return SignedMeasure.from_atoms(space, [(a["point"], float(a["weight"])) for a in d["atoms"]])

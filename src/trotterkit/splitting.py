@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bl_metric import LipschitzWitness, bl_distance
+from .bl_metric import LipschitzWitness, bl_distance, bl_distances
 from .measures import PositiveMeasure
 from .operators import (
     SemigroupSpec,
@@ -170,7 +170,7 @@ def estimate_limit(study: SplittingStudy) -> tuple[PositiveMeasure, ConvergenceR
         ref_kind = "exact"
     else:
         reference, ref_kind = finest, "finest_iterate"
-    distances = [bl_distance(iterates[n], reference, study.metric) for n in study.schedule]
+    distances = bl_distances([(iterates[n], reference) for n in study.schedule], study.metric)
     if ref_kind == "finest_iterate":
         ns, ds = study.schedule[:-1], distances[:-1]
     else:
@@ -182,19 +182,30 @@ def estimate_limit(study: SplittingStudy) -> tuple[PositiveMeasure, ConvergenceR
     return finest, report
 
 
+def _modulus_grid(t_grid) -> np.ndarray:
+    grid = np.asarray(sorted(t_grid, reverse=True), dtype=float)
+    if np.any(grid <= 0.0):
+        raise ValueError("modulus grid times must be positive")
+    return grid
+
+
+def _commutator_pairs(g1, g2, mu0, grid) -> list:
+    """(P1_t P2_t mu0, P2_t P1_t mu0) for each t of the grid."""
+    return [(apply(at_time(g1, t), apply(at_time(g2, t), mu0)),
+             apply(at_time(g2, t), apply(at_time(g1, t), mu0))) for t in grid]
+
+
 def commutator_modulus(g1: SemigroupSpec, g2: SemigroupSpec, mu0: PositiveMeasure,
                        t_grid, metric=None) -> ModulusEstimate:
     """Measured omega(t) = ||P1_t P2_t mu0 - P2_t P1_t mu0||* / t on a grid."""
     metric = metric if metric is not None else mu0.space
-    grid = np.asarray(sorted(t_grid, reverse=True), dtype=float)
-    if np.any(grid <= 0.0):
-        raise ValueError("modulus grid times must be positive")
-    values = []
-    for t in grid:
-        a = apply(at_time(g1, t), apply(at_time(g2, t), mu0))
-        b = apply(at_time(g2, t), apply(at_time(g1, t), mu0))
-        values.append(bl_distance(a, b, metric) / t)
-    values = np.asarray(values)
+    grid = _modulus_grid(t_grid)
+    return _modulus(grid, bl_distances(_commutator_pairs(g1, g2, mu0, grid), metric))
+
+
+def _modulus(grid, distances) -> ModulusEstimate:
+    """The modulus estimate of the commutator distances on a decreasing grid."""
+    values = np.asarray(distances) / grid
     # running maximum from small t upward; grid is stored decreasing
     envelope = np.maximum.accumulate(values[::-1])[::-1]
     dini = _log_trapezoid(grid[::-1], values[::-1])
@@ -218,12 +229,15 @@ def extended_commutator_constant(g1, g2, mu0, t_grid, family_sample,
     numerator is flagged, not an error.  Returns (C_hat, flags).
     """
     metric = metric if metric is not None else mu0.space
-    base = commutator_modulus(g1, g2, mu0, t_grid, metric)
+    grid = _modulus_grid(t_grid)
+    starts = [mu0] + [apply(P, mu0) for P in family_sample]
+    distances = bl_distances([pair for mu in starts
+                              for pair in _commutator_pairs(g1, g2, mu, grid)], metric)
+    n = len(grid)
+    base, *pushed = [_modulus(grid, distances[i * n:(i + 1) * n]) for i in range(len(starts))]
     c_hat = 1.0
     flags = []
-    for idx, P in enumerate(family_sample):
-        pushed = apply(P, mu0)
-        mod = commutator_modulus(g1, g2, pushed, t_grid, metric)
+    for idx, mod in enumerate(pushed):
         for t, num, den in zip(base.t_grid, mod.values, base.values):
             if den <= zero_tol:
                 if num > zero_tol:

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, linprog
 
 from trotterkit import bl_metric
 from trotterkit.bl_metric import (
+    LipschitzWitness,
     OracleSupportError,
     bl_distance,
     bl_dual_norm,
     bl_dual_norm_oracle,
     bl_norm_value,
+    bl_norm_values,
     build_envelope_metric,
     dirac_distance_exact,
 )
@@ -364,3 +366,121 @@ class TestNormProperties:
         scaled = linear_combine([c], [mu])
         assert bl_norm_value(scaled, space) == pytest.approx(
             abs(c) * bl_norm_value(mu, space), rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def batch_metrics(draw):
+    """(metric, candidate support points): a random finite space, a lattice
+    space, lattice points of the plane or an envelope metric."""
+    kind = draw(st.sampled_from(["finite", "lattice", "euclidean", "envelope"]))
+    if kind == "euclidean":
+        coords = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+        pts = draw(st.lists(coords, min_size=1, max_size=8, unique=True))
+        return StateSpace.euclidean(2), [np.array(p, dtype=float) / 4.0 for p in pts]
+    if kind == "lattice":
+        space = draw(lattice_spaces(max_size=8))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        space = random_metric_space(rng, draw(st.integers(2, 8)))
+    points = list(range(space.size))
+    if kind != "envelope":
+        return space, points
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=space.size, max_size=space.size))
+    g = LipschitzWitness(points=tuple(points), values=np.array(values),
+                         sup_bound=1.0, lip_bound=1.0)
+    return build_envelope_metric(space, [g]), points
+
+
+@st.composite
+def batch_measures(draw, space, points):
+    """A signed measure on some of ``points`` (maybe none), at total variation
+    10^-12 to 10, with zero net mass or not."""
+    chosen = draw(st.lists(st.integers(0, len(points) - 1), max_size=len(points), unique=True))
+    w = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=len(chosen),
+                               max_size=len(chosen))))
+    if len(w) > 1 and draw(st.booleans()):
+        w = w - w.mean()
+    if np.abs(w).sum() > 0.0:
+        w = w / np.abs(w).sum() * 10.0 ** draw(st.floats(-12.0, 1.0))
+    return SignedMeasure.from_atoms(space, [(points[i], x) for i, x in zip(chosen, w.tolist())])
+
+
+class TestBatchedNorms:
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_each_value_matches_its_own_solve(self, lp_calls, data):
+        metric, points = data.draw(batch_metrics())
+        space = getattr(metric, "space", metric)
+        batch = data.draw(st.lists(batch_measures(space, points), min_size=1, max_size=6))
+        del lp_calls[:]
+        values = bl_norm_values(batch, metric)
+        assert len(lp_calls) == int(any(mu.tv > 0.0 for mu in batch))
+        assert len(values) == len(batch)
+        for mu, value in zip(batch, values):
+            if mu.tv == 0.0:
+                assert value == 0.0
+                continue
+            assert value == pytest.approx(bl_norm_values([mu], metric)[0], abs=1e-12)
+            assert value == pytest.approx(primal_lp(mu, metric)[0], abs=1e-9)
+
+    def test_empty_and_zero_batches_solve_nothing(self, path3, lp_calls):
+        assert bl_norm_values([], path3) == []
+        empty = SignedMeasure.from_atoms(path3, [])
+        cancelled = SignedMeasure.from_atoms(path3, [(1, 0.5), (1, -0.5)])
+        assert bl_norm_values([empty, cancelled], path3) == [0.0, 0.0]
+        assert lp_calls == []
+
+    def test_one_solve_stacks_every_nonzero_block(self, path3, lp_calls):
+        a = SignedMeasure.from_atoms(path3, [(0, 1.0), (2, -1.0)])
+        b = SignedMeasure.from_atoms(path3, [(1, 0.3)])
+        empty = SignedMeasure.from_atoms(path3, [])
+        values = bl_norm_values([a, empty, b, a], path3)
+        # a: 2 points, 2 flows; b: 1 point, no flow; r+, r-, flows and t per block
+        assert lp_calls == [(2 + 1 + 2, (4 + 2 + 1) + (2 + 0 + 1) + (4 + 2 + 1))]
+        assert values == pytest.approx([dirac_distance_exact(2.0), 0.0, 0.3,
+                                        dirac_distance_exact(2.0)], abs=1e-12)
+
+    def test_long_batches_split_into_runs_of_bounded_width(self, path3, lp_calls,
+                                                           monkeypatch):
+        rng = np.random.default_rng(9)
+        batch = [full_support_measure(rng, path3) for _ in range(5)]  # 11 columns each
+        expected = [bl_norm_values([mu], path3)[0] for mu in batch]
+        for width, shapes in ((25, [(6, 22), (6, 22), (3, 11)]), (10, [(3, 11)] * 5)):
+            monkeypatch.setattr(bl_metric, "MAX_LP_COLUMNS", width)
+            del lp_calls[:]
+            assert bl_norm_values(batch, path3) == pytest.approx(expected, abs=1e-12)
+            assert lp_calls == shapes
+
+    def test_failed_batch_raises(self, path3, monkeypatch):
+        monkeypatch.setattr(bl_metric, "linprog", lambda *a, **kw: OptimizeResult(
+            success=False, status=2, message="forced failure"))
+        a = SignedMeasure.from_atoms(path3, [(0, 1.0), (2, -1.0)])
+        b = SignedMeasure.from_atoms(path3, [(1, 0.3)])
+        with pytest.raises(RuntimeError, match="forced failure"):
+            bl_norm_values([a, b], path3)
+
+
+class TestWitnessLookup:
+    def test_pair_keys_each_point_once_and_keeps_the_sum(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        space = random_metric_space(rng, 40)
+        f = LipschitzWitness(points=tuple(rng.permutation(40).tolist()),
+                             values=rng.uniform(-0.5, 0.5, 40), sup_bound=0.5, lip_bound=0.5)
+        mu = full_support_measure(rng, space)
+        where = {q: i for i, q in enumerate(f.points)}
+        pts, wts = mu.support()
+        expected = float(sum(w * float(f.values[where[p]]) for p, w in zip(pts, wts)))
+        keys = []
+        point_key = StateSpace.point_key
+        monkeypatch.setattr(StateSpace, "point_key",
+                            lambda self, p: keys.append(p) or point_key(self, p))
+        assert f.pair(mu) == expected  # the same terms summed in the same order
+        assert len(keys) == 40  # one lookup per atom, no scan over the witness points
+
+    def test_lookup_takes_first_occurrence_and_extends_off_the_points(self, path3):
+        f = LipschitzWitness(points=(2, 0, 2), values=np.array([0.25, -0.25, 0.5]),
+                             sup_bound=0.5, lip_bound=0.25)
+        assert [f.value_at(path3, p) for p in (2, 2.0, np.int64(0))] == [0.25, 0.25, -0.25]
+        assert f.value_at(path3, 1) == 0.0  # McShane: min(0.25 + 0.25, -0.25 + 0.25, ...)
+        with pytest.raises(ValueError, match="not a state"):
+            f.value_at(path3, 1.5)

@@ -53,6 +53,10 @@ class TestScenarioLoading:
         ("three_state", lambda d: d["study"].update(schedule={"dyadic": 1}),
          "at least 3 entries"),
         ("three_state", lambda d: d["study"].update(t=-1), "t must be finite and nonnegative"),
+        ("three_state", lambda d: d["mu0"]["atoms"][0].update(weight=float("nan")),
+         "weights must be finite"),
+        ("linear_flow", lambda d: d["mu0"]["atoms"][0].update(weight=float("inf")),
+         "weights must be finite"),
         ("three_state", lambda d: d["study"].update(t=float("nan")),
          "t must be finite and nonnegative"),
         ("linear_flow", lambda d: d["witnesses"].append({"kind": "coordinate", "index": -1}),
@@ -145,6 +149,10 @@ class TestStudy:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["order"] == "g2_first"
 
+    def test_study_solves_at_most_ten_lps(self, tmp_path, lp_calls):
+        assert run_study(scenario_path("three_state"), tmp_path, seed=0) == 0
+        assert 1 <= len(lp_calls) <= 10  # one batched solve per group of norms
+
     def test_envelope_metric_option(self, tmp_path):
         code = run_study(scenario_path("three_state"), tmp_path, seed=0,
                          overrides={"metric": "envelope", "dyadic": 5})
@@ -201,3 +209,20 @@ class TestNormCommand:
                                       scenario_path("three_state"), str(a), str(b)])
         assert result.exit_code == 0
         assert float(result.output.strip()) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("atoms, message", [
+        ('[{"point": 0, "weight": NaN}]', "weights must be finite"),
+        ('[{"point": 0, "weight": 1e400}]', "weights must be finite"),
+        ('[{"point": 7, "weight": 1.0}]', "7 is not a state"),
+        ('[{"point": 0}]', "weight"),
+    ])
+    def test_rejects_bad_measure_file_with_one_message(self, tmp_path, atoms, message):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(f'{{"atoms": {atoms}}}')
+        b.write_text('{"atoms": [{"point": 2, "weight": 1.0}]}')
+        result = CliRunner().invoke(main, ["norm", "--scenario",
+                                           scenario_path("three_state"), str(a), str(b)])
+        assert (result.exit_code, type(result.exception)) == (1, SystemExit)
+        lines = result.output.strip().splitlines()  # one message, no traceback
+        assert len(lines) == 1 and re.search(message, lines[0])

@@ -13,7 +13,7 @@ from trotterkit.diagnostics import (
     tightness_probe,
 )
 from trotterkit.measures import PositiveMeasure, StateSpace
-from trotterkit.operators import MarkovOperatorSpec, SemigroupSpec, at_time
+from trotterkit.operators import MarkovOperatorSpec, SemigroupSpec, apply, at_time
 
 Q1 = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
 Q2 = np.array([[-0.5, 0.0, 0.7], [0.2, -0.3, 0.3], [0.3, 0.3, -1.0]])
@@ -131,12 +131,46 @@ class TestContinuity:
             stochastic_continuity_check(g, mu0, [0.1, 0.2])
 
 
+class TestBatchedSolves:
+    def test_each_probe_solves_its_norms_at_once(self, path3, mu0, lp_calls):
+        g1 = SemigroupSpec.matrix_exponential(path3, Q1)
+        g2 = SemigroupSpec.matrix_exponential(path3, Q2)
+        sizes = [1e-1, 1e-2, 1e-3]
+        rng = np.random.default_rng(5)
+        perts = [perturb_measure(mu0, d, rng) for d in sizes]
+        steps = len(lp_calls)
+        del lp_calls[:]
+        ops = (at_time(g1, 0.1), at_time(g2, 0.1))
+        rows = equicontinuity_modulus(EquicontinuityProbe(mu0, tuple(perts), tuple(sizes), ops))
+        limit_semigroup_check(g1, g2, mu0, 0.5, 0.5, 64)
+        stochastic_continuity_check(g1, mu0, [1e-1, 1e-2, 1e-3])
+        assert len(lp_calls) == 3
+        worst = [max(bl_distance(apply(P, mu0), apply(P, nu), path3) for P in ops)
+                 for nu in perts]
+        # rows run from the smallest input distance up, as a running maximum
+        assert [d for _, d in rows] == pytest.approx(
+            np.maximum.accumulate(worst[::-1]).tolist(), abs=1e-12)
+        del lp_calls[:]
+        feller_continuity_check(g1, g2, 1.0, mu0, sizes, 64, np.random.default_rng(5))
+        assert len(lp_calls) == steps + 2  # the bisections, then inputs and outputs
+
+
 class TestPerturbations:
     def test_weight_jitter_hits_target(self, path3, mu0):
         rng = np.random.default_rng(3)
         for target in (0.1, 0.01, 0.001):
             nu = perturb_measure(mu0, target, rng)
             assert bl_distance(mu0, nu, path3) == pytest.approx(target, rel=0.011)
+
+    def test_bisection_solves_one_lp_per_step(self, mu0, lp_calls):
+        # the steps depend on each other, so each is its own solve
+        rng = np.random.default_rng(0)
+        counts = []
+        for target in (0.1, 0.01, 1e-3, 1e-4):
+            del lp_calls[:]
+            perturb_measure(mu0, target, rng)
+            counts.append(len(lp_calls))
+        assert counts == [8, 12, 14, 18]
 
     def test_location_jitter_euclidean_only(self, path3, mu0):
         rng = np.random.default_rng(3)

@@ -106,3 +106,18 @@ def test_suite_deterministic():
 def test_suite_rejects_zero_trials():
     with pytest.raises(ValueError):
         run_identity_suite(seed=0, trials=0, max_states=4)
+
+
+def test_each_check_solves_one_lp(setup, lp_calls):
+    _, g1, g2, panel = setup
+    checks = [lambda: check_lemma_a(g1, g2, 0.8, 6, 4, panel),
+              lambda: check_lemma_b(g1, g2, 0.8, 6, 3, panel),
+              lambda: check_lemma_c(g1, g2, 0.8, 2, 3, panel),
+              lambda: check_corollary(g1, g2, 0.8, 2, 3, panel),
+              lambda: check_corollary_recomposition(g1, g2, 0.8, 2, 3, panel),
+              lambda: check_swap_identity(g1, g2, 0.4, 3, panel)]
+    for check in checks:
+        del lp_calls[:]
+        result = check()
+        # the whole panel's deviations in one solve (some of them are nonzero)
+        assert len(lp_calls) == 1 and result.max_deviation > 0.0 and result.passed

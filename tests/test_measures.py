@@ -114,6 +114,13 @@ class TestPositiveMeasure:
         with pytest.raises(ValueError):
             PositiveMeasure.from_atoms(path3, [(0, -0.5)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, path3, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            PositiveMeasure.from_atoms(path3, [(0, bad), (1, 0.5)])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            PositiveMeasure.from_weight_vector(path3, [bad, 0.5, 0.5])
+
     def test_merges_coincident_atoms(self, path3):
         mu = PositiveMeasure.from_atoms(path3, [(1, 0.25), (1, 0.75)])
         assert len(mu) == 1
@@ -138,6 +145,14 @@ class TestSignedMeasure:
         assert mu.pos.tv == pytest.approx(1.0)
         assert mu.neg.tv == pytest.approx(0.4)
         assert tv_norm(mu) == pytest.approx(1.4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weight(self, path3, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            SignedMeasure.from_atoms(path3, [(0, bad), (1, -0.5)])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            linear_combine([1.0, bad], [PositiveMeasure.dirac(path3, 0),
+                                        PositiveMeasure.dirac(path3, 1)])
 
     def test_opposite_signs_cancel(self, path3):
         mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (0, -1.0)])

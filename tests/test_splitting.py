@@ -3,7 +3,7 @@ import pytest
 
 from trotterkit.bl_metric import bl_distance, bl_dual_norm
 from trotterkit.measures import PositiveMeasure, SignedMeasure, StateSpace
-from trotterkit.operators import SemigroupSpec
+from trotterkit.operators import SemigroupSpec, apply
 from trotterkit.splitting import (
     ModulusEstimate,
     SplittingStudy,
@@ -113,6 +113,25 @@ class TestModulus:
         c_hat, flags = extended_commutator_constant(*pair, mu0, grid, fam)
         assert c_hat >= 1.0
         assert flags == []
+
+
+class TestBatchedSolves:
+    def test_schedule_grid_and_family_each_solve_once(self, pair, mu0, path3, lp_calls):
+        study = SplittingStudy(*pair, mu0, 1.0, (1, 2, 4, 8))
+        grid = [1.0 / 2 ** j for j in range(6)]
+        family = sample_scheme_family(*pair, 0.1, 5, np.random.default_rng(0))
+        _, report = estimate_limit(study)
+        omega = commutator_modulus(*pair, mu0, grid)
+        c_hat, flags = extended_commutator_constant(*pair, mu0, grid, family)
+        assert len(lp_calls) == 3
+        ref = exact_reference(*pair, 1.0, mu0)
+        assert report.distances == pytest.approx(
+            [bl_distance(trotter_iterate(*pair, 1.0, n, mu0), ref, path3)
+             for n in study.schedule], abs=1e-12)
+        ratios = [num / den for P in family
+                  for num, den in zip(commutator_modulus(*pair, apply(P, mu0), grid).values,
+                                      omega.values)]
+        assert flags == [] and c_hat == pytest.approx(max([1.0] + ratios), rel=1e-9)
 
 
 class TestBounds:
