@@ -87,9 +87,9 @@ class LipschitzWitness:
             i = self._state_index.get(key)
             if i is not None:
                 return float(self.values[i])
-        else:
+        else:  # the first stored point that atom merging would merge with p
             for q, v in zip(self.points, self.values):
-                if space.point_key(q) == key:
+                if space.points_equal(p, q):
                     return float(v)
         if not self.points:
             raise KeyError(f"empty witness has no value at point {p!r}")

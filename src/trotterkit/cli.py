@@ -259,7 +259,7 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
     omega = commutator_modulus(g1, g2, mu0, t_grid, metric)
 
     family = sample_scheme_family(g1, g2, t / max_n, 5, rng, scn["order"])
-    c_hat, c_flags = extended_commutator_constant(g1, g2, mu0, t_grid, family, metric)
+    c_hat, c_flags = extended_commutator_constant(g1, g2, mu0, omega, family, metric)
 
     violations = []
     bound_rows = []
@@ -452,12 +452,18 @@ def norm(scenario, measure_a, measure_b):
     """Ad-hoc BL distance between two measure files."""
     try:
         scn = load_scenario(scenario)
-        mu, nu = (measure_from_json(scn["space"], Path(path).read_text())
-                  for path in (measure_a, measure_b))
-    except (OSError, KeyError, ValueError) as exc:  # ScenarioError is a ValueError
+    except ScenarioError as exc:
         click.echo(str(exc), err=True)
         sys.exit(1)
-    click.echo(_fmt(bl_distance(mu, nu, scn["space"])))
+    measures = []
+    for path in (measure_a, measure_b):
+        try:
+            measures.append(measure_from_json(scn["space"], Path(path).read_text()))
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            click.echo(f"{path}: {reason}", err=True)
+            sys.exit(1)
+    click.echo(_fmt(bl_distance(*measures, scn["space"])))
     sys.exit(0)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bl_metric import bl_distance, bl_distances
+from .bl_metric import bl_distances
 from .measures import PositiveMeasure
 from .operators import SemigroupSpec, apply, at_time
 from .splitting import trotter_iterate
@@ -149,8 +149,24 @@ def perturb_measure(mu: PositiveMeasure, target_distance: float, rng,
 
     "weights" rescales atom weights by a random positive factor (any space);
     "locations" shifts atoms by a Gaussian displacement (Euclidean only).
-    The jitter amplitude is found by bisection on the resulting distance,
-    so the sample sits within 1% of the target.
+    The jitter amplitude comes from the bracket-and-bisect search of
+    ``_amplitude_search``, so the sample sits within 1% of the target.
+
+    The search runs predict-and-verify.  For "weights", ``candidate(amp) -
+    mu`` is ``amp`` times one fixed signed measure while no factor is
+    clipped (every ``amp < 0.95``, as ``|direction| <= 1``), so by
+    homogeneity of the norm one solved distance predicts the whole path.
+    The first round solves amplitudes 1 and 1/2 (the first midpoint when 1
+    brackets).  Each later round replays the search on the solved
+    distances, predicts each unsolved amplitude linearly from the last
+    solved one on the path, and solves every predicted amplitude in one
+    ``bl_distances`` call.  A replay that meets no unsolved amplitude has
+    taken every decision on a solved distance, so the result is the
+    sequential search's.  A wrong prediction (clipping, "locations", any
+    nonlinearity) costs one more round, and every round solves at least one
+    more step of the true path, so there are never more rounds than the
+    sequential search has steps.  When 1 brackets and the prediction
+    holds, there are at most two.
     """
     if target_distance <= 0.0:
         raise ValueError("target distance must be positive")
@@ -171,23 +187,50 @@ def perturb_measure(mu: PositiveMeasure, target_distance: float, rng,
                  for p, d, w in zip(mu.points, direction, mu.weights)]
         return PositiveMeasure.from_atoms(space, atoms)
 
+    solved, unsolved = {}, [1.0, 0.5]
+    while unsolved:
+        solved.update(zip(unsolved, bl_distances([(mu, candidate(a)) for a in unsolved],
+                                                 space)))
+        predicted, last = {}, 1.0
+
+        def distance(amp):
+            nonlocal last
+            if amp in solved:
+                last = amp
+                return solved[amp]
+            return predicted.setdefault(amp, solved[last] * amp / last)
+
+        amp = _amplitude_search(distance, target_distance)
+        unsolved = list(predicted)
+    if amp is None:
+        raise RuntimeError("could not bracket the requested perturbation distance")
+    return candidate(amp)
+
+
+def _amplitude_search(distance, target):
+    """Amplitude whose ``distance`` is within 1% of ``target``, or None.
+
+    Doubles ``hi`` from 1 until ``distance(hi) >= target`` (None if 60
+    doublings do not get there), then bisects ``[0, hi]`` for at most 80
+    steps and returns the first midpoint within 1%, else the last midpoint.
+    """
     lo, hi = 0.0, 1.0
     for _ in range(60):
-        if bl_distance(mu, candidate(hi), space) >= target_distance:
+        if distance(hi) >= target:
             break
         hi *= 2.0
     else:
-        raise RuntimeError("could not bracket the requested perturbation distance")
+        return None
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        d = bl_distance(mu, candidate(mid), space)
-        if abs(d - target_distance) <= 0.01 * target_distance:
-            return candidate(mid)
-        if d < target_distance:
+        d = distance(mid)
+        if abs(d - target) <= 0.01 * target:
+            return mid
+        if d < target:
             lo = mid
         else:
             hi = mid
-    return candidate(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 def table_to_csv(rows, columns, header: dict) -> str:

@@ -221,24 +221,25 @@ def _log_trapezoid(ts, vals):
     return float(np.trapezoid(integrand, ts))
 
 
-def extended_commutator_constant(g1, g2, mu0, t_grid, family_sample,
+def extended_commutator_constant(g1, g2, mu0, omega: ModulusEstimate, family_sample,
                                  metric=None, zero_tol=1e-12):
     """Max over sampled operators P and grid t of omega(t, P mu0) / omega(t, mu0).
 
+    ``omega`` is ``commutator_modulus`` of ``mu0`` on the grid; only the
+    pushed moduli omega(., P mu0) are solved here, on its grid, in one call.
     0/0 ratios count as 1.  A ratio with zero denominator but nonzero
     numerator is flagged, not an error.  Returns (C_hat, flags).
     """
     metric = metric if metric is not None else mu0.space
-    grid = _modulus_grid(t_grid)
-    starts = [mu0] + [apply(P, mu0) for P in family_sample]
-    distances = bl_distances([pair for mu in starts
-                              for pair in _commutator_pairs(g1, g2, mu, grid)], metric)
-    n = len(grid)
-    base, *pushed = [_modulus(grid, distances[i * n:(i + 1) * n]) for i in range(len(starts))]
+    grid = omega.t_grid
+    pairs = [pair for P in family_sample
+             for pair in _commutator_pairs(g1, g2, apply(P, mu0), grid)]
+    distances = bl_distances(pairs, metric)
+    pushed = np.reshape(distances, (len(family_sample), len(grid))) / grid
     c_hat = 1.0
     flags = []
-    for idx, mod in enumerate(pushed):
-        for t, num, den in zip(base.t_grid, mod.values, base.values):
+    for idx, values in enumerate(pushed):
+        for t, num, den in zip(grid, values, omega.values):
             if den <= zero_tol:
                 if num > zero_tol:
                     flags.append({"operator": idx, "t": float(t),

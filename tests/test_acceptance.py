@@ -72,7 +72,7 @@ def modulus_and_constant(three_state):
     rng = np.random.default_rng(42)
     family = sample_scheme_family(scn["g1"], scn["g2"], scn["t"] / 32, 5, rng)
     c_hat, flags = extended_commutator_constant(scn["g1"], scn["g2"], scn["mu0"],
-                                                grid, family)
+                                                omega, family)
     assert flags == []
     return omega, c_hat
 

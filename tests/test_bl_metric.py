@@ -484,3 +484,13 @@ class TestWitnessLookup:
         assert f.value_at(path3, 1) == 0.0  # McShane: min(0.25 + 0.25, -0.25 + 0.25, ...)
         with pytest.raises(ValueError, match="not a state"):
             f.value_at(path3, 1.5)
+
+    def test_euclidean_lookup_matches_points_within_the_coincidence_tolerance(self):
+        space = StateSpace.euclidean(2)
+        f = LipschitzWitness(points=((0.0, 0.0), (1.0, 2.0)), values=np.array([0.25, -0.3]),
+                             sup_bound=0.5, lip_bound=0.5)
+        # the stored value, as atom merging would merge the two points
+        assert f.value_at(space, [1.0 + 1e-13, 2.0 - 1e-13]) == -0.3
+        # beyond the tolerance, the McShane extension
+        assert f.value_at(space, [1.0 + 1e-11, 2.0]) == pytest.approx(-0.3 + 0.5e-11, abs=1e-15)
+        assert f.value_at(space, [1.0 + 1e-11, 2.0]) != -0.3

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from trotterkit import bl_metric
 from trotterkit.cli import (
     ScenarioError,
     build_witnesses,
@@ -153,6 +154,18 @@ class TestStudy:
         assert run_study(scenario_path("three_state"), tmp_path, seed=0) == 0
         assert 1 <= len(lp_calls) <= 10  # one batched solve per group of norms
 
+    def test_study_solves_the_base_modulus_once(self, tmp_path, lp_calls, monkeypatch):
+        blocks = []
+        flow_lp = bl_metric._flow_lp
+        monkeypatch.setattr(bl_metric, "_flow_lp",
+                            lambda batch, value=None: blocks.append(len(batch))
+                            or flow_lp(batch, value))
+        assert run_study(scenario_path("three_state"), tmp_path, seed=0) == 0
+        # the schedule's 11 distances, omega on its 13-point grid, the five
+        # sampled operators' pushed moduli on that grid (without omega's 13
+        # again: 103 blocks in all before), the swap-order distance
+        assert blocks == [11, 13, 5 * 13, 1] and len(lp_calls) == 4
+
     def test_envelope_metric_option(self, tmp_path):
         code = run_study(scenario_path("three_state"), tmp_path, seed=0,
                          overrides={"metric": "envelope", "dyadic": 5})
@@ -214,15 +227,20 @@ class TestNormCommand:
         ('[{"point": 0, "weight": NaN}]', "weights must be finite"),
         ('[{"point": 0, "weight": 1e400}]', "weights must be finite"),
         ('[{"point": 7, "weight": 1.0}]', "7 is not a state"),
-        ('[{"point": 0}]', "weight"),
+        ('[{"point": 0}]', "missing key 'weight'"),
+        ('[{"point": 0, "weight": 1.0}', "line 1 column"),
+        ('5', "not iterable"),
+        (None, "No such file"),
     ])
     def test_rejects_bad_measure_file_with_one_message(self, tmp_path, atoms, message):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        a.write_text(f'{{"atoms": {atoms}}}')
+        if atoms is not None:
+            a.write_text(f'{{"atoms": {atoms}}}')
         b.write_text('{"atoms": [{"point": 2, "weight": 1.0}]}')
         result = CliRunner().invoke(main, ["norm", "--scenario",
                                            scenario_path("three_state"), str(a), str(b)])
         assert (result.exit_code, type(result.exception)) == (1, SystemExit)
         lines = result.output.strip().splitlines()  # one message, no traceback
         assert len(lines) == 1 and re.search(message, lines[0])
+        assert lines[0].startswith(f"{a}: ")  # the message names the file

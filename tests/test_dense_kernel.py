@@ -32,6 +32,7 @@ from trotterkit.operators import (
     compose,
 )
 from trotterkit.splitting import (
+    commutator_modulus,
     extended_commutator_constant,
     sample_scheme_family,
     trotter_iterate,
@@ -290,7 +291,8 @@ def test_scheme_family_acts_like_the_closure(absorbing_pair, order):
 def test_extended_constant_takes_the_scheme_family():
     g1, g2, mu = _plane_pair()
     family = sample_scheme_family(g1, g2, 0.1, 2, np.random.default_rng(0))
-    c_hat, flags = extended_commutator_constant(g1, g2, mu, [0.2, 0.1], family)
+    omega = commutator_modulus(g1, g2, mu, [0.2, 0.1])
+    c_hat, flags = extended_commutator_constant(g1, g2, mu, omega, family)
     assert c_hat >= 1.0 and flags == []
 
 

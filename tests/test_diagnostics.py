@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trotterkit.bl_metric import bl_distance, dirac_distance_exact
 from trotterkit.diagnostics import (
@@ -162,15 +164,26 @@ class TestPerturbations:
             nu = perturb_measure(mu0, target, rng)
             assert bl_distance(mu0, nu, path3) == pytest.approx(target, rel=0.011)
 
-    def test_bisection_solves_one_lp_per_step(self, mu0, lp_calls):
-        # the steps depend on each other, so each is its own solve
+    def test_bisection_verifies_its_path_in_two_solves(self, mu0, lp_calls):
+        # one solve of amplitudes 1 and 1/2, then one of the predicted path
         rng = np.random.default_rng(0)
         counts = []
         for target in (0.1, 0.01, 1e-3, 1e-4):
             del lp_calls[:]
             perturb_measure(mu0, target, rng)
             counts.append(len(lp_calls))
-        assert counts == [8, 12, 14, 18]
+        assert counts == [2, 2, 2, 2]
+
+    def test_draws_one_direction_per_call(self, mu0):
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        for target in (0.3, 1e-3):
+            perturb_measure(mu0, target, rng)
+            twin.uniform(-1.0, 1.0, size=len(mu0.points))
+        s = StateSpace.euclidean(2)
+        mu = PositiveMeasure.from_atoms(s, [([0.0, 0.0], 0.5), ([1.0, 1.0], 0.5)])
+        perturb_measure(mu, 0.05, rng, kind="locations")
+        twin.normal(size=(2, 2))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_location_jitter_euclidean_only(self, path3, mu0):
         rng = np.random.default_rng(3)
@@ -180,6 +193,110 @@ class TestPerturbations:
         mu = PositiveMeasure.from_atoms(s, [([0.0, 0.0], 0.5), ([1.0, 1.0], 0.5)])
         nu = perturb_measure(mu, 0.05, rng, kind="locations")
         assert bl_distance(mu, nu, s) == pytest.approx(0.05, rel=0.011)
+
+
+class _FixedDirection:
+    """Stands in for a Generator whose one draw is a given direction."""
+
+    def __init__(self, direction):
+        self.direction = np.asarray(direction, dtype=float)
+
+    def uniform(self, low, high, size):
+        return self.direction.reshape(size).copy()
+
+    def normal(self, size):
+        return self.direction.reshape(size).copy()
+
+
+def _sequential_perturbation(mu, target_distance, rng, kind="weights"):
+    """The bracket-and-bisect search with one ``bl_distance`` solve per step."""
+    space = mu.space
+    if kind == "weights":
+        direction = rng.uniform(-1.0, 1.0, size=len(mu.points))
+    else:
+        direction = rng.normal(size=(len(mu.points), space.dim))
+
+    def candidate(amp):
+        if kind == "weights":
+            w = mu.weights * np.clip(1.0 + amp * direction, 0.05, None)
+            return PositiveMeasure.from_atoms(space, list(zip(mu.points, w.tolist())))
+        atoms = [(np.asarray(p, dtype=float) + amp * d, w)
+                 for p, d, w in zip(mu.points, direction, mu.weights)]
+        return PositiveMeasure.from_atoms(space, atoms)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        if bl_distance(mu, candidate(hi), space) >= target_distance:
+            break
+        hi *= 2.0
+    else:
+        raise RuntimeError("could not bracket the requested perturbation distance")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        d = bl_distance(mu, candidate(mid), space)
+        if abs(d - target_distance) <= 0.01 * target_distance:
+            return candidate(mid)
+        if d < target_distance:
+            lo = mid
+        else:
+            hi = mid
+    return candidate(0.5 * (lo + hi))
+
+
+@st.composite
+def perturbation_cases(draw):
+    """(mu, target, direction, kind) on finite and Euclidean spaces.  Weight
+    directions may hold entries in [-1, -0.95], which clip at amplitude 1,
+    and targets up to 10**0.4 need brackets beyond amplitude 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        pts = rng.normal(size=(k, 3))
+        space = StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+        points, kind = list(range(k)), "weights"
+    else:
+        space = StateSpace.euclidean(draw(st.integers(1, 2)))
+        points = rng.normal(size=(k, space.dim)).tolist()
+        kind = draw(st.sampled_from(["weights", "locations"]))
+    mu = PositiveMeasure.from_atoms(space, list(zip(points, rng.uniform(0.1, 1.0, k).tolist())))
+    if kind == "weights":
+        entry = st.one_of(st.floats(-1.0, 1.0), st.floats(-1.0, -0.95))
+        direction = draw(st.lists(entry, min_size=k, max_size=k))
+    else:
+        direction = rng.normal(size=(k, space.dim))
+    return mu, 10.0 ** draw(st.floats(-4.0, 0.4)), direction, kind
+
+
+def _outcome(perturb, mu, target, direction, kind):
+    try:
+        nu = perturb(mu, target, _FixedDirection(direction), kind)
+    except RuntimeError as exc:
+        return str(exc)
+    return [mu.space.point_key(p) for p in nu.points], nu.weights.tobytes()
+
+
+class TestPredictAndVerify:
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=perturbation_cases())
+    def test_matches_the_sequential_search_bit_for_bit(self, case, lp_calls):
+        del lp_calls[:]
+        expected = _outcome(_sequential_perturbation, *case)
+        steps = len(lp_calls)
+        del lp_calls[:]
+        assert _outcome(perturb_measure, *case) == expected
+        assert len(lp_calls) <= steps
+
+    def test_clipped_direction_beyond_amplitude_one(self, lp_calls):
+        # amplitude 1 clips the first factor and only 4 brackets (distances
+        # 0.39, 0.49, 0.69 at 1, 2, 4), so linear predictions miss
+        s = StateSpace.euclidean(1)
+        mu = PositiveMeasure.from_atoms(s, [([0.0], 0.5), ([1.0], 0.3), ([3.0], 0.2)])
+        case = (mu, 0.6, [-0.99, 0.3, 1.0], "weights")
+        expected = _outcome(_sequential_perturbation, *case)
+        steps = len(lp_calls)
+        del lp_calls[:]
+        assert _outcome(perturb_measure, *case) == expected
+        assert (steps, len(lp_calls)) == (8, 4)
 
 
 def test_table_to_csv_header_and_endings():

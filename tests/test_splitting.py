@@ -110,7 +110,8 @@ class TestModulus:
         rng = np.random.default_rng(0)
         fam = sample_scheme_family(*pair, 0.1, 3, rng)
         grid = [1.0 / 2 ** j for j in range(6)]
-        c_hat, flags = extended_commutator_constant(*pair, mu0, grid, fam)
+        omega = commutator_modulus(*pair, mu0, grid)
+        c_hat, flags = extended_commutator_constant(*pair, mu0, omega, fam)
         assert c_hat >= 1.0
         assert flags == []
 
@@ -122,7 +123,7 @@ class TestBatchedSolves:
         family = sample_scheme_family(*pair, 0.1, 5, np.random.default_rng(0))
         _, report = estimate_limit(study)
         omega = commutator_modulus(*pair, mu0, grid)
-        c_hat, flags = extended_commutator_constant(*pair, mu0, grid, family)
+        c_hat, flags = extended_commutator_constant(*pair, mu0, omega, family)
         assert len(lp_calls) == 3
         ref = exact_reference(*pair, 1.0, mu0)
         assert report.distances == pytest.approx(
@@ -140,7 +141,7 @@ class TestBounds:
         omega = commutator_modulus(*pair, mu0, grid)
         rng = np.random.default_rng(1)
         fam = sample_scheme_family(*pair, 1.0 / 32, 5, rng)
-        c_hat, _ = extended_commutator_constant(*pair, mu0, grid, fam)
+        c_hat, _ = extended_commutator_constant(*pair, mu0, omega, fam)
         diff = SignedMeasure.from_atoms(path3, [(0, 1.0), (2, -1.0)])
         _, f = bl_dual_norm(diff, path3)
         pairs = [(n, k) for n in (1, 2, 4, 8) for k in (2, 3, 4)]
@@ -152,7 +153,7 @@ class TestBounds:
         omega = commutator_modulus(*pair, mu0, grid)
         rng = np.random.default_rng(2)
         fam = sample_scheme_family(*pair, 1.0 / 32, 5, rng)
-        c_hat, _ = extended_commutator_constant(*pair, mu0, grid, fam)
+        c_hat, _ = extended_commutator_constant(*pair, mu0, omega, fam)
         study = SplittingStudy(g1=pair[0], g2=pair[1], mu0=mu0, t=1.0,
                                schedule=tuple(2 ** j for j in range(9)))
         diff = SignedMeasure.from_atoms(path3, [(1, 1.0), (2, -1.0)])
