@@ -109,14 +109,6 @@ class LipschitzWitness:
         dist = pairwise_distances(space, self.points)
         return not np.any(np.abs(v[:, None] - v[None, :]) > self.lip_bound * dist + slack)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "points": [list(p) if isinstance(p, tuple) else p for p in self.points],
-            "values": np.asarray(self.values, dtype=float).tolist(),
-            "supBound": self.sup_bound,
-            "lipBound": self.lip_bound,
-        }
-
 
 @dataclass(frozen=True)
 class FunctionWitness:

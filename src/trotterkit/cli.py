@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
@@ -41,7 +42,7 @@ from .diagnostics import (
 )
 from .identities import run_identity_suite
 from .measures import PositiveMeasure, StateSpace, measure_from_json
-from .operators import at_time, semigroup_from_json
+from .operators import SemigroupSpec, at_time, semigroup_from_json
 from .splitting import (
     SplittingStudy,
     commutator_modulus,
@@ -59,7 +60,53 @@ class ScenarioError(ValueError):
     pass
 
 
-def load_scenario(path):
+def _schedule(kind: str, n) -> tuple:
+    """Iterate counts 1, 2, 4, ..., 2^n ("dyadic") or 1, 2, ..., n ("linear")."""
+    n = int(n)
+    return tuple(2 ** j for j in range(n + 1)) if kind == "dyadic" else tuple(range(1, n + 1))
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A parsed scenario file.
+
+    Construction checks the fields that command-line overrides may change:
+    ScenarioError, prefixed with ``path``, unless the schedule has at least
+    3 entries, t is finite and nonnegative, and order and metric are known.
+    """
+
+    path: str
+    name: str
+    hash: str
+    space: StateSpace
+    g1: SemigroupSpec
+    g2: SemigroupSpec
+    mu0: PositiveMeasure
+    t: float
+    schedule: tuple
+    order: str = "g1_first"
+    metric: str = "base"
+    witness_specs: tuple = ()
+
+    def __post_init__(self):
+        if self.order not in ("g1_first", "g2_first"):
+            raise ScenarioError(f"{self.path}: unknown order {self.order!r}")
+        if self.metric not in ("base", "envelope"):
+            raise ScenarioError(f"{self.path}: unknown metric {self.metric!r}")
+        if len(self.schedule) < 3:
+            raise ScenarioError(f"{self.path}: schedule needs at least 3 entries")
+        if not (math.isfinite(self.t) and self.t >= 0.0):
+            raise ScenarioError(f"{self.path}: time horizon t must be finite and nonnegative, "
+                                f"got {self.t!r}")
+
+    @property
+    def dyadic(self) -> bool:
+        return self.schedule == _schedule("dyadic", len(self.schedule) - 1)
+
+    with_overrides = replace  # a copy with the given fields replaced, checked again
+
+
+def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file; raises ScenarioError on bad input."""
     try:
         raw = Path(path).read_bytes()
@@ -85,58 +132,52 @@ def load_scenario(path):
             space, [(a["point"], float(a["weight"])) for a in doc["mu0"]["atoms"]])
         study = doc["study"]
         sched_spec = study["schedule"]
-        if "dyadic" in sched_spec:
-            schedule = tuple(2 ** j for j in range(int(sched_spec["dyadic"]) + 1))
-        elif "linear" in sched_spec:
-            schedule = tuple(range(1, int(sched_spec["linear"]) + 1))
-        else:
+        kind = next((k for k in ("dyadic", "linear") if k in sched_spec), None)
+        if kind is None:
             raise ScenarioError(f"{path}: schedule needs 'dyadic' or 'linear'")
+        schedule = _schedule(kind, sched_spec[kind])
         t = float(study["t"])
-        order = study.get("order", "g1_first")
-        if order not in ("g1_first", "g2_first"):
-            raise ScenarioError(f"{path}: unknown order {order!r}")
-        metric = study.get("metric", "base")
-        if metric not in ("base", "envelope"):
-            raise ScenarioError(f"{path}: unknown metric {metric!r}")
-        witness_specs = doc.get("witnesses", [])
-        # numpy would wrap a negative index around, or broadcast a short center
+        witness_specs = tuple(doc.get("witnesses", []))
         for spec in witness_specs:
-            kind = spec["kind"]
-            if space.kind == "finite" and kind in ("coordinate", "indicator"):
-                for i in [spec["index"]] if kind == "coordinate" else spec["subset"]:
-                    space.point_key(i)
-            elif kind == "coordinate":
-                if not (int(spec["index"]) == spec["index"] and 0 <= spec["index"] < space.dim):
-                    raise ValueError(f"coordinate index {spec['index']!r} outside R^{space.dim}")
-            elif kind == "indicator":
-                space.point_key(spec["center"])
-    except (KeyError, TypeError, ValueError) as exc:
+            _check_witness_spec(path, space, spec)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"{path}: invalid scenario: {exc}")
-    return _check_schedule_and_t(path, {
-        "name": doc.get("name", Path(path).stem),
-        "hash": hashlib.sha256(raw).hexdigest()[:16],
-        "space": space, "g1": g1, "g2": g2, "mu0": mu0,
-        "t": t,
-        "schedule": schedule,
-        "order": order,
-        "metric": metric,
-        "witness_specs": witness_specs,
-        "dyadic": "dyadic" in sched_spec,
-    })
+    return Scenario(
+        path=str(path), name=doc.get("name", Path(path).stem),
+        hash=hashlib.sha256(raw).hexdigest()[:16],
+        space=space, g1=g1, g2=g2, mu0=mu0, t=t, schedule=schedule,
+        order=study.get("order", "g1_first"), metric=study.get("metric", "base"),
+        witness_specs=witness_specs)
 
 
-def _check_schedule_and_t(path, scn: dict) -> dict:
-    """The checks on the schedule and the time horizon t, which command-line
-    overrides may change: ScenarioError unless the schedule has at least 3
-    entries and t is finite and nonnegative."""
-    if len(scn["schedule"]) < 3:
-        raise ScenarioError(f"{path}: schedule needs at least 3 entries")
-    if not (math.isfinite(scn["t"]) and scn["t"] >= 0.0):
-        raise ScenarioError(f"{path}: time horizon t must be finite and nonnegative, "
-                            f"got {scn['t']!r}")
-    return scn
+WITNESS_KINDS = ("random", "coordinate", "indicator")
+
+
+def _check_witness_spec(path, space: StateSpace, spec: dict) -> None:
+    """What ``build_witnesses`` relies on: a known kind, an integer count >= 1,
+    indices and centers that are points of ``space`` (numpy would wrap a
+    negative index around, or broadcast a short center), a finite radius > 0."""
+    kind = spec["kind"]
+    if kind not in WITNESS_KINDS:
+        raise ScenarioError(f"{path}: unknown witness kind {kind!r}")
+    if kind == "random":
+        count = spec.get("count", 1)
+        if isinstance(count, (bool, str)) or int(count) != count or count < 1:
+            raise ValueError(f"witness count must be an integer >= 1, got {count!r}")
+    elif space.kind == "finite":
+        for i in [spec["index"]] if kind == "coordinate" else spec["subset"]:
+            space.point_key(i)
+    elif kind == "coordinate":
+        if not (int(spec["index"]) == spec["index"] and 0 <= spec["index"] < space.dim):
+            raise ValueError(f"coordinate index {spec['index']!r} outside R^{space.dim}")
+    else:
+        space.point_key(spec["center"])
+        radius = float(spec["radius"])
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ValueError(f"indicator radius must be finite and positive, "
+                             f"got {spec['radius']!r}")
 
 
 def build_witnesses(space: StateSpace, specs, rng):
@@ -148,44 +189,36 @@ def build_witnesses(space: StateSpace, specs, rng):
     out = []
     for spec in specs:
         kind = spec["kind"]
-        if space.kind == "finite":
-            if kind == "random":
-                for _ in range(int(spec.get("count", 1))):
+        if kind not in WITNESS_KINDS:
+            raise ScenarioError(f"unknown witness kind {kind!r}")
+        if kind == "random":
+            for _ in range(int(spec.get("count", 1))):
+                if space.kind == "finite":
                     out.append(_finite_witness(space, rng.uniform(-1.0, 1.0, space.size)))
-            elif kind == "coordinate":
-                v = np.zeros(space.size)
-                v[int(spec["index"])] = 1.0
-                out.append(_finite_witness(space, v))
-            elif kind == "indicator":
-                v = np.zeros(space.size)
-                v[list(map(int, spec["subset"]))] = 1.0
-                out.append(_finite_witness(space, v))
-            else:
-                raise ScenarioError(f"unknown witness kind {kind!r}")
+                    continue
+                w = rng.normal(size=space.dim)
+                w /= np.linalg.norm(w)
+                out.append(FunctionWitness(
+                    fn=lambda x, _w=w: 0.5 * np.tanh(float(_w @ x)),
+                    sup_bound=0.5, lip_bound=0.5, label="random_direction"))
+        elif space.kind == "finite":
+            v = np.zeros(space.size)
+            v[list(map(int, [spec["index"]] if kind == "coordinate" else spec["subset"]))] = 1.0
+            out.append(_finite_witness(space, v))
+        elif kind == "coordinate":
+            i = int(spec["index"])
+            # tanh keeps sup = lip = 1; scale to the unit BL ball
+            out.append(FunctionWitness(
+                fn=lambda x, _i=i: 0.5 * np.tanh(x[_i]),
+                sup_bound=0.5, lip_bound=0.5, label=f"coordinate_{i}"))
         else:
-            if kind == "coordinate":
-                i = int(spec["index"])
-                # tanh keeps sup = lip = 1; scale to the unit BL ball
-                out.append(FunctionWitness(
-                    fn=lambda x, _i=i: 0.5 * np.tanh(x[_i]),
-                    sup_bound=0.5, lip_bound=0.5, label=f"coordinate_{i}"))
-            elif kind == "indicator":
-                c = np.asarray(spec["center"], dtype=float)
-                r = float(spec["radius"])
-                out.append(FunctionWitness(
-                    fn=lambda x, _c=c, _r=r: (_r / (1.0 + _r)) * max(
-                        0.0, 1.0 - float(np.linalg.norm(x - _c)) / _r),
-                    sup_bound=r / (1.0 + r), lip_bound=1.0 / (1.0 + r),
-                    label="smoothed_indicator"))
-            elif kind == "random":
-                for _ in range(int(spec.get("count", 1))):
-                    w = rng.normal(size=space.dim)
-                    w /= np.linalg.norm(w)
-                    out.append(FunctionWitness(
-                        fn=lambda x, _w=w: 0.5 * np.tanh(float(_w @ x)),
-                        sup_bound=0.5, lip_bound=0.5, label="random_direction"))
-            else:
-                raise ScenarioError(f"unknown witness kind {kind!r}")
+            c = np.asarray(spec["center"], dtype=float)
+            r = float(spec["radius"])
+            out.append(FunctionWitness(
+                fn=lambda x, _c=c, _r=r: (_r / (1.0 + _r)) * max(
+                    0.0, 1.0 - float(np.linalg.norm(x - _c)) / _r),
+                sup_bound=r / (1.0 + r), lip_bound=1.0 / (1.0 + r),
+                label="smoothed_indicator"))
     return out
 
 
@@ -206,7 +239,7 @@ def _fmt(x) -> str:
 
 def _header(scn, seed) -> str:
     return "# " + json.dumps(
-        {"scenario": scn["name"], "scenarioHash": scn["hash"],
+        {"scenario": scn.name, "scenarioHash": scn.hash,
          "toolVersion": __version__, "seed": seed}, sort_keys=True) + "\n"
 
 
@@ -226,39 +259,36 @@ def _write_json(path: Path, payload: dict):
 
 
 def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
-    scn = load_scenario(scenario_path)
     overrides = overrides or {}
+    changes = {}
     if overrides.get("t") is not None:
-        scn["t"] = float(overrides["t"])
-    if overrides.get("dyadic") is not None:
-        scn["schedule"] = tuple(2 ** j for j in range(int(overrides["dyadic"]) + 1))
-        scn["dyadic"] = True
-    elif overrides.get("linear") is not None:
-        scn["schedule"] = tuple(range(1, int(overrides["linear"]) + 1))
-        scn["dyadic"] = False
+        changes["t"] = float(overrides["t"])
+    kind = next((k for k in ("dyadic", "linear") if overrides.get(k) is not None), None)
+    if kind is not None:
+        changes["schedule"] = _schedule(kind, overrides[kind])
     if overrides.get("order") is not None:
-        scn["order"] = {"12": "g1_first", "21": "g2_first"}[overrides["order"]]
+        changes["order"] = {"12": "g1_first", "21": "g2_first"}[overrides["order"]]
     if overrides.get("metric") is not None:
-        scn["metric"] = overrides["metric"]
-    _check_schedule_and_t(scenario_path, scn)
+        changes["metric"] = overrides["metric"]
+    scn = load_scenario(scenario_path).with_overrides(**changes)
 
     rng = np.random.default_rng(seed)
-    space, g1, g2, mu0, t = scn["space"], scn["g1"], scn["g2"], scn["mu0"], scn["t"]
-    witnesses = build_witnesses(space, scn["witness_specs"], rng)
+    space, g1, g2, mu0, t = scn.space, scn.g1, scn.g2, scn.mu0, scn.t
+    witnesses = build_witnesses(space, scn.witness_specs, rng)
     metric = space
-    if scn["metric"] == "envelope":
+    if scn.metric == "envelope":
         metric = build_envelope_metric(space, witnesses)
 
-    study = SplittingStudy(g1=g1, g2=g2, mu0=mu0, t=t, schedule=scn["schedule"],
-                           order=scn["order"], metric=metric)
+    study = SplittingStudy(g1=g1, g2=g2, mu0=mu0, t=t, schedule=scn.schedule,
+                           order=scn.order, metric=metric)
     _, report = estimate_limit(study)
 
-    max_n = scn["schedule"][-1]
+    max_n = scn.schedule[-1]
     depth = max(12, int(np.ceil(np.log2(max_n))) + 2)
     t_grid = [t / 2 ** j for j in range(depth + 1)]
     omega = commutator_modulus(g1, g2, mu0, t_grid, metric)
 
-    family = sample_scheme_family(g1, g2, t / max_n, 5, rng, scn["order"])
+    family = sample_scheme_family(g1, g2, t / max_n, 5, rng, scn.order)
     c_hat, c_flags = extended_commutator_constant(g1, g2, mu0, omega, family, metric)
 
     violations = []
@@ -266,7 +296,7 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
     pairs = [(n, k) for n in (1, 2, 4, 8) for k in (2, 3, 4)]
     for wi, f in enumerate(witnesses):
         checks = refinement_bound_check(g1, g2, mu0, f, t, pairs, c_hat, omega,
-                                        scn["order"])
+                                        scn.order)
         for (n, k), (lhs, rhs) in zip(pairs, checks):
             bound_rows.append((wi, n, k, lhs, rhs))
             if lhs > rhs + 1e-12:
@@ -274,7 +304,7 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
                                    "n": n, "k": k, "lhs": lhs, "rhs": rhs})
 
     cauchy_rows = []
-    if scn["dyadic"]:
+    if scn.dyadic:
         for wi, f in enumerate(witnesses):
             rs = dyadic_sequence(study, f)
             for i, j, lhs, rhs in dyadic_cauchy_bounds(rs, t, c_hat, omega):
@@ -307,14 +337,14 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
                + [("dyadic_cauchy", wi, i, j, lhs, rhs)
                   for wi, i, j, lhs, rhs in cauchy_rows])
     _write_json(out / "summary.json", {
-        "scenario": scn["name"], "scenarioHash": scn["hash"],
+        "scenario": scn.name, "scenarioHash": scn.hash,
         "toolVersion": __version__, "seed": seed,
         "fittedRate": report.fitted_rate, "rateSaturated": report.rate_saturated,
         "referenceKind": report.reference_kind,
         "diniIntegral": omega.dini_integral, "C_hat": c_hat,
         "C_hat_flags": c_flags, "swapDistance": swap,
         "familySampleSize": len(family), "witnessCount": len(witnesses),
-        "metric": scn["metric"], "order": scn["order"],
+        "metric": scn.metric, "order": scn.order,
         "violations": violations,
     })
     return 2 if violations else 0
@@ -328,6 +358,7 @@ def run_identities(seed, trials, max_states, out_path) -> int:
         "results": [r.to_json_dict() for r in results],
         "failures": failures,
     }
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     _write_json(Path(out_path), payload)
     return 2 if failures else 0
 
@@ -335,7 +366,7 @@ def run_identities(seed, trials, max_states, out_path) -> int:
 def run_diagnostics(scenario_path, probe, out_dir, seed) -> int:
     scn = load_scenario(scenario_path)
     rng = np.random.default_rng(seed)
-    space, g1, g2, mu0, t = scn["space"], scn["g1"], scn["g2"], scn["mu0"], scn["t"]
+    space, g1, g2, mu0, t = scn.space, scn.g1, scn.g2, scn.mu0, scn.t
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = _header(scn, seed)
@@ -345,7 +376,7 @@ def run_diagnostics(scenario_path, probe, out_dir, seed) -> int:
         sizes = [10.0 ** -e for e in range(1, 5)]
         perts = [perturb_measure(mu0, s, rng) for s in sizes]
         dins = bl_distances([(mu0, p) for p in perts], space)
-        family = sample_scheme_family(g1, g2, t / 8.0, 5, rng, scn["order"])
+        family = sample_scheme_family(g1, g2, t / 8.0, 5, rng, scn.order)
         ops = [at_time(g1, t / 8.0), at_time(g2, t / 8.0)]
         eprobe = EquicontinuityProbe(mu0, tuple(perts), tuple(dins),
                                      tuple(ops) + tuple(family))
@@ -361,14 +392,14 @@ def run_diagnostics(scenario_path, probe, out_dir, seed) -> int:
                    ["operator", "radius", "massOutside"], rows)
     elif probe == "semigroup":
         dp, da, sc = limit_semigroup_check(g1, g2, mu0, t / 2.0, t / 2.0, 1024,
-                                           scn["order"])
+                                           scn.order)
         _write_csv(out / "semigroup.csv", header, ["parameter", "value"],
                    [("distPower", dp), ("distAdditive", da),
                     ("selfConvergence", sc)])
     elif probe == "feller":
         rows = feller_continuity_check(g1, g2, t, mu0,
                                        [10.0 ** -e for e in range(1, 5)], 256, rng,
-                                       scn["order"])
+                                       scn.order)
         _write_csv(out / "feller.csv", header,
                    ["inputDistance", "outputDistance"], rows)
     elif probe == "stochastic":
@@ -458,12 +489,12 @@ def norm(scenario, measure_a, measure_b):
     measures = []
     for path in (measure_a, measure_b):
         try:
-            measures.append(measure_from_json(scn["space"], Path(path).read_text()))
+            measures.append(measure_from_json(scn.space, Path(path).read_text()))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             click.echo(f"{path}: {reason}", err=True)
             sys.exit(1)
-    click.echo(_fmt(bl_distance(*measures, scn["space"])))
+    click.echo(_fmt(bl_distance(*measures, scn.space)))
     sys.exit(0)
 
 

@@ -8,9 +8,6 @@ underlying universally quantified assumptions.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,49 +140,37 @@ def stochastic_continuity_check(g: SemigroupSpec, mu: PositiveMeasure, h_grid):
                                          mu.space)))
 
 
-def perturb_measure(mu: PositiveMeasure, target_distance: float, rng,
-                    kind: str = "weights") -> PositiveMeasure:
+def perturb_measure(mu: PositiveMeasure, target_distance: float, rng) -> PositiveMeasure:
     """Perturbation at a requested BL distance from ``mu``.
 
-    "weights" rescales atom weights by a random positive factor (any space);
-    "locations" shifts atoms by a Gaussian displacement (Euclidean only).
-    The jitter amplitude comes from the bracket-and-bisect search of
-    ``_amplitude_search``, so the sample sits within 1% of the target.
+    Each atom weight is rescaled by a random positive factor ``1 + amp *
+    direction``, clipped below at 0.05, on any space.  The amplitude comes
+    from the bracket-and-bisect search of ``_amplitude_search``, so the
+    sample sits within 1% of the target.
 
-    The search runs predict-and-verify.  For "weights", ``candidate(amp) -
-    mu`` is ``amp`` times one fixed signed measure while no factor is
-    clipped (every ``amp < 0.95``, as ``|direction| <= 1``), so by
-    homogeneity of the norm one solved distance predicts the whole path.
-    The first round solves amplitudes 1 and 1/2 (the first midpoint when 1
-    brackets).  Each later round replays the search on the solved
-    distances, predicts each unsolved amplitude linearly from the last
-    solved one on the path, and solves every predicted amplitude in one
-    ``bl_distances`` call.  A replay that meets no unsolved amplitude has
-    taken every decision on a solved distance, so the result is the
-    sequential search's.  A wrong prediction (clipping, "locations", any
-    nonlinearity) costs one more round, and every round solves at least one
-    more step of the true path, so there are never more rounds than the
-    sequential search has steps.  When 1 brackets and the prediction
-    holds, there are at most two.
+    The search runs predict-and-verify.  ``candidate(amp) - mu`` is ``amp``
+    times one fixed signed measure while no factor is clipped (every ``amp
+    < 0.95``, as ``|direction| <= 1``), so by homogeneity of the norm one
+    solved distance predicts the whole path.  The first round solves
+    amplitudes 1 and 1/2 (the first midpoint when 1 brackets).  Each later
+    round replays the search on the solved distances, predicts each
+    unsolved amplitude linearly from the last solved one on the path, and
+    solves every predicted amplitude in one ``bl_distances`` call.  A
+    replay that meets no unsolved amplitude has taken every decision on a
+    solved distance, so the result is the sequential search's.  A wrong
+    prediction (clipping) costs one more round, and every round solves at
+    least one more step of the true path, so there are never more rounds
+    than the sequential search has steps.  When 1 brackets and the
+    prediction holds, there are at most two.
     """
     if target_distance <= 0.0:
         raise ValueError("target distance must be positive")
     space = mu.space
-    if kind == "locations" and space.kind != "euclidean":
-        raise ValueError("location jitter needs a Euclidean space")
-    if kind == "weights":
-        direction = rng.uniform(-1.0, 1.0, size=len(mu.points))
-    else:
-        direction = rng.normal(size=(len(mu.points), space.dim))
+    direction = rng.uniform(-1.0, 1.0, size=len(mu.points))
 
     def candidate(amp):
-        if kind == "weights":
-            w = mu.weights * np.clip(1.0 + amp * direction, 0.05, None)
-            return PositiveMeasure.from_atoms(
-                space, list(zip(mu.points, w.tolist())))
-        atoms = [(np.asarray(p, dtype=float) + amp * d, w)
-                 for p, d, w in zip(mu.points, direction, mu.weights)]
-        return PositiveMeasure.from_atoms(space, atoms)
+        w = mu.weights * np.clip(1.0 + amp * direction, 0.05, None)
+        return PositiveMeasure.from_atoms(space, list(zip(mu.points, w.tolist())))
 
     solved, unsolved = {}, [1.0, 0.5]
     while unsolved:
@@ -232,14 +217,3 @@ def _amplitude_search(distance, target):
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def table_to_csv(rows, columns, header: dict) -> str:
-    """CSV with a JSON header comment line describing the probe configuration."""
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, (int, float, np.floating))
-                         else v for v in row])
-    return buf.getvalue()

@@ -228,8 +228,7 @@ class PositiveMeasure:
         return PositiveMeasure(space=space, points=tuple(idx.tolist()), weights=w)
 
     def to_json_dict(self) -> dict:
-        return {"atoms": [{"point": _point_json(self.space, p), "weight": w}
-                          for p, w in zip(self.points, self.weights.tolist())]}
+        return self.as_signed().to_json_dict()
 
 
 @dataclass(frozen=True)
@@ -281,17 +280,6 @@ def _build_signed(space, points, weights) -> SignedMeasure:
     )
 
 
-def tv_norm(mu: SignedMeasure) -> float:
-    """Total variation norm: total mass of the positive plus negative part."""
-    return mu.tv
-
-
-def normalize_atoms(mu: SignedMeasure) -> SignedMeasure:
-    """Re-merge coincident atoms, cancel opposite signs, prune tiny weights."""
-    pts, wts = mu.support()
-    return _build_signed(mu.space, pts, wts)
-
-
 def linear_combine(coeffs, measures) -> SignedMeasure:
     """Atomwise weighted sum of signed (or positive) measures."""
     if len(coeffs) != len(measures):
@@ -315,8 +303,7 @@ def linear_combine(coeffs, measures) -> SignedMeasure:
 
 def measure_to_json(mu, *, indent=None) -> str:
     """Serialize with >= 15 significant digits on weights (repr round-trips)."""
-    d = mu.to_json_dict()
-    return json.dumps(d, indent=indent)
+    return json.dumps(mu.to_json_dict(), indent=indent)
 
 
 def measure_from_json(space: StateSpace, text: str) -> SignedMeasure:

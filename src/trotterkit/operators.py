@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .bl_metric import LipschitzWitness, lipschitz_constant, pairwise_distances
+from .bl_metric import LipschitzWitness
 from .measures import (
     PRUNE_REL_TOL,
     PositiveMeasure,
@@ -304,33 +304,6 @@ def pairing(mu, f: LipschitzWitness) -> float:
     return f.pair(mu)
 
 
-def dual_apply(P: MarkovOperatorSpec, f: LipschitzWitness) -> LipschitzWitness:
-    """Dual action (Uf)(x) = <P delta_x, f> with re-certified bounds.
-
-    On finite spaces the Lipschitz bound is re-certified by an exhaustive
-    pairwise scan; on Euclidean spaces it is set to the conservative
-    ``2 * supBound / min pairwise distance`` over the witness points.
-    """
-    if P.space.kind == "finite":
-        points = tuple(range(P.space.size))
-    else:
-        points = f.points
-    values = []
-    for x in points:
-        px = apply(P, PositiveMeasure.dirac(P.space, x))
-        values.append(pairing(px, f))
-    values = np.asarray(values)
-    sup_bound = f.sup_bound
-    dist = pairwise_distances(P.space, points)
-    if P.space.kind == "finite":
-        lip_bound = lipschitz_constant(values, dist)
-    else:
-        dmin = dist[np.triu_indices(len(points), 1)].min(initial=math.inf)
-        lip_bound = 2.0 * sup_bound / dmin if math.isfinite(dmin) and dmin > 0 else f.lip_bound
-    return LipschitzWitness(points=points, values=values,
-                            sup_bound=sup_bound, lip_bound=lip_bound)
-
-
 _NAMED_FLOWS = {
     "translation": lambda params: (lambda t, x: x + t * np.asarray(params.get("velocity", [1.0]))),
     "contraction": lambda params: (lambda t, x: math.exp(-params.get("rate", 1.0) * t) * x),
@@ -354,8 +327,7 @@ class SemigroupSpec:
     kind "matrix_exponential": generator ``Q`` with zero column sums and
     nonnegative off-diagonals; P_t = e^{tQ}.  kind "linear_flow_lift":
     matrix ``A``, P_t pushes atoms forward by e^{tA}.  kind "map_flow":
-    named closed-form flow with parameters.  ``aux_norm_weight`` optionally
-    realizes the per-point weight of the auxiliary seminorm for lifts.
+    named closed-form flow with parameters.
 
     ``Q`` and ``A`` are stored as read-only copies, because each instance
     memoizes results computed from them: ``at_time`` operators per t, and
@@ -369,7 +341,6 @@ class SemigroupSpec:
     flow: object = None
     flow_name: str = ""
     flow_params: dict = field(default_factory=dict)
-    aux_norm_weight: object = None
     _operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _iterates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -408,14 +379,13 @@ class SemigroupSpec:
         return SemigroupSpec(kind="matrix_exponential", space=space, Q=Q)
 
     @staticmethod
-    def linear_flow_lift(space: StateSpace, A, aux_norm_weight=None) -> "SemigroupSpec":
-        return SemigroupSpec(kind="linear_flow_lift", space=space, A=A,
-                             aux_norm_weight=aux_norm_weight)
+    def linear_flow_lift(space: StateSpace, A) -> "SemigroupSpec":
+        return SemigroupSpec(kind="linear_flow_lift", space=space, A=A)
 
     @staticmethod
-    def map_flow(space: StateSpace, name: str, params=None, aux_norm_weight=None) -> "SemigroupSpec":
+    def map_flow(space: StateSpace, name: str, params=None) -> "SemigroupSpec":
         return SemigroupSpec(kind="map_flow", space=space, flow_name=name,
-                             flow_params=dict(params or {}), aux_norm_weight=aux_norm_weight)
+                             flow_params=dict(params or {}))
 
 
 def _read_only(a) -> np.ndarray:
@@ -464,31 +434,19 @@ def _operator_at(G: SemigroupSpec, t: float) -> MarkovOperatorSpec:
         point_map=lambda x, _t=t: flow(_t, np.asarray(x, dtype=float)))
 
 
-def m0_seminorm(G: SemigroupSpec, mu: PositiveMeasure) -> float:
-    """Weighted total mass: sum of atom weights times the per-point weight."""
-    if G.aux_norm_weight is None:
-        raise ValueError("semigroup has no auxiliary norm weight")
-    return float(sum(w * float(G.aux_norm_weight(np.asarray(p, dtype=float)))
-                     for p, w in zip(mu.points, mu.weights)))
-
-
-AUX_NORM_WEIGHTS = {
-    "one": lambda x: 1.0,
-    "euclidean_norm": lambda x: float(np.linalg.norm(x)),
-}
-
-
 def semigroup_from_json(space: StateSpace, spec: dict) -> SemigroupSpec:
-    """Build a SemigroupSpec from its JSON wire form."""
+    """Build a SemigroupSpec from its JSON wire form.
+
+    ``auxiliaryNormWeight`` is accepted and checked, but nothing reads it.
+    """
     kind = spec["kind"]
     aux = spec.get("auxiliaryNormWeight")
-    aux_fn = AUX_NORM_WEIGHTS[aux] if aux else None
+    if aux and aux not in ("one", "euclidean_norm"):
+        raise ValueError(f"unknown auxiliaryNormWeight {aux!r}")
     if kind == "matrix_exponential":
         return SemigroupSpec.matrix_exponential(space, np.asarray(spec["Q"], dtype=float))
     if kind == "linear_flow_lift":
-        return SemigroupSpec.linear_flow_lift(space, np.asarray(spec["A"], dtype=float),
-                                              aux_norm_weight=aux_fn)
+        return SemigroupSpec.linear_flow_lift(space, np.asarray(spec["A"], dtype=float))
     if kind == "map_flow":
-        return SemigroupSpec.map_flow(space, spec["map"], spec.get("params"),
-                                      aux_norm_weight=aux_fn)
+        return SemigroupSpec.map_flow(space, spec["map"], spec.get("params"))
     raise ValueError(f"unknown semigroup kind {kind!r}")

@@ -10,7 +10,7 @@ log-integrability of the modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +79,6 @@ class ConvergenceReport:
     fitted_rate: float | None
     rate_saturated: bool
     reference_kind: str
-    bound_comparisons: list = field(default_factory=list)
-    cauchy_diffs: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
 
 
 def _block(g1, g2, h, order):

@@ -67,11 +67,11 @@ def three_state():
 @pytest.fixture(scope="module")
 def modulus_and_constant(three_state):
     scn = three_state
-    grid = [scn["t"] / 2 ** j for j in range(14)]
-    omega = commutator_modulus(scn["g1"], scn["g2"], scn["mu0"], grid)
+    grid = [scn.t / 2 ** j for j in range(14)]
+    omega = commutator_modulus(scn.g1, scn.g2, scn.mu0, grid)
     rng = np.random.default_rng(42)
-    family = sample_scheme_family(scn["g1"], scn["g2"], scn["t"] / 32, 5, rng)
-    c_hat, flags = extended_commutator_constant(scn["g1"], scn["g2"], scn["mu0"],
+    family = sample_scheme_family(scn.g1, scn.g2, scn.t / 32, 5, rng)
+    c_hat, flags = extended_commutator_constant(scn.g1, scn.g2, scn.mu0,
                                                 omega, family)
     assert flags == []
     return omega, c_hat
@@ -168,12 +168,12 @@ def test_criterion_5_refinement_bound(three_state, modulus_and_constant):
     scn = three_state
     omega, c_hat = modulus_and_constant
     rng = np.random.default_rng(5)
-    witnesses = build_witnesses(scn["space"], scn["witness_specs"], rng)
+    witnesses = build_witnesses(scn.space, scn.witness_specs, rng)
     pairs = [(n, k) for n in (1, 2, 4, 8) for k in (2, 3, 4)]
     worst_margin, violations = np.inf, 0
     for f in witnesses:
-        for lhs, rhs in refinement_bound_check(scn["g1"], scn["g2"], scn["mu0"],
-                                               f, scn["t"], pairs, c_hat, omega):
+        for lhs, rhs in refinement_bound_check(scn.g1, scn.g2, scn.mu0,
+                                               f, scn.t, pairs, c_hat, omega):
             worst_margin = min(worst_margin, rhs - lhs)
             violations += lhs > rhs
     elapsed = time.time() - start
@@ -187,13 +187,13 @@ def test_criterion_6_dyadic_cauchy_domination(three_state, modulus_and_constant)
     scn = three_state
     omega, c_hat = modulus_and_constant
     rng = np.random.default_rng(6)
-    witnesses = build_witnesses(scn["space"], scn["witness_specs"], rng)[:5]
-    study = SplittingStudy(g1=scn["g1"], g2=scn["g2"], mu0=scn["mu0"], t=scn["t"],
+    witnesses = build_witnesses(scn.space, scn.witness_specs, rng)[:5]
+    study = SplittingStudy(g1=scn.g1, g2=scn.g2, mu0=scn.mu0, t=scn.t,
                            schedule=tuple(2 ** j for j in range(11)))
     worst_margin, violations, cases = np.inf, 0, 0
     for f in witnesses:
         rs = dyadic_sequence(study, f)
-        for _, _, lhs, rhs in dyadic_cauchy_bounds(rs, scn["t"], c_hat, omega):
+        for _, _, lhs, rhs in dyadic_cauchy_bounds(rs, scn.t, c_hat, omega):
             worst_margin = min(worst_margin, rhs - lhs)
             violations += lhs > rhs
             cases += 1
@@ -216,9 +216,9 @@ def test_criterion_7_dini_machinery():
     synth_err = abs(tail - analytic)
 
     scn = _scenario("linear_flow")
-    grid = [scn["t"] / 2 ** j for j in range(14)]
-    omega = commutator_modulus(scn["g1"], scn["g2"], scn["mu0"], grid)
-    integral, tail_m, _ = dini_integral(omega, a, scn["t"])
+    grid = [scn.t / 2 ** j for j in range(14)]
+    omega = commutator_modulus(scn.g1, scn.g2, scn.mu0, grid)
+    integral, tail_m, _ = dini_integral(omega, a, scn.t)
     dominated = tail_m <= integral / (1.0 - a) + 1e-12
     elapsed = time.time() - start
     _report(7, "dini tail machinery", synth_err <= 1e-9 and dominated
@@ -231,16 +231,16 @@ def test_criterion_8_order_symmetry(three_state):
     start = time.time()
     scn = three_state
     n = 2 ** 10
-    study = SplittingStudy(g1=scn["g1"], g2=scn["g2"], mu0=scn["mu0"], t=scn["t"],
+    study = SplittingStudy(g1=scn.g1, g2=scn.g2, mu0=scn.mu0, t=scn.t,
                            schedule=(n,))
     swap = swap_order_limit_distance(study)
     self_conv = bl_distance(
-        trotter_iterate(scn["g1"], scn["g2"], scn["t"], n, scn["mu0"]),
-        trotter_iterate(scn["g1"], scn["g2"], scn["t"], n // 2, scn["mu0"]),
-        scn["space"])
+        trotter_iterate(scn.g1, scn.g2, scn.t, n, scn.mu0),
+        trotter_iterate(scn.g1, scn.g2, scn.t, n // 2, scn.mu0),
+        scn.space)
     comm = _scenario("commuting")
-    study_c = SplittingStudy(g1=comm["g1"], g2=comm["g2"], mu0=comm["mu0"],
-                             t=comm["t"], schedule=(n,))
+    study_c = SplittingStudy(g1=comm.g1, g2=comm.g2, mu0=comm.mu0,
+                             t=comm.t, schedule=(n,))
     swap_c = swap_order_limit_distance(study_c)
     elapsed = time.time() - start
     _report(8, "factor order symmetry",
@@ -252,11 +252,11 @@ def test_criterion_8_order_symmetry(three_state):
 def test_criterion_9_limit_semigroup_law(three_state):
     start = time.time()
     scn = three_state
-    dp, da, sc = limit_semigroup_check(scn["g1"], scn["g2"], scn["mu0"],
-                                       scn["t"] / 2, scn["t"] / 2, 2 ** 10)
+    dp, da, sc = limit_semigroup_check(scn.g1, scn.g2, scn.mu0,
+                                       scn.t / 2, scn.t / 2, 2 ** 10)
     comm = _scenario("commuting")
-    dp_c, da_c, _ = limit_semigroup_check(comm["g1"], comm["g2"], comm["mu0"],
-                                          comm["t"] / 2, comm["t"] / 2, 2 ** 10)
+    dp_c, da_c, _ = limit_semigroup_check(comm.g1, comm.g2, comm.mu0,
+                                          comm.t / 2, comm.t / 2, 2 ** 10)
     elapsed = time.time() - start
     _report(9, "limit semigroup law",
             dp <= 5.0 * sc and da <= 5.0 * sc and dp_c <= 1e-9 and da_c <= 1e-9

@@ -27,8 +27,8 @@ class TestScenarioLoading:
     def test_loads_bundled_scenarios(self):
         for name in ("three_state", "commuting", "translation", "linear_flow"):
             scn = load_scenario(scenario_path(name))
-            assert scn["name"] == name
-            assert scn["schedule"]
+            assert scn.name == name
+            assert scn.schedule
 
     def test_rejects_bad_schema_version(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -68,6 +68,24 @@ class TestScenarioLoading:
          "not a point of R\\^2"),
         ("linear_flow", lambda d: d["witnesses"][2].update(center=[0.5]), "not a point of R\\^2"),
         ("translation", lambda d: d["g1"].update(map="rotation"), "rotation flow"),
+        ("linear_flow", lambda d: d["g1"].update(auxiliaryNormWeight="bogus"),
+         "unknown auxiliaryNormWeight 'bogus'"),
+        ("three_state", lambda d: d["g2"].update(auxiliaryNormWeight="bogus"),
+         "unknown auxiliaryNormWeight 'bogus'"),
+        ("three_state", lambda d: d["witnesses"].append({"kind": "bogus"}),
+         "unknown witness kind 'bogus'"),
+        ("linear_flow", lambda d: d["witnesses"].append({"kind": "bogus"}),
+         "unknown witness kind 'bogus'"),
+        ("three_state", lambda d: d["witnesses"].append({"kind": "random", "count": "x"}),
+         "witness count must be an integer >= 1, got 'x'"),
+        ("three_state", lambda d: d["witnesses"].append({"kind": "random", "count": -3}),
+         "witness count must be an integer >= 1, got -3"),
+        ("linear_flow", lambda d: d["witnesses"].append({"kind": "random", "count": 0}),
+         "witness count must be an integer >= 1, got 0"),
+        ("linear_flow", lambda d: d["witnesses"][2].update(radius=0),
+         "indicator radius must be finite and positive, got 0"),
+        ("linear_flow", lambda d: d["witnesses"][2].update(radius=-1),
+         "indicator radius must be finite and positive, got -1"),
     ])
     def test_rejects_invalid_fields_with_one_message(self, tmp_path, name, edit, message):
         doc = json.loads(Path(scenario_path(name)).read_text())
@@ -99,12 +117,39 @@ class TestScenarioLoading:
         assert re.search(message, lines[0])
         assert not (tmp_path / "out").exists()
 
+    def test_accepts_auxiliary_norm_weight(self, tmp_path):
+        # the bundled lifts set "euclidean_norm" and "one"; a rate matrix may too
+        doc = json.loads(Path(scenario_path("three_state")).read_text())
+        doc["g1"]["auxiliaryNormWeight"] = "one"
+        path = tmp_path / "aux.json"
+        path.write_text(json.dumps(doc))
+        assert load_scenario(str(path)).g1.kind == "matrix_exponential"
+
+    def test_with_overrides_checks_again_and_keeps_the_original(self):
+        scn = load_scenario(scenario_path("three_state"))
+        fields = (scn.t, scn.schedule, scn.order, scn.metric)
+        assert scn.dyadic and scn.schedule == tuple(2 ** j for j in range(11))
+        for changes, message in [
+            ({"schedule": (1, 2)}, "schedule needs at least 3 entries"),
+            ({"t": -1.0}, "t must be finite and nonnegative, got -1.0"),
+            ({"t": float("inf")}, "t must be finite and nonnegative, got inf"),
+            ({"order": "21"}, "unknown order '21'"),
+            ({"metric": "bogus"}, "unknown metric 'bogus'"),
+        ]:
+            with pytest.raises(ScenarioError, match=message) as info:
+                scn.with_overrides(**changes)
+            assert str(info.value).startswith(f"{scenario_path('three_state')}: ")
+        assert (scn.t, scn.schedule, scn.order, scn.metric) == fields
+        linear = scn.with_overrides(schedule=(1, 2, 3, 4), t=0.5)
+        assert (linear.dyadic, linear.t, scn.dyadic, scn.t) == (False, 0.5, True, 1.0)
+        assert linear.with_overrides(schedule=(1, 2, 4)).dyadic
+
     def test_witnesses_lie_in_unit_ball(self):
         scn = load_scenario(scenario_path("three_state"))
         rng = np.random.default_rng(0)
-        for w in build_witnesses(scn["space"], scn["witness_specs"], rng):
+        for w in build_witnesses(scn.space, scn.witness_specs, rng):
             assert w.sup_bound + w.lip_bound <= 1.0 + 1e-12
-            assert w.check_feasible(scn["space"])
+            assert w.check_feasible(scn.space)
 
 
 class TestStudy:
@@ -180,6 +225,13 @@ class TestIdentitiesCommand:
         payload = json.loads(out.read_text())
         assert payload["failures"] == []
         assert all(r["passed"] for r in payload["results"])
+
+    def test_out_in_a_missing_directory(self, tmp_path):
+        out = tmp_path / "missing" / "dir" / "x.json"
+        result = CliRunner().invoke(main, ["identities", "--trials", "1", "--max-states", "3",
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["trials"] == 1
 
     def test_cli_rejects_zero_trials(self, tmp_path):
         runner = CliRunner()

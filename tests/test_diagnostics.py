@@ -11,7 +11,6 @@ from trotterkit.diagnostics import (
     limit_semigroup_check,
     perturb_measure,
     stochastic_continuity_check,
-    table_to_csv,
     tightness_probe,
 )
 from trotterkit.measures import PositiveMeasure, StateSpace
@@ -179,20 +178,7 @@ class TestPerturbations:
         for target in (0.3, 1e-3):
             perturb_measure(mu0, target, rng)
             twin.uniform(-1.0, 1.0, size=len(mu0.points))
-        s = StateSpace.euclidean(2)
-        mu = PositiveMeasure.from_atoms(s, [([0.0, 0.0], 0.5), ([1.0, 1.0], 0.5)])
-        perturb_measure(mu, 0.05, rng, kind="locations")
-        twin.normal(size=(2, 2))
         assert rng.bit_generator.state == twin.bit_generator.state
-
-    def test_location_jitter_euclidean_only(self, path3, mu0):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            perturb_measure(mu0, 0.1, rng, kind="locations")
-        s = StateSpace.euclidean(2)
-        mu = PositiveMeasure.from_atoms(s, [([0.0, 0.0], 0.5), ([1.0, 1.0], 0.5)])
-        nu = perturb_measure(mu, 0.05, rng, kind="locations")
-        assert bl_distance(mu, nu, s) == pytest.approx(0.05, rel=0.011)
 
 
 class _FixedDirection:
@@ -204,25 +190,15 @@ class _FixedDirection:
     def uniform(self, low, high, size):
         return self.direction.reshape(size).copy()
 
-    def normal(self, size):
-        return self.direction.reshape(size).copy()
 
-
-def _sequential_perturbation(mu, target_distance, rng, kind="weights"):
+def _sequential_perturbation(mu, target_distance, rng):
     """The bracket-and-bisect search with one ``bl_distance`` solve per step."""
     space = mu.space
-    if kind == "weights":
-        direction = rng.uniform(-1.0, 1.0, size=len(mu.points))
-    else:
-        direction = rng.normal(size=(len(mu.points), space.dim))
+    direction = rng.uniform(-1.0, 1.0, size=len(mu.points))
 
     def candidate(amp):
-        if kind == "weights":
-            w = mu.weights * np.clip(1.0 + amp * direction, 0.05, None)
-            return PositiveMeasure.from_atoms(space, list(zip(mu.points, w.tolist())))
-        atoms = [(np.asarray(p, dtype=float) + amp * d, w)
-                 for p, d, w in zip(mu.points, direction, mu.weights)]
-        return PositiveMeasure.from_atoms(space, atoms)
+        w = mu.weights * np.clip(1.0 + amp * direction, 0.05, None)
+        return PositiveMeasure.from_atoms(space, list(zip(mu.points, w.tolist())))
 
     lo, hi = 0.0, 1.0
     for _ in range(60):
@@ -245,31 +221,27 @@ def _sequential_perturbation(mu, target_distance, rng, kind="weights"):
 
 @st.composite
 def perturbation_cases(draw):
-    """(mu, target, direction, kind) on finite and Euclidean spaces.  Weight
-    directions may hold entries in [-1, -0.95], which clip at amplitude 1,
-    and targets up to 10**0.4 need brackets beyond amplitude 1."""
+    """(mu, target, direction) on finite and Euclidean spaces.  Directions
+    may hold entries in [-1, -0.95], which clip at amplitude 1, and targets
+    up to 10**0.4 need brackets beyond amplitude 1."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     k = draw(st.integers(2, 8))
     if draw(st.booleans()):
         pts = rng.normal(size=(k, 3))
         space = StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
-        points, kind = list(range(k)), "weights"
+        points = list(range(k))
     else:
         space = StateSpace.euclidean(draw(st.integers(1, 2)))
         points = rng.normal(size=(k, space.dim)).tolist()
-        kind = draw(st.sampled_from(["weights", "locations"]))
     mu = PositiveMeasure.from_atoms(space, list(zip(points, rng.uniform(0.1, 1.0, k).tolist())))
-    if kind == "weights":
-        entry = st.one_of(st.floats(-1.0, 1.0), st.floats(-1.0, -0.95))
-        direction = draw(st.lists(entry, min_size=k, max_size=k))
-    else:
-        direction = rng.normal(size=(k, space.dim))
-    return mu, 10.0 ** draw(st.floats(-4.0, 0.4)), direction, kind
+    entry = st.one_of(st.floats(-1.0, 1.0), st.floats(-1.0, -0.95))
+    direction = draw(st.lists(entry, min_size=k, max_size=k))
+    return mu, 10.0 ** draw(st.floats(-4.0, 0.4)), direction
 
 
-def _outcome(perturb, mu, target, direction, kind):
+def _outcome(perturb, mu, target, direction):
     try:
-        nu = perturb(mu, target, _FixedDirection(direction), kind)
+        nu = perturb(mu, target, _FixedDirection(direction))
     except RuntimeError as exc:
         return str(exc)
     return [mu.space.point_key(p) for p in nu.points], nu.weights.tobytes()
@@ -291,17 +263,10 @@ class TestPredictAndVerify:
         # 0.39, 0.49, 0.69 at 1, 2, 4), so linear predictions miss
         s = StateSpace.euclidean(1)
         mu = PositiveMeasure.from_atoms(s, [([0.0], 0.5), ([1.0], 0.3), ([3.0], 0.2)])
-        case = (mu, 0.6, [-0.99, 0.3, 1.0], "weights")
+        case = (mu, 0.6, [-0.99, 0.3, 1.0])
         expected = _outcome(_sequential_perturbation, *case)
         steps = len(lp_calls)
         del lp_calls[:]
         assert _outcome(perturb_measure, *case) == expected
         assert (steps, len(lp_calls)) == (8, 4)
 
-
-def test_table_to_csv_header_and_endings():
-    text = table_to_csv([(0.1, 0.2)], ["a", "b"], {"probe": "demo"})
-    lines = text.split("\n")
-    assert lines[0].startswith("# {")
-    assert "\r" not in text
-    assert lines[1] == "a,b"

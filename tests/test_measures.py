@@ -10,8 +10,6 @@ from trotterkit.measures import (
     linear_combine,
     measure_from_json,
     measure_to_json,
-    normalize_atoms,
-    tv_norm,
 )
 
 
@@ -144,7 +142,7 @@ class TestSignedMeasure:
         mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (1, -0.4)])
         assert mu.pos.tv == pytest.approx(1.0)
         assert mu.neg.tv == pytest.approx(0.4)
-        assert tv_norm(mu) == pytest.approx(1.4)
+        assert mu.tv == pytest.approx(1.4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_weight(self, path3, bad):
@@ -156,13 +154,13 @@ class TestSignedMeasure:
 
     def test_opposite_signs_cancel(self, path3):
         mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (0, -1.0)])
-        assert tv_norm(mu) == 0.0
+        assert mu.tv == 0.0
 
     def test_linear_combine(self, path3):
         a = PositiveMeasure.dirac(path3, 0)
         b = PositiveMeasure.dirac(path3, 1)
         diff = linear_combine([1.0, -1.0], [a, b])
-        assert tv_norm(diff) == pytest.approx(2.0)
+        assert diff.tv == pytest.approx(2.0)
 
     def test_linear_combine_space_mismatch(self, path3):
         a = PositiveMeasure.dirac(path3, 0)
@@ -181,16 +179,16 @@ class TestSignedMeasure:
         monkeypatch.setattr(StateSpace, "__eq__", lambda *_: pytest.fail("compared by value"))
         assert linear_combine([1.0, 1.0], [a, a]).pos.weights.tolist() == [2.0]
 
-    def test_normalize_prunes_dust(self, path3):
+    def test_from_atoms_prunes_dust(self, path3):
         mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (1, 1e-16)])
-        assert len(normalize_atoms(mu).pos) == 1
+        assert len(mu.pos) == 1
 
 
 class TestSerialization:
     def test_round_trip_finite(self, path3):
         mu = SignedMeasure.from_atoms(path3, [(0, 0.123456789012345), (2, -0.4)])
         back = measure_from_json(path3, measure_to_json(mu))
-        assert tv_norm(linear_combine([1.0, -1.0], [mu, back])) == 0.0
+        assert linear_combine([1.0, -1.0], [mu, back]).tv == 0.0
 
     def test_round_trip_euclidean(self):
         s = StateSpace.euclidean(2)
