@@ -116,6 +116,9 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path}: invalid scenario: the top level is a JSON "
+                            f"{type(doc).__name__}, not an object")
     if doc.get("schemaVersion") != 1:
         raise ScenarioError(f"{path}: unsupported schemaVersion {doc.get('schemaVersion')!r}")
     try:

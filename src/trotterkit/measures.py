@@ -125,8 +125,9 @@ def _merge_atoms(space: StateSpace, points, weights):
     """Merge coincident atoms and drop those below the prune tolerance.
 
     On Euclidean spaces, points within the coincidence tolerance count as the
-    same atom even when their exact keys differ.  Raises ValueError when a
-    weight is NaN or infinite (or the total mass overflows).
+    same atom even when their exact keys differ.  Returns the ``point_key``
+    of each kept atom's first point, and its weight.  Raises ValueError when
+    a weight is NaN or infinite (or the total mass overflows).
     """
     merged: dict = {}
     order: list = []
@@ -146,13 +147,13 @@ def _merge_atoms(space: StateSpace, points, weights):
     if not math.isfinite(total):  # a NaN or infinite weight would fail every cut
         raise ValueError(f"atom weights must be finite, got total mass {total!r}")
     cut = PRUNE_REL_TOL * total
-    out_p, out_w = [], []
-    for key, p in order:
+    out_k, out_w = [], []
+    for key, _ in order:
         w = merged[key]
         if abs(w) > cut and w != 0.0:
-            out_p.append(p)
+            out_k.append(key)
             out_w.append(w)
-    return out_p, out_w
+    return out_k, out_w
 
 
 def prune_dense(v: np.ndarray):
@@ -195,9 +196,8 @@ class PositiveMeasure:
         weights = [float(w) for _, w in atoms]
         if any(w < 0.0 for w in weights):
             raise ValueError("positive measure cannot carry negative weights")
-        p, w = _merge_atoms(space, points, weights)
-        return PositiveMeasure(space=space, points=tuple(space.point_key(x) for x in p),
-                               weights=np.asarray(w, dtype=float))
+        keys, w = _merge_atoms(space, points, weights)
+        return PositiveMeasure(space=space, points=tuple(keys), weights=np.asarray(w, dtype=float))
 
     @staticmethod
     def dirac(space: StateSpace, point, weight: float = 1.0) -> "PositiveMeasure":
@@ -271,9 +271,9 @@ def _point_json(space: StateSpace, p):
 
 
 def _build_signed(space, points, weights) -> SignedMeasure:
-    p, w = _merge_atoms(space, points, weights)
-    pos_atoms = [(x, v) for x, v in zip(p, w) if v > 0.0]
-    neg_atoms = [(x, -v) for x, v in zip(p, w) if v < 0.0]
+    keys, w = _merge_atoms(space, points, weights)
+    pos_atoms = [(x, v) for x, v in zip(keys, w) if v > 0.0]
+    neg_atoms = [(x, -v) for x, v in zip(keys, w) if v < 0.0]
     return SignedMeasure(
         pos=PositiveMeasure.from_atoms(space, pos_atoms),
         neg=PositiveMeasure.from_atoms(space, neg_atoms),

@@ -18,6 +18,7 @@ from scipy.linalg import expm
 
 from .bl_metric import LipschitzWitness
 from .measures import (
+    COINCIDENCE_TOL,
     PRUNE_REL_TOL,
     PositiveMeasure,
     SignedMeasure,
@@ -125,16 +126,14 @@ def apply(P: MarkovOperatorSpec, mu: PositiveMeasure) -> PositiveMeasure:
     check_input(P, mu)
     if P.kind == "composite":
         return _apply_chain(P.factors[::-1], mu)
+    if P.kind == "deterministic_map" and P.space.kind == "euclidean":
+        return _map_chain((P,), mu)
     tv_in = mu.tv
     if P.kind == "stochastic_matrix":
         out = PositiveMeasure.from_weight_vector(P.space, P.matrix @ mu.weight_vector())
     elif P.kind == "deterministic_map":
-        if P.space.kind == "euclidean":
-            moved = [(P.point_map(np.asarray(p, dtype=float)), w)
-                     for p, w in zip(mu.points, mu.weights)]
-        else:
-            moved = [(P.point_map(p), w) for p, w in zip(mu.points, mu.weights)]
-        out = PositiveMeasure.from_atoms(P.space, moved)
+        out = PositiveMeasure.from_atoms(
+            P.space, [(P.point_map(p), w) for p, w in zip(mu.points, mu.weights)])
     else:
         parts, coeffs = [], []
         for p, w in zip(mu.points, mu.weights):
@@ -160,11 +159,15 @@ def _apply_chain(ops, mu):
     each part takes the checks and exceptions of ``apply`` (matching spaces,
     nonnegative input, the ``PRUNE_REL_TOL`` prune, TV preservation) and
     bitwise its weights, then the pair takes the merge and prunes of
-    ``linear_combine([1, -1], [pos, neg])`` (see ``_resplit``).  These steps
-    are not counted in APPLY_COUNT.  Any other chain is one ``apply``
-    (``apply_signed``) per operator.
+    ``linear_combine([1, -1], [pos, neg])`` (see ``_resplit``).  A positive
+    measure on R^dim runs through deterministic maps on one point array (see
+    ``_map_chain``).  These steps are not counted in APPLY_COUNT.  Any other
+    chain is one ``apply`` (``apply_signed``) per operator.
     """
     signed = isinstance(mu, SignedMeasure)
+    if not signed and mu.space.kind == "euclidean" and all(
+            P.kind == "deterministic_map" for P in ops):
+        return _map_chain(ops, mu)
     if any(P.kind != "stochastic_matrix" for P in ops):
         step = apply_signed if signed else apply
         for P in ops:
@@ -202,6 +205,90 @@ def _apply_chain(ops, mu):
     if not signed:
         return _measure(space, pos)
     return SignedMeasure(pos=_measure(space, pos), neg=_measure(space, neg))
+
+
+def _map_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
+    """Push a positive measure on R^dim through the deterministic maps
+    ``ops``, first operator first, bit for bit as one ``apply`` per operator.
+
+    The atoms run as one (m, dim) point array and the weight array.  Each
+    step calls ``point_map`` once per point, in order: separate products
+    keep linear flows bitwise, where one batched product would not.  One
+    test over all images checks that they are finite and that no two lie
+    within COINCIDENCE_TOL in every coordinate; such a step moves points
+    only.  When the weights also clear the prune cut, ``apply``'s merge,
+    prune and TV check would change nothing, and the step skips them.
+    Every other step (a coincidence, a bad image, weights the prune would
+    change, points that are not an (m, dim) array) runs ``from_atoms`` and
+    the TV check as ``apply`` does, so it merges, prunes and raises as
+    ``apply``.
+    """
+    check_input(ops[0], mu)
+    space, points, weights = mu.space, mu.points, mu.weights
+    X = _point_array(points, weights, space.dim)
+    out = None  # the result when the last step ran from_atoms
+    for P in ops:
+        _check_space(P, space)
+        space = P.space
+        if X is None:
+            moved = [(P.point_map(np.asarray(p, dtype=float)), w)
+                     for p, w in zip(points, weights)]
+        else:
+            images = [P.point_map(x) for x in X]
+            Y = _apart(images, X.shape)
+            if Y is not None:
+                X, out = Y, None
+                continue
+            moved = list(zip(images, weights))
+        out = PositiveMeasure.from_atoms(space, moved)
+        _check_tv(P, float(np.sum(weights)), out.tv)
+        points, weights = out.points, out.weights
+        X = _point_array(points, weights, space.dim)
+    if out is not None:
+        return out
+    return PositiveMeasure(space=space, points=tuple(map(tuple, X.tolist())),
+                           weights=weights.copy())
+
+
+def _point_array(points, weights, dim: int):
+    """The points as an (m, dim) float array, when a step without a
+    coincidence leaves these atoms as they are: m >= 1 float weights, all
+    above the prune cut (``prune_dense``'s test).  None otherwise."""
+    m = len(points)
+    if not (m and isinstance(weights, np.ndarray) and weights.dtype == float
+            and weights.shape == (m,)):
+        return None
+    listed = weights.tolist()
+    if not min(listed) > PRUNE_REL_TOL * sum(listed):
+        return None
+    try:
+        X = np.array(points, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return X if X.shape == (m, dim) else None
+
+
+def _apart(images, shape):
+    """The images as an array of ``shape``, when every coordinate is finite
+    and no two images are equal points (``StateSpace.points_equal``).
+    None otherwise."""
+    try:
+        Y = np.array(images, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if Y.shape != shape:
+        return None
+    flat = Y.ravel().tolist()
+    if not math.isfinite(sum(flat)):  # a NaN or infinity, or an overflowing sum
+        return None
+    # two equal points have first coordinates within the tolerance, and then
+    # so have two neighbours in sorted order
+    first = sorted(flat[::shape[1]])
+    if any(b - a < COINCIDENCE_TOL for a, b in zip(first, first[1:])):
+        close = (np.abs(Y[:, None, :] - Y[None, :, :]) < COINCIDENCE_TOL).all(axis=2)
+        if np.count_nonzero(close) > len(Y):  # the diagonal is always close
+            return None
+    return Y
 
 
 def _dense_step(P: MarkovOperatorSpec, part, space: StateSpace):

@@ -97,12 +97,15 @@ def trotter_iterate(g1: SemigroupSpec, g2: SemigroupSpec, t: float, n: int,
     """[P1_{t/n} P2_{t/n}]^n mu (or the swapped composition).
 
     The n blocks run through the operators' chain runner: on one dense
-    weight vector when both factors are stochastic matrices (same per-step
-    checks as ``apply``, not counted in APPLY_COUNT), one ``apply`` per
-    factor otherwise.  The result is memoized on ``g1`` per (g2, t, n,
-    order, mu's point and weight bytes) and shared by every caller; that
-    holds for every semigroup kind, because matrix exponentials and flows
-    are deterministic in (t, x).
+    weight vector when both factors are stochastic matrices, and on one
+    point array when both are deterministic maps on R^dim.  Either way the
+    steps keep the checks and results of ``apply`` and are not counted in
+    APPLY_COUNT; a mixed pair runs one ``apply`` per factor.
+
+    The result is memoized on ``g1`` per (g2, t, n, order, mu's point and
+    weight bytes) and shared by every caller; that holds for every
+    semigroup kind, because matrix exponentials and flows are deterministic
+    in (t, x).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

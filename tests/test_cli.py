@@ -86,10 +86,15 @@ class TestScenarioLoading:
          "indicator radius must be finite and positive, got 0"),
         ("linear_flow", lambda d: d["witnesses"][2].update(radius=-1),
          "indicator radius must be finite and positive, got -1"),
+        # an edit that returns a value replaces the whole document
+        ("three_state", lambda d: [], "invalid scenario: the top level is a JSON list"),
+        ("three_state", lambda d: "x", "invalid scenario: the top level is a JSON str"),
+        ("three_state", lambda d: 5, "invalid scenario: the top level is a JSON int"),
     ])
     def test_rejects_invalid_fields_with_one_message(self, tmp_path, name, edit, message):
         doc = json.loads(Path(scenario_path(name)).read_text())
-        edit(doc)
+        replaced = edit(doc)
+        doc = doc if replaced is None else replaced
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(ScenarioError, match=message):

@@ -309,12 +309,17 @@ def test_tightness_probe_takes_the_scheme_family():
 class TestEuclideanIterateMemo:
     def test_hit_returns_the_first_result(self):
         g1, g2, mu = _plane_pair()
+        calls = []
+        for g in (g1, g2):  # the memoized factors of the 16 blocks, with counted maps
+            P = at_time(g, 0.5 / 16)
+            object.__setattr__(P, "point_map", lambda x, f=P.point_map: calls.append(x) or f(x))
         before = ops_module.APPLY_COUNT
         out = trotter_iterate(g1, g2, 0.5, 16, mu)
-        assert ops_module.APPLY_COUNT - before == 32  # one apply per factor
+        assert ops_module.APPLY_COUNT == before  # map steps are not counted, as dense steps
+        assert len(calls) == 64  # one call per atom and factor
         again = PositiveMeasure.from_atoms(mu.space, [([1.0, 0.0], 0.6), ([0.0, 1.0], 0.4)])
         assert trotter_iterate(g1, g2, 0.5, 16, again) is out
-        assert ops_module.APPLY_COUNT - before == 32  # a hit applies nothing
+        assert len(calls) == 64  # a hit applies nothing
         with pytest.raises(ValueError):
             out.weights[0] = 1.0  # shared, so read-only
 
@@ -343,6 +348,149 @@ class TestEuclideanIterateMemo:
         minus = PositiveMeasure.dirac(mu.space, [-0.0, 1.0])
         assert plus.points == minus.points  # equal as tuples, not as bytes
         assert trotter_iterate(g1, g2, 0.5, 8, minus) is not trotter_iterate(g1, g2, 0.5, 8, plus)
+
+
+# Euclidean map chains: ``apply`` on a product of deterministic maps against
+# the per-factor loop it replaces, which pushed the atoms through one map and
+# rebuilt the measure with ``from_atoms`` after every factor.
+
+
+def _atom_path_map_apply(P, mu):
+    """``apply`` on a Euclidean deterministic map as one ``from_atoms`` computed it."""
+    ops_module.check_input(P, mu)
+    out = PositiveMeasure.from_atoms(P.space, [(P.point_map(np.asarray(p, dtype=float)), w)
+                                               for p, w in zip(mu.points, mu.weights)])
+    if abs(out.tv - mu.tv) > ops_module.TV_PRESERVATION_TOL * max(1.0, mu.tv):
+        raise RuntimeError(f"TV not preserved: {mu.tv} -> {out.tv} under {P.kind} operator")
+    return out
+
+
+def _per_factor_map_loop(factors, mu):
+    for P in reversed(factors):
+        mu = _atom_path_map_apply(P, mu)
+    return mu
+
+
+def _map_outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return ("raised", type(exc), str(exc))
+    return ("ok", out.space, len(out), np.asarray(out.points, dtype=float).tobytes(),
+            out.weights.tobytes())
+
+
+def _snap(delta):
+    """Rounds each coordinate to a grid of 1/2, then moves it delta towards
+    where it came from: images in one cell are equal or 2 * delta apart."""
+    def snap(x):
+        y = np.round(2.0 * x) / 2.0
+        return y + delta * np.sign(x - y)
+    return snap
+
+
+# magnitudes from 1e-13 to 1e3, and zeros of both signs
+_coords = st.one_of(st.sampled_from([0.0, -0.0]), st.builds(
+    lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]), st.floats(-13.0, 3.0)))
+# image distances 2 * delta of zero, half the coincidence tolerance, one
+# float below it, exactly it, one float above it, and twice it
+_HALF_TOL = 5e-13
+_SNAP_DELTAS = [0.0, 2.5e-13, np.nextafter(_HALF_TOL, 0.0), _HALF_TOL,
+                np.nextafter(_HALF_TOL, 1.0), 1e-12]
+
+
+@st.composite
+def _map_factor(draw, space):
+    dim = space.dim
+    t = draw(st.floats(0.0, 2.0))
+    kind = draw(st.sampled_from(["linear", "contraction", "rotation", "translation", "snap"]))
+    if kind == "linear":  # zero entries make singular A likely
+        entry = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+        a = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+        return at_time(SemigroupSpec.linear_flow_lift(space, a), t)
+    if kind == "contraction":  # at these rates images collide
+        return at_time(SemigroupSpec.map_flow(
+            space, "contraction", {"rate": draw(st.floats(10.0, 200.0))}), t)
+    if kind == "rotation" and dim >= 2:
+        return at_time(SemigroupSpec.map_flow(
+            space, "rotation", {"rate": draw(st.floats(-5.0, 5.0))}), t)
+    if kind == "translation":
+        velocity = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+        return at_time(SemigroupSpec.map_flow(space, "translation", {"velocity": velocity}), t)
+    return MarkovOperatorSpec(kind="deterministic_map", space=space,
+                              point_map=_snap(draw(st.sampled_from(_SNAP_DELTAS))))
+
+
+@st.composite
+def _map_chain_case(draw):
+    space = StateSpace.euclidean(draw(st.integers(1, 3)))
+    point = st.lists(_coords, min_size=space.dim, max_size=space.dim)
+    atoms = draw(st.lists(st.tuples(point, _entries), max_size=8))
+    if draw(st.booleans()):
+        mu = PositiveMeasure.from_atoms(space, atoms)
+    else:  # as stored, unmerged and unpruned
+        mu = PositiveMeasure(space=space, points=tuple(tuple(p) for p, _ in atoms),
+                             weights=np.array([w for _, w in atoms], dtype=float))
+    factors = draw(st.lists(_map_factor(space), min_size=1, max_size=6))
+    return factors, mu
+
+
+@settings(max_examples=400)
+@given(_map_chain_case())
+def test_map_product_matches_per_factor_loop(case):
+    factors, mu = case
+    assert (_map_outcome(apply, compose(*factors), mu)
+            == _map_outcome(_per_factor_map_loop, factors, mu))
+    assert (_map_outcome(apply, factors[0], mu)
+            == _map_outcome(_atom_path_map_apply, factors[0], mu))
+
+
+@pytest.mark.parametrize("delta, atoms", list(zip(_SNAP_DELTAS, [1, 1, 1, 2, 2, 2])))
+def test_images_at_the_tolerance(delta, atoms):
+    """Snapped to 0 from either side, the images are 2 * delta apart: at
+    2 * delta == COINCIDENCE_TOL exactly they are two atoms."""
+    for dim in (1, 2, 3):
+        space = StateSpace.euclidean(dim)
+        mu = PositiveMeasure.from_atoms(space, [([0.1] * dim, 0.25), ([-0.1] * dim, 0.75)])
+        snap = MarkovOperatorSpec(kind="deterministic_map", space=space, point_map=_snap(delta))
+        shift = at_time(SemigroupSpec.map_flow(space, "translation", {"velocity": [1.0] * dim}),
+                        0.0)
+        for factors in [(snap,), (shift, snap), (snap, shift, shift)]:
+            outcome = _map_outcome(apply, compose(*factors), mu)
+            assert outcome[:3] == ("ok", space, atoms)
+            assert outcome == _map_outcome(_per_factor_map_loop, factors, mu)
+
+
+@pytest.mark.parametrize("image", [
+    lambda x: np.array([np.inf] * len(x)),
+    lambda x: x * np.nan if x[0] > 0.5 else x,  # the second atom only
+    lambda x: np.append(x, 0.0),
+    lambda x: float(x[0]),
+    lambda x: [x, x] if x[0] > 0.5 else x,  # ragged: the images make no array
+])
+def test_bad_images_raise_as_per_factor_loop(image):
+    plane = StateSpace.euclidean(2)
+    mu = PositiveMeasure.from_atoms(plane, [([0.0, 1.0], 0.5), ([2.0, 0.5], 0.5)])
+    bad = MarkovOperatorSpec(kind="deterministic_map", space=plane, point_map=image)
+    shift = at_time(SemigroupSpec.map_flow(plane, "translation", {"velocity": [0.5, 0.0]}), 0.5)
+    for factors in [(bad,), (bad, shift), (shift, bad, shift)]:
+        outcome = _map_outcome(apply, compose(*factors), mu)
+        assert outcome[0] == "raised" and "is not a point of R^2" in outcome[2]
+        assert outcome == _map_outcome(_per_factor_map_loop, factors, mu)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.tuples(st.lists(_coords, min_size=dim, max_size=dim), _entries), min_size=1, max_size=8)))
+def test_prune_is_a_no_op_without_a_coincidence(atoms):
+    """The kept atoms of ``from_atoms`` are pairwise apart and above the cut:
+    moved apart again, they keep their weights and order bit for bit."""
+    space = StateSpace.euclidean(len(atoms[0][0]))
+    mu = PositiveMeasure.from_atoms(space, atoms)
+    doubled = PositiveMeasure.from_atoms(
+        space, [(2.0 * np.asarray(p), w) for p, w in zip(mu.points, mu.weights)])
+    assert doubled.weights.tobytes() == mu.weights.tobytes()
+    assert doubled.points == tuple(tuple(2.0 * x for x in p) for p in mu.points)
 
 
 # Signed chains: ``apply_signed`` on a product against the per-factor loop it

@@ -128,6 +128,10 @@ class TestPositiveMeasure:
         s = StateSpace.euclidean(1)
         mu = PositiveMeasure.from_atoms(s, [([1.0], 0.5), ([1.0 + 1e-14], 0.5)])
         assert len(mu) == 1
+        # a merged atom keeps its first point's key bit for bit, -0.0 included
+        zeros = PositiveMeasure.from_atoms(s, [(np.array([-0.0]), 0.5), ([0.0], 0.5)])
+        assert mu.points == ((1.0,),) and type(zeros.points[0][0]) is float
+        assert np.asarray(zeros.points).tobytes() == np.array([[-0.0]]).tobytes()
 
     def test_weight_vector_round_trip(self, path3):
         mu = PositiveMeasure.from_atoms(path3, [(0, 0.5), (2, 0.5)])
