@@ -24,13 +24,9 @@ The blocks share no row or column, so the optimum of the sum is the sum of
 the per-block optima and each t_m is its measure's norm.  Values are within
 1e-12 absolute of one solve per measure, not bitwise equal to it.  An LP
 holds at most MAX_LP_COLUMNS columns of consecutive blocks; a longer batch
-solves several.  ``bl_norm_value``, ``bl_distance`` and ``bl_distances`` are
-its one-element and pairwise forms; a failed solve raises RuntimeError.
-
-Tie-break: ``bl_dual_norm`` solves one block alone, then returns an optimal
-witness of least Lipschitz bound, picked by a second LP, the flow dual of
-"min L over feasible witnesses with <w, f> >= value - 1e-11"; if that solve
-fails, the stage-one witness is returned.
+solves several.  ``bl_distance`` and ``bl_distances`` are its pairwise
+forms.  ``bl_dual_norm`` solves one block alone and reads its witness off
+that one solve's duals.  A failed solve raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -205,27 +201,24 @@ def _flow_pairs(dist):
     return np.nonzero(~pruned)
 
 
-def _flow_lp(blocks, value=None):
+def _flow_lp(blocks):
     """Solve the flow LPs of ``blocks`` as one block-diagonal LP.
 
     A block is (unit-TV weights, distances, kept pairs) of one measure, with
     columns r+, r-, y (kept pairs) and t_m, k_m equality rows and two
-    inequality rows; the objective is the sum of the t_m.  Given the optimum
-    ``value`` of a single block, solve its tie-break LP instead (one more
-    column s).  Returns the result and the column of each t_m.
+    inequality rows; the objective is the sum of the t_m.  Returns the
+    result and the column of each t_m.
     """
-    tie = value is not None
-    c, A_ub, b_ub, A_eq, b_eq, t_cols = _flow_matrices(blocks, value)
+    c, A_ub, b_ub, A_eq, b_eq, t_cols = _flow_matrices(blocks)
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs")
-    if not (tie or res.success):
+    if not res.success:
         raise RuntimeError(f"BL norm LP failed: {res.message}")
     return res, t_cols
 
 
-def _flow_matrices(blocks, value):
+def _flow_matrices(blocks):
     """The arrays of ``_flow_lp``'s LP.  Built here so that the triplet lists
     are freed before the solver runs."""
-    tie = value is not None
     rows, cols, vals, ub_rows, ub_cols, ub_vals, t_cols = [], [], [], [], [], [], []
     row = col = 0
     for m, (wts, dist, (src, dst)) in enumerate(blocks):
@@ -240,22 +233,15 @@ def _flow_matrices(blocks, value):
         ub_vals += [np.ones(2 * k), dist[src, dst], [-1.0, -1.0]]
         t_cols.append(t)
         row, col = row + k, t + 1
-    c = np.zeros(col + tie)
+    c = np.zeros(col)
     c[t_cols] = 1.0
-    if tie:  # column s of the one block
-        wts = blocks[0][0]
-        k = len(wts)
-        rows, cols, vals = rows + [np.arange(k)], cols + [np.full(k, col)], vals + [-wts]
-        c[col] = -(value - 1e-11)
     A_eq = csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(row, len(c)))
+                     shape=(row, col))
     A_ub = csr_array((np.concatenate(ub_vals),
                       (np.concatenate(ub_rows), np.concatenate(ub_cols))),
-                     shape=(2 * len(blocks), len(c)))
-    b_ub = np.zeros(2 * len(blocks))
-    b_ub[1] = float(tie)
-    b_eq = np.zeros(row) if tie else np.concatenate([b[0] for b in blocks])
-    return c, A_ub, b_ub, A_eq, b_eq, t_cols
+                     shape=(2 * len(blocks), col))
+    b_eq = np.concatenate([b[0] for b in blocks])
+    return c, A_ub, np.zeros(2 * len(blocks)), A_eq, b_eq, t_cols
 
 
 def bl_norm_values(measures, metric) -> list[float]:
@@ -296,24 +282,18 @@ def _column_runs(blocks):
         yield run
 
 
-def bl_norm_value(mu: SignedMeasure, metric) -> float:
-    """Dual BL norm of ``mu`` alone: one flow LP, no witness."""
-    return bl_norm_values([mu], metric)[0]
-
-
 def bl_dual_norm(mu: SignedMeasure, metric) -> tuple[float, LipschitzWitness]:
     """Dual BL norm of ``mu`` (``metric``: a StateSpace or an EnvelopeMetric over
-    it) with an attaining unit-ball witness of least Lipschitz bound."""
+    it) with an attaining unit-ball witness, both from one flow LP: f from
+    the duals of its equality rows, (M, L) from those of its two inequality
+    rows."""
     pts, scale, wts, dist = _unit_support(mu, metric)
     if scale == 0.0:
         return 0.0, LipschitzWitness(points=tuple(pts), values=np.zeros(len(pts)),
                                      sup_bound=float(len(pts) > 0), lip_bound=0.0)
-    block = [(wts, dist, _flow_pairs(dist))]
-    res, _ = _flow_lp(block)
-    res2, _ = _flow_lp(block, value=res.fun)
-    best = res2 if res2.success else res  # a failed tie-break keeps stage one's witness
-    sup_bound, lip_bound = -best.ineqlin.marginals + 0.0
-    witness = LipschitzWitness(points=tuple(pts), values=best.eqlin.marginals + 0.0,
+    res, _ = _flow_lp([(wts, dist, _flow_pairs(dist))])
+    sup_bound, lip_bound = -res.ineqlin.marginals + 0.0
+    witness = LipschitzWitness(points=tuple(pts), values=res.eqlin.marginals + 0.0,
                                sup_bound=float(sup_bound), lip_bound=float(lip_bound))
     return float(max(res.fun * scale, 0.0)) + 0.0, witness
 

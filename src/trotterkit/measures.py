@@ -272,12 +272,34 @@ def _point_json(space: StateSpace, p):
 
 def _build_signed(space, points, weights) -> SignedMeasure:
     keys, w = _merge_atoms(space, points, weights)
-    pos_atoms = [(x, v) for x, v in zip(keys, w) if v > 0.0]
-    neg_atoms = [(x, -v) for x, v in zip(keys, w) if v < 0.0]
-    return SignedMeasure(
-        pos=PositiveMeasure.from_atoms(space, pos_atoms),
-        neg=PositiveMeasure.from_atoms(space, neg_atoms),
-    )
+    pos, neg = (PositiveMeasure(space, tuple(part_points), np.asarray(part_weights, dtype=float))
+                for part_points, part_weights in jordan_parts(keys, w, 0.0))
+    return SignedMeasure(pos=pos, neg=neg)
+
+
+def jordan_parts(points, weights, cut: float):
+    """Merged atoms split by sign: (points, weights) lists of the positive
+    and the negative part, both with positive weights.
+
+    An atom is kept when ``|w| > cut`` (cut >= 0; a NaN cut keeps none).
+    Each part is then pruned against its own total, the builtin ``sum`` of
+    its weights, as ``PositiveMeasure.from_atoms`` prunes a measure.
+    """
+    parts = ([], []), ([], [])
+    for p, x in zip(points, weights):
+        if x > cut:
+            parts[0][0].append(p)
+            parts[0][1].append(x)
+        elif x < -cut:
+            parts[1][0].append(p)
+            parts[1][1].append(-x)
+    for part_points, part_weights in parts:
+        part_cut = PRUNE_REL_TOL * sum(part_weights)
+        if part_weights and min(part_weights) <= part_cut:
+            kept = [k for k, x in enumerate(part_weights) if x > part_cut]
+            part_points[:] = [part_points[k] for k in kept]
+            part_weights[:] = [part_weights[k] for k in kept]
+    return parts
 
 
 def linear_combine(coeffs, measures) -> SignedMeasure:

@@ -24,6 +24,7 @@ from .measures import (
     SignedMeasure,
     SpaceMismatchError,
     StateSpace,
+    jordan_parts,
     linear_combine,
     prune_dense,
 )
@@ -62,10 +63,12 @@ class MarkovOperatorSpec:
             a = np.asarray(self.matrix, dtype=float)
             if a.shape != (self.space.size, self.space.size):
                 raise ValueError("matrix shape does not match state space size")
-            if np.any(a < -STOCHASTICITY_TOL):
+            if not np.isfinite(a).all():
+                raise ValueError("stochastic matrix has non-finite entries")
+            if not np.all(a >= -STOCHASTICITY_TOL):
                 raise ValueError("stochastic matrix has negative entries")
             colsums = a.sum(axis=0)
-            if np.any(np.abs(colsums - 1.0) > STOCHASTICITY_TOL):
+            if not np.all(np.abs(colsums - 1.0) <= STOCHASTICITY_TOL):
                 raise ValueError(
                     f"columns not stochastic: max deviation {np.max(np.abs(colsums - 1.0)):.3e}"
                 )
@@ -322,30 +325,14 @@ def _resplit(pos_points, pos_weights, neg_points, neg_weights):
 
     Atoms merge in first-appearance order: the positive part's points, then
     the points only in the negative part.  The cut is PRUNE_REL_TOL times
-    the builtin ``sum`` of ``|w|`` in that order, the kept atoms split by
-    sign, and each part is pruned against its own total, as
-    ``PositiveMeasure.from_atoms`` prunes.
+    the builtin ``sum`` of ``|w|`` in that order, and ``jordan_parts``
+    splits and prunes the merged atoms as ``linear_combine`` does.
     """
     merged = dict(zip(pos_points.tolist(), pos_weights.tolist()))
     for i, x in zip(neg_points.tolist(), neg_weights.tolist()):
         merged[i] = merged[i] - x if i in merged else -x
     cut = PRUNE_REL_TOL * sum(abs(x) for x in merged.values())
-    out = ([], []), ([], [])
-    for i, x in merged.items():
-        # |x| > cut and x != 0, split by sign: cut >= 0, or NaN and nothing is kept
-        if x > cut:
-            out[0][0].append(i)
-            out[0][1].append(x)
-        elif x < -cut:
-            out[1][0].append(i)
-            out[1][1].append(-x)
-    for points, weights in out:
-        part_cut = PRUNE_REL_TOL * sum(weights)
-        if weights and min(weights) <= part_cut:
-            kept = [k for k, x in enumerate(weights) if x > part_cut]
-            points[:] = [points[k] for k in kept]
-            weights[:] = [weights[k] for k in kept]
-    return out
+    return jordan_parts(merged.keys(), merged.values(), cut)
 
 
 def _dense_part(space: StateSpace, points: list, weights: list):
@@ -436,27 +423,36 @@ class SemigroupSpec:
             q = _read_only(self.Q)
             if q.shape != (self.space.size, self.space.size):
                 raise GeneratorError("generator shape does not match space size")
+            if not np.isfinite(q).all():
+                raise GeneratorError("generator has non-finite entries")
             off = q[~np.eye(self.space.size, dtype=bool)]
-            if off.size and np.any(off < -STOCHASTICITY_TOL):
+            if not np.all(off >= -STOCHASTICITY_TOL):
                 raise GeneratorError("generator has negative off-diagonal entries")
-            if np.any(np.abs(q.sum(axis=0)) > 1e-10):
+            if not np.all(np.abs(q.sum(axis=0)) <= 1e-10):
                 raise GeneratorError("generator columns do not sum to zero")
             object.__setattr__(self, "Q", q)
         elif self.kind == "linear_flow_lift":
             a = _read_only(self.A)
             if a.shape != (self.space.dim, self.space.dim):
                 raise ValueError("flow matrix shape does not match space dim")
+            if not np.isfinite(a).all():
+                raise ValueError("flow matrix has non-finite entries")
             object.__setattr__(self, "A", a)
         elif self.kind == "map_flow":
             if self.flow is None:
                 if self.flow_name not in _NAMED_FLOWS:
                     raise ValueError(f"unknown flow {self.flow_name!r}")
                 dim = self.space.dim
-                velocity = np.shape(self.flow_params.get("velocity", [1.0]))
+                velocity = np.asarray(self.flow_params.get("velocity", [1.0]), dtype=float)
                 if (self.flow_name == "rotation" and dim < 2) or (
-                        self.flow_name == "translation" and velocity not in ((), (1,), (dim,))):
+                        self.flow_name == "translation"
+                        and velocity.shape not in ((), (1,), (dim,))):
                     raise ValueError(f"{self.flow_name} flow {self.flow_params} does not fit "
                                      f"a space of dim {dim}")
+                if not (np.isfinite(velocity).all()
+                        and math.isfinite(self.flow_params.get("rate", 1.0))):
+                    raise ValueError(f"{self.flow_name} flow {self.flow_params} has a "
+                                     "non-finite velocity or rate")
                 object.__setattr__(self, "flow", _NAMED_FLOWS[self.flow_name](self.flow_params))
         else:
             raise ValueError(f"unknown semigroup kind {self.kind!r}")
@@ -488,8 +484,8 @@ def at_time(G: SemigroupSpec, t: float) -> MarkovOperatorSpec:
     return one shared operator (stochastic matrices are read-only).
     Failures are raised on every call and never memoized.
     """
-    if t < 0.0:
-        raise ValueError("semigroup is defined for t >= 0 only")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"semigroup is defined for finite t >= 0 only, got {t!r}")
     key = float(t)
     P = G._operators.get(key)
     if P is None:
@@ -501,7 +497,7 @@ def _operator_at(G: SemigroupSpec, t: float) -> MarkovOperatorSpec:
     if G.kind == "matrix_exponential":
         E = expm(t * G.Q)
         colsums = E.sum(axis=0)
-        if np.any(np.abs(colsums - 1.0) > 1e-12) or np.any(E < -1e-12):
+        if not (np.all(np.abs(colsums - 1.0) <= 1e-12) and np.all(E >= -1e-12)):
             # never renormalize silently: a failure here means a generator bug
             raise GeneratorError(
                 f"e^(tQ) not column-stochastic at t={t}: "

@@ -11,7 +11,6 @@ from trotterkit.bl_metric import (
     bl_distance,
     bl_dual_norm,
     bl_dual_norm_oracle,
-    bl_norm_value,
     bl_norm_values,
     build_envelope_metric,
     dirac_distance_exact,
@@ -22,6 +21,11 @@ from trotterkit.measures import PositiveMeasure, SignedMeasure, StateSpace, line
 @pytest.fixture
 def path3():
     return StateSpace.finite([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+
+
+def norm_value(mu, metric):
+    """The norm alone, as one flow LP."""
+    return bl_norm_values([mu], metric)[0]
 
 
 def random_metric_space(rng, size):
@@ -154,8 +158,8 @@ def full_support_measure(rng, space, zero_mass=False):
 
 
 def primal_lp(mu, space):
-    """Reference: the box/Lipschitz primal LP over (f, M, L) with every pair,
-    dense, in both stages.  Returns (norm, least optimal Lipschitz bound)."""
+    """Reference: the norm from the box/Lipschitz primal LP over (f, M, L)
+    with every pair, dense."""
     pts, wts = mu.support()
     scale = float(np.abs(wts).sum())
     wts = wts / scale
@@ -181,13 +185,7 @@ def primal_lp(mu, space):
     c[:k] = -wts
     res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
     assert res.success
-    value = -res.fun
-    c2 = np.zeros(n)
-    c2[k + 1] = 1.0
-    res2 = linprog(c2, A_ub=np.vstack([A, c]), b_ub=np.append(b, -(value - 1e-11)),
-                   bounds=bounds, method="highs")
-    assert res2.success
-    return value * scale, res2.x[k + 1]
+    return -res.fun * scale
 
 
 def assert_certificate(mu, space, value, witness, tol=1e-9):
@@ -207,10 +205,9 @@ class TestFlowForm:
                 space = random_metric_space(rng, k)
                 mu = full_support_measure(rng, space, zero_mass=k % 2 == 0)
                 value, witness = bl_dual_norm(mu, space)
-                ref_value, ref_lip = primal_lp(mu, space)
+                ref_value = primal_lp(mu, space)
                 assert value == pytest.approx(ref_value, abs=1e-9)
-                assert bl_norm_value(mu, space) == pytest.approx(ref_value, abs=1e-9)
-                assert witness.lip_bound == pytest.approx(ref_lip, abs=1e-9)
+                assert norm_value(mu, space) == pytest.approx(ref_value, abs=1e-9)
                 assert_certificate(mu, space, value, witness)
 
     def test_near_triangle_equalities_are_not_pruned(self):
@@ -223,7 +220,7 @@ class TestFlowForm:
             assert len(bl_metric._flow_pairs(space.dist)[0]) == 90
             mu = full_support_measure(rng, space, zero_mass=True)
             value, witness = bl_dual_norm(mu, space)
-            assert value == pytest.approx(primal_lp(mu, space)[0], abs=1e-9)
+            assert value == pytest.approx(primal_lp(mu, space), abs=1e-9)
             assert_certificate(mu, space, value, witness)
 
     def test_pruning_is_exact_on_a_graph_metric(self):
@@ -234,9 +231,7 @@ class TestFlowForm:
         for zero_mass in (True, False):
             mu = full_support_measure(rng, space, zero_mass)
             value, witness = bl_dual_norm(mu, space)
-            ref_value, ref_lip = primal_lp(mu, space)
-            assert value == pytest.approx(ref_value, abs=1e-9)
-            assert witness.lip_bound == pytest.approx(ref_lip, abs=1e-9)
+            assert value == pytest.approx(primal_lp(mu, space), abs=1e-9)
             assert_certificate(mu, space, value, witness)
 
     def test_path_metric_keeps_only_neighbour_pairs(self):
@@ -256,7 +251,7 @@ class TestFlowForm:
         assert value == pytest.approx(dirac_distance_exact(1.0), abs=1e-9)
         assert_certificate(mu, space, value, witness)
 
-    @pytest.mark.parametrize("k", [12, 48, 200])
+    @pytest.mark.parametrize("k", [12, 48, 96, 200])
     def test_certificate_on_large_supports(self, k):
         rng = np.random.default_rng(k)
         spaces = [random_metric_space(rng, k)]
@@ -267,48 +262,22 @@ class TestFlowForm:
             value, witness = bl_dual_norm(mu, space)
             assert len(witness.points) == k
             assert_certificate(mu, space, value, witness)
-            assert bl_norm_value(mu, space) == pytest.approx(value, abs=1e-12)
+            assert norm_value(mu, space) == pytest.approx(value, abs=1e-12)
 
-    def test_distance_solves_one_lp_and_norm_two(self, path3, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs["A_eq"].shape)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(bl_metric, "linprog", counting)
+    def test_distance_and_norm_each_solve_one_lp(self, path3, lp_calls):
         a = PositiveMeasure.from_atoms(path3, [(0, 0.5), (1, 0.5)])
         b = PositiveMeasure.from_atoms(path3, [(2, 1.0)])
         bl_distance(a, b, path3)
-        assert len(calls) == 1
+        # path3 prunes (0, 2) and (2, 0): 6 r columns, 4 flows and t
+        assert lp_calls == [(3, 11)]
         bl_dual_norm(linear_combine([1.0, -1.0], [a, b]), path3)
-        assert len(calls) == 3
-        # path3 prunes (0, 2) and (2, 0): 6 r columns, 4 flows, t (and s)
-        assert calls[0] == (3, 11) and calls[2] == (3, 12)
-
-    def test_failed_tie_break_keeps_stage_one_witness(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        space = random_metric_space(rng, 9)
-        mu = full_support_measure(rng, space, zero_mass=True)
-        calls = []
-
-        def second_fails(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
-                return OptimizeResult(success=False, status=4, message="forced failure")
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(bl_metric, "linprog", second_fails)
-        value, witness = bl_dual_norm(mu, space)
-        assert len(calls) == 2
-        assert value == pytest.approx(primal_lp(mu, space)[0], abs=1e-9)
-        assert_certificate(mu, space, value, witness)
+        assert lp_calls == [(3, 11), (3, 11)]
 
     def test_failed_stage_one_raises(self, path3, monkeypatch):
         monkeypatch.setattr(bl_metric, "linprog", lambda *a, **kw: OptimizeResult(
             success=False, status=2, message="forced failure"))
         mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (2, -1.0)])
-        for norm in (bl_dual_norm, bl_norm_value):
+        for norm in (bl_dual_norm, norm_value):
             with pytest.raises(RuntimeError, match="forced failure"):
                 norm(mu, path3)
 
@@ -345,7 +314,7 @@ class TestNormProperties:
     def test_norm_is_dominated_by_total_variation(self, data):
         space = data.draw(lattice_spaces())
         mu = measures_on(space, data.draw, positive=False)
-        assert bl_norm_value(mu, space) <= mu.tv + 1e-9
+        assert norm_value(mu, space) <= mu.tv + 1e-9
 
     @settings(max_examples=60)
     @given(st.data())
@@ -364,8 +333,8 @@ class TestNormProperties:
         mu = measures_on(space, data.draw, positive=False)
         assume(mu.tv > 0.0)
         scaled = linear_combine([c], [mu])
-        assert bl_norm_value(scaled, space) == pytest.approx(
-            abs(c) * bl_norm_value(mu, space), rel=1e-9, abs=1e-12)
+        assert norm_value(scaled, space) == pytest.approx(
+            abs(c) * norm_value(mu, space), rel=1e-9, abs=1e-12)
 
 
 @st.composite
@@ -421,7 +390,7 @@ class TestBatchedNorms:
                 assert value == 0.0
                 continue
             assert value == pytest.approx(bl_norm_values([mu], metric)[0], abs=1e-12)
-            assert value == pytest.approx(primal_lp(mu, metric)[0], abs=1e-9)
+            assert value == pytest.approx(primal_lp(mu, metric), abs=1e-9)
 
     def test_empty_and_zero_batches_solve_nothing(self, path3, lp_calls):
         assert bl_norm_values([], path3) == []

@@ -68,6 +68,12 @@ class TestScenarioLoading:
          "not a point of R\\^2"),
         ("linear_flow", lambda d: d["witnesses"][2].update(center=[0.5]), "not a point of R\\^2"),
         ("translation", lambda d: d["g1"].update(map="rotation"), "rotation flow"),
+        ("three_state", lambda d: d["g1"]["Q"][1].__setitem__(0, float("nan")),
+         "generator has non-finite entries"),
+        ("linear_flow", lambda d: d["g2"]["A"][1].__setitem__(0, float("nan")),
+         "flow matrix has non-finite entries"),
+        ("translation", lambda d: d["g1"]["params"].update(velocity=[float("nan")]),
+         "translation flow .* non-finite velocity or rate"),
         ("linear_flow", lambda d: d["g1"].update(auxiliaryNormWeight="bogus"),
          "unknown auxiliaryNormWeight 'bogus'"),
         ("three_state", lambda d: d["g2"].update(auxiliaryNormWeight="bogus"),
@@ -208,8 +214,7 @@ class TestStudy:
         blocks = []
         flow_lp = bl_metric._flow_lp
         monkeypatch.setattr(bl_metric, "_flow_lp",
-                            lambda batch, value=None: blocks.append(len(batch))
-                            or flow_lp(batch, value))
+                            lambda batch: blocks.append(len(batch)) or flow_lp(batch))
         assert run_study(scenario_path("three_state"), tmp_path, seed=0) == 0
         # the schedule's 11 distances, omega on its 13-point grid, the five
         # sampled operators' pushed moduli on that grid (without omega's 13

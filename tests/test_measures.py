@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trotterkit.measures import (
+    COINCIDENCE_TOL,
     InvalidMetricError,
     PositiveMeasure,
     SignedMeasure,
     SpaceMismatchError,
     StateSpace,
+    _build_signed,
+    _merge_atoms,
     linear_combine,
     measure_from_json,
     measure_to_json,
@@ -186,6 +191,53 @@ class TestSignedMeasure:
     def test_from_atoms_prunes_dust(self, path3):
         mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (1, 1e-16)])
         assert len(mu.pos) == 1
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_one_merge_builds_the_parts_of_two(self, data):
+        space, points, weights = data.draw(signed_atoms())
+        new, old = _build_signed(space, points, weights), merge_twice(space, points, weights)
+        for part, ref in ((new.pos, old.pos), (new.neg, old.neg)):
+            assert repr(part.points) == repr(ref.points)  # repr tells -0.0 from 0.0
+            assert (part.weights.dtype, part.weights.tobytes()) == (
+                ref.weights.dtype, ref.weights.tobytes())
+
+
+def merge_twice(space, points, weights):
+    """Reference: signed atoms merged, split by sign, and each part merged
+    again through ``PositiveMeasure.from_atoms``."""
+    keys, w = _merge_atoms(space, points, weights)
+    return SignedMeasure(
+        pos=PositiveMeasure.from_atoms(space, [(x, v) for x, v in zip(keys, w) if v > 0.0]),
+        neg=PositiveMeasure.from_atoms(space, [(x, -v) for x, v in zip(keys, w) if v < 0.0]))
+
+
+@st.composite
+def signed_atoms(draw):
+    """(space, points, weights): states of a 5-point path, or points of the
+    plane, some of them repeated or within the coincidence tolerance; atoms
+    that cancel exactly; and each sign scaled by up to 1e-15, so that a part
+    may lie wholly below the prune cut."""
+    if draw(st.booleans()):
+        space = StateSpace.finite(np.abs(np.arange(5.0)[:, None] - np.arange(5.0)[None, :]))
+        pool = list(range(5))
+    else:
+        space = StateSpace.euclidean(2)
+        base = [[0.0, 0.0], [1.0, -0.5], [0.25, 2.0]]
+        near = [[x + COINCIDENCE_TOL / 2, y - COINCIDENCE_TOL / 2] for x, y in base]
+        pool = base + near + [[-0.0, 0.0]]
+    idx = draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))
+    scales = st.sampled_from([1.0, 1e-6, 1e-12, 1e-13, 1e-15])
+    part_scale = {True: draw(scales), False: draw(scales)}
+    weights = []
+    for _ in idx:
+        w = draw(st.floats(-1.0, 1.0)) * draw(st.sampled_from([1.0, 1e-13]))
+        weights.append(w * part_scale[w > 0.0])
+    points = [pool[i] for i in idx]
+    if points and draw(st.booleans()):  # the first atom again, cancelled
+        points.append(points[0])
+        weights.append(-weights[0])
+    return space, points, weights
 
 
 class TestSerialization:

@@ -35,6 +35,13 @@ class TestOperators:
             MarkovOperatorSpec(kind="stochastic_matrix", space=path3,
                                matrix=np.eye(3) * 0.9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_matrix(self, path3, bad):
+        m = np.eye(3)
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="stochastic matrix has non-finite entries"):
+            MarkovOperatorSpec(kind="stochastic_matrix", space=path3, matrix=m)
+
     def test_matrix_apply_preserves_tv(self, path3, mu):
         m = np.array([[0.5, 0.0, 1.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.0]])
         P = MarkovOperatorSpec(kind="stochastic_matrix", space=path3, matrix=m)
@@ -76,6 +83,17 @@ class TestSemigroups:
             SemigroupSpec.matrix_exponential(
                 path3, [[-1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0)])
+    def test_generator_rejects_nan(self, path3, entry):
+        Q = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
+        Q[entry] = np.nan
+        with pytest.raises(GeneratorError, match="generator has non-finite entries"):
+            SemigroupSpec.matrix_exponential(path3, Q)
+
+    def test_linear_flow_rejects_nan(self):
+        with pytest.raises(ValueError, match="flow matrix has non-finite entries"):
+            SemigroupSpec.linear_flow_lift(StateSpace.euclidean(2), [[0.0, np.nan], [0.0, 0.0]])
+
     def test_exponential_is_stochastic(self, path3, mu):
         Q = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
         g = SemigroupSpec.matrix_exponential(path3, Q)
@@ -99,6 +117,14 @@ class TestSemigroups:
         g = SemigroupSpec.matrix_exponential(path3, Q)
         with pytest.raises(ValueError):
             at_time(g, -0.1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_at_time_needs_a_finite_time(self, path3, t):
+        Q = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
+        g = SemigroupSpec.matrix_exponential(path3, Q)
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            at_time(g, t)
+        assert g._operators == {}  # nothing memoized
 
     def test_linear_flow_lift(self):
         s = StateSpace.euclidean(2)
@@ -136,6 +162,13 @@ class TestSemigroups:
         with pytest.raises(ValueError, match="translation flow .* dim 2"):
             SemigroupSpec.map_flow(StateSpace.euclidean(2), "translation",
                                    {"velocity": velocity})
+
+    @pytest.mark.parametrize("name, params", [
+        ("translation", {"velocity": [np.nan]}), ("translation", {"velocity": [1.0, np.inf]}),
+        ("contraction", {"rate": np.nan}), ("rotation", {"rate": -np.inf})])
+    def test_named_flows_need_finite_parameters(self, name, params):
+        with pytest.raises(ValueError, match=f"{name} flow .* non-finite velocity or rate"):
+            SemigroupSpec.map_flow(StateSpace.euclidean(2), name, params)
 
     @pytest.mark.parametrize("velocity, moved", [([1.0], (1.0, 1.0)), ([1.0, -2.0], (1.0, -2.0)),
                                                  (0.5, (0.5, 0.5)), (None, (1.0, 1.0))])
