@@ -133,6 +133,8 @@ def load_scenario(path) -> Scenario:
         g2 = semigroup_from_json(space, doc["g2"])
         mu0 = PositiveMeasure.from_atoms(
             space, [(a["point"], float(a["weight"])) for a in doc["mu0"]["atoms"]])
+        if not mu0.points:  # no atoms, or only zero weights (pruned)
+            raise ScenarioError(f"{path}: mu0 has no mass")
         study = doc["study"]
         sched_spec = study["schedule"]
         kind = next((k for k in ("dyadic", "linear") if k in sched_spec), None)
@@ -274,6 +276,8 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
     if overrides.get("metric") is not None:
         changes["metric"] = overrides["metric"]
     scn = load_scenario(scenario_path).with_overrides(**changes)
+    if scn.t <= 0.0:  # the probes work at t = 0, but the modulus grid needs t > 0
+        raise ScenarioError(f"{scn.path}: study needs a time horizon t > 0")
 
     rng = np.random.default_rng(seed)
     space, g1, g2, mu0, t = scn.space, scn.g1, scn.g2, scn.mu0, scn.t

@@ -1,10 +1,10 @@
 """Numerical verification of the scheme's exact operator identities.
 
-Each check evaluates both sides of a telescoping or swap decomposition by
-acting on a panel of test measures (never by materializing operator
-matrices), and reports the worst BL-norm deviation over the panel, from one
-batched norm solve per check.  These are exact operator identities, so
-deviations are pure floating-point noise.
+Each ``check_*`` yields both sides of a telescoping or swap decomposition,
+acting on one test measure (never materializing operator matrices), and the
+one driver ``_check`` runs a panel of test measures through it and reports
+the worst BL-norm deviation from one batched norm solve.  These are exact
+operator identities, so deviations are pure floating-point noise.
 
 Every product of operators is one ``apply_signed`` on a composite
 (``_chain``): it re-splits the measure into a Jordan pair after every
@@ -44,18 +44,15 @@ class IdentityCheckResult:
                 "passed": self.passed}
 
 
-def _tolerance_for(g1: SemigroupSpec) -> float:
-    return MATRIX_TOL if g1.kind == "matrix_exponential" else LIFT_TOL
-
-
-def _as_signed(mu) -> SignedMeasure:
-    return mu.as_signed() if isinstance(mu, PositiveMeasure) else mu
-
-
-def _max_deviation(pairs) -> float:
-    """Largest BL distance over the (lhs, rhs) pairs, all from one solve; 0.0
-    for no pairs."""
-    return max([0.0] + bl_distances(pairs, pairs[0][0].space)) if pairs else 0.0
+def _check(name, g1, test_measures, sides) -> IdentityCheckResult:
+    """Worst BL distance over the (lhs, rhs) pairs that ``sides(mu)`` yields
+    for each signed test measure, from one batched solve (0.0 for no pairs)."""
+    pairs = []
+    for mu in test_measures:
+        pairs.extend(sides(mu.as_signed() if isinstance(mu, PositiveMeasure) else mu))
+    deviation = max([0.0] + bl_distances(pairs, pairs[0][0].space)) if pairs else 0.0
+    tolerance = MATRIX_TOL if g1.kind == "matrix_exponential" else LIFT_TOL
+    return IdentityCheckResult(name, deviation, len(test_measures), tolerance)
 
 
 def _chain(mu: SignedMeasure, ops) -> SignedMeasure:
@@ -63,9 +60,21 @@ def _chain(mu: SignedMeasure, ops) -> SignedMeasure:
     return apply_signed(compose(*ops), mu) if ops else mu
 
 
+def _sum(terms, mu) -> SignedMeasure:
+    """The terms added in list order; the zero measure on mu's space if none."""
+    return linear_combine([1.0] * len(terms), terms) if terms else linear_combine([0.0], [mu])
+
+
 def _commutator(mu, pa, pb) -> SignedMeasure:
     """(Pa Pb - Pb Pa) mu."""
     return linear_combine([1.0, -1.0], [_chain(mu, [pa, pb]), _chain(mu, [pb, pa])])
+
+
+def _block_gap(mu, g1, g2, h, n, k) -> SignedMeasure:
+    """([P1(kh) P2(kh)]^n - [P1(h) P2(h)]^(nk)) mu: coarse minus fine blocks."""
+    coarse = [at_time(g1, k * h), at_time(g2, k * h)]
+    fine = [at_time(g1, h), at_time(g2, h)]
+    return linear_combine([1.0, -1.0], [_chain(mu, coarse * n), _chain(mu, fine * (n * k))])
 
 
 def _triple_sum(mu, g1, g2, h, n, k, inner) -> SignedMeasure:
@@ -81,7 +90,7 @@ def _triple_sum(mu, g1, g2, h, n, k, inner) -> SignedMeasure:
                 core = _chain(core, [at_time(g2, l * h)])
                 core = _chain(core, [at_time(g1, j * h)])
                 terms.append(_chain(core, [p1k, p2k] * i))
-    return linear_combine([1.0] * len(terms), terms) if terms else linear_combine([0.0], [mu])
+    return _sum(terms, mu)
 
 
 def _displayed_triple_sum(mu, g1, g2, h, n, k) -> SignedMeasure:
@@ -98,19 +107,17 @@ def check_lemma_a(g1, g2, t, m, j, test_measures) -> IdentityCheckResult:
         raise ValueError("need 1 <= j <= m")
     h = t / m
     p1 = at_time(g1, h)
-    pairs = []
-    for mu in test_measures:
-        mu = _as_signed(mu)
+
+    def sides(mu):
         lhs = _commutator(mu, p1, at_time(g2, j * h))
         terms = []
         for l in range(j):
             core = _commutator(_chain(mu, [at_time(g2, (j - 1 - l) * h)]),
                                p1, at_time(g2, h))
             terms.append(_chain(core, [at_time(g2, l * h)]))
-        rhs = linear_combine([1.0] * len(terms), terms)
-        pairs.append((lhs, rhs))
-    return IdentityCheckResult("telescoping_single_step", _max_deviation(pairs),
-                               len(test_measures), _tolerance_for(g1))
+        yield lhs, _sum(terms, mu)
+
+    return _check("telescoping_single_step", g1, test_measures, sides)
 
 
 def check_lemma_b(g1, g2, t, m, k, test_measures) -> IdentityCheckResult:
@@ -119,51 +126,37 @@ def check_lemma_b(g1, g2, t, m, k, test_measures) -> IdentityCheckResult:
         raise ValueError("need 1 <= k <= m")
     h = t / m
     p1, p2 = at_time(g1, h), at_time(g2, h)
-    pairs = []
-    for mu in test_measures:
-        mu = _as_signed(mu)
-        lhs = linear_combine(
-            [1.0, -1.0],
-            [_chain(mu, [at_time(g1, k * h), at_time(g2, k * h)]),
-             _chain(mu, [p1, p2] * k)])
+
+    def sides(mu):
+        lhs = _block_gap(mu, g1, g2, h, 1, k)
         terms = []
         for j in range(1, k):
             inner = _chain(mu, [p1, p2] * (k - 1 - j))
             inner = _chain(inner, [p2])
             core = _commutator(inner, p1, at_time(g2, j * h))
             terms.append(_chain(core, [at_time(g1, j * h)]))
-        rhs = (linear_combine([1.0] * len(terms), terms) if terms
-               else linear_combine([0.0], [mu]))
-        pairs.append((lhs, rhs))
-    return IdentityCheckResult("telescoping_block", _max_deviation(pairs),
-                               len(test_measures), _tolerance_for(g1))
+        yield lhs, _sum(terms, mu)
+
+    return _check("telescoping_block", g1, test_measures, sides)
 
 
 def check_lemma_c(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
     """n coarse blocks against nk fine blocks."""
     if n < 1 or k < 1:
         raise ValueError("need n, k >= 1")
-    m = n * k
-    h = t / m
+    h = t / (n * k)
     p1, p2 = at_time(g1, h), at_time(g2, h)
     p1k, p2k = at_time(g1, k * h), at_time(g2, k * h)
-    pairs = []
-    for mu in test_measures:
-        mu = _as_signed(mu)
-        lhs = linear_combine(
-            [1.0, -1.0],
-            [_chain(mu, [p1k, p2k] * n), _chain(mu, [p1, p2] * m)])
+
+    def sides(mu):
+        lhs = _block_gap(mu, g1, g2, h, n, k)
         terms = []
         for i in range(n):
             tail = _chain(mu, [p1, p2] * (k * (n - 1 - i)))
-            middle = linear_combine(
-                [1.0, -1.0],
-                [_chain(tail, [p1k, p2k]), _chain(tail, [p1, p2] * k)])
-            terms.append(_chain(middle, [p1k, p2k] * i))
-        rhs = linear_combine([1.0] * len(terms), terms)
-        pairs.append((lhs, rhs))
-    return IdentityCheckResult("telescoping_refinement", _max_deviation(pairs),
-                               len(test_measures), _tolerance_for(g1))
+            terms.append(_chain(_block_gap(tail, g1, g2, h, 1, k), [p1k, p2k] * i))
+        yield lhs, _sum(terms, mu)
+
+    return _check("telescoping_refinement", g1, test_measures, sides)
 
 
 def check_corollary(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
@@ -175,20 +168,12 @@ def check_corollary(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
     """
     if n < 1 or k < 1:
         raise ValueError("need n, k >= 1")
-    m = n * k
-    h = t / m
-    p1, p2 = at_time(g1, h), at_time(g2, h)
-    p1k, p2k = at_time(g1, k * h), at_time(g2, k * h)
-    pairs = []
-    for mu in test_measures:
-        mu = _as_signed(mu)
-        lhs = linear_combine(
-            [1.0, -1.0],
-            [_chain(mu, [p1k, p2k] * n), _chain(mu, [p1, p2] * m)])
-        rhs = _displayed_triple_sum(mu, g1, g2, h, n, k)
-        pairs.append((lhs, rhs))
-    return IdentityCheckResult("triple_sum_decomposition", _max_deviation(pairs),
-                               len(test_measures), _tolerance_for(g1))
+    h = t / (n * k)
+
+    def sides(mu):
+        yield _block_gap(mu, g1, g2, h, n, k), _displayed_triple_sum(mu, g1, g2, h, n, k)
+
+    return _check("triple_sum_decomposition", g1, test_measures, sides)
 
 
 def check_corollary_recomposition(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
@@ -202,19 +187,16 @@ def check_corollary_recomposition(g1, g2, t, n, k, test_measures) -> IdentityChe
     """
     if n < 1 or k < 1:
         raise ValueError("need n, k >= 1")
-    m = n * k
-    h = t / m
+    h = t / (n * k)
     p1, p2 = at_time(g1, h), at_time(g2, h)
-    pairs = []
-    for mu in test_measures:
-        mu = _as_signed(mu)
+
+    def sides(mu):
         lhs = _displayed_triple_sum(mu, g1, g2, h, n, k)
-        rhs = _triple_sum(mu, g1, g2, h, n, k, lambda i, j, l: _chain(
+        yield lhs, _triple_sum(mu, g1, g2, h, n, k, lambda i, j, l: _chain(
             mu, [at_time(g2, (j - 1 - l) * h), p2]
             + [p1, p2] * (k - 1 - j) + [p1, p2] * (k * (n - 1 - i))))
-        pairs.append((lhs, rhs))
-    return IdentityCheckResult("triple_sum_recomposition", _max_deviation(pairs),
-                               len(test_measures), _tolerance_for(g1))
+
+    return _check("triple_sum_recomposition", g1, test_measures, sides)
 
 
 def check_swap_identity(g1, g2, t, n, test_measures) -> IdentityCheckResult:
@@ -222,9 +204,8 @@ def check_swap_identity(g1, g2, t, n, test_measures) -> IdentityCheckResult:
     if n < 1:
         raise ValueError("need n >= 1")
     p1, p2 = at_time(g1, t), at_time(g2, t)
-    pairs = []
-    for mu in test_measures:
-        mu = _as_signed(mu)
+
+    def sides(mu):
         direct = linear_combine(
             [1.0, -1.0], [_chain(mu, [p1, p2] * n), _chain(mu, [p2, p1] * n)])
         for leading, trailing in (([p2, p1], [p1, p2]), ([p1, p2], [p2, p1])):
@@ -233,10 +214,9 @@ def check_swap_identity(g1, g2, t, n, test_measures) -> IdentityCheckResult:
                 inner = _chain(mu, trailing * i)
                 core = _commutator(inner, p1, p2)
                 terms.append(_chain(core, leading * (n - i - 1)))
-            rhs = linear_combine([1.0] * len(terms), terms)
-            pairs.append((direct, rhs))
-    return IdentityCheckResult("order_swap_expansion", _max_deviation(pairs),
-                               len(test_measures), _tolerance_for(g1))
+            yield direct, _sum(terms, mu)
+
+    return _check("order_swap_expansion", g1, test_measures, sides)
 
 
 def standard_test_panel(space: StateSpace, rng) -> list:

@@ -442,6 +442,9 @@ class SemigroupSpec:
             if self.flow is None:
                 if self.flow_name not in _NAMED_FLOWS:
                     raise ValueError(f"unknown flow {self.flow_name!r}")
+                if self.space.kind != "euclidean":  # named flows move coordinates
+                    raise ValueError(f"{self.flow_name} flow needs a Euclidean space, "
+                                     f"not a {self.space.kind} one")
                 dim = self.space.dim
                 velocity = np.asarray(self.flow_params.get("velocity", [1.0]), dtype=float)
                 if (self.flow_name == "rotation" and dim < 2) or (

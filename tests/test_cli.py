@@ -92,6 +92,14 @@ class TestScenarioLoading:
          "indicator radius must be finite and positive, got 0"),
         ("linear_flow", lambda d: d["witnesses"][2].update(radius=-1),
          "indicator radius must be finite and positive, got -1"),
+        ("three_state", lambda d: d["mu0"].update(atoms=[]), "mu0 has no mass"),
+        ("linear_flow", lambda d: d["mu0"].update(atoms=[]), "mu0 has no mass"),
+        ("three_state", lambda d: d["mu0"].update(atoms=[{"point": 0, "weight": 0.0},
+                                                         {"point": 2, "weight": 0}]),
+         "mu0 has no mass"),
+        ("three_state", lambda d: d.update(g1={"kind": "map_flow", "map": "translation",
+                                               "params": {"velocity": [1.0]}}),
+         "translation flow needs a Euclidean space, not a finite one"),
         # an edit that returns a value replaces the whole document
         ("three_state", lambda d: [], "invalid scenario: the top level is a JSON list"),
         ("three_state", lambda d: "x", "invalid scenario: the top level is a JSON str"),
@@ -117,6 +125,7 @@ class TestScenarioLoading:
         (["--dyadic", "1"], "at least 3 entries"),
         (["--linear", "2"], "at least 3 entries"),
         (["--t", "-1"], "t must be finite and nonnegative, got -1.0"),
+        (["--t", "0"], "study needs a time horizon t > 0"),
     ])
     def test_rejects_invalid_overrides_with_one_message(self, tmp_path, override, message):
         scenario = scenario_path("three_state")

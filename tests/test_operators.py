@@ -164,6 +164,14 @@ class TestSemigroups:
                                    {"velocity": velocity})
 
     @pytest.mark.parametrize("name, params", [
+        ("translation", {"velocity": [1.0]}), ("rotation", {"rate": 1.0}),
+        ("contraction", {"rate": 1.0})])
+    def test_named_flows_need_a_euclidean_space(self, path3, name, params):
+        # a named flow moves coordinates; a state index has none
+        with pytest.raises(ValueError, match=f"{name} flow needs a Euclidean space"):
+            SemigroupSpec.map_flow(path3, name, params)
+
+    @pytest.mark.parametrize("name, params", [
         ("translation", {"velocity": [np.nan]}), ("translation", {"velocity": [1.0, np.inf]}),
         ("contraction", {"rate": np.nan}), ("rotation", {"rate": -np.inf})])
     def test_named_flows_need_finite_parameters(self, name, params):
