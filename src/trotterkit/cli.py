@@ -278,6 +278,10 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
     scn = load_scenario(scenario_path).with_overrides(**changes)
     if scn.t <= 0.0:  # the probes work at t = 0, but the modulus grid needs t > 0
         raise ScenarioError(f"{scn.path}: study needs a time horizon t > 0")
+    max_n = scn.schedule[-1]
+    depth = max(12, int(np.ceil(np.log2(max_n))) + 2)
+    if scn.t / 2 ** depth == 0.0:  # a subnormal t underflows in the modulus grid
+        raise ScenarioError(f"{scn.path}: study needs t / 2^{depth} > 0, got t = {scn.t!r}")
 
     rng = np.random.default_rng(seed)
     space, g1, g2, mu0, t = scn.space, scn.g1, scn.g2, scn.mu0, scn.t
@@ -290,8 +294,6 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
                            order=scn.order, metric=metric)
     _, report = estimate_limit(study)
 
-    max_n = scn.schedule[-1]
-    depth = max(12, int(np.ceil(np.log2(max_n))) + 2)
     t_grid = [t / 2 ** j for j in range(depth + 1)]
     omega = commutator_modulus(g1, g2, mu0, t_grid, metric)
 

@@ -150,6 +150,13 @@ def grid_metric(rng, rows, cols):
     return StateSpace.finite(d / 8.0)
 
 
+def near_collinear_space(rng, k):
+    """Points close to a line: d_il + d_lj exceeds d_ij by a relative 1e-6
+    to 1e-3, so pruning removes no pair."""
+    pts = np.column_stack([np.arange(float(k)), rng.uniform(-0.03, 0.03, k)])
+    return StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+
+
 def full_support_measure(rng, space, zero_mass=False):
     w = rng.normal(size=space.size)
     if zero_mass:
@@ -211,12 +218,10 @@ class TestFlowForm:
                 assert_certificate(mu, space, value, witness)
 
     def test_near_triangle_equalities_are_not_pruned(self):
-        # points close to a line: d_il + d_lj exceeds d_ij by a relative 1e-6
-        # to 1e-3, so every pair must keep its flow column
+        # every pair must keep its flow column
         rng = np.random.default_rng(31)
         for _ in range(4):
-            pts = np.column_stack([np.arange(10.0), rng.uniform(-0.03, 0.03, 10)])
-            space = StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+            space = near_collinear_space(rng, 10)
             assert len(bl_metric._flow_pairs(space.dist)[0]) == 90
             mu = full_support_measure(rng, space, zero_mass=True)
             value, witness = bl_dual_norm(mu, space)
@@ -280,6 +285,127 @@ class TestFlowForm:
         for norm in (bl_dual_norm, norm_value):
             with pytest.raises(RuntimeError, match="forced failure"):
                 norm(mu, path3)
+
+
+def all_pairs_prune(dist):
+    """Reference: every directed pair that no point splits into two strictly
+    shorter hops, from the O(k^3) prune over all pairs, in row-major order."""
+    k = len(dist)
+    pruned = np.eye(k, dtype=bool)
+    for l in range(k):
+        via = dist[:, l, None] + dist[None, l, :]
+        hop = np.maximum(dist[:, l, None], dist[None, l, :])
+        pruned |= (via <= dist) & (hop < dist)
+    return np.nonzero(~pruned)
+
+
+def full_lp_value(mu, metric):
+    """Reference: the norm from one flow LP with a column for every pair the
+    all-pairs prune keeps."""
+    _, scale, wts, dist = bl_metric._unit_support(mu, metric)
+    res, _ = bl_metric._flow_lp([(wts, dist, all_pairs_prune(dist))])
+    return res.fun * scale
+
+
+def column_generation_cases():
+    """(metric, measure) parameters, one per support that column generation
+    must solve exactly, from 24 to 200 points."""
+    rng = np.random.default_rng(61)
+    cases = [(f"generic{k}", random_metric_space(rng, k)) for k in (24, 48, 96, 200)]
+    cases += [("grid6x8", grid_metric(rng, 6, 8)), ("grid8x12", grid_metric(rng, 8, 12)),
+              ("collinear40", near_collinear_space(rng, 40))]
+    cases = [pytest.param(space, full_support_measure(rng, space, zero_mass=True), id=name)
+             for name, space in cases]
+    base = random_metric_space(rng, 30)
+    family = [LipschitzWitness(points=tuple(range(30)), values=rng.uniform(-1.0, 1.0, 30),
+                               sup_bound=1.0, lip_bound=1.0) for _ in range(2)]
+    cases.append(pytest.param(build_envelope_metric(base, family),
+                              full_support_measure(rng, base, zero_mass=True), id="envelope30"))
+    plane = StateSpace.euclidean(2)
+    w = rng.normal(size=32)
+    cases.append(pytest.param(plane, SignedMeasure.from_atoms(
+        plane, list(zip(rng.normal(size=(32, 2)).tolist(), (w - w.mean()).tolist()))),
+        id="euclidean32"))
+    return cases
+
+
+class TestColumnGeneration:
+    @pytest.mark.parametrize("metric, mu", column_generation_cases())
+    def test_matches_the_full_lp_with_a_certified_witness(self, metric, mu):
+        value, witness = bl_dual_norm(mu, metric)
+        full = full_lp_value(mu, metric)
+        assert abs(value - full) <= 1e-12 * mu.tv
+        assert abs(norm_value(mu, metric) - full) <= 1e-12 * mu.tv
+        assert len(witness.points) == len(mu.pos) + len(mu.neg)
+        assert_certificate(mu, metric, value, witness)  # on every pair
+
+    @pytest.mark.parametrize("k", [2, 5, 9, 13, 17])
+    def test_small_supports_start_with_every_kept_pair_and_solve_once(self, k, lp_calls):
+        rng = np.random.default_rng(k)
+        spaces = [random_metric_space(rng, k), grid_metric(rng, 1, k)]
+        for space in spaces:
+            src, dst = bl_metric._flow_pairs(space.dist)
+            ref_src, ref_dst = all_pairs_prune(space.dist)
+            assert src.tolist() == ref_src.tolist() and dst.tolist() == ref_dst.tolist()
+            del lp_calls[:]
+            bl_dual_norm(full_support_measure(rng, space), space)
+            assert lp_calls == [(k, 2 * k + len(ref_src) + 1)]
+
+    def test_large_generic_support_adds_columns_in_rounds(self, lp_calls):
+        k = 200
+        rng = np.random.default_rng(5)
+        space = random_metric_space(rng, k)
+        mu = full_support_measure(rng, space, zero_mass=True)
+        value, _ = bl_dual_norm(mu, space)
+        assert len(lp_calls) >= 2
+        columns = [cols - 2 * k - 1 for _, cols in lp_calls]
+        assert columns == sorted(set(columns)) and columns[-1] < k * (k - 1)
+        assert abs(value - full_lp_value(mu, space)) <= 1e-12 * mu.tv
+
+    def test_stops_only_when_no_pair_without_a_column_breaks_its_dual_constraint(
+            self, monkeypatch):
+        # 40 points on a faint parabola: the end points' direct pair is barely
+        # shorter than a path of neighbour hops, so the first solve's duals
+        # break a constraint by about 3e-7 at unit TV, above 1e-12 and below 1e-6
+        x = 0.04 * np.arange(40)
+        pts = np.column_stack([x, 1e-3 * x ** 2])
+        space = StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+        w = np.full(40, 1e-3)
+        w[0], w[-1] = 0.5, -0.538
+        mu = SignedMeasure.from_atoms(space, list(enumerate(w.tolist())))
+        solves = []
+        flow_lp = bl_metric._flow_lp
+
+        def recording(blocks):
+            res, t_cols = flow_lp(blocks)
+            solves.append((blocks[0][2], res))
+            return res, t_cols
+
+        monkeypatch.setattr(bl_metric, "_flow_lp", recording)
+        value, _ = bl_dual_norm(mu, space)
+        assert len(solves) >= 2
+        (src, dst), res = solves[-1]
+        f, L = res.eqlin.marginals, -res.ineqlin.marginals[1]
+        gap = f[:, None] - f[None, :] - L * space.dist
+        gap[src, dst] = 0.0
+        assert gap.max() <= 1e-12
+        # the solver's own tolerances limit both values to about 1e-10 here
+        assert abs(value - full_lp_value(mu, space)) <= 1e-9 * mu.tv
+
+    def test_mixed_batch_matches_each_own_solve(self, lp_calls):
+        rng = np.random.default_rng(64)  # a 60-point support that needs two solves
+        space = random_metric_space(rng, 60)
+        large = full_support_measure(rng, space, zero_mass=True)
+        small = [SignedMeasure.from_atoms(space, list(zip(
+            rng.choice(60, size, replace=False).tolist(), rng.normal(size=size).tolist())))
+            for size in (3, 7, 12, 12)]
+        batch = [small[0], large] + small[1:]
+        del lp_calls[:]
+        values = bl_norm_values(batch, space)
+        assert len(lp_calls) >= 2  # the large block gains columns
+        for mu, value in zip(batch, values):
+            assert abs(value - bl_norm_values([mu], space)[0]) <= 1e-12
+        assert abs(values[1] - full_lp_value(large, space)) <= 1e-12 * large.tv
 
 
 @st.composite

@@ -126,6 +126,7 @@ class TestScenarioLoading:
         (["--linear", "2"], "at least 3 entries"),
         (["--t", "-1"], "t must be finite and nonnegative, got -1.0"),
         (["--t", "0"], "study needs a time horizon t > 0"),
+        (["--t", "5e-324"], r"study needs t / 2\^12 > 0, got t = 5e-324"),
     ])
     def test_rejects_invalid_overrides_with_one_message(self, tmp_path, override, message):
         scenario = scenario_path("three_state")
