@@ -6,23 +6,41 @@ one driver ``_check`` runs a panel of test measures through it and reports
 the worst BL-norm deviation from one batched norm solve.  These are exact
 operator identities, so deviations are pure floating-point noise.
 
-Every product of operators is one ``apply_signed`` on a composite
-(``_chain``): it re-splits the measure into a Jordan pair after every
-factor, and runs products of stochastic matrices on dense weight vectors.
+The formulas are written once, over two operations: ``_chain``, a product
+of operators, and ``_combine``, ``linear_combine``.  On a finite space
+``_check`` runs the whole test panel through them as one ``_Panel``: the
+positive and the negative parts of every test measure as two (panel, states)
+weight arrays, which go through each factor as one stacked product
+``np.matmul(P, W[..., None])``.  NumPy runs that as one gemv per row, the
+call ``P @ w`` makes, so each row is bitwise what ``apply_signed`` and
+``linear_combine`` give for its measure: the same prunes, re-splits, atom
+orders and checks.  Anywhere else (linear-flow lifts on R^dim) the same
+formulas run per measure, through ``apply_signed`` (one dense chain for a
+product of stochastic matrices, re-split after every factor) and
+``linear_combine``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bl_metric import bl_distances
-from .measures import PositiveMeasure, SignedMeasure, StateSpace, linear_combine
-from .operators import SemigroupSpec, apply_signed, at_time, compose
+from .measures import (
+    PRUNE_REL_TOL,
+    PositiveMeasure,
+    SignedMeasure,
+    StateSpace,
+    linear_combine,
+)
+from .operators import TV_PRESERVATION_TOL, SemigroupSpec, apply_signed, at_time, compose
 
 MATRIX_TOL = 1e-10
 LIFT_TOL = 1e-8
+
+_SIGNS = np.array([1.0, -1.0])[:, None, None]  # a panel's two parts from signed weights
 
 
 @dataclass(frozen=True)
@@ -45,39 +63,219 @@ class IdentityCheckResult:
 
 
 def _check(name, g1, test_measures, sides) -> IdentityCheckResult:
-    """Worst BL distance over the (lhs, rhs) pairs that ``sides(mu)`` yields
-    for each signed test measure, from one batched solve (0.0 for no pairs)."""
-    pairs = []
-    for mu in test_measures:
-        pairs.extend(sides(mu.as_signed() if isinstance(mu, PositiveMeasure) else mu))
-    deviation = max([0.0] + bl_distances(pairs, pairs[0][0].space)) if pairs else 0.0
+    """Worst BL distance over the (lhs, rhs) pairs that ``sides`` yields for
+    each signed test measure (per test measure, then per pair), from one
+    batched solve.  On a finite space ``sides`` runs once, on the panel."""
+    if not test_measures:
+        raise ValueError(f"{name}: need at least one test measure")
+    tests = [mu.as_signed() if isinstance(mu, PositiveMeasure) else mu for mu in test_measures]
+    panel = _panel(tests, g1.space)
+    if panel is None:
+        pairs = [pair for mu in tests for pair in sides(mu)]
+    else:
+        columns = [(lhs.measures(), rhs.measures()) for lhs, rhs in sides(panel)]
+        pairs = [(lhs[r], rhs[r]) for r in range(len(tests)) for lhs, rhs in columns]
+    deviation = max([0.0] + bl_distances(pairs, pairs[0][0].space))
     tolerance = MATRIX_TOL if g1.kind == "matrix_exponential" else LIFT_TOL
     return IdentityCheckResult(name, deviation, len(test_measures), tolerance)
 
 
-def _chain(mu: SignedMeasure, ops) -> SignedMeasure:
+class _Panel(NamedTuple):
+    """Signed measures on one finite space, one per row.
+
+    ``w[0]`` and ``w[1]`` are the (rows, states) weights of the positive and
+    the negative parts, with disjoint supports.  Within each part, a row
+    lists its atoms in increasing ``key`` (rows, states): that is the order
+    of the atoms of its measure.  ``tv`` (2, rows) is each part's
+    ``weights.sum()`` in that order, when known.
+    """
+
+    space: StateSpace
+    w: np.ndarray
+    key: np.ndarray
+    tv: np.ndarray | None = None
+
+    def measures(self) -> list:
+        """The rows as signed measures."""
+        out = []
+        for order, pos, neg in zip(self.key.argsort(axis=-1), *self.w):
+            parts = []
+            for v in (pos, neg):
+                points = order[v[order] != 0.0]
+                parts.append(PositiveMeasure(self.space, tuple(points.tolist()), v[points]))
+            out.append(SignedMeasure(*parts))
+        return out
+
+    def chain(self, ops) -> "_Panel":
+        """``apply_signed(compose(*ops), mu)`` on every row, as the dense
+        chain runner computes it (``operators._apply_chain``).
+
+        Each factor is one stacked product of both parts.  Each row is then
+        pruned at PRUNE_REL_TOL times its left-to-right sum, as
+        ``prune_dense`` prunes (the builtin ``sum`` is left to right, and the
+        zeros between the entries add nothing), and TV-checked.  The re-split
+        merges the parts in ``linear_combine``'s order, the positive part's
+        states and then the rest, each in index order; a row with one empty
+        part comes out of it unchanged, so every row takes it.  A row that
+        fails a check (a factor that is not a stochastic matrix on this
+        space, a negative or non-finite weight, TV not preserved) sends the
+        panel through the per-measure path, which raises as it does, for the
+        first failing measure.
+        """
+        w, key = self.w, self.key
+        rows = np.arange(len(key))[:, None]
+        tv = self.tv if self.tv is not None else _totals(w[:, rows, key.argsort(axis=-1)])
+        for P in reversed(ops):
+            if P.kind != "stochastic_matrix" or (P.space is not self.space
+                                                 and P.space != self.space):
+                return self._per_measure(ops)
+            out = np.matmul(P.matrix, w[..., None])[..., 0]
+            cut = PRUNE_REL_TOL * np.add.accumulate(out, axis=-1)[..., -1:]
+            # a negative, NaN or infinite entry (a comparison with NaN is False)
+            if not (np.minimum.reduce(out, None) >= 0.0 and np.maximum.reduce(cut, None) < np.inf):
+                return self._per_measure(ops)
+            out = np.where(out > cut, out, 0.0)
+            tv_out = _totals(out)
+            if (np.abs(tv_out - tv) > TV_PRESERVATION_TOL * np.maximum(1.0, tv)).any():
+                return self._per_measure(ops)
+            # the merge order: the positive part's states, then the rest
+            order = rows, (out[0] == 0.0).argsort(axis=-1, kind="stable")
+            key = order[1].argsort(axis=-1)
+            x = _SIGNS * (out[0] - out[1])  # the merged weights, and their negatives
+            cut = PRUNE_REL_TOL * np.add.accumulate(np.abs(x[0])[order], axis=-1)[:, -1:]
+            w, tv = _prune_parts(np.where(x > cut, x, 0.0), order)
+        return _Panel(self.space, w, key, tv)
+
+    @staticmethod
+    def combine(coeffs, panels) -> "_Panel":
+        """``linear_combine(coeffs, measures)`` on every row.
+
+        The weights are added in measure order (an absent atom adds an exact
+        0.0), atoms keep their first appearance (a measure's positive part,
+        then its negative part), and the total, the cut and the Jordan split
+        are taken in that order.  A non-finite total sends the rows through
+        ``linear_combine``, which raises.  The panels of one check share the
+        space that ``_panel`` and each factor of ``chain`` are checked against.
+        """
+        space = panels[0].space
+        S = space.size
+        rows = np.arange(len(panels[0].key))[:, None]
+        # keys are below 2S: measure m's atoms take keys from 4Sm on, its
+        # negative part after its positive part, and its first appearance wins
+        first = np.full(panels[0].key.shape, 4 * S * len(panels))
+        for m in reversed(range(len(panels))):
+            pos, neg = panels[m].w > 0.0
+            first = np.where(pos | neg, 4 * S * m + 2 * S * neg + panels[m].key, first)
+        order = first.argsort(axis=-1)
+        with np.errstate(over="ignore"):  # an overflow fails the test below
+            x = float(coeffs[0]) * (panels[0].w[0] - panels[0].w[1])
+            for c, p in zip(coeffs[1:], panels[1:]):
+                x = x + float(c) * (p.w[0] - p.w[1])
+            total = np.add.accumulate(np.abs(x)[rows, order], axis=-1)[:, -1:]
+        if not np.isfinite(total).all():
+            return _per_row(lambda *mus: linear_combine(coeffs, mus), panels)
+        x = _SIGNS * np.where(np.abs(x) > PRUNE_REL_TOL * total, x, 0.0)
+        w, _ = _prune_parts(np.maximum(x, 0.0), (rows, order))
+        return _Panel(space, w, order.argsort(axis=-1))
+
+    def _per_measure(self, ops) -> "_Panel":
+        return _per_row(lambda mu: apply_signed(compose(*ops), mu), [self])
+
+
+def _panel(measures, space: StateSpace):
+    """The signed measures as one panel on ``space``, or None when it does
+    not hold them exactly: a space that is not finite, a part on another
+    space, or atoms that are not distinct states (in both parts together)
+    with finite positive weights.  Those run per measure, which raises where
+    it raises."""
+    if space.kind != "finite":
+        return None
+    w = np.zeros((2, len(measures), space.size))
+    key = np.zeros((len(measures), space.size), dtype=np.intp)
+    for r, mu in enumerate(measures):
+        parts = (mu.pos, mu.neg)
+        if any(part.space is not space and part.space != space for part in parts):
+            return None
+        try:
+            pos_states, neg_states = ([space.point_key(p) for p in part.points] for part in parts)
+        except ValueError:
+            return None
+        if len(set(pos_states + neg_states)) < len(pos_states) + len(neg_states):
+            return None
+        for part, states, dense in zip(parts, (pos_states, neg_states), w[:, r]):
+            x = np.asarray(part.weights, dtype=float)
+            if x.shape != (len(states),) or not (np.isfinite(x) & (x > 0.0)).all():
+                return None
+            dense[states] = x
+            key[r, states] = np.arange(len(states))
+    return _Panel(space, w, key)
+
+
+def _per_row(fn, panels) -> _Panel:
+    """``fn`` on each row's measures, one row at a time: the path of a
+    panel that fails a check, so that it raises as the per-measure path does."""
+    return _panel([fn(*row) for row in zip(*(p.measures() for p in panels))],
+                  panels[0].space)
+
+
+def _prune_parts(w, order):
+    """``jordan_parts``' prune of each part of ``w`` against its own
+    left-to-right sum in the atom order ``order`` (an index pair for
+    ``w[0]`` and ``w[1]``); the pruned parts and their ``_totals``."""
+    g = w[(slice(None),) + order]
+    cut = PRUNE_REL_TOL * np.add.accumulate(g, axis=-1)[..., -1:]
+    return np.where(w > cut, w, 0.0), _totals(np.where(g > cut, g, 0.0))
+
+
+def _totals(g):
+    """``weights.sum()`` of the nonzero entries of each row of ``g``, in
+    row order.  NumPy adds fewer than 8 numbers left to right, so the zeros
+    between them change nothing there; longer rows are compacted one by one."""
+    S = g.shape[-1]
+    if S < 8:
+        return np.add.reduce(g, axis=-1)
+    return np.array([v[v != 0.0].sum() for v in g.reshape(-1, S)]).reshape(g.shape[:-1])
+
+
+def _chain(mu, ops):
     """The product of ``ops`` in written order (the last acts first) on mu."""
-    return apply_signed(compose(*ops), mu) if ops else mu
+    if not ops:
+        return mu
+    return mu.chain(ops) if isinstance(mu, _Panel) else apply_signed(compose(*ops), mu)
 
 
-def _sum(terms, mu) -> SignedMeasure:
+def _combine(coeffs, measures):
+    """``linear_combine`` of signed measures, or of panels row by row."""
+    if isinstance(measures[0], _Panel):
+        return _Panel.combine(coeffs, measures)
+    return linear_combine(coeffs, measures)
+
+
+def _sum(terms, mu):
     """The terms added in list order; the zero measure on mu's space if none."""
-    return linear_combine([1.0] * len(terms), terms) if terms else linear_combine([0.0], [mu])
+    return _combine([1.0] * len(terms), terms) if terms else _combine([0.0], [mu])
 
 
-def _commutator(mu, pa, pb) -> SignedMeasure:
+def _integers(**indices) -> None:
+    """ValueError for an index that is not an integer."""
+    for name, value in indices.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _commutator(mu, pa, pb):
     """(Pa Pb - Pb Pa) mu."""
-    return linear_combine([1.0, -1.0], [_chain(mu, [pa, pb]), _chain(mu, [pb, pa])])
+    return _combine([1.0, -1.0], [_chain(mu, [pa, pb]), _chain(mu, [pb, pa])])
 
 
-def _block_gap(mu, g1, g2, h, n, k) -> SignedMeasure:
+def _block_gap(mu, g1, g2, h, n, k):
     """([P1(kh) P2(kh)]^n - [P1(h) P2(h)]^(nk)) mu: coarse minus fine blocks."""
     coarse = [at_time(g1, k * h), at_time(g2, k * h)]
     fine = [at_time(g1, h), at_time(g2, h)]
-    return linear_combine([1.0, -1.0], [_chain(mu, coarse * n), _chain(mu, fine * (n * k))])
+    return _combine([1.0, -1.0], [_chain(mu, coarse * n), _chain(mu, fine * (n * k))])
 
 
-def _triple_sum(mu, g1, g2, h, n, k, inner) -> SignedMeasure:
+def _triple_sum(mu, g1, g2, h, n, k, inner):
     """Sum of [P1k P2k]^i P1(jh) P2(lh) [P1, P2] inner(i, j, l) over i < n,
     1 <= j < k, l < j, term by term in that order (P1k: P1 at kh)."""
     p1, p2 = at_time(g1, h), at_time(g2, h)
@@ -93,7 +291,7 @@ def _triple_sum(mu, g1, g2, h, n, k, inner) -> SignedMeasure:
     return _sum(terms, mu)
 
 
-def _displayed_triple_sum(mu, g1, g2, h, n, k) -> SignedMeasure:
+def _displayed_triple_sum(mu, g1, g2, h, n, k):
     """The triple sum as displayed: the trailing second-factor time is
     (j - l) h and the trailing block exponent k(n - i) - j - 1, verbatim."""
     p1, p2 = at_time(g1, h), at_time(g2, h)
@@ -103,6 +301,7 @@ def _displayed_triple_sum(mu, g1, g2, h, n, k) -> SignedMeasure:
 
 def check_lemma_a(g1, g2, t, m, j, test_measures) -> IdentityCheckResult:
     """Commutator of one first-factor step against j second-factor steps."""
+    _integers(m=m, j=j)
     if not 1 <= j <= m:
         raise ValueError("need 1 <= j <= m")
     h = t / m
@@ -122,6 +321,7 @@ def check_lemma_a(g1, g2, t, m, j, test_measures) -> IdentityCheckResult:
 
 def check_lemma_b(g1, g2, t, m, k, test_measures) -> IdentityCheckResult:
     """One coarse block against the k-fold product of fine blocks."""
+    _integers(m=m, k=k)
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
     h = t / m
@@ -142,6 +342,7 @@ def check_lemma_b(g1, g2, t, m, k, test_measures) -> IdentityCheckResult:
 
 def check_lemma_c(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
     """n coarse blocks against nk fine blocks."""
+    _integers(n=n, k=k)
     if n < 1 or k < 1:
         raise ValueError("need n, k >= 1")
     h = t / (n * k)
@@ -166,6 +367,7 @@ def check_corollary(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
     separate recomposition through the three telescoping checks localizes
     any discrepancy.
     """
+    _integers(n=n, k=k)
     if n < 1 or k < 1:
         raise ValueError("need n, k >= 1")
     h = t / (n * k)
@@ -185,6 +387,7 @@ def check_corollary_recomposition(g1, g2, t, n, k, test_measures) -> IdentityChe
     (k-1-j) + k(n-1-i)), so a typo in the displayed merged indices would
     surface here while the three telescoping checks still pass.
     """
+    _integers(n=n, k=k)
     if n < 1 or k < 1:
         raise ValueError("need n, k >= 1")
     h = t / (n * k)
@@ -201,12 +404,13 @@ def check_corollary_recomposition(g1, g2, t, n, k, test_measures) -> IdentityChe
 
 def check_swap_identity(g1, g2, t, n, test_measures) -> IdentityCheckResult:
     """Both expansions of (P1 P2)^n - (P2 P1)^n against the direct difference."""
+    _integers(n=n)
     if n < 1:
         raise ValueError("need n >= 1")
     p1, p2 = at_time(g1, t), at_time(g2, t)
 
     def sides(mu):
-        direct = linear_combine(
+        direct = _combine(
             [1.0, -1.0], [_chain(mu, [p1, p2] * n), _chain(mu, [p2, p1] * n)])
         for leading, trailing in (([p2, p1], [p1, p2]), ([p1, p2], [p2, p1])):
             terms = []
@@ -247,6 +451,8 @@ def run_identity_suite(seed: int, trials: int, max_states: int):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if max_states < 2:
+        raise ValueError("max_states must be >= 2")
     rng = np.random.default_rng(seed)
     results, failures = [], []
     for trial in range(trials):

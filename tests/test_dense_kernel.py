@@ -679,15 +679,13 @@ class TestSignedChains:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_identity_suite_matches_per_factor_loop(self, seed, monkeypatch):
-        def per_factor_chain(mu, ops):
-            for P in reversed(ops):
-                mu = _per_factor_apply_signed(P, mu)
-            return mu
-
+        """The suite's panels against its formulas run one test measure at a
+        time, each product one ``apply`` per part and factor."""
         def run():
             results, failures = identities.run_identity_suite(seed, 4, 6)
             return repr([r.to_json_dict() for r in results]), repr(failures)
 
         new = run()
-        monkeypatch.setattr(identities, "_chain", per_factor_chain)
+        monkeypatch.setattr(identities, "_panel", lambda measures, space: None)
+        monkeypatch.setattr(identities, "apply_signed", _per_factor_apply_signed)
         assert new == run()
