@@ -8,39 +8,26 @@ operator identities, so deviations are pure floating-point noise.
 
 The formulas are written once, over two operations: ``_chain``, a product
 of operators, and ``_combine``, ``linear_combine``.  On a finite space
-``_check`` runs the whole test panel through them as one ``_Panel``: the
-positive and the negative parts of every test measure as two (panel, states)
-weight arrays, which go through each factor as one stacked product
-``np.matmul(P, W[..., None])``.  NumPy runs that as one gemv per row, the
-call ``P @ w`` makes, so each row is bitwise what ``apply_signed`` and
-``linear_combine`` give for its measure: the same prunes, re-splits, atom
-orders and checks.  Anywhere else (linear-flow lifts on R^dim) the same
-formulas run per measure, through ``apply_signed`` (one dense chain for a
-product of stochastic matrices, re-split after every factor) and
-``linear_combine``.
+``_check`` runs the whole test panel through them as one
+``operators._Panel``, the runner that ``apply_signed`` uses for products of
+stochastic matrices, with one row per test measure: each row is bitwise
+what ``apply_signed`` and ``linear_combine`` give for its measure.
+Anywhere else (linear-flow lifts on R^dim) the same formulas run per
+measure, through ``apply_signed`` and ``linear_combine``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .bl_metric import bl_distances
-from .measures import (
-    PRUNE_REL_TOL,
-    PositiveMeasure,
-    SignedMeasure,
-    StateSpace,
-    linear_combine,
-)
-from .operators import TV_PRESERVATION_TOL, SemigroupSpec, apply_signed, at_time, compose
+from .measures import PositiveMeasure, StateSpace, linear_combine
+from .operators import SemigroupSpec, _Panel, _panel, apply_signed, at_time, compose
 
 MATRIX_TOL = 1e-10
 LIFT_TOL = 1e-8
-
-_SIGNS = np.array([1.0, -1.0])[:, None, None]  # a panel's two parts from signed weights
 
 
 @dataclass(frozen=True)
@@ -78,163 +65,6 @@ def _check(name, g1, test_measures, sides) -> IdentityCheckResult:
     deviation = max([0.0] + bl_distances(pairs, pairs[0][0].space))
     tolerance = MATRIX_TOL if g1.kind == "matrix_exponential" else LIFT_TOL
     return IdentityCheckResult(name, deviation, len(test_measures), tolerance)
-
-
-class _Panel(NamedTuple):
-    """Signed measures on one finite space, one per row.
-
-    ``w[0]`` and ``w[1]`` are the (rows, states) weights of the positive and
-    the negative parts, with disjoint supports.  Within each part, a row
-    lists its atoms in increasing ``key`` (rows, states): that is the order
-    of the atoms of its measure.  ``tv`` (2, rows) is each part's
-    ``weights.sum()`` in that order, when known.
-    """
-
-    space: StateSpace
-    w: np.ndarray
-    key: np.ndarray
-    tv: np.ndarray | None = None
-
-    def measures(self) -> list:
-        """The rows as signed measures."""
-        out = []
-        for order, pos, neg in zip(self.key.argsort(axis=-1), *self.w):
-            parts = []
-            for v in (pos, neg):
-                points = order[v[order] != 0.0]
-                parts.append(PositiveMeasure(self.space, tuple(points.tolist()), v[points]))
-            out.append(SignedMeasure(*parts))
-        return out
-
-    def chain(self, ops) -> "_Panel":
-        """``apply_signed(compose(*ops), mu)`` on every row, as the dense
-        chain runner computes it (``operators._apply_chain``).
-
-        Each factor is one stacked product of both parts.  Each row is then
-        pruned at PRUNE_REL_TOL times its left-to-right sum, as
-        ``prune_dense`` prunes (the builtin ``sum`` is left to right, and the
-        zeros between the entries add nothing), and TV-checked.  The re-split
-        merges the parts in ``linear_combine``'s order, the positive part's
-        states and then the rest, each in index order; a row with one empty
-        part comes out of it unchanged, so every row takes it.  A row that
-        fails a check (a factor that is not a stochastic matrix on this
-        space, a negative or non-finite weight, TV not preserved) sends the
-        panel through the per-measure path, which raises as it does, for the
-        first failing measure.
-        """
-        w, key = self.w, self.key
-        rows = np.arange(len(key))[:, None]
-        tv = self.tv if self.tv is not None else _totals(w[:, rows, key.argsort(axis=-1)])
-        for P in reversed(ops):
-            if P.kind != "stochastic_matrix" or (P.space is not self.space
-                                                 and P.space != self.space):
-                return self._per_measure(ops)
-            out = np.matmul(P.matrix, w[..., None])[..., 0]
-            cut = PRUNE_REL_TOL * np.add.accumulate(out, axis=-1)[..., -1:]
-            # a negative, NaN or infinite entry (a comparison with NaN is False)
-            if not (np.minimum.reduce(out, None) >= 0.0 and np.maximum.reduce(cut, None) < np.inf):
-                return self._per_measure(ops)
-            out = np.where(out > cut, out, 0.0)
-            tv_out = _totals(out)
-            if (np.abs(tv_out - tv) > TV_PRESERVATION_TOL * np.maximum(1.0, tv)).any():
-                return self._per_measure(ops)
-            # the merge order: the positive part's states, then the rest
-            order = rows, (out[0] == 0.0).argsort(axis=-1, kind="stable")
-            key = order[1].argsort(axis=-1)
-            x = _SIGNS * (out[0] - out[1])  # the merged weights, and their negatives
-            cut = PRUNE_REL_TOL * np.add.accumulate(np.abs(x[0])[order], axis=-1)[:, -1:]
-            w, tv = _prune_parts(np.where(x > cut, x, 0.0), order)
-        return _Panel(self.space, w, key, tv)
-
-    @staticmethod
-    def combine(coeffs, panels) -> "_Panel":
-        """``linear_combine(coeffs, measures)`` on every row.
-
-        The weights are added in measure order (an absent atom adds an exact
-        0.0), atoms keep their first appearance (a measure's positive part,
-        then its negative part), and the total, the cut and the Jordan split
-        are taken in that order.  A non-finite total sends the rows through
-        ``linear_combine``, which raises.  The panels of one check share the
-        space that ``_panel`` and each factor of ``chain`` are checked against.
-        """
-        space = panels[0].space
-        S = space.size
-        rows = np.arange(len(panels[0].key))[:, None]
-        # keys are below 2S: measure m's atoms take keys from 4Sm on, its
-        # negative part after its positive part, and its first appearance wins
-        first = np.full(panels[0].key.shape, 4 * S * len(panels))
-        for m in reversed(range(len(panels))):
-            pos, neg = panels[m].w > 0.0
-            first = np.where(pos | neg, 4 * S * m + 2 * S * neg + panels[m].key, first)
-        order = first.argsort(axis=-1)
-        with np.errstate(over="ignore"):  # an overflow fails the test below
-            x = float(coeffs[0]) * (panels[0].w[0] - panels[0].w[1])
-            for c, p in zip(coeffs[1:], panels[1:]):
-                x = x + float(c) * (p.w[0] - p.w[1])
-            total = np.add.accumulate(np.abs(x)[rows, order], axis=-1)[:, -1:]
-        if not np.isfinite(total).all():
-            return _per_row(lambda *mus: linear_combine(coeffs, mus), panels)
-        x = _SIGNS * np.where(np.abs(x) > PRUNE_REL_TOL * total, x, 0.0)
-        w, _ = _prune_parts(np.maximum(x, 0.0), (rows, order))
-        return _Panel(space, w, order.argsort(axis=-1))
-
-    def _per_measure(self, ops) -> "_Panel":
-        return _per_row(lambda mu: apply_signed(compose(*ops), mu), [self])
-
-
-def _panel(measures, space: StateSpace):
-    """The signed measures as one panel on ``space``, or None when it does
-    not hold them exactly: a space that is not finite, a part on another
-    space, or atoms that are not distinct states (in both parts together)
-    with finite positive weights.  Those run per measure, which raises where
-    it raises."""
-    if space.kind != "finite":
-        return None
-    w = np.zeros((2, len(measures), space.size))
-    key = np.zeros((len(measures), space.size), dtype=np.intp)
-    for r, mu in enumerate(measures):
-        parts = (mu.pos, mu.neg)
-        if any(part.space is not space and part.space != space for part in parts):
-            return None
-        try:
-            pos_states, neg_states = ([space.point_key(p) for p in part.points] for part in parts)
-        except ValueError:
-            return None
-        if len(set(pos_states + neg_states)) < len(pos_states) + len(neg_states):
-            return None
-        for part, states, dense in zip(parts, (pos_states, neg_states), w[:, r]):
-            x = np.asarray(part.weights, dtype=float)
-            if x.shape != (len(states),) or not (np.isfinite(x) & (x > 0.0)).all():
-                return None
-            dense[states] = x
-            key[r, states] = np.arange(len(states))
-    return _Panel(space, w, key)
-
-
-def _per_row(fn, panels) -> _Panel:
-    """``fn`` on each row's measures, one row at a time: the path of a
-    panel that fails a check, so that it raises as the per-measure path does."""
-    return _panel([fn(*row) for row in zip(*(p.measures() for p in panels))],
-                  panels[0].space)
-
-
-def _prune_parts(w, order):
-    """``jordan_parts``' prune of each part of ``w`` against its own
-    left-to-right sum in the atom order ``order`` (an index pair for
-    ``w[0]`` and ``w[1]``); the pruned parts and their ``_totals``."""
-    g = w[(slice(None),) + order]
-    cut = PRUNE_REL_TOL * np.add.accumulate(g, axis=-1)[..., -1:]
-    return np.where(w > cut, w, 0.0), _totals(np.where(g > cut, g, 0.0))
-
-
-def _totals(g):
-    """``weights.sum()`` of the nonzero entries of each row of ``g``, in
-    row order.  NumPy adds fewer than 8 numbers left to right, so the zeros
-    between them change nothing there; longer rows are compacted one by one."""
-    S = g.shape[-1]
-    if S < 8:
-        return np.add.reduce(g, axis=-1)
-    return np.array([v[v != 0.0].sum() for v in g.reshape(-1, S)]).reshape(g.shape[:-1])
 
 
 def _chain(mu, ops):

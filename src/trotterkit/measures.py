@@ -159,27 +159,29 @@ def _merge_atoms(space: StateSpace, points, weights):
 def prune_dense(v: np.ndarray):
     """Nonzero entries of a dense weight vector, pruned as ``_merge_atoms`` prunes.
 
-    Returns (indices, weights) of the kept entries in index order.  The
-    cut is PRUNE_REL_TOL times the builtin ``sum`` over the nonzero
-    entries, the same float ``_merge_atoms`` computes, so the kept weights
-    are bitwise those of the atom path.  Raises ValueError on a negative
-    or non-finite entry, as ``PositiveMeasure.from_atoms`` does.
+    Returns (indices, weights) of the kept entries in index order, and the
+    total before the prune: the builtin ``sum`` over the nonzero entries,
+    the same float ``_merge_atoms`` computes.  The cut is PRUNE_REL_TOL
+    times that total, so the kept weights are bitwise those of the atom
+    path.  Raises ValueError on a negative or non-finite entry, as
+    ``PositiveMeasure.from_atoms`` does.
     """
     idx = v.nonzero()[0]
     w = v[idx]
     listed = w.tolist()
-    cut = PRUNE_REL_TOL * sum(listed)
+    total = sum(listed, 0.0)  # a float for an empty list too
+    cut = PRUNE_REL_TOL * total
     # all kept implies all positive: a negative entry never clears the cut.
     # The list minimum is the cheap test on these small supports; it is
     # False when a NaN or infinite entry makes the cut NaN or infinite.
     if listed and not min(listed) > cut:
         if not math.isfinite(cut):
-            raise ValueError(f"atom weights must be finite, got total mass {sum(listed)!r}")
+            raise ValueError(f"atom weights must be finite, got total mass {total!r}")
         if (w < 0.0).any():
             raise ValueError("positive measure cannot carry negative weights")
         keep = w > cut  # w >= 0 here, so w > cut is |w| > cut
         idx, w = idx[keep], w[keep]
-    return idx, w
+    return idx, w, total
 
 
 @dataclass(frozen=True)
@@ -224,7 +226,7 @@ class PositiveMeasure:
     @staticmethod
     def from_weight_vector(space: StateSpace, v) -> "PositiveMeasure":
         """Atoms of a dense weight vector, merged and pruned as ``from_atoms`` does."""
-        idx, w = prune_dense(np.asarray(v, dtype=float))
+        idx, w, _ = prune_dense(np.asarray(v, dtype=float))
         return PositiveMeasure(space=space, points=tuple(idx.tolist()), weights=w)
 
     def to_json_dict(self) -> dict:
@@ -273,24 +275,23 @@ def _point_json(space: StateSpace, p):
 def _build_signed(space, points, weights) -> SignedMeasure:
     keys, w = _merge_atoms(space, points, weights)
     pos, neg = (PositiveMeasure(space, tuple(part_points), np.asarray(part_weights, dtype=float))
-                for part_points, part_weights in jordan_parts(keys, w, 0.0))
+                for part_points, part_weights in jordan_parts(keys, w))
     return SignedMeasure(pos=pos, neg=neg)
 
 
-def jordan_parts(points, weights, cut: float):
+def jordan_parts(points, weights):
     """Merged atoms split by sign: (points, weights) lists of the positive
-    and the negative part, both with positive weights.
-
-    An atom is kept when ``|w| > cut`` (cut >= 0; a NaN cut keeps none).
-    Each part is then pruned against its own total, the builtin ``sum`` of
-    its weights, as ``PositiveMeasure.from_atoms`` prunes a measure.
+    and the negative part, both with positive weights; zero weights are
+    dropped.  Each part is then pruned against its own total, the builtin
+    ``sum`` of its weights, as ``PositiveMeasure.from_atoms`` prunes a
+    measure.
     """
     parts = ([], []), ([], [])
     for p, x in zip(points, weights):
-        if x > cut:
+        if x > 0.0:
             parts[0][0].append(p)
             parts[0][1].append(x)
-        elif x < -cut:
+        elif x < 0.0:
             parts[1][0].append(p)
             parts[1][1].append(-x)
     for part_points, part_weights in parts:

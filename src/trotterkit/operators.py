@@ -3,15 +3,19 @@
 Four operator kinds share one interface: column-stochastic matrices on a
 finite space, deterministic-map lifts (Dirac pushforwards), kernels that
 send each point to a probability measure, and products of operators
-(``compose``), which run through one chain runner.  Semigroups are generated
-by a rate matrix (matrix exponential), a linear flow on R^dim, or a named
-closed-form flow.
+(``compose``).  Every stochastic-matrix step is taken in one of two places:
+``_dense_step``, in the chain runner of positive measures
+(``_apply_chain``), and ``_Panel.chain``, which runs signed measures as
+rows of two dense weight arrays, for ``apply_signed`` and the identity
+checks alike.  Semigroups are generated by a rate matrix (matrix
+exponential), a linear flow on R^dim, or a named closed-form flow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -24,7 +28,6 @@ from .measures import (
     SignedMeasure,
     SpaceMismatchError,
     StateSpace,
-    jordan_parts,
     linear_combine,
     prune_dense,
 )
@@ -129,12 +132,11 @@ def apply(P: MarkovOperatorSpec, mu: PositiveMeasure) -> PositiveMeasure:
     check_input(P, mu)
     if P.kind == "composite":
         return _apply_chain(P.factors[::-1], mu)
-    if P.kind == "deterministic_map" and P.space.kind == "euclidean":
-        return _map_chain((P,), mu)
+    if P.kind == "stochastic_matrix" or (
+            P.kind == "deterministic_map" and P.space.kind == "euclidean"):
+        return _apply_chain((P,), mu)
     tv_in = mu.tv
-    if P.kind == "stochastic_matrix":
-        out = PositiveMeasure.from_weight_vector(P.space, P.matrix @ mu.weight_vector())
-    elif P.kind == "deterministic_map":
+    if P.kind == "deterministic_map":
         out = PositiveMeasure.from_atoms(
             P.space, [(P.point_map(p), w) for p, w in zip(mu.points, mu.weights)])
     else:
@@ -153,61 +155,27 @@ def apply(P: MarkovOperatorSpec, mu: PositiveMeasure) -> PositiveMeasure:
     return out
 
 
-def _apply_chain(ops, mu):
-    """Apply the nonempty sequence ``ops`` to ``mu``, first operator first.
+def _apply_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
+    """Apply the nonempty sequence ``ops`` to the positive measure ``mu``,
+    first operator first, bit for bit as one ``apply`` per operator.
 
-    ``mu`` is a positive measure, or a signed one, which runs as its Jordan
-    pair and is re-split after every operator exactly as ``apply_signed``
-    re-splits after one.  Stochastic matrices run on dense weight vectors:
-    each part takes the checks and exceptions of ``apply`` (matching spaces,
-    nonnegative input, the ``PRUNE_REL_TOL`` prune, TV preservation) and
-    bitwise its weights, then the pair takes the merge and prunes of
-    ``linear_combine([1, -1], [pos, neg])`` (see ``_resplit``).  A positive
-    measure on R^dim runs through deterministic maps on one point array (see
-    ``_map_chain``).  These steps are not counted in APPLY_COUNT.  Any other
-    chain is one ``apply`` (``apply_signed``) per operator.
+    Stochastic matrices run on one dense weight vector (see ``_dense_step``),
+    and deterministic maps on R^dim on one point array (see ``_map_chain``);
+    these steps keep the checks and exceptions of ``apply`` and are not
+    counted in APPLY_COUNT.  Any other chain is one ``apply`` per operator.
     """
-    signed = isinstance(mu, SignedMeasure)
-    if not signed and mu.space.kind == "euclidean" and all(
-            P.kind == "deterministic_map" for P in ops):
+    if mu.space.kind == "euclidean" and all(P.kind == "deterministic_map" for P in ops):
         return _map_chain(ops, mu)
     if any(P.kind != "stochastic_matrix" for P in ops):
-        step = apply_signed if signed else apply
         for P in ops:
-            mu = step(P, mu)
+            mu = apply(P, mu)
         return mu
-    # The pair (pos, neg): the caller's parts until their first step, then
-    # _dense_step's tuples.  None is an empty part of a signed measure, which
-    # apply_signed skips; a positive measure is the pair (mu, None), and its
-    # one part always runs, as in apply.
-    if signed:
-        pos = mu.pos if len(mu.pos) else None
-        neg = mu.neg if len(mu.neg) else None
-        pos_space, neg_space = mu.pos.space, mu.neg.space
-    else:
-        pos, neg = mu, None
-    space = mu.space
+    check_input(ops[0], mu)
+    space, v, tv = mu.space, mu.weight_vector(), mu.tv
     for P in ops:
-        if pos is not None:
-            pos = _dense_step(P, pos, space)
-        if neg is not None:
-            neg = _dense_step(P, neg, space)
-        if not signed:
-            space = P.space
-            continue
-        # linear_combine([1, -1], [pos, neg]) puts both on the positive part's space
-        pos_space = P.space if pos is not None else pos_space
-        neg_space = P.space if neg is not None else neg_space
-        if neg_space is not pos_space and neg_space != pos_space:
-            raise SpaceMismatchError("measures live on different state spaces")
-        space = neg_space = pos_space
-        pos = pos if pos is not None and len(pos[3]) else None
-        neg = neg if neg is not None and len(neg[3]) else None
-        if pos is not None and neg is not None:
-            pos, neg = [_dense_part(space, *cut) for cut in _resplit(*pos[2:], *neg[2:])]
-    if not signed:
-        return _measure(space, pos)
-    return SignedMeasure(pos=_measure(space, pos), neg=_measure(space, neg))
+        v, tv, idx, w = _dense_step(P, v, tv, space)
+        space = P.space
+    return PositiveMeasure(space=space, points=tuple(idx.tolist()), weights=w)
 
 
 def _map_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
@@ -294,81 +262,224 @@ def _apart(images, shape):
     return Y
 
 
-def _dense_step(P: MarkovOperatorSpec, part, space: StateSpace):
-    """One stochastic-matrix step of ``apply`` on one part of a chain.
-
-    ``part`` is the caller's measure, which gets ``apply``'s input checks, or
-    a (dense weights, tv, points, weights) tuple on ``space``; dense steps
-    only output positive weights, so the sign check is not repeated.
-    Returns the tuple of the result.
+def _dense_step(P: MarkovOperatorSpec, v: np.ndarray, tv_in: float, space: StateSpace):
+    """One stochastic-matrix step of ``apply`` on the dense weights ``v`` of
+    mass ``tv_in`` on ``space``: the product, ``prune_dense``'s checks and
+    prune, and the TV check of the product's mass before the prune (the
+    prune drops up to PRUNE_REL_TOL of the mass per atom, more than the TV
+    tolerance over several atoms).  Dense steps only output positive
+    weights, so the sign check of ``apply`` is not repeated.  Returns the
+    dense weights, the mass and the (points, weights) of the result.
     """
-    if isinstance(part, PositiveMeasure):
-        check_input(P, part)
-        v, tv_in = part.weight_vector(), part.tv
-    else:
-        _check_space(P, space)
-        v, tv_in = part[0], part[1]
-    idx, w = prune_dense(P.matrix @ v)
-    tv = float(w.sum())
-    _check_tv(P, tv_in, tv)
+    _check_space(P, space)
+    idx, w, total = prune_dense(P.matrix @ v)
+    _check_tv(P, tv_in, total)
     if len(w) < P.space.size:
         v = np.zeros(P.space.size)
         v[idx] = w
     else:
         v = w
-    return v, tv, idx, w
-
-
-def _resplit(pos_points, pos_weights, neg_points, neg_weights):
-    """``linear_combine([1, -1], [pos, neg])`` of two nonempty dense-step
-    outputs, as (points, weights) lists of the new positive and negative part.
-
-    Atoms merge in first-appearance order: the positive part's points, then
-    the points only in the negative part.  The cut is PRUNE_REL_TOL times
-    the builtin ``sum`` of ``|w|`` in that order, and ``jordan_parts``
-    splits and prunes the merged atoms as ``linear_combine`` does.
-    """
-    merged = dict(zip(pos_points.tolist(), pos_weights.tolist()))
-    for i, x in zip(neg_points.tolist(), neg_weights.tolist()):
-        merged[i] = merged[i] - x if i in merged else -x
-    cut = PRUNE_REL_TOL * sum(abs(x) for x in merged.values())
-    return jordan_parts(merged.keys(), merged.values(), cut)
-
-
-def _dense_part(space: StateSpace, points: list, weights: list):
-    """A re-split part as a ``_dense_step`` tuple, or None when it is empty."""
-    if not points:
-        return None
-    w = np.array(weights)
-    v = np.zeros(space.size)
-    v[points] = w
-    return (v, float(w.sum()), points, w)
-
-
-def _measure(space: StateSpace, part) -> PositiveMeasure:
-    if part is None:
-        return PositiveMeasure(space=space)
-    points = part[2]
-    return PositiveMeasure(space=space, weights=part[3], points=tuple(
-        points.tolist() if isinstance(points, np.ndarray) else points))
+    return v, float(w.sum()), idx, w
 
 
 def apply_signed(P: MarkovOperatorSpec, mu: SignedMeasure) -> SignedMeasure:
     """Extend the operator to signed measures through the Jordan pair.
 
-    Both parts go through the operator, and the results are merged and
-    re-split into a Jordan pair.  A composite re-splits after every factor,
-    so ``apply_signed(compose(A, B), mu)`` is ``apply_signed(A,
-    apply_signed(B, mu))`` bit for bit; stochastic matrices and their
-    products run through the dense chain runner.
+    Both nonempty parts go through the operator, and the results are merged
+    and re-split into a Jordan pair (``linear_combine([1, -1], [pos,
+    neg])``).  A composite re-splits after every factor, so
+    ``apply_signed(compose(A, B), mu)`` is ``apply_signed(A, apply_signed(B,
+    mu))`` bit for bit.
+
+    A stochastic matrix, or a product of them, runs ``mu`` as a one-row
+    ``_Panel``, which adds nothing to APPLY_COUNT.  A measure that a panel
+    cannot hold (a repeated state or a zero weight in a part, a state in
+    both parts, a part on another space) runs one counted ``apply`` per
+    nonempty part and factor instead.  A product with other factors runs
+    one ``apply_signed`` per factor, so only its kernel and map factors
+    are counted.
     """
-    if P.kind == "composite":
-        return _apply_chain(P.factors[::-1], mu)
-    if P.kind == "stochastic_matrix":
-        return _apply_chain((P,), mu)
-    pos = apply(P, mu.pos) if len(mu.pos) else mu.pos
-    neg = apply(P, mu.neg) if len(mu.neg) else mu.neg
-    return linear_combine([1.0, -1.0], [pos, neg])
+    if P.kind == "composite" and any(F.kind != "stochastic_matrix" for F in P.factors):
+        for F in reversed(P.factors):
+            mu = apply_signed(F, mu)
+        return mu
+    factors = P.factors if P.kind == "composite" else (P,)
+    panel = _panel([mu], mu.space) if P.kind in ("composite", "stochastic_matrix") else None
+    if panel is None:
+        return _signed_steps(factors, mu)
+    return panel.chain(factors).measures()[0]
+
+
+def _signed_steps(ops, mu: SignedMeasure) -> SignedMeasure:
+    """The product of ``ops`` in written order on ``mu``, one factor at a
+    time: ``apply`` on each nonempty part, then the re-split."""
+    for P in reversed(ops):
+        pos = apply(P, mu.pos) if len(mu.pos) else mu.pos
+        neg = apply(P, mu.neg) if len(mu.neg) else mu.neg
+        mu = linear_combine([1.0, -1.0], [pos, neg])
+    return mu
+
+
+_SIGNS = np.array([1.0, -1.0])[:, None, None]  # a panel's two parts from signed weights
+
+
+class _Panel(NamedTuple):
+    """Signed measures on one finite space, one per row.
+
+    ``w[0]`` and ``w[1]`` are the (rows, states) weights of the positive and
+    the negative parts, with disjoint supports.  Within each part, a row
+    lists its atoms in increasing ``key`` (rows, states): that is the order
+    of the atoms of its measure.  ``tv`` (2, rows) is each part's
+    ``weights.sum()`` in that order, when known.
+    """
+
+    space: StateSpace
+    w: np.ndarray
+    key: np.ndarray
+    tv: np.ndarray | None = None
+
+    def measures(self) -> list:
+        """The rows as signed measures."""
+        out = []
+        for order, pos, neg in zip(self.key.argsort(axis=-1), *self.w):
+            parts = []
+            for v in (pos, neg):
+                points = order[v[order] != 0.0]
+                parts.append(PositiveMeasure(self.space, tuple(points.tolist()), v[points]))
+            out.append(SignedMeasure(*parts))
+        return out
+
+    def chain(self, ops) -> "_Panel":
+        """The product of ``ops`` in written order (the last acts first) on
+        every row, bit for bit as ``_signed_steps``: each factor on both
+        nonempty parts, then the re-split.
+
+        Each factor is one stacked product of both parts, which NumPy runs
+        as one gemv per row, the call ``P @ v`` of ``_dense_step``.  Each row
+        is then TV-checked on its left-to-right sum and pruned at
+        PRUNE_REL_TOL times that sum, as ``_dense_step`` checks the total of
+        ``prune_dense`` and prunes (the builtin ``sum`` is left to right, and
+        the zeros between the entries add nothing).  The re-split merges the
+        parts in ``linear_combine``'s order, the positive part's states and
+        then the rest, each in index order; a row with one empty part comes
+        out of it unchanged, so every row takes it.  A row that fails a
+        check (a factor that is not a stochastic matrix on this space, a
+        negative or non-finite weight, TV not preserved) sends the panel
+        through ``_signed_steps``, which raises as it does, for the first
+        failing measure.
+        """
+        w, key = self.w, self.key
+        rows = np.arange(len(key))[:, None]
+        tv = self.tv if self.tv is not None else _totals(w[:, rows, key.argsort(axis=-1)])
+        for P in reversed(ops):
+            if P.kind != "stochastic_matrix" or (P.space is not self.space
+                                                 and P.space != self.space):
+                return self._per_measure(ops)
+            out = np.matmul(P.matrix, w[..., None])[..., 0]
+            total = np.add.accumulate(out, axis=-1)[..., -1]
+            cut = PRUNE_REL_TOL * total[..., None]
+            # a negative, NaN or infinite entry (a comparison with NaN is False)
+            if not (np.minimum.reduce(out, None) >= 0.0 and np.maximum.reduce(cut, None) < np.inf
+                    and (np.abs(total - tv) <= TV_PRESERVATION_TOL * np.maximum(1.0, tv)).all()):
+                return self._per_measure(ops)
+            out = np.where(out > cut, out, 0.0)
+            # the merge order: the positive part's states, then the rest
+            order = rows, (out[0] == 0.0).argsort(axis=-1, kind="stable")
+            key = order[1].argsort(axis=-1)
+            x = _SIGNS * (out[0] - out[1])  # the merged weights, and their negatives
+            cut = PRUNE_REL_TOL * np.add.accumulate(np.abs(x[0])[order], axis=-1)[:, -1:]
+            w, tv = _prune_parts(np.where(x > cut, x, 0.0), order)
+        return _Panel(self.space, w, key, tv)
+
+    @staticmethod
+    def combine(coeffs, panels) -> "_Panel":
+        """``linear_combine(coeffs, measures)`` on every row.
+
+        The weights are added in measure order (an absent atom adds an exact
+        0.0), atoms keep their first appearance (a measure's positive part,
+        then its negative part), and the total, the cut and the Jordan split
+        are taken in that order.  A non-finite total sends the rows through
+        ``linear_combine``, which raises.  The panels of one check share the
+        space that ``_panel`` and each factor of ``chain`` are checked against.
+        """
+        space = panels[0].space
+        S = space.size
+        rows = np.arange(len(panels[0].key))[:, None]
+        # keys are below 2S: measure m's atoms take keys from 4Sm on, its
+        # negative part after its positive part, and its first appearance wins
+        first = np.full(panels[0].key.shape, 4 * S * len(panels))
+        for m in reversed(range(len(panels))):
+            pos, neg = panels[m].w > 0.0
+            first = np.where(pos | neg, 4 * S * m + 2 * S * neg + panels[m].key, first)
+        order = first.argsort(axis=-1)
+        with np.errstate(over="ignore"):  # an overflow fails the test below
+            x = float(coeffs[0]) * (panels[0].w[0] - panels[0].w[1])
+            for c, p in zip(coeffs[1:], panels[1:]):
+                x = x + float(c) * (p.w[0] - p.w[1])
+            total = np.add.accumulate(np.abs(x)[rows, order], axis=-1)[:, -1:]
+        if not np.isfinite(total).all():
+            return _per_row(lambda *mus: linear_combine(coeffs, mus), panels)
+        x = _SIGNS * np.where(np.abs(x) > PRUNE_REL_TOL * total, x, 0.0)
+        w, _ = _prune_parts(np.maximum(x, 0.0), (rows, order))
+        return _Panel(space, w, order.argsort(axis=-1))
+
+    def _per_measure(self, ops) -> "_Panel":
+        return _per_row(lambda mu: _signed_steps(ops, mu), [self])
+
+
+def _panel(measures, space: StateSpace):
+    """The signed measures as one panel on ``space``, or None when it does
+    not hold them exactly: a space that is not finite, a part on another
+    space, or atoms that are not distinct states (in both parts together)
+    with finite positive weights.  Those run per measure, which raises where
+    it raises."""
+    if space.kind != "finite":
+        return None
+    w = np.zeros((2, len(measures), space.size))
+    key = np.zeros((len(measures), space.size), dtype=np.intp)
+    for r, mu in enumerate(measures):
+        parts = (mu.pos, mu.neg)
+        if any(part.space is not space and part.space != space for part in parts):
+            return None
+        try:
+            pos_states, neg_states = ([space.point_key(p) for p in part.points] for part in parts)
+        except ValueError:
+            return None
+        if len(set(pos_states + neg_states)) < len(pos_states) + len(neg_states):
+            return None
+        for part, states, dense in zip(parts, (pos_states, neg_states), w[:, r]):
+            x = np.asarray(part.weights, dtype=float)
+            if x.shape != (len(states),) or not (np.isfinite(x) & (x > 0.0)).all():
+                return None
+            dense[states] = x
+            key[r, states] = np.arange(len(states))
+    return _Panel(space, w, key)
+
+
+def _per_row(fn, panels) -> _Panel:
+    """``fn`` on each row's measures, one row at a time: the path of a
+    panel that fails a check, so that it raises as the per-measure path does."""
+    return _panel([fn(*row) for row in zip(*(p.measures() for p in panels))],
+                  panels[0].space)
+
+
+def _prune_parts(w, order):
+    """``jordan_parts``' prune of each part of ``w`` against its own
+    left-to-right sum in the atom order ``order`` (an index pair for
+    ``w[0]`` and ``w[1]``); the pruned parts and their ``_totals``."""
+    g = w[(slice(None),) + order]
+    cut = PRUNE_REL_TOL * np.add.accumulate(g, axis=-1)[..., -1:]
+    return np.where(w > cut, w, 0.0), _totals(np.where(g > cut, g, 0.0))
+
+
+def _totals(g):
+    """``weights.sum()`` of the nonzero entries of each row of ``g``, in
+    row order.  NumPy adds fewer than 8 numbers left to right, so the zeros
+    between them change nothing there; longer rows are compacted one by one."""
+    S = g.shape[-1]
+    if S < 8:
+        return np.add.reduce(g, axis=-1)
+    return np.array([v[v != 0.0].sum() for v in g.reshape(-1, S)]).reshape(g.shape[:-1])
 
 
 def pairing(mu, f: LipschitzWitness) -> float:

@@ -53,9 +53,10 @@ def _atom_path_apply(P, mu):
     out_v = P.matrix @ v
     out = PositiveMeasure.from_atoms(
         P.space, [(i, out_v[i]) for i in range(P.space.size) if out_v[i] != 0.0])
-    if abs(out.tv - mu.tv) > ops_module.TV_PRESERVATION_TOL * max(1.0, mu.tv):
+    total = sum((x for x in out_v.tolist() if x != 0.0), 0.0)  # the mass before the prune
+    if abs(total - mu.tv) > ops_module.TV_PRESERVATION_TOL * max(1.0, mu.tv):
         raise RuntimeError(
-            f"TV not preserved: {mu.tv} -> {out.tv} under {P.kind} operator")
+            f"TV not preserved: {mu.tv} -> {total} under {P.kind} operator")
     return out
 
 
@@ -595,7 +596,15 @@ class TestSignedChains:
                     SignedMeasure(pos=PositiveMeasure.dirac(space, 0), neg=bad),
                     _signed(foreign, [(1, 1.0)], [(0, 0.5)]),
                     SignedMeasure(pos=PositiveMeasure(space=foreign),
-                                  neg=PositiveMeasure.dirac(space, 1))]
+                                  neg=PositiveMeasure.dirac(space, 1)),
+                    # measures a panel cannot hold: a repeated state, a zero
+                    # weight, a state in both parts
+                    SignedMeasure(pos=PositiveMeasure(space, (2, 0, 2), np.array([0.2, 0.5, 0.1])),
+                                  neg=PositiveMeasure.dirac(space, 1, 0.3)),
+                    SignedMeasure(pos=PositiveMeasure(space, (0, 1), np.array([0.6, 0.0])),
+                                  neg=PositiveMeasure.dirac(space, 2, 0.4)),
+                    SignedMeasure(pos=PositiveMeasure(space, (1, 0), np.array([0.7, 0.2])),
+                                  neg=PositiveMeasure(space, (2, 1), np.array([0.4, 0.3])))]
         products = [(a,), (a, b), (b, a, b, a, b, a), (a, kernel, b), (kernel, a),
                     (shift, a, shift), (shift, kernel), (compose(a, b), kernel),
                     (a, compose(b, compose(a, b))), (scaled, b), (a, negative, a),
@@ -672,10 +681,16 @@ class TestSignedChains:
         mu = _signed(space, [(0, 0.5)], [(1, 0.5)])  # mass 0: both parts stay nonempty
         before = ops_module.APPLY_COUNT
         apply_signed(a, mu)
-        apply_signed(compose(a, b, a), mu)
+        apply_signed(compose(a, b, a), mu)  # one-row panels
         assert ops_module.APPLY_COUNT == before
         apply_signed(compose(a, kernel, b), mu)  # the kernel applies to each nonempty part
         assert ops_module.APPLY_COUNT - before == 2
+        # a repeated state: no panel, so one apply per nonempty part and factor
+        repeated = SignedMeasure(pos=PositiveMeasure(space, (0, 0), np.array([0.25, 0.25])),
+                                 neg=mu.neg)
+        before = ops_module.APPLY_COUNT
+        apply_signed(compose(a, b, a), repeated)
+        assert ops_module.APPLY_COUNT - before == 6
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_identity_suite_matches_per_factor_loop(self, seed, monkeypatch):
@@ -689,3 +704,69 @@ class TestSignedChains:
         monkeypatch.setattr(identities, "_panel", lambda measures, space: None)
         monkeypatch.setattr(identities, "apply_signed", _per_factor_apply_signed)
         assert new == run()
+
+
+# The TV check takes the product's mass before the prune: the prune drops up
+# to PRUNE_REL_TOL of the mass per atom, so over several atoms it drops more
+# than TV_PRESERVATION_TOL from a valid stochastic matrix.
+
+
+@pytest.fixture
+def thin_rows():
+    """Rows 1-5 hold 5e-13 in every column and row 0 the rest: each of
+    those entries falls under the prune cut, and together they hold 2.5e-12."""
+    a = np.full((6, 6), 5e-13)
+    a[0] = 1.0 - 5 * 5e-13
+    return MarkovOperatorSpec(kind="stochastic_matrix", space=_discrete(6), matrix=a)
+
+
+class TestTVCheckBeforePrune:
+    def test_apply_accepts_a_pruned_product(self, thin_rows):
+        P = thin_rows
+        mu = PositiveMeasure.dirac(P.space, 0)
+        out = apply(P, mu)
+        assert out.points == (0,)
+        assert mu.tv - out.tv > ops_module.TV_PRESERVATION_TOL  # the prune took more
+        assert _outcome(apply, P, mu) == _outcome(_atom_path_apply, P, mu)
+        assert _bits(apply(compose(P, P, P), mu)) == _bits(apply(P, apply(P, apply(P, mu))))
+
+    def test_apply_signed_accepts_a_pruned_product(self, thin_rows):
+        P = thin_rows
+        for mu in (_signed(P.space, [(0, 1.0)], [(3, 0.5)]),
+                   SignedMeasure(pos=PositiveMeasure(P.space, (0, 0), np.array([0.5, 0.5])),
+                                 neg=PositiveMeasure(P.space))):  # the per-factor route
+            for product in (P, compose(P, P, P)):
+                outcome = _signed_outcome(apply_signed, product, mu)
+                assert outcome[0] == "ok"
+                assert outcome == _signed_outcome(_per_factor_apply_signed, product, mu)
+
+    def test_identity_check_accepts_a_pruned_product(self, thin_rows, monkeypatch):
+        P = thin_rows
+        rng = np.random.default_rng(2)
+        g1, g2 = (SemigroupSpec.matrix_exponential(P.space, identities.random_generator(6, rng))
+                  for _ in range(2))
+        panel = identities.standard_test_panel(P.space, rng)
+        monkeypatch.setattr(identities, "at_time", lambda g, t: P if g is g1 else at_time(g, t))
+        with monkeypatch.context() as m:  # the panel takes no per-measure fallback
+            m.setattr(ops_module, "_signed_steps", lambda ops, mu: pytest.fail("fallback"))
+            result = identities.check_swap_identity(g1, g2, 0.5, 3, panel)
+        assert result.passed and result.instances == 10
+        scaled = _corrupted(P, lambda m: 1.1 * m)
+        monkeypatch.setattr(identities, "at_time",
+                            lambda g, t: scaled if g is g1 else at_time(g, t))
+        with pytest.raises(RuntimeError, match="TV not preserved"):
+            identities.check_swap_identity(g1, g2, 0.5, 3, panel)
+
+    @pytest.mark.parametrize("scale, message", [
+        (1.1, "TV not preserved"),
+        (0.0, r"TV not preserved: \S+ -> 0\.0 under"),  # an empty product's mass is a float
+    ])
+    def test_scaled_matrix_is_still_refused(self, thin_rows, scale, message):
+        scaled = _corrupted(thin_rows, lambda m: scale * m)
+        mu = PositiveMeasure.dirac(scaled.space, 0)
+        signed = _signed(scaled.space, [(0, 1.0)], [(3, 0.5)])
+        for attempt in (lambda: apply(scaled, mu), lambda: apply(compose(thin_rows, scaled), mu),
+                        lambda: apply_signed(scaled, signed),
+                        lambda: apply_signed(compose(scaled, thin_rows), signed)):
+            with pytest.raises(RuntimeError, match=message):
+                attempt()
