@@ -126,8 +126,9 @@ def _merge_atoms(space: StateSpace, points, weights):
 
     On Euclidean spaces, points within the coincidence tolerance count as the
     same atom even when their exact keys differ.  Returns the ``point_key``
-    of each kept atom's first point, and its weight.  Raises ValueError when
-    a weight is NaN or infinite (or the total mass overflows).
+    of each kept atom's first point, its weight, and the total mass of the
+    merged atoms that the prune cuts at.  Raises ValueError when a weight is
+    NaN or infinite (or the total mass overflows).
     """
     merged: dict = {}
     order: list = []
@@ -153,7 +154,7 @@ def _merge_atoms(space: StateSpace, points, weights):
         if abs(w) > cut and w != 0.0:
             out_k.append(key)
             out_w.append(w)
-    return out_k, out_w
+    return out_k, out_w, total
 
 
 def prune_dense(v: np.ndarray):
@@ -194,12 +195,7 @@ class PositiveMeasure:
 
     @staticmethod
     def from_atoms(space: StateSpace, atoms) -> "PositiveMeasure":
-        points = [p for p, _ in atoms]
-        weights = [float(w) for _, w in atoms]
-        if any(w < 0.0 for w in weights):
-            raise ValueError("positive measure cannot carry negative weights")
-        keys, w = _merge_atoms(space, points, weights)
-        return PositiveMeasure(space=space, points=tuple(keys), weights=np.asarray(w, dtype=float))
+        return merged_positive(space, atoms)[0]
 
     @staticmethod
     def dirac(space: StateSpace, point, weight: float = 1.0) -> "PositiveMeasure":
@@ -231,6 +227,19 @@ class PositiveMeasure:
 
     def to_json_dict(self) -> dict:
         return self.as_signed().to_json_dict()
+
+
+def merged_positive(space: StateSpace, atoms):
+    """``PositiveMeasure.from_atoms(space, atoms)``, and the total mass of
+    the merged atoms before the prune: the mass an operator's TV check
+    compares, as ``prune_dense`` returns it for dense weights."""
+    points = [p for p, _ in atoms]
+    weights = [float(w) for _, w in atoms]
+    if any(w < 0.0 for w in weights):
+        raise ValueError("positive measure cannot carry negative weights")
+    keys, w, total = _merge_atoms(space, points, weights)
+    return PositiveMeasure(space=space, points=tuple(keys),
+                           weights=np.asarray(w, dtype=float)), total
 
 
 @dataclass(frozen=True)
@@ -273,7 +282,7 @@ def _point_json(space: StateSpace, p):
 
 
 def _build_signed(space, points, weights) -> SignedMeasure:
-    keys, w = _merge_atoms(space, points, weights)
+    keys, w, _ = _merge_atoms(space, points, weights)
     pos, neg = (PositiveMeasure(space, tuple(part_points), np.asarray(part_weights, dtype=float))
                 for part_points, part_weights in jordan_parts(keys, w))
     return SignedMeasure(pos=pos, neg=neg)

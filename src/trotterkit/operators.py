@@ -7,7 +7,13 @@ send each point to a probability measure, and products of operators
 ``_dense_step``, in the chain runner of positive measures
 (``_apply_chain``), and ``_Panel.chain``, which runs signed measures as
 rows of two dense weight arrays, for ``apply_signed`` and the identity
-checks alike.  Semigroups are generated by a rate matrix (matrix
+checks alike.  Chains of deterministic maps on R^dim run in ``_map_chain``:
+the flows carry an array form of their map, each run of them fills one
+stack of point arrays with one call per step, and one finiteness and
+coincidence test over the stack (``_kept_steps``) finds the first step
+that must merge atoms or raise; that step alone runs ``point_map`` point by
+point and ``from_atoms``.  Every kind of step checks TV on the merged mass
+before the prune.  Semigroups are generated by a rate matrix (matrix
 exponential), a linear flow on R^dim, or a named closed-form flow.
 """
 
@@ -29,6 +35,7 @@ from .measures import (
     SpaceMismatchError,
     StateSpace,
     linear_combine,
+    merged_positive,
     prune_dense,
 )
 
@@ -52,6 +59,10 @@ class MarkovOperatorSpec:
     "deterministic_map" (``point_map`` sends points to points), "kernel"
     (``kernel`` sends points to unit-mass PositiveMeasures), or "composite"
     (``factors`` on the same space, in written order: the last acts first).
+
+    The flows on R^dim (``at_time`` of a linear-flow lift or a named flow,
+    and ``identity``) also carry ``_array_map(src, dst)``: ``point_map`` on
+    every point of ``src`` at once, (m, dim, 1) arrays, bit for bit.
     """
 
     kind: str
@@ -60,6 +71,7 @@ class MarkovOperatorSpec:
     point_map: object = None
     kernel: object = None
     factors: tuple = ()
+    _array_map: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "stochastic_matrix":
@@ -95,8 +107,7 @@ class MarkovOperatorSpec:
         if space.kind == "finite":
             return MarkovOperatorSpec(kind="stochastic_matrix", space=space,
                                       matrix=np.eye(space.size))
-        return MarkovOperatorSpec(kind="deterministic_map", space=space,
-                                  point_map=lambda x: x)
+        return _flow_operator(space, lambda x: x, lambda src, dst: np.copyto(dst, src))
 
 
 def compose(*ops: MarkovOperatorSpec) -> MarkovOperatorSpec:
@@ -104,6 +115,13 @@ def compose(*ops: MarkovOperatorSpec) -> MarkovOperatorSpec:
     ``apply(A, apply(B, mu))`` bit for bit (factors are never multiplied)."""
     return MarkovOperatorSpec(kind="composite", space=ops[0].space if ops else None,
                               factors=ops)
+
+
+def _flow_operator(space: StateSpace, point_map, array_map) -> MarkovOperatorSpec:
+    """A deterministic map on R^dim; ``array_map`` None takes single points only."""
+    P = MarkovOperatorSpec(kind="deterministic_map", space=space, point_map=point_map)
+    object.__setattr__(P, "_array_map", array_map)
+    return P
 
 
 def _check_space(P: MarkovOperatorSpec, space: StateSpace) -> None:
@@ -135,23 +153,25 @@ def apply(P: MarkovOperatorSpec, mu: PositiveMeasure) -> PositiveMeasure:
     if P.kind == "stochastic_matrix" or (
             P.kind == "deterministic_map" and P.space.kind == "euclidean"):
         return _apply_chain((P,), mu)
-    tv_in = mu.tv
     if P.kind == "deterministic_map":
-        out = PositiveMeasure.from_atoms(
-            P.space, [(P.point_map(p), w) for p, w in zip(mu.points, mu.weights)])
+        space, atoms = P.space, [(P.point_map(p), w) for p, w in zip(mu.points, mu.weights)]
     else:
-        parts, coeffs = [], []
-        for p, w in zip(mu.points, mu.weights):
+        if not len(mu):
+            return mu
+        parts = []
+        for p in mu.points:
             kp = P.kernel(p)
             if abs(kp.tv - 1.0) > STOCHASTICITY_TOL:
                 raise ValueError(f"kernel at {p!r} has mass {kp.tv}, expected 1")
             parts.append(kp)
-            coeffs.append(w)
-        if not parts:
-            return mu
-        combined = linear_combine(coeffs, parts)
-        out = combined.pos
-    _check_tv(P, tv_in, out.tv)
+        # the space check and the weights of linear_combine(mu.weights, parts)
+        space = parts[0].space
+        if any(kp.space is not space and kp.space != space for kp in parts):
+            raise SpaceMismatchError("measures live on different state spaces")
+        atoms = [atom for kp, w in zip(parts, mu.weights) for atom in zip(
+            kp.points, (float(w) * np.asarray(kp.weights, dtype=float)).tolist())]
+    out, total = merged_positive(space, atoms)
+    _check_tv(P, mu.tv, total)  # the merged mass, before the prune, as _dense_step
     return out
 
 
@@ -163,6 +183,7 @@ def _apply_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
     and deterministic maps on R^dim on one point array (see ``_map_chain``);
     these steps keep the checks and exceptions of ``apply`` and are not
     counted in APPLY_COUNT.  Any other chain is one ``apply`` per operator.
+    The callers have run ``check_input`` on ``(ops[0], mu)``.
     """
     if mu.space.kind == "euclidean" and all(P.kind == "deterministic_map" for P in ops):
         return _map_chain(ops, mu)
@@ -170,7 +191,6 @@ def _apply_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
         for P in ops:
             mu = apply(P, mu)
         return mu
-    check_input(ops[0], mu)
     space, v, tv = mu.space, mu.weight_vector(), mu.tv
     for P in ops:
         v, tv, idx, w = _dense_step(P, v, tv, space)
@@ -178,27 +198,61 @@ def _apply_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
     return PositiveMeasure(space=space, points=tuple(idx.tolist()), weights=w)
 
 
+# The most coordinates that one run of array steps in ``_map_chain`` stacks.
+_STACK_SIZE = 1 << 16
+
+
 def _map_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
     """Push a positive measure on R^dim through the deterministic maps
     ``ops``, first operator first, bit for bit as one ``apply`` per operator.
 
     The atoms run as one (m, dim) point array and the weight array.  Each
-    step calls ``point_map`` once per point, in order: separate products
-    keep linear flows bitwise, where one batched product would not.  One
-    test over all images checks that they are finite and that no two lie
-    within COINCIDENCE_TOL in every coordinate; such a step moves points
-    only.  When the weights also clear the prune cut, ``apply``'s merge,
-    prune and TV check would change nothing, and the step skips them.
-    Every other step (a coincidence, a bad image, weights the prune would
-    change, points that are not an (m, dim) array) runs ``from_atoms`` and
-    the TV check as ``apply`` does, so it merges, prunes and raises as
-    ``apply``.
+    maximal run of operators with an ``_array_map`` on this space fills one
+    (steps + 1, m, dim, 1) stack, one array call per step, under
+    ``np.errstate(all="ignore")``.  One test over the stack
+    (``_kept_steps``) then finds the first step that ``apply`` would not
+    leave as it is: a non-finite image, or two images within
+    COINCIDENCE_TOL in every coordinate.  The steps before it move points
+    only, and since the weights clear the prune cut, ``apply``'s merge,
+    prune and TV check would change nothing there.  The steps from it on are
+    discarded, and the chain goes on from the last kept step with one
+    ``point_map`` step.  An array call that raises ends its run the same way.
+
+    A ``point_map`` step calls the map once per point, in order, and runs
+    the same test on its one-step stack.  When it fails (a coincidence, a
+    bad image, weights the prune would change, points that are not an
+    (m, dim) array), the step runs ``from_atoms`` and the TV check as
+    ``apply`` does, so it merges, prunes, warns and raises as ``apply``.
     """
-    check_input(ops[0], mu)
     space, points, weights = mu.space, mu.points, mu.weights
     X = _point_array(points, weights, space.dim)
     out = None  # the result when the last step ran from_atoms
-    for P in ops:
+    i = 0
+    while i < len(ops):
+        end = i
+        if X is not None:
+            limit = min(len(ops), i + max(1, _STACK_SIZE // X.size))
+            while end < limit and ops[end]._array_map is not None and (
+                    ops[end].space is space or ops[end].space == space):
+                end += 1
+        if end > i:
+            S = np.empty((end - i + 1,) + X.shape + (1,))
+            S[0, :, :, 0] = X
+            with np.errstate(all="ignore"):
+                for k, P in enumerate(ops[i:end]):
+                    try:
+                        P._array_map(S[k], S[k + 1])
+                    except (ArithmeticError, ValueError):  # point_map raises it below
+                        S = S[:k + 1]
+                        break
+            kept = _kept_steps(S[1:, ..., 0])
+            if kept:
+                X, out, space = S[kept, ..., 0], None, ops[i + kept - 1].space
+                i += kept
+            if i == end:
+                continue
+        P = ops[i]
+        i += 1
         _check_space(P, space)
         space = P.space
         if X is None:
@@ -206,13 +260,16 @@ def _map_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
                      for p, w in zip(points, weights)]
         else:
             images = [P.point_map(x) for x in X]
-            Y = _apart(images, X.shape)
-            if Y is not None:
+            try:
+                Y = np.array(images, dtype=float)
+            except (TypeError, ValueError):  # ragged images make no array
+                Y = None
+            if Y is not None and Y.shape == X.shape and _kept_steps(Y[None]):
                 X, out = Y, None
                 continue
             moved = list(zip(images, weights))
-        out = PositiveMeasure.from_atoms(space, moved)
-        _check_tv(P, float(np.sum(weights)), out.tv)
+        out, total = merged_positive(space, moved)
+        _check_tv(P, float(np.sum(weights)), total)
         points, weights = out.points, out.weights
         X = _point_array(points, weights, space.dim)
     if out is not None:
@@ -239,27 +296,28 @@ def _point_array(points, weights, dim: int):
     return X if X.shape == (m, dim) else None
 
 
-def _apart(images, shape):
-    """The images as an array of ``shape``, when every coordinate is finite
-    and no two images are equal points (``StateSpace.points_equal``).
-    None otherwise."""
-    try:
-        Y = np.array(images, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    if Y.shape != shape:
-        return None
-    flat = Y.ravel().tolist()
-    if not math.isfinite(sum(flat)):  # a NaN or infinity, or an overflowing sum
-        return None
-    # two equal points have first coordinates within the tolerance, and then
-    # so have two neighbours in sorted order
-    first = sorted(flat[::shape[1]])
-    if any(b - a < COINCIDENCE_TOL for a, b in zip(first, first[1:])):
-        close = (np.abs(Y[:, None, :] - Y[None, :, :]) < COINCIDENCE_TOL).all(axis=2)
-        if np.count_nonzero(close) > len(Y):  # the diagonal is always close
-            return None
-    return Y
+def _kept_steps(Y) -> int:
+    """How many leading steps of the image stack ``Y`` (steps, m, dim) a
+    ``from_atoms`` would leave as they are: the left-to-right sum of each
+    step's coordinates, which the builtin ``sum`` takes, is finite (a NaN
+    or infinity, or an overflowing sum, fails it), and no two of its images
+    are equal points (``StateSpace.points_equal``)."""
+    steps, m, dim = Y.shape
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(np.add.accumulate(Y.reshape(steps, m * dim), axis=1)[:, -1])
+        stop = steps if np.logical_and.reduce(finite) else int(finite.argmin())
+        if m == 1:  # one image per step: no pair to coincide
+            return stop
+        # two equal points have first coordinates within the tolerance, and
+        # then so have two neighbours in sorted order
+        first = Y[:stop, :, 0].copy()
+        first.sort(axis=1)
+        near = np.logical_or.reduce(first[:, 1:] - first[:, :-1] < COINCIDENCE_TOL, axis=1)
+        for k in near.nonzero()[0].tolist():
+            close = (np.abs(Y[k][:, None, :] - Y[k][None, :, :]) < COINCIDENCE_TOL).all(axis=2)
+            if np.count_nonzero(close) > m:  # the diagonal is always close
+                return k
+    return stop
 
 
 def _dense_step(P: MarkovOperatorSpec, v: np.ndarray, tv_in: float, space: StateSpace):
@@ -497,11 +555,13 @@ _NAMED_FLOWS = {
 
 
 def _rotate(angle, x):
+    """Rotate the first two coordinates of a point, or of each row of an
+    array of points."""
     x = np.asarray(x, dtype=float)
     c, s = math.cos(angle), math.sin(angle)
     out = x.copy()
-    out[0] = c * x[0] - s * x[1]
-    out[1] = s * x[0] + c * x[1]
+    out[..., 0] = c * x[..., 0] - s * x[..., 1]
+    out[..., 1] = s * x[..., 0] + c * x[..., 1]
     return out
 
 
@@ -528,6 +588,8 @@ class SemigroupSpec:
     flow_params: dict = field(default_factory=dict)
     _operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _iterates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # a named flow takes an array of points as it takes one point
+    _named: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "matrix_exponential":
@@ -568,6 +630,7 @@ class SemigroupSpec:
                     raise ValueError(f"{self.flow_name} flow {self.flow_params} has a "
                                      "non-finite velocity or rate")
                 object.__setattr__(self, "flow", _NAMED_FLOWS[self.flow_name](self.flow_params))
+                object.__setattr__(self, "_named", True)
         else:
             raise ValueError(f"unknown semigroup kind {self.kind!r}")
 
@@ -622,13 +685,14 @@ def _operator_at(G: SemigroupSpec, t: float) -> MarkovOperatorSpec:
         return MarkovOperatorSpec(kind="stochastic_matrix", space=G.space, matrix=E)
     if G.kind == "linear_flow_lift":
         Et = expm(t * G.A)
-        return MarkovOperatorSpec(
-            kind="deterministic_map", space=G.space,
-            point_map=lambda x, _E=Et: _E @ np.asarray(x, dtype=float))
+        # NumPy runs the stacked product as one gemv per point, the call E @ x
+        return _flow_operator(G.space, lambda x, _E=Et: _E @ np.asarray(x, dtype=float),
+                              lambda src, dst, _E=Et: np.matmul(_E, src, out=dst))
     flow = G.flow
-    return MarkovOperatorSpec(
-        kind="deterministic_map", space=G.space,
-        point_map=lambda x, _t=t: flow(_t, np.asarray(x, dtype=float)))
+    return _flow_operator(
+        G.space, lambda x, _t=t: flow(_t, np.asarray(x, dtype=float)),
+        (lambda src, dst, _t=t: np.copyto(dst[..., 0], flow(_t, src[..., 0])))
+        if G._named else None)  # a given flow may take single points only
 
 
 def semigroup_from_json(space: StateSpace, spec: dict) -> SemigroupSpec:

@@ -6,6 +6,9 @@ atom, ``PositiveMeasure.from_atoms`` over the matrix-vector product, and
 unchanged, so results must agree bit for bit, exceptions included.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from trotterkit.measures import (
     SpaceMismatchError,
     StateSpace,
     linear_combine,
+    merged_positive,
 )
 from trotterkit.operators import (
     GeneratorError,
@@ -311,16 +315,17 @@ class TestEuclideanIterateMemo:
     def test_hit_returns_the_first_result(self):
         g1, g2, mu = _plane_pair()
         calls = []
-        for g in (g1, g2):  # the memoized factors of the 16 blocks, with counted maps
+        for g in (g1, g2):  # the memoized factors of the 16 blocks, with counted array maps
             P = at_time(g, 0.5 / 16)
-            object.__setattr__(P, "point_map", lambda x, f=P.point_map: calls.append(x) or f(x))
+            object.__setattr__(P, "_array_map",
+                               lambda src, dst, f=P._array_map: calls.append(src) or f(src, dst))
         before = ops_module.APPLY_COUNT
         out = trotter_iterate(g1, g2, 0.5, 16, mu)
         assert ops_module.APPLY_COUNT == before  # map steps are not counted, as dense steps
-        assert len(calls) == 64  # one call per atom and factor
+        assert len(calls) == 32  # one call per factor step, for all atoms at once
         again = PositiveMeasure.from_atoms(mu.space, [([1.0, 0.0], 0.6), ([0.0, 1.0], 0.4)])
         assert trotter_iterate(g1, g2, 0.5, 16, again) is out
-        assert len(calls) == 64  # a hit applies nothing
+        assert len(calls) == 32  # a hit applies nothing
         with pytest.raises(ValueError):
             out.weights[0] = 1.0  # shared, so read-only
 
@@ -357,12 +362,13 @@ class TestEuclideanIterateMemo:
 
 
 def _atom_path_map_apply(P, mu):
-    """``apply`` on a Euclidean deterministic map as one ``from_atoms`` computed it."""
+    """``apply`` on a Euclidean deterministic map as one ``from_atoms``
+    computes it, with the TV check on the merged mass before the prune."""
     ops_module.check_input(P, mu)
-    out = PositiveMeasure.from_atoms(P.space, [(P.point_map(np.asarray(p, dtype=float)), w)
-                                               for p, w in zip(mu.points, mu.weights)])
-    if abs(out.tv - mu.tv) > ops_module.TV_PRESERVATION_TOL * max(1.0, mu.tv):
-        raise RuntimeError(f"TV not preserved: {mu.tv} -> {out.tv} under {P.kind} operator")
+    out, total = merged_positive(P.space, [(P.point_map(np.asarray(p, dtype=float)), w)
+                                           for p, w in zip(mu.points, mu.weights)])
+    if abs(total - mu.tv) > ops_module.TV_PRESERVATION_TOL * max(1.0, mu.tv):
+        raise RuntimeError(f"TV not preserved: {mu.tv} -> {total} under {P.kind} operator")
     return out
 
 
@@ -478,6 +484,62 @@ def test_bad_images_raise_as_per_factor_loop(image):
         outcome = _map_outcome(apply, compose(*factors), mu)
         assert outcome[0] == "raised" and "is not a point of R^2" in outcome[2]
         assert outcome == _map_outcome(_per_factor_map_loop, factors, mu)
+
+
+def _recorded(fn, *args):
+    """``_map_outcome`` of the call, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        outcome = _map_outcome(fn, *args)
+    return outcome, [(w.category, str(w.message)) for w in record]
+
+
+@pytest.mark.parametrize("case, step", [("coincidence", 40), ("overflow", 46)])
+def test_long_chain_leaves_the_array_loop_at_a_middle_step(case, step):
+    """A 96-step chain first merges two images, or first overflows, at a
+    middle step: the array loop discards the steps from there on, and the
+    chain goes on as the per-factor loop does, warnings included."""
+    plane = StateSpace.euclidean(2)
+    mu = PositiveMeasure.from_atoms(plane, [([1.0, 0.5], 0.25), ([2.0, -0.5], 0.75)])
+    if case == "coincidence":  # the points close in fourfold at every other step
+        pair = (at_time(SemigroupSpec.map_flow(plane, "contraction", {"rate": math.log(4.0)}),
+                        1.0),
+                at_time(SemigroupSpec.linear_flow_lift(plane, [[0.0, -1.0], [1.0, 0.0]]), 0.3))
+    else:  # the points grow e^30-fold at every other step
+        pair = (at_time(SemigroupSpec.linear_flow_lift(plane, [[30.0, 0.0], [0.0, 30.0]]), 1.0),
+                at_time(SemigroupSpec.map_flow(plane, "rotation", {"rate": 1.0}), 0.7))
+    applied = pair * 48  # in application order
+    assert _map_outcome(_per_factor_map_loop, applied[:step][::-1], mu)[:3] == ("ok", plane, 2)
+    at_step, _ = _recorded(_per_factor_map_loop, applied[:step + 1][::-1], mu)
+    assert at_step[:3] == ("ok", plane, 1) if case == "coincidence" else at_step[0] == "raised"
+    calls = []
+    for P in pair:
+        object.__setattr__(P, "point_map", lambda x, f=P.point_map: calls.append(x) or f(x))
+    got = _recorded(apply, compose(*applied[::-1]), mu)
+    assert len(calls) == 2  # one point_map step, at the first step the test refuses
+    assert got == _recorded(_per_factor_map_loop, applied[::-1], mu)
+    if case == "overflow":
+        assert got[0][0] == "raised" and len(got[1]) == 2  # one warning per image
+
+
+def test_one_tv_rule_for_every_apply_branch():
+    """Matrix, kernel and map steps check TV on the merged mass before the
+    prune, so five atoms under the cut, together above the TV tolerance,
+    are pruned alike."""
+    space, line = _discrete(6), StateSpace.euclidean(1)
+    weights = np.array([1.0] + [4e-13] * 5)
+    mu = PositiveMeasure(space, tuple(range(6)), weights)  # stored unpruned
+    cases = [(MarkovOperatorSpec.identity(space), mu),
+             (MarkovOperatorSpec(kind="kernel", space=space,
+                                 kernel=lambda p: PositiveMeasure.dirac(space, p)), mu),
+             (MarkovOperatorSpec(kind="deterministic_map", space=space, point_map=lambda p: p),
+              mu),
+             (MarkovOperatorSpec.identity(line),
+              PositiveMeasure(line, tuple((float(p),) for p in range(6)), weights))]
+    for P, nu in cases:
+        out = apply(P, nu)
+        assert np.asarray(out.points, dtype=float).ravel().tolist() == [0.0], P
+        assert out.weights.tobytes() == np.array([1.0]).tobytes(), P
 
 
 @settings(max_examples=200)

@@ -25,7 +25,7 @@ from trotterkit.measures import (
     StateSpace,
     linear_combine,
 )
-from trotterkit.operators import MarkovOperatorSpec, SemigroupSpec, apply
+from trotterkit.operators import MarkovOperatorSpec, SemigroupSpec, apply, at_time
 
 
 @pytest.fixture
@@ -187,6 +187,31 @@ def test_stacked_product_is_rowwise_gemv():
         for got_part, part in zip(stacked, W):
             for got, w in zip(got_part, part):
                 assert got.tobytes() == (P @ w).tobytes(), states
+
+
+def test_flow_array_maps_are_rowwise_point_maps():
+    """``_map_chain``'s premise: a flow's ``_array_map`` on a stack of points
+    is, row for row, bitwise its ``point_map``.  A linear flow's stacked
+    product runs one gemv per point, the call ``E @ x`` makes."""
+    rng = np.random.default_rng(2)
+    for dim in range(1, 5):
+        space = StateSpace.euclidean(dim)
+        flows = [SemigroupSpec.linear_flow_lift(space, rng.normal(size=(dim, dim)) * (
+            rng.uniform(size=(dim, dim)) < 0.8)) for _ in range(10)]
+        flows += [SemigroupSpec.map_flow(space, "translation", {"velocity": v})
+                  for v in (rng.normal(), [rng.normal()], rng.normal(size=dim).tolist())]
+        flows += [SemigroupSpec.map_flow(space, "contraction", {"rate": rng.normal() * 10.0})]
+        if dim >= 2:
+            flows += [SemigroupSpec.map_flow(space, "rotation", {"rate": rng.normal() * 5.0})]
+        ops = [at_time(g, t) for g in flows for t in (0.0, 0.3, rng.uniform(0.0, 3.0))]
+        for P in ops + [MarkovOperatorSpec.identity(space)]:
+            X = rng.normal(size=(7, dim, 1)) * 10.0 ** rng.integers(-8, 8, size=(7, 1, 1))
+            points = X.tobytes()
+            expected = [np.asarray(P.point_map(x), dtype=float).tobytes() for x in X[..., 0]]
+            Y = np.full_like(X, np.nan)
+            P._array_map(X, Y)
+            assert X.tobytes() == points, P  # the source is only read
+            assert [y.tobytes() for y in Y[..., 0]] == expected, P
 
 
 def test_short_sums_run_left_to_right():

@@ -206,7 +206,7 @@ class TestSignedMeasure:
 def merge_twice(space, points, weights):
     """Reference: signed atoms merged, split by sign, and each part merged
     again through ``PositiveMeasure.from_atoms``."""
-    keys, w = _merge_atoms(space, points, weights)
+    keys, w, _ = _merge_atoms(space, points, weights)
     return SignedMeasure(
         pos=PositiveMeasure.from_atoms(space, [(x, v) for x, v in zip(keys, w) if v > 0.0]),
         neg=PositiveMeasure.from_atoms(space, [(x, -v) for x, v in zip(keys, w) if v < 0.0]))
