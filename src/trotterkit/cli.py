@@ -36,7 +36,7 @@ from .diagnostics import (
     equicontinuity_modulus,
     feller_continuity_check,
     limit_semigroup_check,
-    perturb_measure,
+    perturb_measures,
     stochastic_continuity_check,
     tightness_probe,
 )
@@ -66,13 +66,30 @@ def _schedule(kind: str, n) -> tuple:
     return tuple(2 ** j for j in range(n + 1)) if kind == "dyadic" else tuple(range(1, n + 1))
 
 
+def _flow_overflows(g: SemigroupSpec, t: float) -> bool:
+    """Whether a named flow fails at some time in [0, t]: a contraction whose
+    factor exp(-rate * t) overflows, or a rotation whose angle rate * t is
+    not finite.  A flow that fails at an earlier time fails at t too, so t
+    stands for all of [0, t]."""
+    if g.kind != "map_flow":
+        return False
+    rate = g.flow_params.get("rate", 1.0)
+    if g.flow_name == "contraction":
+        try:
+            math.exp(-rate * t)
+        except OverflowError:
+            return True
+    return g.flow_name == "rotation" and not math.isfinite(rate * t)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A parsed scenario file.
 
     Construction checks the fields that command-line overrides may change:
     ScenarioError, prefixed with ``path``, unless the schedule has at least
-    3 entries, t is finite and nonnegative, and order and metric are known.
+    3 entries, t is finite and nonnegative, order and metric are known, and
+    each named flow can be evaluated at every time up to t.
     """
 
     path: str
@@ -98,6 +115,10 @@ class Scenario:
         if not (math.isfinite(self.t) and self.t >= 0.0):
             raise ScenarioError(f"{self.path}: time horizon t must be finite and nonnegative, "
                                 f"got {self.t!r}")
+        for name, g in (("g1", self.g1), ("g2", self.g2)):
+            if _flow_overflows(g, self.t):
+                raise ScenarioError(f"{self.path}: {name} {g.flow_name} flow {g.flow_params} "
+                                    f"overflows at time t = {self.t!r}")
 
     @property
     def dyadic(self) -> bool:
@@ -372,10 +393,17 @@ def run_identities(seed, trials, max_states, out_path) -> int:
     return 2 if failures else 0
 
 
+# the stochastic probe's h grid, which does not depend on the horizon t
+STOCHASTIC_H_GRID = tuple(10.0 ** -e for e in range(1, 7))
+
+
 def run_diagnostics(scenario_path, probe, out_dir, seed) -> int:
     scn = load_scenario(scenario_path)
     rng = np.random.default_rng(seed)
     space, g1, g2, mu0, t = scn.space, scn.g1, scn.g2, scn.mu0, scn.t
+    if probe == "stochastic" and _flow_overflows(g1, STOCHASTIC_H_GRID[0]):
+        raise ScenarioError(f"{scn.path}: g1 {g1.flow_name} flow {g1.flow_params} "
+                            f"overflows at time h = {STOCHASTIC_H_GRID[0]!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = _header(scn, seed)
@@ -383,7 +411,7 @@ def run_diagnostics(scenario_path, probe, out_dir, seed) -> int:
 
     if probe == "equicontinuity":
         sizes = [10.0 ** -e for e in range(1, 5)]
-        perts = [perturb_measure(mu0, s, rng) for s in sizes]
+        perts = perturb_measures(mu0, sizes, rng)
         dins = bl_distances([(mu0, p) for p in perts], space)
         family = sample_scheme_family(g1, g2, t / 8.0, 5, rng, scn.order)
         ops = [at_time(g1, t / 8.0), at_time(g2, t / 8.0)]
@@ -412,8 +440,7 @@ def run_diagnostics(scenario_path, probe, out_dir, seed) -> int:
         _write_csv(out / "feller.csv", header,
                    ["inputDistance", "outputDistance"], rows)
     elif probe == "stochastic":
-        h_grid = [10.0 ** -e for e in range(1, 7)]
-        rows = stochastic_continuity_check(g1, mu0, h_grid)
+        rows = stochastic_continuity_check(g1, mu0, STOCHASTIC_H_GRID)
         _write_csv(out / "stochastic.csv", header, ["h", "distance"], rows)
         # exact-formula check: translation lift of a unit Dirac
         if (g1.kind == "map_flow" and g1.flow_name == "translation"

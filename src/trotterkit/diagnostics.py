@@ -119,10 +119,8 @@ def feller_continuity_check(g1, g2, t, mu, perturb_sizes, n_finest, rng,
     Returns a list of (input_distance, output_distance) rows, one per
     requested perturbation size, sorted by input distance.
     """
-    if any(s <= 0.0 for s in perturb_sizes):
-        raise ValueError("perturbation sizes must be positive")
+    perts = perturb_measures(mu, perturb_sizes, rng)
     base = trotter_iterate(g1, g2, t, n_finest, mu, order) if t > 0 else mu
-    perts = [perturb_measure(mu, size, rng) for size in perturb_sizes]
     dins = bl_distances([(mu, nu) for nu in perts], mu.space)
     outs = [trotter_iterate(g1, g2, t, n_finest, nu, order) if t > 0 else nu for nu in perts]
     rows = list(zip(dins, bl_distances([(base, out) for out in outs], mu.space)))
@@ -141,55 +139,84 @@ def stochastic_continuity_check(g: SemigroupSpec, mu: PositiveMeasure, h_grid):
 
 
 def perturb_measure(mu: PositiveMeasure, target_distance: float, rng) -> PositiveMeasure:
-    """Perturbation at a requested BL distance from ``mu``.
+    """Perturbation at a requested BL distance from ``mu``: the one-target
+    form of ``perturb_measures``."""
+    return perturb_measures(mu, [target_distance], rng)[0]
+
+
+def perturb_measures(mu: PositiveMeasure, targets, rng) -> list[PositiveMeasure]:
+    """Perturbations at requested BL distances from ``mu``, one per target.
 
     Each atom weight is rescaled by a random positive factor ``1 + amp *
     direction``, clipped below at 0.05, on any space.  The amplitude comes
-    from the bracket-and-bisect search of ``_amplitude_search``, so the
-    sample sits within 1% of the target.
+    from the bracket-and-bisect search of ``_amplitude_search``, so each
+    sample sits within 1% of its target.  ValueError for a nonpositive
+    target, before any draw; RuntimeError if a search cannot bracket its
+    target.
 
-    The search runs predict-and-verify.  ``candidate(amp) - mu`` is ``amp``
+    Every target draws its direction first, in target order, as one call
+    per target would.  The searches then run in lockstep: each round solves
+    every unsolved amplitude of every open search in one ``bl_distances``
+    call, and replays each search on its own solved distances.
+
+    Each search runs predict-and-verify.  ``candidate(amp) - mu`` is ``amp``
     times one fixed signed measure while no factor is clipped (every ``amp
     < 0.95``, as ``|direction| <= 1``), so by homogeneity of the norm one
     solved distance predicts the whole path.  The first round solves
     amplitudes 1 and 1/2 (the first midpoint when 1 brackets).  Each later
-    round replays the search on the solved distances, predicts each
-    unsolved amplitude linearly from the last solved one on the path, and
-    solves every predicted amplitude in one ``bl_distances`` call.  A
-    replay that meets no unsolved amplitude has taken every decision on a
-    solved distance, so the result is the sequential search's.  A wrong
-    prediction (clipping) costs one more round, and every round solves at
-    least one more step of the true path, so there are never more rounds
-    than the sequential search has steps.  When 1 brackets and the
-    prediction holds, there are at most two.
+    round replays the search on the solved distances and predicts each
+    unsolved amplitude linearly from the last solved one on the path; those
+    are the search's amplitudes to solve next.  A replay that meets no
+    unsolved amplitude has taken every decision on a solved distance, so
+    the result is the sequential search's.  A wrong prediction (clipping)
+    costs one more round, and every round solves at least one more step of
+    the true path, so there are never more rounds than the sequential
+    search has steps.  When 1 brackets and the prediction holds, there are
+    at most two.  A search's rounds do not depend on the other searches,
+    so the lockstep takes as many rounds as the target that needs the most
+    alone.
     """
-    if target_distance <= 0.0:
+    targets = list(targets)
+    if any(t <= 0.0 for t in targets):
         raise ValueError("target distance must be positive")
     space = mu.space
-    direction = rng.uniform(-1.0, 1.0, size=len(mu.points))
+    directions = [rng.uniform(-1.0, 1.0, size=len(mu.points)) for _ in targets]
 
-    def candidate(amp):
+    def candidate(direction, amp):
         w = mu.weights * np.clip(1.0 + amp * direction, 0.05, None)
         return PositiveMeasure.from_atoms(space, list(zip(mu.points, w.tolist())))
 
-    solved, unsolved = {}, [1.0, 0.5]
-    while unsolved:
-        solved.update(zip(unsolved, bl_distances([(mu, candidate(a)) for a in unsolved],
-                                                 space)))
-        predicted, last = {}, 1.0
-
-        def distance(amp):
-            nonlocal last
-            if amp in solved:
-                last = amp
-                return solved[amp]
-            return predicted.setdefault(amp, solved[last] * amp / last)
-
-        amp = _amplitude_search(distance, target_distance)
-        unsolved = list(predicted)
-    if amp is None:
+    solved = [{} for _ in targets]
+    unsolved = [[1.0, 0.5] for _ in targets]
+    amps = [None] * len(targets)
+    while any(unsolved):
+        todo = [(i, a) for i, pending in enumerate(unsolved) for a in pending]
+        dists = bl_distances([(mu, candidate(directions[i], a)) for i, a in todo], space)
+        for (i, a), d in zip(todo, dists):
+            solved[i][a] = d
+        for i, target in enumerate(targets):
+            if unsolved[i]:
+                amps[i], unsolved[i] = _replay(solved[i], target)
+    if None in amps:
         raise RuntimeError("could not bracket the requested perturbation distance")
-    return candidate(amp)
+    return [candidate(d, a) for d, a in zip(directions, amps)]
+
+
+def _replay(solved, target):
+    """``_amplitude_search`` on the ``solved`` distances, each unsolved one
+    predicted linearly from the last solved amplitude on the path.  Returns
+    the amplitude found and the predicted amplitudes, in path order."""
+    predicted, last = {}, 1.0
+
+    def distance(amp):
+        nonlocal last
+        if amp in solved:
+            last = amp
+            return solved[amp]
+        return predicted.setdefault(amp, solved[last] * amp / last)
+
+    amp = _amplitude_search(distance, target)
+    return amp, list(predicted)
 
 
 def _amplitude_search(distance, target):

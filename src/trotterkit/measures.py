@@ -85,9 +85,9 @@ class StateSpace:
     def points_equal(self, p, q) -> bool:
         if self.kind == "finite":
             return self.point_key(p) == self.point_key(q)
-        return bool(
-            np.all(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)) < COINCIDENCE_TOL)
-        )
+        x, y = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        with np.errstate(over="ignore"):  # an infinite difference is never below the tolerance
+            return bool((np.abs(x - y) < COINCIDENCE_TOL).all())
 
     def point_key(self, p):
         """Hashable canonical form of a point, for atom merging.

@@ -74,6 +74,13 @@ class TestScenarioLoading:
          "flow matrix has non-finite entries"),
         ("translation", lambda d: d["g1"]["params"].update(velocity=[float("nan")]),
          "translation flow .* non-finite velocity or rate"),
+        # exp(1000) overflows, and the angle 1e300 * 1e10 is not finite
+        ("translation", lambda d: d.update(g1={"kind": "map_flow", "map": "contraction",
+                                               "params": {"rate": -1000}}),
+         r"g1 contraction flow \{'rate': -1000\} overflows at time t = 1.0"),
+        ("linear_flow", lambda d: d["study"].update(t=1e10) or d.update(
+            g2={"kind": "map_flow", "map": "rotation", "params": {"rate": 1e300}}),
+         r"g2 rotation flow \{'rate': 1e\+300\} overflows at time t = 10000000000.0"),
         ("linear_flow", lambda d: d["g1"].update(auxiliaryNormWeight="bogus"),
          "unknown auxiliaryNormWeight 'bogus'"),
         ("three_state", lambda d: d["g2"].update(auxiliaryNormWeight="bogus"),
@@ -136,6 +143,20 @@ class TestScenarioLoading:
         lines = result.output.strip().splitlines()  # one message, no traceback
         assert len(lines) == 1 and lines[0].startswith(f"{scenario}: ")
         assert re.search(message, lines[0])
+        assert not (tmp_path / "out").exists()
+
+    def test_rejects_a_horizon_override_that_overflows_a_flow(self, tmp_path):
+        doc = json.loads(Path(scenario_path("translation")).read_text())
+        doc["g2"] = {"kind": "map_flow", "map": "contraction", "params": {"rate": -500.0}}
+        path = tmp_path / "expanding.json"
+        path.write_text(json.dumps(doc))
+        assert load_scenario(str(path)).t == 1.0  # exp(500) is finite, exp(1000) is not
+        result = CliRunner().invoke(main, ["study", "--scenario", str(path), "--t", "2",
+                                           "--out", str(tmp_path / "out")])
+        assert (result.exit_code, type(result.exception)) == (1, SystemExit)
+        lines = result.output.strip().splitlines()  # one message, no traceback
+        assert len(lines) == 1 and lines[0].startswith(f"{path}: ")
+        assert "g2 contraction flow {'rate': -500.0} overflows at time t = 2.0" in lines[0]
         assert not (tmp_path / "out").exists()
 
     def test_accepts_auxiliary_norm_weight(self, tmp_path):
@@ -268,6 +289,21 @@ class TestDiagnosticsCommand:
         lines = (tmp_path / "stochastic.csv").read_text().splitlines()[2:]
         h, d = map(float, lines[0].split(","))
         assert d == pytest.approx(2 * h / (2 + h), abs=1e-9)
+
+    def test_stochastic_grid_past_the_horizon_refuses_an_overflow(self, tmp_path):
+        # exp(20000 * 0.01) is finite, but the h grid starts at 0.1
+        doc = json.loads(Path(scenario_path("translation")).read_text())
+        doc["g1"] = {"kind": "map_flow", "map": "contraction", "params": {"rate": -20000.0}}
+        doc["study"]["t"] = 0.01
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["diagnostics", "--scenario", str(path), "--probe",
+                                           "stochastic", "--out", str(tmp_path / "out")])
+        assert (result.exit_code, type(result.exception)) == (1, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{path}: ")
+        assert lines[0].endswith("overflows at time h = 0.1")
+        assert not (tmp_path / "out").exists()
 
     def test_tightness_finite_all_zero(self, tmp_path):
         code = run_diagnostics(scenario_path("three_state"), "tightness",

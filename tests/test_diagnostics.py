@@ -3,13 +3,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trotterkit.bl_metric import bl_distance, dirac_distance_exact
+from trotterkit import diagnostics
+from trotterkit.bl_metric import bl_distance, bl_distances, dirac_distance_exact
 from trotterkit.diagnostics import (
     EquicontinuityProbe,
     equicontinuity_modulus,
     feller_continuity_check,
     limit_semigroup_check,
     perturb_measure,
+    perturb_measures,
     stochastic_continuity_check,
     tightness_probe,
 )
@@ -138,8 +140,8 @@ class TestBatchedSolves:
         g2 = SemigroupSpec.matrix_exponential(path3, Q2)
         sizes = [1e-1, 1e-2, 1e-3]
         rng = np.random.default_rng(5)
-        perts = [perturb_measure(mu0, d, rng) for d in sizes]
-        steps = len(lp_calls)
+        perts = perturb_measures(mu0, sizes, rng)
+        rounds = len(lp_calls)
         del lp_calls[:]
         ops = (at_time(g1, 0.1), at_time(g2, 0.1))
         rows = equicontinuity_modulus(EquicontinuityProbe(mu0, tuple(perts), tuple(sizes), ops))
@@ -153,7 +155,7 @@ class TestBatchedSolves:
             np.maximum.accumulate(worst[::-1]).tolist(), abs=1e-12)
         del lp_calls[:]
         feller_continuity_check(g1, g2, 1.0, mu0, sizes, 64, np.random.default_rng(5))
-        assert len(lp_calls) == steps + 2  # the bisections, then inputs and outputs
+        assert len(lp_calls) == rounds + 2  # the searches, then inputs and outputs
 
 
 class TestPerturbations:
@@ -180,15 +182,25 @@ class TestPerturbations:
             twin.uniform(-1.0, 1.0, size=len(mu0.points))
         assert rng.bit_generator.state == twin.bit_generator.state
 
+    def test_nonpositive_target_refused_before_any_draw(self, path3, mu0):
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        with pytest.raises(ValueError, match="must be positive"):
+            perturb_measures(mu0, [0.1, 0.0], rng)
+        with pytest.raises(ValueError, match="must be positive"):
+            feller_continuity_check(SemigroupSpec.matrix_exponential(path3, Q1),
+                                    SemigroupSpec.matrix_exponential(path3, Q2),
+                                    1.0, mu0, [1e-2, -1e-3], 4, rng)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
-class _FixedDirection:
-    """Stands in for a Generator whose one draw is a given direction."""
 
-    def __init__(self, direction):
-        self.direction = np.asarray(direction, dtype=float)
+class _FixedDirections:
+    """Stands in for a Generator whose draws are given directions, in order."""
+
+    def __init__(self, directions):
+        self.directions = [np.asarray(d, dtype=float) for d in directions]
 
     def uniform(self, low, high, size):
-        return self.direction.reshape(size).copy()
+        return self.directions.pop(0).reshape(size).copy()
 
 
 def _sequential_perturbation(mu, target_distance, rng):
@@ -220,10 +232,11 @@ def _sequential_perturbation(mu, target_distance, rng):
 
 
 @st.composite
-def perturbation_cases(draw):
-    """(mu, target, direction) on finite and Euclidean spaces.  Directions
-    may hold entries in [-1, -0.95], which clip at amplitude 1, and targets
-    up to 10**0.4 need brackets beyond amplitude 1."""
+def perturbation_cases(draw, max_targets=1):
+    """(mu, targets, directions) on finite and Euclidean spaces, with 1 to
+    ``max_targets`` targets and one direction each.  Directions may hold
+    entries in [-1, -0.95], which clip at amplitude 1, and targets up to
+    10**0.4 need brackets beyond amplitude 1."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     k = draw(st.integers(2, 8))
     if draw(st.booleans()):
@@ -235,16 +248,23 @@ def perturbation_cases(draw):
         points = rng.normal(size=(k, space.dim)).tolist()
     mu = PositiveMeasure.from_atoms(space, list(zip(points, rng.uniform(0.1, 1.0, k).tolist())))
     entry = st.one_of(st.floats(-1.0, 1.0), st.floats(-1.0, -0.95))
-    direction = draw(st.lists(entry, min_size=k, max_size=k))
-    return mu, 10.0 ** draw(st.floats(-4.0, 0.4)), direction
+    count = draw(st.integers(1, max_targets))
+    targets = [10.0 ** draw(st.floats(-4.0, 0.4)) for _ in range(count)]
+    directions = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(count)]
+    return mu, targets, directions
 
 
-def _outcome(perturb, mu, target, direction):
+def _one_by_one(perturb):
+    """A perturbation per target, from consecutive one-target calls."""
+    return lambda mu, targets, rng: [perturb(mu, target, rng) for target in targets]
+
+
+def _outcome(perturb_all, mu, targets, directions):
     try:
-        nu = perturb(mu, target, _FixedDirection(direction))
+        nus = perturb_all(mu, targets, _FixedDirections(directions))
     except RuntimeError as exc:
         return str(exc)
-    return [mu.space.point_key(p) for p in nu.points], nu.weights.tobytes()
+    return [([mu.space.point_key(p) for p in nu.points], nu.weights.tobytes()) for nu in nus]
 
 
 class TestPredictAndVerify:
@@ -252,10 +272,10 @@ class TestPredictAndVerify:
     @given(case=perturbation_cases())
     def test_matches_the_sequential_search_bit_for_bit(self, case, lp_calls):
         del lp_calls[:]
-        expected = _outcome(_sequential_perturbation, *case)
+        expected = _outcome(_one_by_one(_sequential_perturbation), *case)
         steps = len(lp_calls)
         del lp_calls[:]
-        assert _outcome(perturb_measure, *case) == expected
+        assert _outcome(_one_by_one(perturb_measure), *case) == expected
         assert len(lp_calls) <= steps
 
     def test_clipped_direction_beyond_amplitude_one(self, lp_calls):
@@ -263,10 +283,50 @@ class TestPredictAndVerify:
         # 0.39, 0.49, 0.69 at 1, 2, 4), so linear predictions miss
         s = StateSpace.euclidean(1)
         mu = PositiveMeasure.from_atoms(s, [([0.0], 0.5), ([1.0], 0.3), ([3.0], 0.2)])
-        case = (mu, 0.6, [-0.99, 0.3, 1.0])
-        expected = _outcome(_sequential_perturbation, *case)
+        case = (mu, [0.6], [[-0.99, 0.3, 1.0]])
+        expected = _outcome(_one_by_one(_sequential_perturbation), *case)
         steps = len(lp_calls)
         del lp_calls[:]
-        assert _outcome(perturb_measure, *case) == expected
+        assert _outcome(_one_by_one(perturb_measure), *case) == expected
         assert (steps, len(lp_calls)) == (8, 4)
 
+
+def _rounds(monkeypatch, perturb_all, mu, targets, directions):
+    """The outcome of ``perturb_all`` and its number of ``bl_distances`` calls."""
+    calls = []
+
+    def counting(pairs, metric):
+        calls.append(len(pairs))
+        return bl_distances(pairs, metric)
+
+    with monkeypatch.context() as m:
+        m.setattr(diagnostics, "bl_distances", counting)
+        outcome = _outcome(perturb_all, mu, targets, directions)
+    return outcome, len(calls)
+
+
+class TestLockstep:
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=perturbation_cases(max_targets=4))
+    def test_matches_one_search_per_target_bit_for_bit(self, case, monkeypatch):
+        # one round per bl_distances call; each search alone takes as many
+        # rounds as inside the lockstep, so the lockstep takes the most
+        mu, targets, directions = case
+        expected = _outcome(_one_by_one(_sequential_perturbation), *case)
+        outcome, rounds = _rounds(monkeypatch, perturb_measures, *case)
+        assert outcome == expected
+        alone = [_rounds(monkeypatch, _one_by_one(perturb_measure), mu, [t], [d])[1]
+                 for t, d in zip(targets, directions)]
+        assert rounds == max(alone)
+
+    def test_probe_sizes_solve_as_many_lps_as_the_longest_search(self, mu0, lp_calls):
+        # consecutive one-target calls draw the lockstep's directions
+        sizes = [10.0 ** -e for e in range(1, 5)]
+        rng, alone = np.random.default_rng(6), []
+        for size in sizes:
+            del lp_calls[:]
+            perturb_measure(mu0, size, rng)
+            alone.append(len(lp_calls))
+        del lp_calls[:]
+        perturb_measures(mu0, sizes, np.random.default_rng(6))
+        assert len(lp_calls) == max(alone)

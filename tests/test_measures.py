@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,14 @@ class TestPositiveMeasure:
         zeros = PositiveMeasure.from_atoms(s, [(np.array([-0.0]), 0.5), ([0.0], 0.5)])
         assert mu.points == ((1.0,),) and type(zeros.points[0][0]) is float
         assert np.asarray(zeros.points).tobytes() == np.array([[-0.0]]).tobytes()
+
+    def test_far_apart_atoms_kept_without_a_warning(self):
+        # their difference overflows to inf, which is never a coincidence
+        s = StateSpace.euclidean(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = PositiveMeasure.from_atoms(s, [([1e308, 1e308], 0.5), ([-1e308, 1e308], 0.5)])
+        assert mu.points == ((1e308, 1e308), (-1e308, 1e308))
 
     def test_weight_vector_round_trip(self, path3):
         mu = PositiveMeasure.from_atoms(path3, [(0, 0.5), (2, 0.5)])
