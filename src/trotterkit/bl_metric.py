@@ -67,10 +67,17 @@ NEAREST = 16
 # grid-graph norms of those 40 took 2 to 16 rounds, adding pairs whose
 # violations were at rounding level; at 1e-12 each takes one.
 CHECK_TOL = 1e-12
+# Pairwise distances must lie below this: HiGHS refuses matrix entries of 1e15
+# or more (large_matrix_value): three atoms 1e15 apart gave a Model error, 1e14 solved.
+MAX_DISTANCE = 1e15
 
 
 class OracleSupportError(ValueError):
     """Raised when the brute-force oracle is asked for too large a support."""
+
+
+class DistanceRangeError(ValueError):
+    """Raised when two support points are not less than MAX_DISTANCE apart."""
 
 
 @dataclass(frozen=True)
@@ -187,9 +194,10 @@ def pairwise_distances(metric, points) -> np.ndarray:
         return metric.dist[np.ix_(idx, idx)]
     k = len(points)
     dist = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            dist[i, j] = dist[j, i] = metric.distance(points[i], points[j])
+    with np.errstate(over="ignore"):  # far-apart points are an infinite distance
+        for i in range(k):
+            for j in range(i + 1, k):
+                dist[i, j] = dist[j, i] = metric.distance(points[i], points[j])
     return dist
 
 
@@ -206,7 +214,11 @@ def _unit_support(mu: SignedMeasure, metric):
     pts, wts = mu.support()
     scale = float(np.sum(np.abs(wts)))
     wts = wts / scale if scale else wts
-    return pts, scale, wts, pairwise_distances(metric, pts)
+    dist = pairwise_distances(metric, pts)
+    if not (dist < MAX_DISTANCE).all():  # an infinite or NaN distance fails it too
+        raise DistanceRangeError(f"support points lie {float(dist.max())!r} apart; the "
+                                 f"BL norm LP needs distances below {MAX_DISTANCE:g}")
+    return pts, scale, wts, dist
 
 
 def _flow_pairs(dist):

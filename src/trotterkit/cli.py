@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bl_metric import (
+    DistanceRangeError,
     FunctionWitness,
     LipschitzWitness,
     bl_distance,
@@ -277,6 +278,7 @@ def _write_csv(path: Path, header: str, columns, rows):
     for row in rows:
         writer.writerow([_fmt(v) if isinstance(v, (float, np.floating)) else v
                          for v in row])
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(buf.getvalue())
 
 
@@ -346,7 +348,6 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
     swap = swap_order_limit_distance(study)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     header = _header(scn, seed)
 
     k2 = {(n, k): (lhs, rhs) for wi, n, k, lhs, rhs in bound_rows if wi == 0 and k == 2}
@@ -405,7 +406,6 @@ def run_diagnostics(scenario_path, probe, out_dir, seed) -> int:
         raise ScenarioError(f"{scn.path}: g1 {g1.flow_name} flow {g1.flow_params} "
                             f"overflows at time h = {STOCHASTIC_H_GRID[0]!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     header = _header(scn, seed)
     code = 0
 
@@ -459,6 +459,12 @@ def main():
     """Switching-scheme studies, identity suites, and diagnostics."""
 
 
+def _refuse(path, reason):
+    """Exit 1 with one stderr line; a ScenarioError names its file itself."""
+    click.echo(reason if isinstance(reason, ScenarioError) else f"{path}: {reason}", err=True)
+    sys.exit(1)
+
+
 @main.command()
 @click.option("--scenario", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path())
@@ -474,9 +480,8 @@ def study(scenario, out, seed, t, dyadic, linear, order, metric):
         code = run_study(scenario, out, seed,
                          {"t": t, "dyadic": dyadic, "linear": linear,
                           "order": order, "metric": metric})
-    except ScenarioError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
+    except (ScenarioError, DistanceRangeError) as exc:
+        _refuse(scenario, exc)
     sys.exit(code)
 
 
@@ -504,9 +509,8 @@ def diagnostics(scenario, probe, out, seed):
     """Evidence tables for the structural hypotheses."""
     try:
         code = run_diagnostics(scenario, probe, out, seed)
-    except ScenarioError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
+    except (ScenarioError, DistanceRangeError) as exc:
+        _refuse(scenario, exc)
     sys.exit(code)
 
 
@@ -520,17 +524,17 @@ def norm(scenario, measure_a, measure_b):
     try:
         scn = load_scenario(scenario)
     except ScenarioError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
+        _refuse(scenario, exc)
     measures = []
     for path in (measure_a, measure_b):
         try:
             measures.append(measure_from_json(scn.space, Path(path).read_text()))
         except (OSError, KeyError, TypeError, ValueError) as exc:
-            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            click.echo(f"{path}: {reason}", err=True)
-            sys.exit(1)
-    click.echo(_fmt(bl_distance(*measures, scn.space)))
+            _refuse(path, f"missing key {exc}" if isinstance(exc, KeyError) else exc)
+    try:
+        click.echo(_fmt(bl_distance(*measures, scn.space)))
+    except DistanceRangeError as exc:
+        _refuse(f"{measure_a}, {measure_b}", exc)
     sys.exit(0)
 
 

@@ -8,8 +8,10 @@ computed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,12 @@ import numpy as np
 # under which two Euclidean points are treated as the same atom location.
 PRUNE_REL_TOL = 1e-12
 COINCIDENCE_TOL = 1e-12
+
+
+def mass(weights) -> float:
+    """Left-to-right sum of floats, 0.0 for none: the total of every prune cut and
+    TV check (the builtin ``sum`` compensates from CPython 3.12 on)."""
+    return functools.reduce(operator.add, weights, 0.0)
 
 
 class SpaceMismatchError(ValueError):
@@ -144,7 +152,7 @@ def _merge_atoms(space: StateSpace, points, weights):
         else:
             merged[key] = float(w)
             order.append((key, p))
-    total = sum(abs(w) for w in merged.values())
+    total = mass(map(abs, merged.values()))
     if not math.isfinite(total):  # a NaN or infinite weight would fail every cut
         raise ValueError(f"atom weights must be finite, got total mass {total!r}")
     cut = PRUNE_REL_TOL * total
@@ -161,16 +169,15 @@ def prune_dense(v: np.ndarray):
     """Nonzero entries of a dense weight vector, pruned as ``_merge_atoms`` prunes.
 
     Returns (indices, weights) of the kept entries in index order, and the
-    total before the prune: the builtin ``sum`` over the nonzero entries,
-    the same float ``_merge_atoms`` computes.  The cut is PRUNE_REL_TOL
-    times that total, so the kept weights are bitwise those of the atom
-    path.  Raises ValueError on a negative or non-finite entry, as
-    ``PositiveMeasure.from_atoms`` does.
+    total before the prune: the ``mass`` of the nonzero entries, the same
+    float ``_merge_atoms`` computes.  The cut is PRUNE_REL_TOL times that
+    total, so the kept weights are bitwise those of the atom path.  Raises
+    ValueError on a negative or non-finite entry, as ``from_atoms`` does.
     """
     idx = v.nonzero()[0]
     w = v[idx]
     listed = w.tolist()
-    total = sum(listed, 0.0)  # a float for an empty list too
+    total = mass(listed)
     cut = PRUNE_REL_TOL * total
     # all kept implies all positive: a negative entry never clears the cut.
     # The list minimum is the cheap test on these small supports; it is
@@ -203,7 +210,7 @@ class PositiveMeasure:
 
     @property
     def tv(self) -> float:
-        return float(np.sum(self.weights))
+        return mass(self.weights.tolist())
 
     def __len__(self):
         return len(self.points)
@@ -291,10 +298,9 @@ def _build_signed(space, points, weights) -> SignedMeasure:
 def jordan_parts(points, weights):
     """Merged atoms split by sign: (points, weights) lists of the positive
     and the negative part, both with positive weights; zero weights are
-    dropped.  Each part is then pruned against its own total, the builtin
-    ``sum`` of its weights, as ``PositiveMeasure.from_atoms`` prunes a
-    measure.
-    """
+    dropped.  No part needs a prune of its own: its ``mass`` adds a
+    subsequence of the merged terms left to right, so (rounding being
+    monotone) neither it nor its cut exceeds that of ``_merge_atoms``."""
     parts = ([], []), ([], [])
     for p, x in zip(points, weights):
         if x > 0.0:
@@ -303,12 +309,6 @@ def jordan_parts(points, weights):
         elif x < 0.0:
             parts[1][0].append(p)
             parts[1][1].append(-x)
-    for part_points, part_weights in parts:
-        part_cut = PRUNE_REL_TOL * sum(part_weights)
-        if part_weights and min(part_weights) <= part_cut:
-            kept = [k for k, x in enumerate(part_weights) if x > part_cut]
-            part_points[:] = [part_points[k] for k in kept]
-            part_weights[:] = [part_weights[k] for k in kept]
     return parts
 
 

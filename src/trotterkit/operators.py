@@ -35,6 +35,7 @@ from .measures import (
     SpaceMismatchError,
     StateSpace,
     linear_combine,
+    mass,
     merged_positive,
     prune_dense,
 )
@@ -269,7 +270,7 @@ def _map_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
                 continue
             moved = list(zip(images, weights))
         out, total = merged_positive(space, moved)
-        _check_tv(P, float(np.sum(weights)), total)
+        _check_tv(P, mass(weights.tolist()), total)
         points, weights = out.points, out.weights
         X = _point_array(points, weights, space.dim)
     if out is not None:
@@ -287,7 +288,7 @@ def _point_array(points, weights, dim: int):
             and weights.shape == (m,)):
         return None
     listed = weights.tolist()
-    if not min(listed) > PRUNE_REL_TOL * sum(listed):
+    if not min(listed) > PRUNE_REL_TOL * mass(listed):
         return None
     try:
         X = np.array(points, dtype=float)
@@ -299,9 +300,9 @@ def _point_array(points, weights, dim: int):
 def _kept_steps(Y) -> int:
     """How many leading steps of the image stack ``Y`` (steps, m, dim) a
     ``from_atoms`` would leave as they are: the left-to-right sum of each
-    step's coordinates, which the builtin ``sum`` takes, is finite (a NaN
-    or infinity, or an overflowing sum, fails it), and no two of its images
-    are equal points (``StateSpace.points_equal``)."""
+    step's coordinates is finite (a NaN or infinity, or an overflowing sum,
+    fails it), and no two of its images are equal points
+    (``StateSpace.points_equal``)."""
     steps, m, dim = Y.shape
     with np.errstate(all="ignore"):
         finite = np.isfinite(np.add.accumulate(Y.reshape(steps, m * dim), axis=1)[:, -1])
@@ -337,7 +338,7 @@ def _dense_step(P: MarkovOperatorSpec, v: np.ndarray, tv_in: float, space: State
         v[idx] = w
     else:
         v = w
-    return v, float(w.sum()), idx, w
+    return v, mass(w.tolist()), idx, w
 
 
 def apply_signed(P: MarkovOperatorSpec, mu: SignedMeasure) -> SignedMeasure:
@@ -387,8 +388,8 @@ class _Panel(NamedTuple):
     ``w[0]`` and ``w[1]`` are the (rows, states) weights of the positive and
     the negative parts, with disjoint supports.  Within each part, a row
     lists its atoms in increasing ``key`` (rows, states): that is the order
-    of the atoms of its measure.  ``tv`` (2, rows) is each part's
-    ``weights.sum()`` in that order, when known.
+    of the atoms of its measure.  ``tv`` (2, rows) is each part's ``mass``
+    in that order, when known.
     """
 
     space: StateSpace
@@ -412,23 +413,24 @@ class _Panel(NamedTuple):
         every row, bit for bit as ``_signed_steps``: each factor on both
         nonempty parts, then the re-split.
 
-        Each factor is one stacked product of both parts, which NumPy runs
-        as one gemv per row, the call ``P @ v`` of ``_dense_step``.  Each row
-        is then TV-checked on its left-to-right sum and pruned at
-        PRUNE_REL_TOL times that sum, as ``_dense_step`` checks the total of
-        ``prune_dense`` and prunes (the builtin ``sum`` is left to right, and
-        the zeros between the entries add nothing).  The re-split merges the
-        parts in ``linear_combine``'s order, the positive part's states and
-        then the rest, each in index order; a row with one empty part comes
-        out of it unchanged, so every row takes it.  A row that fails a
-        check (a factor that is not a stochastic matrix on this space, a
-        negative or non-finite weight, TV not preserved) sends the panel
-        through ``_signed_steps``, which raises as it does, for the first
-        failing measure.
+        Each factor is one stacked product of both parts, which NumPy runs as
+        one gemv per row, the call ``P @ v`` of ``_dense_step``.  Each row is
+        then TV-checked on its left-to-right sum and pruned at PRUNE_REL_TOL
+        times that sum, as ``_dense_step`` checks the ``mass`` of
+        ``prune_dense`` and prunes (the zeros between the entries add nothing).
+        The re-split merges the parts in ``linear_combine``'s order, the
+        positive part's states and then the rest, each in index order, and cuts
+        at the merged mass, with no cut per part (see ``jordan_parts``); a row
+        with one empty part comes out of it unchanged, so every row takes it.
+        A row that fails a check (a factor that is not a stochastic matrix on
+        this space, a negative or non-finite weight, TV not preserved) sends
+        the panel through ``_signed_steps``, which raises as it does, for the
+        first failing measure.
         """
         w, key = self.w, self.key
         rows = np.arange(len(key))[:, None]
-        tv = self.tv if self.tv is not None else _totals(w[:, rows, key.argsort(axis=-1)])
+        tv = self.tv if self.tv is not None else np.add.accumulate(
+            w[:, rows, key.argsort(axis=-1)], axis=-1)[..., -1]
         for P in reversed(ops):
             if P.kind != "stochastic_matrix" or (P.space is not self.space
                                                  and P.space != self.space):
@@ -446,7 +448,8 @@ class _Panel(NamedTuple):
             key = order[1].argsort(axis=-1)
             x = _SIGNS * (out[0] - out[1])  # the merged weights, and their negatives
             cut = PRUNE_REL_TOL * np.add.accumulate(np.abs(x[0])[order], axis=-1)[:, -1:]
-            w, tv = _prune_parts(np.where(x > cut, x, 0.0), order)
+            w = np.where(x > cut, x, 0.0)
+            tv = np.add.accumulate(w[:, rows, order[1]], axis=-1)[..., -1]
         return _Panel(self.space, w, key, tv)
 
     @staticmethod
@@ -478,8 +481,7 @@ class _Panel(NamedTuple):
         if not np.isfinite(total).all():
             return _per_row(lambda *mus: linear_combine(coeffs, mus), panels)
         x = _SIGNS * np.where(np.abs(x) > PRUNE_REL_TOL * total, x, 0.0)
-        w, _ = _prune_parts(np.maximum(x, 0.0), (rows, order))
-        return _Panel(space, w, order.argsort(axis=-1))
+        return _Panel(space, np.maximum(x, 0.0), order.argsort(axis=-1))
 
     def _per_measure(self, ops) -> "_Panel":
         return _per_row(lambda mu: _signed_steps(ops, mu), [self])
@@ -519,25 +521,6 @@ def _per_row(fn, panels) -> _Panel:
     panel that fails a check, so that it raises as the per-measure path does."""
     return _panel([fn(*row) for row in zip(*(p.measures() for p in panels))],
                   panels[0].space)
-
-
-def _prune_parts(w, order):
-    """``jordan_parts``' prune of each part of ``w`` against its own
-    left-to-right sum in the atom order ``order`` (an index pair for
-    ``w[0]`` and ``w[1]``); the pruned parts and their ``_totals``."""
-    g = w[(slice(None),) + order]
-    cut = PRUNE_REL_TOL * np.add.accumulate(g, axis=-1)[..., -1:]
-    return np.where(w > cut, w, 0.0), _totals(np.where(g > cut, g, 0.0))
-
-
-def _totals(g):
-    """``weights.sum()`` of the nonzero entries of each row of ``g``, in
-    row order.  NumPy adds fewer than 8 numbers left to right, so the zeros
-    between them change nothing there; longer rows are compacted one by one."""
-    S = g.shape[-1]
-    if S < 8:
-        return np.add.reduce(g, axis=-1)
-    return np.array([v[v != 0.0].sum() for v in g.reshape(-1, S)]).reshape(g.shape[:-1])
 
 
 def pairing(mu, f: LipschitzWitness) -> float:

@@ -6,6 +6,7 @@ from scipy.optimize import OptimizeResult, linprog
 
 from trotterkit import bl_metric
 from trotterkit.bl_metric import (
+    DistanceRangeError,
     LipschitzWitness,
     OracleSupportError,
     bl_distance,
@@ -94,6 +95,18 @@ class TestOracle:
         mu = SignedMeasure.from_atoms(space, list(enumerate(rng.normal(size=8))))
         with pytest.raises(OracleSupportError):
             bl_dual_norm_oracle(mu, space)
+
+    @pytest.mark.parametrize("d", [1e15, np.inf, np.nan])
+    def test_refuses_distances_the_lp_cannot_take(self, d):
+        class Far:  # a metric that puts every two points d apart
+            def distance(self, p, q):
+                return d
+
+        mu = SignedMeasure.from_atoms(StateSpace.euclidean(1), [([0.0], 1.0), ([1.0], -0.5)])
+        for norm in (lambda: bl_dual_norm(mu, Far()), lambda: bl_norm_values([mu], Far()),
+                     lambda: bl_dual_norm_oracle(mu, Far())):
+            with pytest.raises(DistanceRangeError, match=f"lie {d!r} apart"):
+                norm()
 
 
 class TestEnvelopeMetric:

@@ -194,7 +194,43 @@ class TestScenarioLoading:
             assert w.check_feasible(scn.space)
 
 
+def _huge_coordinates(tmp_path, rate, t, points=None):
+    """translation.json with g1 a contraction of ``rate`` up to time ``t``,
+    and optionally mu0 on ``points`` (the bundled mu0 is a Dirac at 0)."""
+    doc = json.loads(Path(scenario_path("translation")).read_text())
+    doc["g1"] = {"kind": "map_flow", "map": "contraction", "params": {"rate": rate}}
+    doc["study"]["t"] = t
+    if points is not None:
+        doc["mu0"]["atoms"] = [{"point": [x], "weight": 0.5} for x in points]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _assert_refused(result, prefix, message):
+    assert (result.exit_code, type(result.exception)) == (1, SystemExit)
+    lines = result.output.strip().splitlines()  # one message, no traceback
+    assert len(lines) == 1 and lines[0].startswith(f"{prefix}: ")
+    assert re.search(message, lines[0])
+
+
 class TestStudy:
+    # a warning would print a second line on stderr
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate, t, points, message", [
+        # exp(705) is finite, but the atoms at 100 exp(705) are not
+        (-705.0, 1.0, [100.0, -100.0], "support points lie inf apart"),
+        # exp(20000 * 0.01) is finite; the translation moves the Dirac off 0 first
+        (-20000.0, 0.01, None, r"support points lie 3\.5\d*e\+84 apart"),
+    ])
+    def test_refuses_distances_the_norm_lp_cannot_take(self, tmp_path, rate, t, points,
+                                                       message):
+        path = _huge_coordinates(tmp_path, rate, t, points)
+        result = CliRunner().invoke(main, ["study", "--scenario", str(path),
+                                           "--out", str(tmp_path / "out")])
+        _assert_refused(result, path, message + "; the BL norm LP needs distances below 1e\\+15")
+        assert not (tmp_path / "out").exists()
+
     def test_three_state_exit_zero_and_reports(self, tmp_path):
         code = run_study(scenario_path("three_state"), tmp_path, seed=42)
         assert code == 0
@@ -305,6 +341,15 @@ class TestDiagnosticsCommand:
         assert lines[0].endswith("overflows at time h = 0.1")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("probe", ["equicontinuity", "feller", "semigroup", "stochastic"])
+    def test_refuses_distances_the_norm_lp_cannot_take(self, tmp_path, probe):
+        path = _huge_coordinates(tmp_path, -705.0, 1.0, [100.0, -100.0])
+        result = CliRunner().invoke(main, ["diagnostics", "--scenario", str(path), "--probe",
+                                           probe, "--out", str(tmp_path / "out")])
+        _assert_refused(result, path, r"apart; the BL norm LP needs distances below 1e\+15")
+        assert not (tmp_path / "out").exists()
+
     def test_tightness_finite_all_zero(self, tmp_path):
         code = run_diagnostics(scenario_path("three_state"), "tightness",
                                tmp_path, seed=0)
@@ -352,3 +397,20 @@ class TestNormCommand:
         lines = result.output.strip().splitlines()  # one message, no traceback
         assert len(lines) == 1 and re.search(message, lines[0])
         assert lines[0].startswith(f"{a}: ")  # the message names the file
+
+    @pytest.mark.parametrize("far", [1e14, 1e15])
+    def test_three_atoms_far_apart(self, tmp_path, far):
+        """HiGHS takes no matrix entry of 1e15 or more: at 1e14 the norm
+        solves, at 1e15 it is refused with one line."""
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text('{"atoms": [{"point": [0.0], "weight": 1.0}]}')
+        b.write_text(json.dumps({"atoms": [{"point": [far], "weight": 0.5},
+                                           {"point": [2 * far], "weight": 0.5}]}))
+        result = CliRunner().invoke(main, ["norm", "--scenario",
+                                           scenario_path("translation"), str(a), str(b)])
+        if far < bl_metric.MAX_DISTANCE:
+            assert result.exit_code == 0
+            assert float(result.output.strip()) == pytest.approx(2.0, rel=1e-9)
+        else:
+            _assert_refused(result, f"{a}, {b}", r"support points lie 2000000000000000\.0 apart")

@@ -24,6 +24,7 @@ from trotterkit.measures import (
     SpaceMismatchError,
     StateSpace,
     linear_combine,
+    mass,
     merged_positive,
 )
 from trotterkit.operators import (
@@ -57,7 +58,7 @@ def _atom_path_apply(P, mu):
     out_v = P.matrix @ v
     out = PositiveMeasure.from_atoms(
         P.space, [(i, out_v[i]) for i in range(P.space.size) if out_v[i] != 0.0])
-    total = sum((x for x in out_v.tolist() if x != 0.0), 0.0)  # the mass before the prune
+    total = mass(x for x in out_v.tolist() if x != 0.0)  # the mass before the prune
     if abs(total - mu.tv) > ops_module.TV_PRESERVATION_TOL * max(1.0, mu.tv):
         raise RuntimeError(
             f"TV not preserved: {mu.tv} -> {total} under {P.kind} operator")
@@ -112,12 +113,12 @@ def test_weight_vector_round_trip(weights):
 
 def test_prune_cut_uses_the_atom_path_sum():
     """The last entry lies between the cuts of a sequential and a pairwise
-    sum; the atom path's builtin ``sum`` keeps it."""
+    sum; the atom path's left-to-right ``mass`` keeps it."""
     v = np.array([0.40250535449109437, 0.23525152020535517, 0.5053054299843583,
                   0.8166918432585648, 0.3075779880943727, 0.14681917095796865,
                   0.4640966558393754, 0.2786617400583298, 0.1816777410572097,
                   3.338587443949968e-12])
-    assert PRUNE_REL_TOL * sum(v.tolist()) < v[-1] <= PRUNE_REL_TOL * float(v.sum())
+    assert PRUNE_REL_TOL * mass(v.tolist()) < v[-1] <= PRUNE_REL_TOL * float(v.sum())
     mu = PositiveMeasure.from_weight_vector(_discrete(10), v)
     ref = PositiveMeasure.from_atoms(_discrete(10), list(enumerate(v.tolist())))
     assert mu.points == ref.points == tuple(range(10))
@@ -126,7 +127,7 @@ def test_prune_cut_uses_the_atom_path_sum():
 
 def test_weight_at_the_cut_is_pruned():
     v = np.array([0.5, 5.000000000005e-13])
-    assert PRUNE_REL_TOL * sum(v.tolist()) == v[1]  # not above the cut
+    assert PRUNE_REL_TOL * mass(v.tolist()) == v[1]  # not above the cut
     for mu in (PositiveMeasure.from_weight_vector(_discrete(2), v),
                PositiveMeasure.from_atoms(_discrete(2), list(enumerate(v.tolist())))):
         assert mu.points == (0,)
@@ -721,14 +722,14 @@ class TestSignedChains:
             assert (_signed_outcome(apply_signed, P, mu)
                     == _signed_outcome(_per_factor_apply_signed, P, mu))
 
-    def test_resplit_cut_uses_the_builtin_sum(self):
+    def test_resplit_cut_uses_the_left_to_right_mass(self):
         """The negative atom lies between the cuts of a sequential and a
         pairwise sum of the merged weights; linear_combine keeps it."""
         v = [0.40250535449109437, 0.23525152020535517, 0.5053054299843583,
              0.8166918432585648, 0.3075779880943727, 0.14681917095796865,
              0.4640966558393754, 0.2786617400583298, 0.1816777410572097]
         tiny = 3.338587443949968e-12
-        assert PRUNE_REL_TOL * sum(v + [tiny]) < tiny <= PRUNE_REL_TOL * float(np.sum(v + [tiny]))
+        assert PRUNE_REL_TOL * mass(v + [tiny]) < tiny <= PRUNE_REL_TOL * float(np.sum(v + [tiny]))
         eye = MarkovOperatorSpec.identity(_discrete(10))
         mu = _signed(eye.space, list(enumerate(v)), [(9, tiny)])
         out = apply_signed(compose(eye, eye), mu)

@@ -1,6 +1,3 @@
-import functools
-import operator
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +21,7 @@ from trotterkit.measures import (
     SignedMeasure,
     StateSpace,
     linear_combine,
+    mass,
 )
 from trotterkit.operators import MarkovOperatorSpec, SemigroupSpec, apply, at_time
 
@@ -214,16 +212,6 @@ def test_flow_array_maps_are_rowwise_point_maps():
             assert [y.tobytes() for y in Y[..., 0]] == expected, P
 
 
-def test_short_sums_run_left_to_right():
-    """``_totals`` rests on this: NumPy adds fewer than 8 numbers left to
-    right, so a row sum with zeros between the numbers is their sum."""
-    rng = np.random.default_rng(1)
-    for n in range(1, 8):
-        g = rng.uniform(size=(50, n)) * 10.0 ** rng.integers(-8, 8, size=(50, n))
-        for row, total in zip(g, np.add.reduce(g, axis=-1)):
-            assert total == functools.reduce(operator.add, row.tolist())
-
-
 # The panel against the per-measure path: ``_chain`` and ``_combine`` on a
 # panel must give, row by row, bitwise what the per-factor loop below and
 # ``linear_combine`` give on each measure, exceptions included.
@@ -327,13 +315,16 @@ def _signed_measure(draw, space):
     return SignedMeasure(pos=part(pos), neg=part(neg))
 
 
-def _rows(fn):
+def _rows(fn, pruned=True):
     try:
         out = fn()
     except (ValueError, RuntimeError) as exc:
         return ("raised", type(exc), str(exc))
-    return ("ok",) + tuple((part.points, part.weights.tobytes())
-                           for mu in out for part in (mu.pos, mu.neg))
+    parts = [part for mu in out for part in (mu.pos, mu.neg)]
+    # no part is pruned on its own, yet each clears the cut of its own mass
+    assert not pruned or all((part.weights > PRUNE_REL_TOL * mass(part.weights.tolist())).all()
+                             for part in parts)
+    return ("ok",) + tuple((part.points, part.weights.tobytes()) for part in parts)
 
 
 @st.composite
@@ -349,8 +340,9 @@ def test_panel_chain_matches_per_measure(case):
     space, ops, measures = case
     panel = identities._panel(measures, space)
     assert panel is not None
-    assert (_rows(lambda: identities._chain(panel, ops).measures())
-            == _rows(lambda: [_per_factor_chain(mu, ops) for mu in measures]))
+    pruned = bool(ops)  # no factor leaves the measures as drawn
+    assert (_rows(lambda: identities._chain(panel, ops).measures(), pruned)
+            == _rows(lambda: [_per_factor_chain(mu, ops) for mu in measures], pruned))
 
 
 @st.composite
@@ -392,3 +384,46 @@ def test_at_cut_weights_straddle_the_prune():
                            neg=PositiveMeasure(space))
         out, = identities._chain(identities._panel([mu], space), [eye]).measures()
         assert (out.pos.points == (0, 1, 2)) is kept
+
+
+def _compensated_sum(values, start=0):
+    """The builtin ``sum`` of CPython 3.12 and later on floats: Neumaier's
+    compensated summation."""
+    total, compensation = float(start), 0.0
+    for x in map(float, values):
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+@pytest.mark.parametrize("big, weight", [
+    # the compensated total is one rounding lower: its cut keeps the atom at the cut
+    ([0.405, 0.199, 0.092, 0.581], "at the cut"),
+    # one rounding higher: its cut drops the next float up
+    ([0.392, 0.89, 0.228, 0.624], "above the cut"),
+])
+def test_signed_paths_agree_under_compensated_sum(monkeypatch, big, weight):
+    """No cut takes the builtin ``sum``: with 3.12's compensated ``sum``
+    shadowed into the modules, the panel and the per-measure path still keep
+    the same atoms on 5 states under the identity matrix."""
+    t = _at_cut(big)
+    if weight == "above the cut":
+        t = np.nextafter(t, 1.0)
+    weights = big + [t]
+    # the two sums put the cut on either side of the small atom
+    assert (t > PRUNE_REL_TOL * mass(weights)) != (t > PRUNE_REL_TOL * _compensated_sum(weights))
+    for module in ("trotterkit.measures", "trotterkit.operators"):
+        monkeypatch.setattr(f"{module}.sum", _compensated_sum, raising=False)
+    space = _discrete(5)
+    mu = SignedMeasure(pos=PositiveMeasure(space, (0, 1, 2, 3, 4), np.array(weights)),
+                       neg=PositiveMeasure(space))
+    panel = identities._panel([mu], space)
+    eye = _stochastic(space, np.eye(5))
+    assert (_rows(lambda: identities._chain(panel, [eye]).measures())
+            == _rows(lambda: [_per_factor_chain(mu, [eye])]))
+    assert (_rows(lambda: identities._combine([1.0], [panel]).measures())
+            == _rows(lambda: [linear_combine([1.0], [mu])]))
