@@ -83,7 +83,8 @@ def tightness_probe(family, mu: PositiveMeasure, radius_grid) -> TightnessProbe:
         out = apply(P, mu)
         center = _centroid(out)
         pts = np.asarray([np.asarray(p, dtype=float) for p in out.points])
-        dists = np.linalg.norm(pts - center, axis=1)
+        with np.errstate(over="ignore"):  # an infinite distance is outside every radius
+            dists = np.linalg.norm(pts - center, axis=1)
         for j, r in enumerate(radius_grid):
             table[i, j] = float(np.sum(out.weights[dists > r]))
     return TightnessProbe(radius_grid, labels, table)

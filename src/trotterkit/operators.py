@@ -3,14 +3,17 @@
 Four operator kinds share one interface: column-stochastic matrices on a
 finite space, deterministic-map lifts (Dirac pushforwards), kernels that
 send each point to a probability measure, and products of operators
-(``compose``).  Every stochastic-matrix step is taken in one of two places:
-``_dense_step``, in the chain runner of positive measures
-(``_apply_chain``), and ``_Panel.chain``, which runs signed measures as
+(``compose``).  Stochastic-matrix steps on positive measures run in
+``_apply_chain``: each run of two or more of them on one space fills one
+stack of dense weight vectors with one product per step, and one
+vectorised prune and TV test over the stack (``_dense_kept_steps``) finds
+the first step that must prune or raise; that step alone, and every single
+step, runs ``_dense_step``.  Signed measures run in ``_Panel.chain``, as
 rows of two dense weight arrays, for ``apply_signed`` and the identity
-checks alike.  Chains of deterministic maps on R^dim run in ``_map_chain``:
-the flows carry an array form of their map, each run of them fills one
-stack of point arrays with one call per step, and one finiteness and
-coincidence test over the stack (``_kept_steps``) finds the first step
+checks alike.  Chains of deterministic maps on R^dim run in ``_map_chain``
+the same way: the flows carry an array form of their map, each run of them
+fills one stack of point arrays with one call per step, and one finiteness
+and coincidence test over the stack (``_kept_steps``) finds the first step
 that must merge atoms or raise; that step alone runs ``point_map`` point by
 point and ``from_atoms``.  Every kind of step checks TV on the merged mass
 before the prune.  Semigroups are generated by a rate matrix (matrix
@@ -180,11 +183,22 @@ def _apply_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
     """Apply the nonempty sequence ``ops`` to the positive measure ``mu``,
     first operator first, bit for bit as one ``apply`` per operator.
 
-    Stochastic matrices run on one dense weight vector (see ``_dense_step``),
-    and deterministic maps on R^dim on one point array (see ``_map_chain``);
-    these steps keep the checks and exceptions of ``apply`` and are not
-    counted in APPLY_COUNT.  Any other chain is one ``apply`` per operator.
-    The callers have run ``check_input`` on ``(ops[0], mu)``.
+    Stochastic matrices run on one dense weight vector.  Each maximal run of
+    two or more of them on this space (at most _STACK_SIZE weights) fills
+    one (steps + 1, states) stack, one ``np.matmul`` per step, the product
+    ``P.matrix @ v`` of ``_dense_step``.  One test over the stack
+    (``_dense_kept_steps``) then finds the first step that ``_dense_step``
+    would not leave as it is: a weight to prune, a negative or non-finite
+    weight, or TV not preserved.  The steps before it are kept; that step
+    runs ``_dense_step``, which prunes, raises and warns as ``apply``, and
+    the chain goes on stacking from there, with shorter stacks and more
+    single steps after each failing stack (see the loop).  A one-step run,
+    a factor on another space (which ``_dense_step`` refuses) and every
+    single ``apply`` take ``_dense_step`` alone.  Deterministic maps on
+    R^dim run on one point array the same way (see ``_map_chain``).  These steps keep
+    the checks and exceptions of ``apply`` and are not counted in
+    APPLY_COUNT.  Any other chain is one ``apply`` per operator.  The
+    callers have run ``check_input`` on ``(ops[0], mu)``.
     """
     if mu.space.kind == "euclidean" and all(P.kind == "deterministic_map" for P in ops):
         return _map_chain(ops, mu)
@@ -193,13 +207,68 @@ def _apply_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
             mu = apply(P, mu)
         return mu
     space, v, tv = mu.space, mu.weight_vector(), mu.tv
-    for P in ops:
-        v, tv, idx, w = _dense_step(P, v, tv, space)
-        space = P.space
+    idx = None  # the result's states and weights when the last step was a _dense_step
+    i, span, wait = 0, len(ops), 1
+    while i < len(ops):
+        end = i
+        if len(v):  # a space of no states has no weights to stack
+            limit = min(len(ops), i + span, i + _STACK_SIZE // len(v))
+            while end < limit and (ops[end].space is space or ops[end].space == space):
+                end += 1
+        singles = 1
+        if end - i > 1:
+            S = np.empty((end - i + 1, len(v)))
+            S[0] = v
+            rows = list(S)
+            with np.errstate(all="ignore"):  # a failing step warns in _dense_step below
+                for P, src, dst in zip(ops[i:end], rows, rows[1:]):
+                    np.matmul(P.matrix, src, out=dst)  # the gemv of P.matrix @ v
+            kept, totals = _dense_kept_steps(S, tv)
+            if kept:
+                v, tv, idx = S[kept], float(totals[kept - 1]), None
+                space = ops[i + kept - 1].space
+                i += kept
+            # Restacking the rest of the chain after each failing step would be
+            # quadratic in a chain that prunes at every step.  So the next stack
+            # takes at most 2 * (kept + 1) steps, and the k-th failing stack is
+            # followed by 2^(k-1) single steps, the failing one first: at most
+            # log2(steps) + 1 stacks of a chain fail.
+            span = 2 * (kept + 1)
+            if i == end:
+                continue
+            singles, wait = wait, 2 * wait
+        for P in ops[i:i + singles]:
+            v, tv, idx, w = _dense_step(P, v, tv, space)
+            space = P.space
+        i += singles
+    if idx is None:
+        idx = v.nonzero()[0]
+        w = v[idx]
     return PositiveMeasure(space=space, points=tuple(idx.tolist()), weights=w)
 
 
-# The most coordinates that one run of array steps in ``_map_chain`` stacks.
+def _dense_kept_steps(S, tv: float):
+    """How many leading steps of the weight stack ``S`` (steps + 1, states),
+    whose row 0 has mass ``tv``, ``_dense_step`` would leave as they are,
+    and the mass of every step.
+
+    A step is kept when each of its weights is 0 or above PRUNE_REL_TOL
+    times its left-to-right total (the zeros add exactly nothing, so that is
+    ``prune_dense``'s ``mass``), so that there is nothing to prune; a
+    negative, NaN or infinite weight fails that.  And its total must be
+    within the TV tolerance of the previous step's, as ``_check_tv`` asks.
+    """
+    X = S[1:]
+    with np.errstate(all="ignore"):
+        totals = np.add.accumulate(X, axis=1)[:, -1]
+        before = np.concatenate(([tv], totals[:-1]))
+        ok = np.logical_and.reduce((X == 0.0) | (X > PRUNE_REL_TOL * totals[:, None]), axis=1)
+        ok &= np.abs(totals - before) <= TV_PRESERVATION_TOL * np.maximum(1.0, before)
+    return (len(ok) if np.logical_and.reduce(ok) else int(ok.argmin())), totals
+
+
+# The most coordinates that one run of array steps in ``_apply_chain`` or
+# ``_map_chain`` stacks.
 _STACK_SIZE = 1 << 16
 
 

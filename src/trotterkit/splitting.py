@@ -96,9 +96,11 @@ def trotter_iterate(g1: SemigroupSpec, g2: SemigroupSpec, t: float, n: int,
                     mu: PositiveMeasure, order: str = "g1_first") -> PositiveMeasure:
     """[P1_{t/n} P2_{t/n}]^n mu (or the swapped composition).
 
-    The n blocks run through the operators' chain runner: on one dense
-    weight vector when both factors are stochastic matrices, and on one
-    point array when both are deterministic maps on R^dim.  Either way the
+    The n blocks run through the operators' chain runner: as one stack of
+    dense weight vectors when both factors are stochastic matrices, and of
+    point arrays when both are deterministic maps on R^dim, with one product
+    per step and one deferred test of every step's checks; the first step
+    that fails the test is redone as a single ``apply`` step.  Either way the
     steps keep the checks and results of ``apply`` and are not counted in
     APPLY_COUNT; a mixed pair runs one ``apply`` per factor.
 

@@ -350,6 +350,22 @@ class TestDiagnosticsCommand:
         _assert_refused(result, path, r"apart; the BL norm LP needs distances below 1e\+15")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_tightness_takes_distances_past_the_float_range(self, tmp_path):
+        """The tightness probe solves no LP: every operator of its family
+        carries the atoms at +-100 so far out that their distance from the
+        centroid overflows to inf, outside every radius, and the run gives
+        no warning."""
+        path = _huge_coordinates(tmp_path, -705.0, 1.0, [100.0, -100.0])
+        result = CliRunner().invoke(main, ["diagnostics", "--scenario", str(path), "--probe",
+                                           "tightness", "--out", str(tmp_path / "out")])
+        assert (result.exit_code, result.output) == (0, "")
+        lines = (tmp_path / "out" / "tightness.csv").read_text().splitlines()
+        assert lines[1] == "operator,radius,massOutside"
+        rows = [line.split(",") for line in lines[2:]]
+        assert len({row[0] for row in rows}) == 3 and len({row[1] for row in rows}) == 16
+        assert {row[2] for row in rows} == {"1.0"}
+
     def test_tightness_finite_all_zero(self, tmp_path):
         code = run_diagnostics(scenario_path("three_state"), "tightness",
                                tmp_path, seed=0)

@@ -833,3 +833,134 @@ class TestTVCheckBeforePrune:
                         lambda: apply_signed(compose(scaled, thin_rows), signed)):
             with pytest.raises(RuntimeError, match=message):
                 attempt()
+
+
+# Stacked dense runs: a chain of stochastic matrices fills one stack of
+# weight vectors and tests every step's prune cut and TV check at once; the
+# first step that fails the test, and every single step, runs ``_dense_step``.
+
+
+def _per_factor_apply(factors, mu):
+    """The chain in application order as one ``apply`` per factor."""
+    for P in factors:
+        mu = apply(P, mu)
+    return mu
+
+
+def _dense_outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return ("raised", type(exc), str(exc))
+    return ("ok", out.space, out.points, out.weights.tobytes())
+
+
+def _recording_dense_step(monkeypatch):
+    """Patches ``_dense_step`` to record the factor and input weights of every call."""
+    calls = []
+    step = ops_module._dense_step
+
+    def recording(P, v, tv_in, space):
+        calls.append((P, v.tobytes()))
+        return step(P, v, tv_in, space)
+
+    monkeypatch.setattr(ops_module, "_dense_step", recording)
+    return calls
+
+
+@pytest.mark.parametrize("case, step", [("prune", None), ("scaled", 40), ("nudged", 33),
+                                        ("negative", 53), ("foreign", 47)])
+def test_long_dense_chain_leaves_the_stack_at_a_middle_step(absorbing_pair, monkeypatch,
+                                                            case, step):
+    """A 96-step chain first prunes, or first meets a factor that apply
+    refuses, at a middle step: the stack keeps the steps before it,
+    ``_dense_step`` runs that step alone, and the chain ends as the
+    per-factor loop does, bit for bit or with its exception."""
+    g1, g2, mu = absorbing_pair
+    pair = (at_time(g1, 0.015), at_time(g2, 0.015))  # state 0 falls under the cut at step 60
+    applied = list(pair * 48)  # in application order
+    if case == "prune":  # the first step whose product has a weight under the cut
+        step = next(k for k in range(96) if
+                    len(_per_factor_apply(applied[:k + 1], mu)) < mu.space.size)
+    elif case == "scaled":
+        applied[step] = _corrupted(applied[step], lambda m: 1.1 * m)
+    elif case == "nudged":  # off by 1e-9, just past the TV tolerance
+        applied[step] = _corrupted(applied[step], lambda m: (1.0 + 1e-9) * m)
+    elif case == "negative":
+        applied[step] = _corrupted(applied[step], lambda m: m * [[1.0], [-1.0], [1.0], [1.0]])
+    else:
+        applied[step] = MarkovOperatorSpec.identity(StateSpace.finite(2.0 * mu.space.dist))
+    assert 10 < step < 86
+    before = _per_factor_apply(applied[:step], mu)
+    assert len(before) == mu.space.size  # nothing pruned before the step
+    expected = _dense_outcome(_per_factor_apply, applied, mu)
+    assert expected[0] == ("ok" if case == "prune" else "raised")
+    calls = _recording_dense_step(monkeypatch)
+    assert _dense_outcome(ops_module._apply_chain, applied, mu) == expected
+    assert calls == [(applied[step], before.weight_vector().tobytes())]
+
+
+@pytest.mark.parametrize("period", [1, 2, 16])
+def test_chain_that_prunes_every_step_or_two_stacks_few_times(monkeypatch, period):
+    """``trickle`` gives state 0 1e-14 of state 1's weight, under the cut, and
+    ``keep`` leaves state 0 alone: a chain of ``trickle`` prunes at every step,
+    and one with ``trickle`` every ``period`` factors at each of them, each
+    time in ``_dense_step``.  Each failing stack is followed by twice as many
+    single steps as the one before, so at most log2(n) + 1 stacks fail
+    however often the chain prunes, fewer than three steps are stacked per
+    step (a stack of the rest of the chain after each failing step would
+    stack n^2 / 2), and the chain stays bitwise the per-factor loop."""
+    space = _discrete(3)
+    trickle = MarkovOperatorSpec(kind="stochastic_matrix", space=space, matrix=[
+        [0.5, 1e-14, 0.0], [0.5, 0.7 - 1e-14, 0.2], [0.0, 0.3, 0.8]])
+    keep = MarkovOperatorSpec(kind="stochastic_matrix", space=space, matrix=[
+        [1.0, 0.0, 0.0], [0.0, 0.6, 0.1], [0.0, 0.4, 0.9]])
+    n, mu = 512, PositiveMeasure.from_atoms(space, [(1, 0.5), (2, 0.5)])
+    chain = ((trickle,) + (keep,) * (period - 1)) * (n // period)
+    expected = _dense_outcome(_per_factor_apply, chain, mu)
+    assert expected[:3] == ("ok", space, (1, 2))
+    calls = _recording_dense_step(monkeypatch)
+    stacks = []
+    kept_steps = ops_module._dense_kept_steps
+
+    def recording(S, tv):
+        kept, totals = kept_steps(S, tv)
+        stacks.append((len(S) - 1, kept))
+        return kept, totals
+
+    monkeypatch.setattr(ops_module, "_dense_kept_steps", recording)
+    assert _dense_outcome(ops_module._apply_chain, chain, mu) == expected
+    assert len([P for P, _ in calls if P is trickle]) == n // period
+    failing = [S for S, kept in stacks if kept < S]
+    assert len(failing) <= math.log2(n) + 1 and sum(S for S, _ in stacks) < 3 * n
+
+
+@st.composite
+def _dense_chain_case(draw):
+    k = draw(st.integers(1, 8))
+    space = _discrete(k)
+    column = st.lists(_entries, min_size=k, max_size=k).filter(lambda c: sum(c) > 0.0)
+    pool = [MarkovOperatorSpec(kind="stochastic_matrix", space=space, matrix=np.eye(k))]
+    for _ in range(draw(st.integers(1, 3))):
+        a = np.array(draw(st.lists(column, min_size=k, max_size=k))).T
+        pool.append(MarkovOperatorSpec(kind="stochastic_matrix", space=space,
+                                       matrix=a / a.sum(axis=0)))
+    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    weights = draw(st.lists(_entries, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        mu = PositiveMeasure.from_atoms(space, list(enumerate(weights)))
+    else:  # as stored, unpruned, with zero weights
+        mu = PositiveMeasure(space, tuple(range(k)), np.array(weights))
+    # the default cap, and caps that end runs after 0 to 16 steps
+    stack = draw(st.sampled_from([ops_module._STACK_SIZE, 1, 2 * k, 7 * k, 16]))
+    return factors, mu, stack
+
+
+@settings(max_examples=200)
+@given(_dense_chain_case())
+def test_dense_chain_matches_per_factor_apply(case):
+    factors, mu, stack = case
+    expected = _dense_outcome(_per_factor_apply, factors, mu)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ops_module, "_STACK_SIZE", stack)
+        assert _dense_outcome(ops_module._apply_chain, factors, mu) == expected
