@@ -1,24 +1,29 @@
 """Numerical verification of the scheme's exact operator identities.
 
-Each ``check_*`` yields both sides of a telescoping or swap decomposition,
-acting on one test measure (never materializing operator matrices), and the
-one driver ``_check`` runs a panel of test measures through it and reports
-the worst BL-norm deviation from one batched norm solve.  These are exact
-operator identities, so deviations are pure floating-point noise.
+Each ``check_*`` states both sides of a telescoping or swap decomposition as
+operator lists (never materializing operator matrices), and the one driver
+``_check`` evaluates them on a panel of test measures and reports the worst
+BL-norm deviation from one batched norm solve.  These are exact operator
+identities, so deviations are pure floating-point noise.
 
-The formulas are written once, over two operations: ``_chain``, a product
-of operators, and ``_combine``, ``linear_combine``.  On a finite space
-``_check`` runs the whole test panel through them as one
-``operators._Panel``, the runner that ``apply_signed`` uses for products of
-stochastic matrices, with one row per test measure: each row is bitwise
-what ``apply_signed`` and ``linear_combine`` give for its measure.
-Anywhere else (linear-flow lifts on R^dim) the same formulas run per
-measure, through ``apply_signed`` and ``linear_combine``.
+A side is one term ``outer (a - b) mu`` (a ``_Gap``: the two products of a
+commutator or of a block gap, then the product after them), or the sum of
+such terms in order.  Consecutive products of a term fuse into one operator
+list (``inner`` and then ``[Pa, Pb]`` is ``[Pa, Pb] + inner``), which gives
+the same bits.  On a finite space ``_check`` runs the whole test panel as one
+``operators._Panel``, with the terms of all its sides at once: the products
+``a`` and ``b`` of every term in one ``_Panel.chain`` call, on term-major
+blocks of rows, their differences in one ``_Panel.combine``, the products
+``outer`` in a second ``chain`` call, and one combine per sum.  Each row is
+bitwise what ``apply_signed`` and ``linear_combine`` give for its measure.
+Anywhere else (linear-flow lifts on R^dim) the same terms run per measure,
+through ``apply_signed`` and ``linear_combine``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,36 +54,77 @@ class IdentityCheckResult:
                 "passed": self.passed}
 
 
-def _check(name, g1, test_measures, sides) -> IdentityCheckResult:
-    """Worst BL distance over the (lhs, rhs) pairs that ``sides`` yields for
-    each signed test measure (per test measure, then per pair), from one
-    batched solve.  On a finite space ``sides`` runs once, on the panel."""
+class _Gap(NamedTuple):
+    """The term ``outer (a - b) mu``: operator lists in written order (the
+    last acts first)."""
+
+    outer: list
+    a: list
+    b: list
+
+
+def _check(name, g1, test_measures, pairs) -> IdentityCheckResult:
+    """Worst BL distance over the (lhs, rhs) ``pairs`` of sides, for each
+    signed test measure (per test measure, then per pair), from one batched
+    solve.  Each side is evaluated once; on a finite space, on the panel."""
     if not test_measures:
         raise ValueError(f"{name}: need at least one test measure")
     tests = [mu.as_signed() if isinstance(mu, PositiveMeasure) else mu for mu in test_measures]
+    sides = list({id(side): side for pair in pairs for side in pair}.values())
+    slot = {id(side): i for i, side in enumerate(sides)}
     panel = _panel(tests, g1.space)
     if panel is None:
-        pairs = [pair for mu in tests for pair in sides(mu)]
+        rows = [[value[0] for value in _evaluate([mu], sides)] for mu in tests]
     else:
-        columns = [(lhs.measures(), rhs.measures()) for lhs, rhs in sides(panel)]
-        pairs = [(lhs[r], rhs[r]) for r in range(len(tests)) for lhs, rhs in columns]
-    deviation = max([0.0] + bl_distances(pairs, pairs[0][0].space))
+        rows = list(zip(*(value.measures() for value in _evaluate(panel, sides))))
+    measured = [(row[slot[id(lhs)]], row[slot[id(rhs)]]) for row in rows for lhs, rhs in pairs]
+    deviation = max([0.0] + bl_distances(measured, measured[0][0].space))
     tolerance = MATRIX_TOL if g1.kind == "matrix_exponential" else LIFT_TOL
     return IdentityCheckResult(name, deviation, len(test_measures), tolerance)
 
 
-def _chain(mu, ops):
-    """The product of ``ops`` in written order (the last acts first) on mu."""
-    if not ops:
-        return mu
-    return mu.chain(ops) if isinstance(mu, _Panel) else apply_signed(compose(*ops), mu)
+def _evaluate(mu, sides) -> list:
+    """The value of each side (a ``_Gap``, or a list of them to add) on mu:
+    a panel of test measures, or a list of one signed measure."""
+    rows = len(mu.key) if isinstance(mu, _Panel) else len(mu)
+    gaps = [gap for side in sides for gap in (side if isinstance(side, list) else [side])]
+    cut = len(gaps) * rows
+    products = _chains(_repeat(mu, 2 * len(gaps)), [g.a for g in gaps] + [g.b for g in gaps])
+    cores = _combine([1.0, -1.0], [_rows(products, 0, cut), _rows(products, cut, 2 * cut)])
+    done = _chains(cores, [g.outer for g in gaps])
+    blocks = iter([_rows(done, start, start + rows) for start in range(0, cut, rows)])
+    return [_sum([next(blocks) for _ in side], mu) if isinstance(side, list) else next(blocks)
+            for side in sides]
 
 
-def _combine(coeffs, measures):
-    """``linear_combine`` of signed measures, or of panels row by row."""
-    if isinstance(measures[0], _Panel):
-        return _Panel.combine(coeffs, measures)
-    return linear_combine(coeffs, measures)
+def _chains(stack, terms):
+    """The product of ``terms[t]`` in written order (the last acts first) on
+    the t-th block of rows of a panel, or on the t-th of a list of signed
+    measures."""
+    if isinstance(stack, _Panel):
+        return stack.chain(terms)
+    return [apply_signed(compose(*ops), mu) if ops else mu for mu, ops in zip(stack, terms)]
+
+
+def _combine(coeffs, stacks):
+    """``linear_combine`` row by row, of panels or of lists of signed measures."""
+    if isinstance(stacks[0], _Panel):
+        return _Panel.combine(coeffs, stacks)
+    return [linear_combine(coeffs, list(row)) for row in zip(*stacks)]
+
+
+def _rows(stack, start, stop):
+    """Rows ``start:stop`` of a panel, or of a list of signed measures."""
+    if isinstance(stack, _Panel):
+        return _Panel(stack.space, stack.w[:, start:stop], stack.key[start:stop])
+    return stack[start:stop]
+
+
+def _repeat(mu, count):
+    """``count`` copies of the rows of a panel, or of a list, one after another."""
+    if isinstance(mu, _Panel):
+        return _Panel(mu.space, np.tile(mu.w, (1, count, 1)), np.tile(mu.key, (count, 1)))
+    return mu * count
 
 
 def _sum(terms, mu):
@@ -93,40 +139,36 @@ def _integers(**indices) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _commutator(mu, pa, pb):
-    """(Pa Pb - Pb Pa) mu."""
-    return _combine([1.0, -1.0], [_chain(mu, [pa, pb]), _chain(mu, [pb, pa])])
+def _commutator(pa, pb, inner=(), outer=()) -> _Gap:
+    """outer (Pa Pb - Pb Pa) inner."""
+    return _Gap(list(outer), [pa, pb, *inner], [pb, pa, *inner])
 
 
-def _block_gap(mu, g1, g2, h, n, k):
-    """([P1(kh) P2(kh)]^n - [P1(h) P2(h)]^(nk)) mu: coarse minus fine blocks."""
+def _block_gap(g1, g2, h, n, k, inner=(), outer=()) -> _Gap:
+    """outer ([P1(kh) P2(kh)]^n - [P1(h) P2(h)]^(nk)) inner: coarse minus
+    fine blocks."""
     coarse = [at_time(g1, k * h), at_time(g2, k * h)]
     fine = [at_time(g1, h), at_time(g2, h)]
-    return _combine([1.0, -1.0], [_chain(mu, coarse * n), _chain(mu, fine * (n * k))])
+    return _Gap(list(outer), coarse * n + list(inner), fine * (n * k) + list(inner))
 
 
-def _triple_sum(mu, g1, g2, h, n, k, inner):
-    """Sum of [P1k P2k]^i P1(jh) P2(lh) [P1, P2] inner(i, j, l) over i < n,
-    1 <= j < k, l < j, term by term in that order (P1k: P1 at kh)."""
+def _triple_sum(g1, g2, h, n, k, inner) -> list:
+    """The terms [P1k P2k]^i P1(jh) P2(lh) [P1, P2] inner(i, j, l) over
+    i < n, 1 <= j < k, l < j, in that order (P1k: P1 at kh; ``inner``
+    gives an operator list)."""
     p1, p2 = at_time(g1, h), at_time(g2, h)
     p1k, p2k = at_time(g1, k * h), at_time(g2, k * h)
-    terms = []
-    for i in range(n):
-        for j in range(1, k):
-            for l in range(j):
-                core = _commutator(inner(i, j, l), p1, p2)
-                core = _chain(core, [at_time(g2, l * h)])
-                core = _chain(core, [at_time(g1, j * h)])
-                terms.append(_chain(core, [p1k, p2k] * i))
-    return _sum(terms, mu)
+    return [_commutator(p1, p2, inner(i, j, l),
+                        [p1k, p2k] * i + [at_time(g1, j * h), at_time(g2, l * h)])
+            for i in range(n) for j in range(1, k) for l in range(j)]
 
 
-def _displayed_triple_sum(mu, g1, g2, h, n, k):
+def _displayed_triple_sum(g1, g2, h, n, k) -> list:
     """The triple sum as displayed: the trailing second-factor time is
     (j - l) h and the trailing block exponent k(n - i) - j - 1, verbatim."""
     p1, p2 = at_time(g1, h), at_time(g2, h)
-    return _triple_sum(mu, g1, g2, h, n, k, lambda i, j, l: _chain(
-        mu, [at_time(g2, (j - l) * h)] + [p1, p2] * (k * (n - i) - j - 1)))
+    return _triple_sum(g1, g2, h, n, k, lambda i, j, l: (
+        [at_time(g2, (j - l) * h)] + [p1, p2] * (k * (n - i) - j - 1)))
 
 
 def check_lemma_a(g1, g2, t, m, j, test_measures) -> IdentityCheckResult:
@@ -136,17 +178,10 @@ def check_lemma_a(g1, g2, t, m, j, test_measures) -> IdentityCheckResult:
         raise ValueError("need 1 <= j <= m")
     h = t / m
     p1 = at_time(g1, h)
-
-    def sides(mu):
-        lhs = _commutator(mu, p1, at_time(g2, j * h))
-        terms = []
-        for l in range(j):
-            core = _commutator(_chain(mu, [at_time(g2, (j - 1 - l) * h)]),
-                               p1, at_time(g2, h))
-            terms.append(_chain(core, [at_time(g2, l * h)]))
-        yield lhs, _sum(terms, mu)
-
-    return _check("telescoping_single_step", g1, test_measures, sides)
+    terms = [_commutator(p1, at_time(g2, h), [at_time(g2, (j - 1 - l) * h)],
+                         [at_time(g2, l * h)]) for l in range(j)]
+    return _check("telescoping_single_step", g1, test_measures,
+                  [(_commutator(p1, at_time(g2, j * h)), terms)])
 
 
 def check_lemma_b(g1, g2, t, m, k, test_measures) -> IdentityCheckResult:
@@ -156,18 +191,10 @@ def check_lemma_b(g1, g2, t, m, k, test_measures) -> IdentityCheckResult:
         raise ValueError("need 1 <= k <= m")
     h = t / m
     p1, p2 = at_time(g1, h), at_time(g2, h)
-
-    def sides(mu):
-        lhs = _block_gap(mu, g1, g2, h, 1, k)
-        terms = []
-        for j in range(1, k):
-            inner = _chain(mu, [p1, p2] * (k - 1 - j))
-            inner = _chain(inner, [p2])
-            core = _commutator(inner, p1, at_time(g2, j * h))
-            terms.append(_chain(core, [at_time(g1, j * h)]))
-        yield lhs, _sum(terms, mu)
-
-    return _check("telescoping_block", g1, test_measures, sides)
+    terms = [_commutator(p1, at_time(g2, j * h), [p2] + [p1, p2] * (k - 1 - j),
+                         [at_time(g1, j * h)]) for j in range(1, k)]
+    return _check("telescoping_block", g1, test_measures,
+                  [(_block_gap(g1, g2, h, 1, k), terms)])
 
 
 def check_lemma_c(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
@@ -178,16 +205,10 @@ def check_lemma_c(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
     h = t / (n * k)
     p1, p2 = at_time(g1, h), at_time(g2, h)
     p1k, p2k = at_time(g1, k * h), at_time(g2, k * h)
-
-    def sides(mu):
-        lhs = _block_gap(mu, g1, g2, h, n, k)
-        terms = []
-        for i in range(n):
-            tail = _chain(mu, [p1, p2] * (k * (n - 1 - i)))
-            terms.append(_chain(_block_gap(tail, g1, g2, h, 1, k), [p1k, p2k] * i))
-        yield lhs, _sum(terms, mu)
-
-    return _check("telescoping_refinement", g1, test_measures, sides)
+    terms = [_block_gap(g1, g2, h, 1, k, [p1, p2] * (k * (n - 1 - i)), [p1k, p2k] * i)
+             for i in range(n)]
+    return _check("telescoping_refinement", g1, test_measures,
+                  [(_block_gap(g1, g2, h, n, k), terms)])
 
 
 def check_corollary(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
@@ -201,11 +222,8 @@ def check_corollary(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
     if n < 1 or k < 1:
         raise ValueError("need n, k >= 1")
     h = t / (n * k)
-
-    def sides(mu):
-        yield _block_gap(mu, g1, g2, h, n, k), _displayed_triple_sum(mu, g1, g2, h, n, k)
-
-    return _check("triple_sum_decomposition", g1, test_measures, sides)
+    return _check("triple_sum_decomposition", g1, test_measures,
+                  [(_block_gap(g1, g2, h, n, k), _displayed_triple_sum(g1, g2, h, n, k))])
 
 
 def check_corollary_recomposition(g1, g2, t, n, k, test_measures) -> IdentityCheckResult:
@@ -222,14 +240,11 @@ def check_corollary_recomposition(g1, g2, t, n, k, test_measures) -> IdentityChe
         raise ValueError("need n, k >= 1")
     h = t / (n * k)
     p1, p2 = at_time(g1, h), at_time(g2, h)
-
-    def sides(mu):
-        lhs = _displayed_triple_sum(mu, g1, g2, h, n, k)
-        yield lhs, _triple_sum(mu, g1, g2, h, n, k, lambda i, j, l: _chain(
-            mu, [at_time(g2, (j - 1 - l) * h), p2]
-            + [p1, p2] * (k - 1 - j) + [p1, p2] * (k * (n - 1 - i))))
-
-    return _check("triple_sum_recomposition", g1, test_measures, sides)
+    recomposed = _triple_sum(g1, g2, h, n, k, lambda i, j, l: (
+        [at_time(g2, (j - 1 - l) * h), p2] + [p1, p2] * (k - 1 - j)
+        + [p1, p2] * (k * (n - 1 - i))))
+    return _check("triple_sum_recomposition", g1, test_measures,
+                  [(_displayed_triple_sum(g1, g2, h, n, k), recomposed)])
 
 
 def check_swap_identity(g1, g2, t, n, test_measures) -> IdentityCheckResult:
@@ -238,19 +253,10 @@ def check_swap_identity(g1, g2, t, n, test_measures) -> IdentityCheckResult:
     if n < 1:
         raise ValueError("need n >= 1")
     p1, p2 = at_time(g1, t), at_time(g2, t)
-
-    def sides(mu):
-        direct = _combine(
-            [1.0, -1.0], [_chain(mu, [p1, p2] * n), _chain(mu, [p2, p1] * n)])
-        for leading, trailing in (([p2, p1], [p1, p2]), ([p1, p2], [p2, p1])):
-            terms = []
-            for i in range(n):
-                inner = _chain(mu, trailing * i)
-                core = _commutator(inner, p1, p2)
-                terms.append(_chain(core, leading * (n - i - 1)))
-            yield direct, _sum(terms, mu)
-
-    return _check("order_swap_expansion", g1, test_measures, sides)
+    direct = _Gap([], [p1, p2] * n, [p2, p1] * n)
+    return _check("order_swap_expansion", g1, test_measures, [
+        (direct, [_commutator(p1, p2, trailing * i, leading * (n - i - 1)) for i in range(n)])
+        for leading, trailing in (([p2, p1], [p1, p2]), ([p1, p2], [p2, p1]))])
 
 
 def standard_test_panel(space: StateSpace, rng) -> list:

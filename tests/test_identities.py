@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trotterkit import identities
+from trotterkit import operators as ops_module
 from trotterkit.identities import (
     check_corollary,
     check_corollary_recomposition,
@@ -172,6 +173,29 @@ def test_finite_checks_run_as_panels(setup, monkeypatch):
     assert check_swap_identity(g1, g2, 0.4, 3, panel).passed
 
 
+def test_runner_calls_do_not_grow_with_the_indices(setup, monkeypatch):
+    """A finite check makes as many ``_Panel.chain`` calls at large indices
+    as at small ones: the loops over its terms are stacked, not unrolled."""
+    _, g1, g2, panel = setup
+    calls = []
+    chain = ops_module._Panel.chain
+
+    def counting(self, terms):
+        calls.append(len(terms))
+        return chain(self, terms)
+
+    monkeypatch.setattr(ops_module._Panel, "chain", counting)
+
+    def runs(check, *args):
+        del calls[:]
+        assert check(g1, g2, *args, panel).passed
+        return len(calls)
+
+    assert runs(check_corollary, 0.8, 2, 2) == runs(check_corollary, 0.8, 4, 4)
+    assert runs(check_swap_identity, 0.4, 2) == runs(check_swap_identity, 0.4, 8)
+    assert runs(check_lemma_a, 0.8, 12, 2) == runs(check_lemma_a, 0.8, 12, 12)
+
+
 def test_stacked_product_is_rowwise_gemv():
     """The panel's premise: NumPy runs ``np.matmul(P, W[..., None])`` as one
     gemv per row, so each row is bitwise ``P @ w``."""
@@ -185,6 +209,26 @@ def test_stacked_product_is_rowwise_gemv():
         for got_part, part in zip(stacked, W):
             for got, w in zip(got_part, part):
                 assert got.tobytes() == (P @ w).tobytes(), states
+
+
+def test_stacked_terms_are_rowwise_gemv():
+    """The premise of ``_Panel.chain``'s term stacks: with a different
+    matrix per term, ``np.matmul(M[:, None], W[..., None])`` still runs one
+    gemv per row, so each row of term t is bitwise ``M[t] @ w``."""
+    rng = np.random.default_rng(1)
+    for states in range(2, 25):
+        for terms in range(1, 31):
+            matrices = []
+            for _ in range(terms):  # separate (S, S) arrays, stacked below
+                P = rng.uniform(size=(states, states)) * (
+                    rng.uniform(size=(states, states)) < 0.8) + np.eye(states) * 1e-3
+                matrices.append(P / P.sum(axis=0))
+            W = rng.uniform(size=(2, terms, 3, states)) * (
+                rng.uniform(size=(2, terms, 3, states)) < 0.7)
+            stacked = np.matmul(np.stack(matrices)[:, None], W[..., None])[..., 0]
+            for t, P in enumerate(matrices):
+                for got, w in zip(stacked[:, t].reshape(-1, states), W[:, t].reshape(-1, states)):
+                    assert got.tobytes() == (P @ w).tobytes(), (states, terms, t)
 
 
 def test_flow_array_maps_are_rowwise_point_maps():
@@ -212,7 +256,7 @@ def test_flow_array_maps_are_rowwise_point_maps():
             assert [y.tobytes() for y in Y[..., 0]] == expected, P
 
 
-# The panel against the per-measure path: ``_chain`` and ``_combine`` on a
+# The panel against the per-measure path: ``_chains`` and ``_combine`` on a
 # panel must give, row by row, bitwise what the per-factor loop below and
 # ``linear_combine`` give on each measure, exceptions included.
 
@@ -256,26 +300,45 @@ def _corrupted(space, matrix):
     return P
 
 
+def _repaired(entries, k):
+    """``k`` columns of drawn entries, each scaled to mass 1; a column of
+    zeros first gets 1.0 on the diagonal."""
+    a = np.array(entries, dtype=float).reshape(-1, k)
+    zero = np.flatnonzero(a.sum(axis=0) == 0.0)
+    a[zero, zero] = 1.0
+    return a / a.sum(axis=0)
+
+
 @st.composite
-def _operators(draw, space):
+def _pool(draw, space):
+    """Stochastic matrices on ``space`` to draw factors from, and at most one
+    factor that ``apply`` refuses."""
     k = space.size
-    column = st.lists(_entries, min_size=k, max_size=k).filter(lambda c: sum(c) > 0.0)
+    # one flat draw of k * k entries per matrix, an all-zero column repaired
+    # rather than redrawn: Hypothesis's cost here is per draw
     pool = [_stochastic(space, np.eye(k))]
     for _ in range(draw(st.integers(1, 3))):
-        a = np.array(draw(st.lists(column, min_size=k, max_size=k))).T
-        pool.append(_stochastic(space, a / a.sum(axis=0)))
+        pool.append(_stochastic(space, _repaired(
+            draw(st.lists(_entries, min_size=k * k, max_size=k * k)), k)))
     # every column alike: both parts land on one measure, so the re-split
     # empties a part, or both when the masses are equal
-    c = np.array(draw(column))
-    pool.append(_stochastic(space, np.tile((c / c.sum())[:, None], (1, k))))
-    bad = draw(st.sampled_from(["none", "scaled", "negative"]))
+    c = _repaired(draw(st.lists(_entries, min_size=k, max_size=k)), 1)
+    pool.append(_stochastic(space, np.tile(c, (1, k))))
+    bad = draw(st.sampled_from(["none", "scaled", "negative", "foreign"]))
     if bad == "scaled":  # TV not preserved
         pool.append(_corrupted(space, 1.001 * pool[-1].matrix))
     elif bad == "negative":
         m = pool[-1].matrix.copy()
         m[0] -= 0.1
         pool.append(_corrupted(space, m))
-    return draw(st.lists(st.sampled_from(pool), max_size=8))
+    elif bad == "foreign":
+        pool.append(MarkovOperatorSpec.identity(StateSpace.finite(2.0 * space.dist)))
+    return pool
+
+
+@st.composite
+def _operators(draw, space):
+    return draw(st.lists(st.sampled_from(draw(_pool(space))), max_size=8))
 
 
 @st.composite
@@ -341,8 +404,76 @@ def test_panel_chain_matches_per_measure(case):
     panel = identities._panel(measures, space)
     assert panel is not None
     pruned = bool(ops)  # no factor leaves the measures as drawn
-    assert (_rows(lambda: identities._chain(panel, ops).measures(), pruned)
+    assert (_rows(lambda: identities._chains(panel, [ops]).measures(), pruned)
             == _rows(lambda: [_per_factor_chain(mu, ops) for mu in measures], pruned))
+
+
+@st.composite
+def _terms_case(draw):
+    """Terms of 0-8 factors from one pool, each on its own block of test
+    measures or all on one, and a group cap that splits them."""
+    space = _discrete(draw(st.integers(2, 6)))
+    pool = draw(_pool(space))
+    terms = draw(st.lists(st.lists(st.sampled_from(pool), max_size=8), min_size=1, max_size=6))
+    rows = draw(st.integers(1, 3))
+    block = st.lists(_signed_measure(space), min_size=rows, max_size=rows)
+    if draw(st.booleans()):
+        blocks = [draw(block)] * len(terms)
+    else:
+        blocks = [draw(block) for _ in terms]
+    weights, matrix = 2 * rows * space.size, space.size ** 2
+    cap = draw(st.sampled_from([ops_module._STACK_SIZE, 1, weights, 3 * weights, 2 * matrix]))
+    return space, terms, blocks, cap
+
+
+@settings(max_examples=150)
+@given(_terms_case())
+def test_term_stacks_match_one_run_per_term(case):
+    """The runner on term-major blocks against one single-term run per term
+    and against the per-factor loop, term by term: the same rows, or the
+    exception of the first failing term.  Every group stays under the cap
+    unless it holds one term."""
+    space, terms, blocks, cap = case
+    groups = []
+    steps = ops_module._Panel._steps
+
+    def recording(self, w, key, members):
+        groups.append((len(members), w.size, len(members) * space.size ** 2))
+        return steps(self, w, key, members)
+
+    stacked = identities._panel([mu for block in blocks for mu in block], space)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ops_module, "_STACK_SIZE", cap)
+        m.setattr(ops_module._Panel, "_steps", recording)
+        got = _rows(lambda: stacked.chain(terms).measures(), pruned=False)
+    assert sum(n for n, _, _ in groups) == len(terms)
+    assert all(n == 1 or (weights <= cap and matrices <= cap) for n, weights, matrices in groups)
+    assert got == _rows(lambda: [mu for block, ops in zip(blocks, terms) for mu in
+                                 identities._panel(block, space).chain([ops]).measures()],
+                        pruned=False)
+    assert got == _rows(lambda: [_per_factor_chain(mu, ops) for block, ops in zip(blocks, terms)
+                                 for mu in block], pruned=False)
+
+
+def test_fortran_order_matrices_keep_their_bits_in_a_stack():
+    """The gemv of a Fortran-order matrix adds in another order than that of
+    a C-order one, and a stack of matrices is C-order: ``MarkovOperatorSpec``
+    stores every matrix C-contiguous, so a term stack keeps the bits of the
+    per-factor loop for matrices given in Fortran order too."""
+    space = _discrete(9)
+    rng = np.random.default_rng(4)
+    ops = []
+    for _ in range(3):
+        a = rng.uniform(size=(9, 9)) * (rng.uniform(size=(9, 9)) < 0.7) + np.eye(9)
+        ops.append(_stochastic(space, np.asfortranarray(a / a.sum(axis=0))))
+    assert all(P.matrix.flags.c_contiguous for P in ops)
+    measures = [identities.standard_test_panel(space, rng)[-1].as_signed(),
+                linear_combine([1.0, -1.0], [PositiveMeasure.dirac(space, 2),
+                                             PositiveMeasure.dirac(space, 5, 0.5)])]
+    terms = [ops, ops[::-1], [ops[1]] * 5]
+    stacked = identities._panel(measures * len(terms), space)
+    assert (_rows(lambda: stacked.chain(terms).measures())
+            == _rows(lambda: [_per_factor_chain(mu, ops) for ops in terms for mu in measures]))
 
 
 @st.composite
@@ -382,7 +513,7 @@ def test_at_cut_weights_straddle_the_prune():
     for weight, kept in ((t, False), (np.nextafter(t, 1.0), True)):
         mu = SignedMeasure(pos=PositiveMeasure(space, (0, 1, 2), np.array(big + [weight])),
                            neg=PositiveMeasure(space))
-        out, = identities._chain(identities._panel([mu], space), [eye]).measures()
+        out, = identities._chains(identities._panel([mu], space), [[eye]]).measures()
         assert (out.pos.points == (0, 1, 2)) is kept
 
 
@@ -423,7 +554,7 @@ def test_signed_paths_agree_under_compensated_sum(monkeypatch, big, weight):
                        neg=PositiveMeasure(space))
     panel = identities._panel([mu], space)
     eye = _stochastic(space, np.eye(5))
-    assert (_rows(lambda: identities._chain(panel, [eye]).measures())
+    assert (_rows(lambda: identities._chains(panel, [[eye]]).measures())
             == _rows(lambda: [_per_factor_chain(mu, [eye])]))
     assert (_rows(lambda: identities._combine([1.0], [panel]).measures())
             == _rows(lambda: [linear_combine([1.0], [mu])]))
