@@ -11,13 +11,16 @@ commutator or of a block gap, then the product after them), or the sum of
 such terms in order.  Consecutive products of a term fuse into one operator
 list (``inner`` and then ``[Pa, Pb]`` is ``[Pa, Pb] + inner``), which gives
 the same bits.  On a finite space ``_check`` runs the whole test panel as one
-``operators._Panel``, with the terms of all its sides at once: the products
-``a`` and ``b`` of every term in one ``_Panel.chain`` call, on term-major
-blocks of rows, their differences in one ``_Panel.combine``, the products
-``outer`` in a second ``chain`` call, and one combine per sum.  Each row is
-bitwise what ``apply_signed`` and ``linear_combine`` give for its measure.
-Anywhere else (linear-flow lifts on R^dim) the same terms run per measure,
-through ``apply_signed`` and ``linear_combine``.
+``_Panel``: signed measures as rows of two dense weight arrays, with the
+terms of all its sides at once.  The products ``a`` and ``b`` of every term
+run in one ``_Panel.chain`` call, on term-major blocks of rows, with one
+stacked product per step for every term still running; their differences
+run in one ``_Panel.combine``, the products ``outer`` in a second ``chain``
+call, and each sum in one combine.  Each row is bitwise what
+``apply_signed``, factor by factor, and ``linear_combine`` give for its
+measure.  Anywhere else (linear-flow lifts on R^dim, measures a panel does
+not hold) the same terms run per measure, through ``apply_signed`` and
+``linear_combine``.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import operators
 from .bl_metric import bl_distances
-from .measures import PositiveMeasure, StateSpace, linear_combine
-from .operators import SemigroupSpec, _Panel, _panel, apply_signed, at_time, compose
+from .measures import PRUNE_REL_TOL, PositiveMeasure, SignedMeasure, StateSpace, linear_combine
+from .operators import TV_PRESERVATION_TOL, SemigroupSpec, apply_signed, at_time
 
 MATRIX_TOL = 1e-10
 LIFT_TOL = 1e-8
@@ -103,7 +107,15 @@ def _chains(stack, terms):
     measures."""
     if isinstance(stack, _Panel):
         return stack.chain(terms)
-    return [apply_signed(compose(*ops), mu) if ops else mu for mu, ops in zip(stack, terms)]
+    return [_signed_product(ops, mu) for mu, ops in zip(stack, terms)]
+
+
+def _signed_product(ops, mu):
+    """The product of ``ops`` in written order (the last acts first) on the
+    signed measure ``mu``, one ``apply_signed`` per operator."""
+    for P in reversed(ops):
+        mu = apply_signed(P, mu)
+    return mu
 
 
 def _combine(coeffs, stacks):
@@ -320,3 +332,193 @@ def run_identity_suite(seed: int, trials: int, max_states: int):
                                  "identity": c.identity_name,
                                  "deviation": c.max_deviation})
     return results, failures
+
+
+_SIGNS = np.array([1.0, -1.0])[:, None, None]  # a panel's two parts from signed weights
+
+
+class _Panel(NamedTuple):
+    """Signed measures on one finite space, one per row.
+
+    ``w[0]`` and ``w[1]`` are the (rows, states) weights of the positive and
+    the negative parts, with disjoint supports.  Within each part, a row
+    lists its atoms in increasing ``key`` (rows, states): that is the order
+    of the atoms of its measure.  For ``chain`` with several terms, the
+    rows are term-major: one equal block of rows per term (in the identity
+    checks, one row per test measure in each block).
+    """
+
+    space: StateSpace
+    w: np.ndarray
+    key: np.ndarray
+
+    def measures(self) -> list:
+        """The rows as signed measures."""
+        out = []
+        for order, pos, neg in zip(self.key.argsort(axis=-1), *self.w):
+            parts = []
+            for v in (pos, neg):
+                points = order[v[order] != 0.0]
+                parts.append(PositiveMeasure(self.space, tuple(points.tolist()), v[points]))
+            out.append(SignedMeasure(*parts))
+        return out
+
+    def chain(self, terms) -> "_Panel":
+        """The product of ``terms[t]`` in written order (the last acts
+        first) on the t-th of ``len(terms)`` equal blocks of rows, for every
+        t, bit for bit as ``apply_signed`` factor by factor on each row:
+        each factor on both nonempty parts, then the re-split.
+
+        The terms run longest first, aligned on their first-acting factor,
+        so the terms still running at a step are a leading slice; groups of
+        consecutive terms in that order hold at most _STACK_SIZE floats of
+        weights and of stacked matrices (a larger term runs alone).  Each
+        step of a group is one stacked product of its running terms'
+        (terms, 1, S, S) matrices, gathered for that step, and both parts
+        of their rows, which NumPy runs as one gemv per row, the call
+        ``P @ v`` of ``_dense_step`` (``MarkovOperatorSpec`` stores every
+        matrix C-contiguous, so both take the same gemv).  Each row is then
+        TV-checked on its left-to-right sum and pruned at PRUNE_REL_TOL
+        times that sum, as ``_dense_step`` checks the ``mass`` of
+        ``prune_dense`` and prunes (the zeros between the entries add
+        nothing).  The re-split merges the parts in ``linear_combine``'s
+        order, the positive part's states and then the rest, each in index
+        order, and cuts at the merged mass, with no cut per part (see
+        ``jordan_parts``); a row with one empty part comes out of it
+        unchanged, so every row takes it.  A group with a row that fails a
+        check (a factor that is not a stochastic matrix on this space, a
+        negative or non-finite weight, TV not preserved) stops; once every
+        group has run, the terms of the failed groups run one at a time, in
+        term order, through ``apply_signed``, which raises as it does, for
+        the first failing term and measure.
+        """
+        count = len(terms)
+        if not count:
+            return self
+        size, rows = self.space.size, len(self.key) // count
+        w = self.w.reshape(2, count, rows, size)
+        key = self.key.reshape(count, rows, size)
+        order = sorted(range(count), key=lambda t: -len(terms[t]))
+        group = max(1, operators._STACK_SIZE // max(2 * rows * size, size * size, 1))
+        out_w, out_key = np.empty_like(w), np.empty_like(key)
+        failed = []
+        for start in range(0, count, group):
+            members = order[start:start + group]
+            done = self._steps(w[:, members], key[members], [terms[t] for t in members])
+            if done is None:
+                failed += members
+            else:
+                out_w[:, members], out_key[members] = done
+        for t in sorted(failed):
+            out = _per_row(lambda mu, ops=terms[t]: _signed_product(ops, mu),
+                           [_Panel(self.space, w[:, t], key[t])])
+            out_w[:, t], out_key[t] = out.w, out.key
+        return _Panel(self.space, out_w.reshape(self.w.shape), out_key.reshape(self.key.shape))
+
+    def _steps(self, w, key, terms):
+        """One group of ``chain``: the weights (2, n, rows, S) and keys of
+        its n terms' blocks, the terms longest first.  Returns them after
+        every step, or None when a row fails a check."""
+        n, rows, size = key.shape
+        w, key = w.reshape(2, n * rows, size), key.reshape(n * rows, size)
+        index = np.arange(n * rows)[:, None]
+        # each part's mass, its atoms added in their order
+        tv = np.add.accumulate(w[:, index, key.argsort(axis=-1)], axis=-1)[..., -1]
+        running = [ops[::-1] for ops in terms]  # in application order
+        for step in range(len(running[0])):
+            while len(running[-1]) <= step:
+                running.pop()
+            matrices = []
+            for ops in running:
+                P = ops[step]
+                if P.kind != "stochastic_matrix" or (P.space is not self.space
+                                                     and P.space != self.space):
+                    return None
+                matrices.append(P.matrix)
+            m = len(running) * rows
+            out = np.matmul(np.stack(matrices)[:, None],
+                            w[:, :m].reshape(2, len(running), rows, size, 1)).reshape(2, m, size)
+            total = np.add.accumulate(out, axis=-1)[..., -1]
+            cut = PRUNE_REL_TOL * total[..., None]
+            before = tv[:, :m]
+            # a negative, NaN or infinite entry (a comparison with NaN is False)
+            if not (np.minimum.reduce(out, None) >= 0.0 and np.maximum.reduce(cut, None) < np.inf
+                    and (np.abs(total - before)
+                         <= TV_PRESERVATION_TOL * np.maximum(1.0, before)).all()):
+                return None
+            out = np.where(out > cut, out, 0.0)
+            # the merge order: the positive part's states, then the rest
+            order = index[:m], (out[0] == 0.0).argsort(axis=-1, kind="stable")
+            key[:m] = order[1].argsort(axis=-1)
+            x = _SIGNS * (out[0] - out[1])  # the merged weights, and their negatives
+            cut = PRUNE_REL_TOL * np.add.accumulate(np.abs(x[0])[order], axis=-1)[:, -1:]
+            w[:, :m] = np.where(x > cut, x, 0.0)
+            tv[:, :m] = np.add.accumulate(w[:, order[0], order[1]], axis=-1)[..., -1]
+        return w.reshape(2, n, rows, size), key.reshape(n, rows, size)
+
+    @staticmethod
+    def combine(coeffs, panels) -> "_Panel":
+        """``linear_combine(coeffs, measures)`` on every row.
+
+        The weights are added in measure order (an absent atom adds an exact
+        0.0), atoms keep their first appearance (a measure's positive part,
+        then its negative part), and the total, the cut and the Jordan split
+        are taken in that order.  A non-finite total sends the rows through
+        ``linear_combine``, which raises.  The panels of one check share the
+        space that ``_panel`` and each factor of ``chain`` are checked against.
+        """
+        space = panels[0].space
+        S = space.size
+        rows = np.arange(len(panels[0].key))[:, None]
+        # keys are below 2S: measure m's atoms take keys from 4Sm on, its
+        # negative part after its positive part, and its first appearance wins
+        first = np.full(panels[0].key.shape, 4 * S * len(panels))
+        for m in reversed(range(len(panels))):
+            pos, neg = panels[m].w > 0.0
+            first = np.where(pos | neg, 4 * S * m + 2 * S * neg + panels[m].key, first)
+        order = first.argsort(axis=-1)
+        with np.errstate(over="ignore"):  # an overflow fails the test below
+            x = float(coeffs[0]) * (panels[0].w[0] - panels[0].w[1])
+            for c, p in zip(coeffs[1:], panels[1:]):
+                x = x + float(c) * (p.w[0] - p.w[1])
+            total = np.add.accumulate(np.abs(x)[rows, order], axis=-1)[:, -1:]
+        if not np.isfinite(total).all():
+            return _per_row(lambda *mus: linear_combine(coeffs, mus), panels)
+        x = _SIGNS * np.where(np.abs(x) > PRUNE_REL_TOL * total, x, 0.0)
+        return _Panel(space, np.maximum(x, 0.0), order.argsort(axis=-1))
+
+
+def _panel(measures, space: StateSpace):
+    """The signed measures as one panel on ``space``, or None when it does
+    not hold them exactly: a space that is not finite, a part on another
+    space, or atoms that are not distinct states (in both parts together)
+    with finite positive weights.  Those run per measure, which raises where
+    it raises."""
+    if space.kind != "finite":
+        return None
+    w = np.zeros((2, len(measures), space.size))
+    key = np.zeros((len(measures), space.size), dtype=np.intp)
+    for r, mu in enumerate(measures):
+        parts = (mu.pos, mu.neg)
+        if any(part.space is not space and part.space != space for part in parts):
+            return None
+        try:
+            pos_states, neg_states = ([space.point_key(p) for p in part.points] for part in parts)
+        except ValueError:
+            return None
+        if len(set(pos_states + neg_states)) < len(pos_states) + len(neg_states):
+            return None
+        for part, states, dense in zip(parts, (pos_states, neg_states), w[:, r]):
+            x = np.asarray(part.weights, dtype=float)
+            if x.shape != (len(states),) or not (np.isfinite(x) & (x > 0.0)).all():
+                return None
+            dense[states] = x
+            key[r, states] = np.arange(len(states))
+    return _Panel(space, w, key)
+
+
+def _per_row(fn, panels) -> _Panel:
+    """``fn`` on each row's measures, one row at a time: the path of a
+    panel that fails a check, so that it raises as the per-measure path does."""
+    return _panel([fn(*row) for row in zip(*(p.measures() for p in panels))],
+                  panels[0].space)

@@ -329,7 +329,8 @@ def linear_combine(coeffs, measures) -> SignedMeasure:
             raise SpaceMismatchError("measures live on different state spaces")
         pts, wts = m.support()
         points.extend(pts)
-        weights.extend((float(c) * wts).tolist())
+        with np.errstate(over="ignore"):  # _build_signed refuses the infinity
+            weights.extend((float(c) * wts).tolist())
     return _build_signed(space, points, weights)
 
 

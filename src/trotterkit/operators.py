@@ -8,25 +8,22 @@ send each point to a probability measure, and products of operators
 stack of dense weight vectors with one product per step, and one vectorised
 prune and TV test over the stack (``_dense_kept_steps``) finds the first
 step that must prune or raise; that step alone, and every single step, runs
-``_dense_step``.  Signed measures run in ``_Panel.chain``, as rows of two
-dense weight arrays: term-major blocks of rows, each with its own list of
-factors, one stacked product per step for every term still running, for
-``apply_signed`` (one term) and the identity checks alike.  Chains of
-deterministic maps on R^dim run in ``_map_chain`` the same way: the flows
-carry an array form of their map, each run of them fills one stack of point
-arrays with one call per step, and one finiteness and coincidence test over
-the stack (``_kept_steps``) finds the first step that must merge atoms or
-raise; that step alone runs ``point_map`` point by point and
-``from_atoms``.  Every kind of step checks TV on the merged mass before the
-prune.  Semigroups are generated by a rate matrix (matrix exponential), a
-linear flow on R^dim, or a named closed-form flow.
+``_dense_step``.  Chains of deterministic maps on R^dim run in
+``_map_chain`` the same way: the flows carry an array form of their map,
+each run of them fills one stack of point arrays with one call per step,
+and one finiteness and coincidence test over the stack (``_kept_steps``)
+finds the first step that must merge atoms or raise; that step alone runs
+``point_map`` point by point and ``from_atoms``.  Every kind of step checks
+TV on the merged mass before the prune.  ``apply_signed`` acts on a signed
+measure through its Jordan pair: ``apply`` on each part, factor by factor,
+then the re-split.  Semigroups are generated by a rate matrix (matrix
+exponential), a linear flow on R^dim, or a named closed-form flow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -82,7 +79,8 @@ class MarkovOperatorSpec:
     def __post_init__(self):
         if self.kind == "stochastic_matrix":
             # C-contiguous, so that a product with it is one gemv, the same
-            # alone (``P @ v``) and stacked with others (``_Panel.chain``)
+            # alone (``P @ v``) and stacked with others (the term stacks of
+            # ``identities._Panel.chain``)
             a = np.ascontiguousarray(self.matrix, dtype=float)
             if a.shape != (self.space.size, self.space.size):
                 raise ValueError("matrix shape does not match state space size")
@@ -273,7 +271,7 @@ def _dense_kept_steps(S, tv: float):
 
 # The most coordinates that one run of array steps in ``_apply_chain`` or
 # ``_map_chain`` stacks, and the most weights, or matrix entries, that one
-# group of terms in ``_Panel.chain`` stacks.
+# group of terms in ``identities._Panel.chain`` stacks (it reads this name).
 _STACK_SIZE = 1 << 16
 
 
@@ -418,229 +416,20 @@ def _dense_step(P: MarkovOperatorSpec, v: np.ndarray, tv_in: float, space: State
 def apply_signed(P: MarkovOperatorSpec, mu: SignedMeasure) -> SignedMeasure:
     """Extend the operator to signed measures through the Jordan pair.
 
-    Both nonempty parts go through the operator, and the results are merged
-    and re-split into a Jordan pair (``linear_combine([1, -1], [pos,
-    neg])``).  A composite re-splits after every factor, so
+    A composite runs its factors one at a time, the last first, so
     ``apply_signed(compose(A, B), mu)`` is ``apply_signed(A, apply_signed(B,
-    mu))`` bit for bit.
-
-    A stochastic matrix, or a product of them, runs ``mu`` as a one-row
-    ``_Panel`` of one term, which adds nothing to APPLY_COUNT.  A measure that a panel
-    cannot hold (a repeated state or a zero weight in a part, a state in
-    both parts, a part on another space) runs one counted ``apply`` per
-    nonempty part and factor instead.  A product with other factors runs
-    one ``apply_signed`` per factor, so only its kernel and map factors
-    are counted.
+    mu))`` bit for bit.  Any other operator goes through ``apply`` on each
+    nonempty part, one counted application per part, and the results are
+    merged and re-split into a Jordan pair (``linear_combine([1, -1], [pos,
+    neg])``).
     """
-    if P.kind == "composite" and any(F.kind != "stochastic_matrix" for F in P.factors):
+    if P.kind == "composite":
         for F in reversed(P.factors):
             mu = apply_signed(F, mu)
         return mu
-    factors = P.factors if P.kind == "composite" else (P,)
-    panel = _panel([mu], mu.space) if P.kind in ("composite", "stochastic_matrix") else None
-    if panel is None:
-        return _signed_steps(factors, mu)
-    return panel.chain([factors]).measures()[0]
-
-
-def _signed_steps(ops, mu: SignedMeasure) -> SignedMeasure:
-    """The product of ``ops`` in written order on ``mu``, one factor at a
-    time: ``apply`` on each nonempty part, then the re-split."""
-    for P in reversed(ops):
-        pos = apply(P, mu.pos) if len(mu.pos) else mu.pos
-        neg = apply(P, mu.neg) if len(mu.neg) else mu.neg
-        mu = linear_combine([1.0, -1.0], [pos, neg])
-    return mu
-
-
-_SIGNS = np.array([1.0, -1.0])[:, None, None]  # a panel's two parts from signed weights
-
-
-class _Panel(NamedTuple):
-    """Signed measures on one finite space, one per row.
-
-    ``w[0]`` and ``w[1]`` are the (rows, states) weights of the positive and
-    the negative parts, with disjoint supports.  Within each part, a row
-    lists its atoms in increasing ``key`` (rows, states): that is the order
-    of the atoms of its measure.  For ``chain`` with several terms, the
-    rows are term-major: one equal block of rows per term (in the identity
-    checks, one row per test measure in each block).
-    """
-
-    space: StateSpace
-    w: np.ndarray
-    key: np.ndarray
-
-    def measures(self) -> list:
-        """The rows as signed measures."""
-        out = []
-        for order, pos, neg in zip(self.key.argsort(axis=-1), *self.w):
-            parts = []
-            for v in (pos, neg):
-                points = order[v[order] != 0.0]
-                parts.append(PositiveMeasure(self.space, tuple(points.tolist()), v[points]))
-            out.append(SignedMeasure(*parts))
-        return out
-
-    def chain(self, terms) -> "_Panel":
-        """The product of ``terms[t]`` in written order (the last acts
-        first) on the t-th of ``len(terms)`` equal blocks of rows, for every
-        t, bit for bit as ``_signed_steps`` on each row: each factor on both
-        nonempty parts, then the re-split.  ``apply_signed`` runs one term.
-
-        The terms run longest first, aligned on their first-acting factor,
-        so the terms still running at a step are a leading slice; groups of
-        consecutive terms in that order hold at most _STACK_SIZE floats of
-        weights and of stacked matrices (a larger term runs alone).  Each
-        step of a group is one stacked product of its running terms'
-        (terms, 1, S, S) matrices, gathered for that step, and both parts
-        of their rows, which NumPy runs as one gemv per row, the call
-        ``P @ v`` of ``_dense_step`` (``MarkovOperatorSpec`` stores every
-        matrix C-contiguous, so both take the same gemv).  Each row is then
-        TV-checked on its left-to-right sum and pruned at PRUNE_REL_TOL
-        times that sum, as ``_dense_step`` checks the ``mass`` of
-        ``prune_dense`` and prunes (the zeros between the entries add
-        nothing).  The re-split merges the parts in ``linear_combine``'s
-        order, the positive part's states and then the rest, each in index
-        order, and cuts at the merged mass, with no cut per part (see
-        ``jordan_parts``); a row with one empty part comes out of it
-        unchanged, so every row takes it.  A group with a row that fails a
-        check (a factor that is not a stochastic matrix on this space, a
-        negative or non-finite weight, TV not preserved) stops; once every
-        group has run, the terms of the failed groups run one at a time, in
-        term order, through ``_signed_steps``, which raises as it does, for
-        the first failing term and measure.
-        """
-        count = len(terms)
-        if not count:
-            return self
-        size, rows = self.space.size, len(self.key) // count
-        w = self.w.reshape(2, count, rows, size)
-        key = self.key.reshape(count, rows, size)
-        order = sorted(range(count), key=lambda t: -len(terms[t]))
-        group = max(1, _STACK_SIZE // max(2 * rows * size, size * size, 1))
-        out_w, out_key = np.empty_like(w), np.empty_like(key)
-        failed = []
-        for start in range(0, count, group):
-            members = order[start:start + group]
-            done = self._steps(w[:, members], key[members], [terms[t] for t in members])
-            if done is None:
-                failed += members
-            else:
-                out_w[:, members], out_key[members] = done
-        for t in sorted(failed):
-            out = _per_row(lambda mu, ops=terms[t]: _signed_steps(ops, mu),
-                           [_Panel(self.space, w[:, t], key[t])])
-            out_w[:, t], out_key[t] = out.w, out.key
-        return _Panel(self.space, out_w.reshape(self.w.shape), out_key.reshape(self.key.shape))
-
-    def _steps(self, w, key, terms):
-        """One group of ``chain``: the weights (2, n, rows, S) and keys of
-        its n terms' blocks, the terms longest first.  Returns them after
-        every step, or None when a row fails a check."""
-        n, rows, size = key.shape
-        w, key = w.reshape(2, n * rows, size), key.reshape(n * rows, size)
-        index = np.arange(n * rows)[:, None]
-        # each part's mass, its atoms added in their order
-        tv = np.add.accumulate(w[:, index, key.argsort(axis=-1)], axis=-1)[..., -1]
-        running = [ops[::-1] for ops in terms]  # in application order
-        for step in range(len(running[0])):
-            while len(running[-1]) <= step:
-                running.pop()
-            matrices = []
-            for ops in running:
-                P = ops[step]
-                if P.kind != "stochastic_matrix" or (P.space is not self.space
-                                                     and P.space != self.space):
-                    return None
-                matrices.append(P.matrix)
-            m = len(running) * rows
-            out = np.matmul(np.stack(matrices)[:, None],
-                            w[:, :m].reshape(2, len(running), rows, size, 1)).reshape(2, m, size)
-            total = np.add.accumulate(out, axis=-1)[..., -1]
-            cut = PRUNE_REL_TOL * total[..., None]
-            before = tv[:, :m]
-            # a negative, NaN or infinite entry (a comparison with NaN is False)
-            if not (np.minimum.reduce(out, None) >= 0.0 and np.maximum.reduce(cut, None) < np.inf
-                    and (np.abs(total - before)
-                         <= TV_PRESERVATION_TOL * np.maximum(1.0, before)).all()):
-                return None
-            out = np.where(out > cut, out, 0.0)
-            # the merge order: the positive part's states, then the rest
-            order = index[:m], (out[0] == 0.0).argsort(axis=-1, kind="stable")
-            key[:m] = order[1].argsort(axis=-1)
-            x = _SIGNS * (out[0] - out[1])  # the merged weights, and their negatives
-            cut = PRUNE_REL_TOL * np.add.accumulate(np.abs(x[0])[order], axis=-1)[:, -1:]
-            w[:, :m] = np.where(x > cut, x, 0.0)
-            tv[:, :m] = np.add.accumulate(w[:, order[0], order[1]], axis=-1)[..., -1]
-        return w.reshape(2, n, rows, size), key.reshape(n, rows, size)
-
-    @staticmethod
-    def combine(coeffs, panels) -> "_Panel":
-        """``linear_combine(coeffs, measures)`` on every row.
-
-        The weights are added in measure order (an absent atom adds an exact
-        0.0), atoms keep their first appearance (a measure's positive part,
-        then its negative part), and the total, the cut and the Jordan split
-        are taken in that order.  A non-finite total sends the rows through
-        ``linear_combine``, which raises.  The panels of one check share the
-        space that ``_panel`` and each factor of ``chain`` are checked against.
-        """
-        space = panels[0].space
-        S = space.size
-        rows = np.arange(len(panels[0].key))[:, None]
-        # keys are below 2S: measure m's atoms take keys from 4Sm on, its
-        # negative part after its positive part, and its first appearance wins
-        first = np.full(panels[0].key.shape, 4 * S * len(panels))
-        for m in reversed(range(len(panels))):
-            pos, neg = panels[m].w > 0.0
-            first = np.where(pos | neg, 4 * S * m + 2 * S * neg + panels[m].key, first)
-        order = first.argsort(axis=-1)
-        with np.errstate(over="ignore"):  # an overflow fails the test below
-            x = float(coeffs[0]) * (panels[0].w[0] - panels[0].w[1])
-            for c, p in zip(coeffs[1:], panels[1:]):
-                x = x + float(c) * (p.w[0] - p.w[1])
-            total = np.add.accumulate(np.abs(x)[rows, order], axis=-1)[:, -1:]
-        if not np.isfinite(total).all():
-            return _per_row(lambda *mus: linear_combine(coeffs, mus), panels)
-        x = _SIGNS * np.where(np.abs(x) > PRUNE_REL_TOL * total, x, 0.0)
-        return _Panel(space, np.maximum(x, 0.0), order.argsort(axis=-1))
-
-
-def _panel(measures, space: StateSpace):
-    """The signed measures as one panel on ``space``, or None when it does
-    not hold them exactly: a space that is not finite, a part on another
-    space, or atoms that are not distinct states (in both parts together)
-    with finite positive weights.  Those run per measure, which raises where
-    it raises."""
-    if space.kind != "finite":
-        return None
-    w = np.zeros((2, len(measures), space.size))
-    key = np.zeros((len(measures), space.size), dtype=np.intp)
-    for r, mu in enumerate(measures):
-        parts = (mu.pos, mu.neg)
-        if any(part.space is not space and part.space != space for part in parts):
-            return None
-        try:
-            pos_states, neg_states = ([space.point_key(p) for p in part.points] for part in parts)
-        except ValueError:
-            return None
-        if len(set(pos_states + neg_states)) < len(pos_states) + len(neg_states):
-            return None
-        for part, states, dense in zip(parts, (pos_states, neg_states), w[:, r]):
-            x = np.asarray(part.weights, dtype=float)
-            if x.shape != (len(states),) or not (np.isfinite(x) & (x > 0.0)).all():
-                return None
-            dense[states] = x
-            key[r, states] = np.arange(len(states))
-    return _Panel(space, w, key)
-
-
-def _per_row(fn, panels) -> _Panel:
-    """``fn`` on each row's measures, one row at a time: the path of a
-    panel that fails a check, so that it raises as the per-measure path does."""
-    return _panel([fn(*row) for row in zip(*(p.measures() for p in panels))],
-                  panels[0].space)
+    pos = apply(P, mu.pos) if len(mu.pos) else mu.pos
+    neg = apply(P, mu.neg) if len(mu.neg) else mu.neg
+    return linear_combine([1.0, -1.0], [pos, neg])
 
 
 def pairing(mu, f: LipschitzWitness) -> float:

@@ -23,7 +23,6 @@ from trotterkit.measures import (
     SignedMeasure,
     SpaceMismatchError,
     StateSpace,
-    linear_combine,
     mass,
     merged_positive,
 )
@@ -557,19 +556,34 @@ def test_prune_is_a_no_op_without_a_coincidence(atoms):
     assert doubled.points == tuple(tuple(2.0 * x for x in p) for p in mu.points)
 
 
-# Signed chains: ``apply_signed`` on a product against the per-factor loop it
-# replaces, which applied each factor to both parts with ``apply`` and merged
-# them with ``linear_combine`` after every factor.
+# Signed chains: ``apply_signed`` on a product is ``apply_signed`` factor by
+# factor, nested composites included, and the identity checks' panel gives
+# the same bits, exceptions included, on each measure it holds, run as one
+# row of one term.
 
 
-def _per_factor_apply_signed(P, mu):
-    if P.kind == "composite":
-        for factor in reversed(P.factors):
-            mu = _per_factor_apply_signed(factor, mu)
-        return mu
-    pos = apply(P, mu.pos) if len(mu.pos) else mu.pos
-    neg = apply(P, mu.neg) if len(mu.neg) else mu.neg
-    return linear_combine([1.0, -1.0], [pos, neg])
+def _flat(factors):
+    """The factors of a product in written order, nested composites flattened."""
+    return [f for F in factors for f in (_flat(F.factors) if F.kind == "composite" else [F])]
+
+
+def _factor_by_factor(P, mu):
+    """``apply_signed`` on each factor of P, the last first."""
+    for F in reversed(_flat([P])):
+        mu = apply_signed(F, mu)
+    return mu
+
+
+def _held(mu):
+    """Whether a panel holds mu: distinct states in both parts together, with
+    finite positive weights, both parts on one space."""
+    return identities._panel([mu], mu.space) is not None
+
+
+def _panel_apply_signed(P, mu):
+    """The product P on mu as the identity checks run it: a one-row panel of
+    one term, P's factors flattened."""
+    return identities._panel([mu], mu.space).chain([_flat([P])]).measures()[0]
 
 
 def _signed_outcome(fn, *args):
@@ -594,43 +608,6 @@ def _signed(space, pos_atoms, neg_atoms):
                          neg=PositiveMeasure.from_atoms(space, neg_atoms))
 
 
-@st.composite
-def _signed_chain(draw):
-    k = draw(st.integers(1, 8))
-    space = _discrete(k)
-    column = st.lists(_entries, min_size=k, max_size=k).filter(lambda c: sum(c) > 0.0)
-    pool = [MarkovOperatorSpec(kind="stochastic_matrix", space=space, matrix=np.eye(k))]
-    for _ in range(draw(st.integers(1, 3))):
-        a = np.array(draw(st.lists(column, min_size=k, max_size=k))).T
-        pool.append(MarkovOperatorSpec(kind="stochastic_matrix", space=space,
-                                       matrix=a / a.sum(axis=0)))
-    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
-    pos = draw(st.lists(_entries, min_size=k, max_size=k))
-    shape = draw(st.sampled_from(["overlapping", "disjoint", "cancelling", "no negative part",
-                                  "no positive part"]))
-    if shape == "cancelling":  # equal parts on a random subset of the support
-        neg = [w if draw(st.booleans()) else 0.0 for w in pos]
-    else:
-        neg = draw(st.lists(_entries, min_size=k, max_size=k))
-    if shape == "disjoint":
-        neg = [0.0 if p else w for p, w in zip(pos, neg)]
-    elif shape == "no negative part":
-        neg = [0.0] * k
-    elif shape == "no positive part":
-        pos = [0.0] * k
-    order = draw(st.permutations(range(k)))  # parts need not list their points sorted
-    mu = _signed(space, [(i, pos[i]) for i in order], [(i, neg[i]) for i in order])
-    return factors, mu
-
-
-@settings(max_examples=300)
-@given(_signed_chain())
-def test_signed_product_matches_per_factor_loop(case):
-    factors, mu = case
-    P = compose(*factors)
-    assert _signed_outcome(apply_signed, P, mu) == _signed_outcome(_per_factor_apply_signed, P, mu)
-
-
 class TestSignedChains:
     @pytest.fixture
     def ops(self):
@@ -651,23 +628,27 @@ class TestSignedChains:
             b, lambda m: m + np.outer([1.0, -1.0, 0.0], m[1] + 0.1))
         foreign = StateSpace.finite(2.0 * space.dist)
         bad = PositiveMeasure(space=space, points=(1,), weights=np.array([-0.5]))
-        measures = [_signed(space, [(0, 0.5), (2, 0.2)], [(1, 0.3), (2, 0.4)]),
+        measures = [_signed(space, [(0, 0.5), (2, 0.2)], [(1, 0.3)]),
+                    _signed(space, [(0, 0.5)], [(1, 0.5)]),
                     _signed(space, [(2, 1e-300), (1, 3.0)], [(0, 3.0)]),
-                    _signed(space, [(0, 1.0), (1, 1.0)], [(1, 1.0), (0, 1.0)]),
                     _signed(space, [], [(2, 0.7), (0, 0.1)]),
                     _signed(space, [], []),
-                    SignedMeasure(pos=PositiveMeasure.dirac(space, 0), neg=bad),
                     _signed(foreign, [(1, 1.0)], [(0, 0.5)]),
+                    # measures a panel does not hold: a state in both parts,
+                    # a negative weight, parts on two spaces, a repeated state,
+                    # a zero weight
+                    _signed(space, [(0, 0.5), (2, 0.2)], [(1, 0.3), (2, 0.4)]),
+                    _signed(space, [(0, 1.0), (1, 1.0)], [(1, 1.0), (0, 1.0)]),
+                    SignedMeasure(pos=PositiveMeasure.dirac(space, 0), neg=bad),
                     SignedMeasure(pos=PositiveMeasure(space=foreign),
                                   neg=PositiveMeasure.dirac(space, 1)),
-                    # measures a panel cannot hold: a repeated state, a zero
-                    # weight, a state in both parts
                     SignedMeasure(pos=PositiveMeasure(space, (2, 0, 2), np.array([0.2, 0.5, 0.1])),
                                   neg=PositiveMeasure.dirac(space, 1, 0.3)),
                     SignedMeasure(pos=PositiveMeasure(space, (0, 1), np.array([0.6, 0.0])),
                                   neg=PositiveMeasure.dirac(space, 2, 0.4)),
                     SignedMeasure(pos=PositiveMeasure(space, (1, 0), np.array([0.7, 0.2])),
                                   neg=PositiveMeasure(space, (2, 1), np.array([0.4, 0.3])))]
+        assert [_held(mu) for mu in measures] == [True] * 6 + [False] * 7
         products = [(a,), (a, b), (b, a, b, a, b, a), (a, kernel, b), (kernel, a),
                     (shift, a, shift), (shift, kernel), (compose(a, b), kernel),
                     (a, compose(b, compose(a, b))), (scaled, b), (a, negative, a),
@@ -675,29 +656,33 @@ class TestSignedChains:
         for factors in products:
             for mu in measures:
                 P = compose(*factors)
-                assert (_signed_outcome(apply_signed, P, mu)
-                        == _signed_outcome(_per_factor_apply_signed, P, mu)), (factors, mu)
+                expected = _signed_outcome(_factor_by_factor, P, mu)
+                assert _signed_outcome(apply_signed, P, mu) == expected, (factors, mu)
+                if _held(mu):
+                    assert _signed_outcome(_panel_apply_signed, P, mu) == expected, (factors, mu)
 
     def test_refusals_come_in_the_per_factor_order(self, ops):
         space, a, b, _, _ = ops
         scaled = _corrupted(a, lambda m: 1.1 * m)
         negative = _corrupted(b, lambda m: m + np.outer([1.0, -1.0, 0.0], m[1] + 0.1))
         mu = _signed(space, [(0, 0.6)], [(2, 0.4)])
-        with pytest.raises(RuntimeError, match=r"TV not preserved: 0\.6 -> "):
-            apply_signed(compose(b, scaled), mu)  # the positive part first
-        with pytest.raises(ValueError, match="negative weights"):
-            apply_signed(compose(a, negative, a), mu)
+        foreign = MarkovOperatorSpec.identity(StateSpace.finite(2.0 * space.dist))
+        for run in (apply_signed, _panel_apply_signed):
+            with pytest.raises(RuntimeError, match=r"TV not preserved: 0\.6 -> "):
+                run(compose(b, scaled), mu)  # the positive part first
+            with pytest.raises(ValueError, match="negative weights"):
+                run(compose(a, negative, a), mu)
+            with pytest.raises(SpaceMismatchError):
+                run(foreign, mu)
+            with pytest.raises(SpaceMismatchError):
+                run(compose(a, b), _signed(foreign.space, [(0, 1.0)], [(1, 1.0)]))
         bad_neg = SignedMeasure(pos=mu.pos, neg=PositiveMeasure(
             space=space, points=(1,), weights=np.array([-0.5])))
+        assert not _held(bad_neg)
         with pytest.raises(RuntimeError, match=r"TV not preserved: 0\.6 -> "):
             apply_signed(compose(b, scaled), bad_neg)
         with pytest.raises(ValueError, match="apply takes positive measures"):
             apply_signed(compose(b, a), bad_neg)
-        foreign = MarkovOperatorSpec.identity(StateSpace.finite(2.0 * space.dist))
-        with pytest.raises(SpaceMismatchError):
-            apply_signed(foreign, mu)
-        with pytest.raises(SpaceMismatchError):
-            apply_signed(compose(a, b), _signed(foreign.space, [(0, 1.0)], [(1, 1.0)]))
 
     def test_euclidean_products_match_per_factor_loop(self):
         plane = StateSpace.euclidean(2)
@@ -710,7 +695,7 @@ class TestSignedChains:
         for factors in [(rot,), (rot, lift), (lift, shift, rot, lift), (rot, compose(lift, shift))]:
             P = compose(*factors)
             assert (_signed_outcome(apply_signed, P, mu)
-                    == _signed_outcome(_per_factor_apply_signed, P, mu)), factors
+                    == _signed_outcome(_factor_by_factor, P, mu)), factors
 
     def test_negative_part_keeps_merge_order(self):
         eye = MarkovOperatorSpec.identity(_discrete(3))
@@ -718,9 +703,18 @@ class TestSignedChains:
         out = apply_signed(eye, mu)
         assert out.neg.points == (2, 1)  # the positive part's points merge first
         assert apply_signed(compose(eye, eye), mu).neg.points == (1, 2)
-        for P in (eye, compose(eye, eye)):
-            assert (_signed_outcome(apply_signed, P, mu)
-                    == _signed_outcome(_per_factor_apply_signed, P, mu))
+        # a measure a panel holds: state 2 joins the positive part's support
+        # and goes negative, state 1 is only ever negative
+        spread = MarkovOperatorSpec(kind="stochastic_matrix", space=eye.space,
+                                    matrix=[[0.5, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
+        held = _signed(eye.space, [(0, 1.0)], [(1, 0.3), (2, 0.9)])
+        assert _held(held)
+        for run in (apply_signed, _panel_apply_signed):
+            assert run(spread, held).neg.points == (2, 1)
+            assert run(compose(eye, spread), held).neg.points == (1, 2)
+        for P in (spread, compose(spread, spread), compose(eye, spread)):
+            assert _signed_outcome(_panel_apply_signed, P, held) == _signed_outcome(
+                apply_signed, P, held)
 
     def test_resplit_cut_uses_the_left_to_right_mass(self):
         """The negative atom lies between the cuts of a sequential and a
@@ -732,40 +726,41 @@ class TestSignedChains:
         assert PRUNE_REL_TOL * mass(v + [tiny]) < tiny <= PRUNE_REL_TOL * float(np.sum(v + [tiny]))
         eye = MarkovOperatorSpec.identity(_discrete(10))
         mu = _signed(eye.space, list(enumerate(v)), [(9, tiny)])
-        out = apply_signed(compose(eye, eye), mu)
-        assert out.neg.points == (9,) and out.neg.weights.tolist() == [tiny]
-        assert _signed_outcome(apply_signed, eye, mu) == _signed_outcome(
-            _per_factor_apply_signed, eye, mu)
+        for run in (apply_signed, _panel_apply_signed):
+            out = run(compose(eye, eye), mu)
+            assert out.neg.points == (9,) and out.neg.weights.tolist() == [tiny]
+        assert _signed_outcome(_panel_apply_signed, eye, mu) == _signed_outcome(
+            apply_signed, eye, mu)
         at_cut = _signed(eye.space, [(0, 0.5)], [(1, 5.000000000005e-13)])
-        assert apply_signed(eye, at_cut).neg.points == ()  # not above the cut
+        for run in (apply_signed, _panel_apply_signed):
+            assert run(eye, at_cut).neg.points == ()  # not above the cut
 
-    def test_dense_steps_are_not_counted(self, ops):
+    def test_each_nonempty_part_and_factor_is_counted(self, ops):
+        """``apply_signed`` makes one counted ``apply`` per nonempty part and
+        factor; the identity checks' panel adds nothing to APPLY_COUNT."""
         space, a, b, kernel, _ = ops
         mu = _signed(space, [(0, 0.5)], [(1, 0.5)])  # mass 0: both parts stay nonempty
+        one_sided = _signed(space, [(0, 0.5)], [])
+        for P, nu, count in ((a, mu, 2), (compose(a, b, a), mu, 6),
+                             (compose(a, kernel, b), mu, 6), (compose(a, b, a), one_sided, 3)):
+            before = ops_module.APPLY_COUNT
+            apply_signed(P, nu)
+            assert ops_module.APPLY_COUNT - before == count, (P, nu)
         before = ops_module.APPLY_COUNT
-        apply_signed(a, mu)
-        apply_signed(compose(a, b, a), mu)  # one-row panels
+        _panel_apply_signed(a, mu)
+        _panel_apply_signed(compose(a, b, a), mu)
         assert ops_module.APPLY_COUNT == before
-        apply_signed(compose(a, kernel, b), mu)  # the kernel applies to each nonempty part
-        assert ops_module.APPLY_COUNT - before == 2
-        # a repeated state: no panel, so one apply per nonempty part and factor
-        repeated = SignedMeasure(pos=PositiveMeasure(space, (0, 0), np.array([0.25, 0.25])),
-                                 neg=mu.neg)
-        before = ops_module.APPLY_COUNT
-        apply_signed(compose(a, b, a), repeated)
-        assert ops_module.APPLY_COUNT - before == 6
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_identity_suite_matches_per_factor_loop(self, seed, monkeypatch):
         """The suite's panels against its formulas run one test measure at a
-        time, each product one ``apply`` per part and factor."""
+        time, each product one ``apply_signed`` per factor."""
         def run():
             results, failures = identities.run_identity_suite(seed, 4, 6)
             return repr([r.to_json_dict() for r in results]), repr(failures)
 
         new = run()
         monkeypatch.setattr(identities, "_panel", lambda measures, space: None)
-        monkeypatch.setattr(identities, "apply_signed", _per_factor_apply_signed)
         assert new == run()
 
 
@@ -795,13 +790,14 @@ class TestTVCheckBeforePrune:
 
     def test_apply_signed_accepts_a_pruned_product(self, thin_rows):
         P = thin_rows
-        for mu in (_signed(P.space, [(0, 1.0)], [(3, 0.5)]),
-                   SignedMeasure(pos=PositiveMeasure(P.space, (0, 0), np.array([0.5, 0.5])),
-                                 neg=PositiveMeasure(P.space))):  # the per-factor route
-            for product in (P, compose(P, P, P)):
-                outcome = _signed_outcome(apply_signed, product, mu)
-                assert outcome[0] == "ok"
-                assert outcome == _signed_outcome(_per_factor_apply_signed, product, mu)
+        mu = _signed(P.space, [(0, 1.0)], [(3, 0.5)])
+        repeated = SignedMeasure(pos=PositiveMeasure(P.space, (0, 0), np.array([0.5, 0.5])),
+                                 neg=PositiveMeasure(P.space))  # a panel does not hold it
+        for product in (P, compose(P, P, P)):
+            outcome = _signed_outcome(apply_signed, product, mu)
+            assert outcome[0] == "ok"
+            assert _signed_outcome(_panel_apply_signed, product, mu) == outcome
+            assert _signed_outcome(apply_signed, product, repeated)[0] == "ok"
 
     def test_identity_check_accepts_a_pruned_product(self, thin_rows, monkeypatch):
         P = thin_rows
@@ -811,7 +807,7 @@ class TestTVCheckBeforePrune:
         panel = identities.standard_test_panel(P.space, rng)
         monkeypatch.setattr(identities, "at_time", lambda g, t: P if g is g1 else at_time(g, t))
         with monkeypatch.context() as m:  # the panel takes no per-measure fallback
-            m.setattr(ops_module, "_signed_steps", lambda ops, mu: pytest.fail("fallback"))
+            m.setattr(identities, "apply_signed", lambda P, mu: pytest.fail("fallback"))
             result = identities.check_swap_identity(g1, g2, 0.5, 3, panel)
         assert result.passed and result.instances == 10
         scaled = _corrupted(P, lambda m: 1.1 * m)
@@ -830,7 +826,9 @@ class TestTVCheckBeforePrune:
         signed = _signed(scaled.space, [(0, 1.0)], [(3, 0.5)])
         for attempt in (lambda: apply(scaled, mu), lambda: apply(compose(thin_rows, scaled), mu),
                         lambda: apply_signed(scaled, signed),
-                        lambda: apply_signed(compose(scaled, thin_rows), signed)):
+                        lambda: apply_signed(compose(scaled, thin_rows), signed),
+                        lambda: _panel_apply_signed(scaled, signed),
+                        lambda: _panel_apply_signed(compose(scaled, thin_rows), signed)):
             with pytest.raises(RuntimeError, match=message):
                 attempt()
 

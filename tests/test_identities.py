@@ -178,13 +178,13 @@ def test_runner_calls_do_not_grow_with_the_indices(setup, monkeypatch):
     as at small ones: the loops over its terms are stacked, not unrolled."""
     _, g1, g2, panel = setup
     calls = []
-    chain = ops_module._Panel.chain
+    chain = identities._Panel.chain
 
     def counting(self, terms):
         calls.append(len(terms))
         return chain(self, terms)
 
-    monkeypatch.setattr(ops_module._Panel, "chain", counting)
+    monkeypatch.setattr(identities._Panel, "chain", counting)
 
     def runs(check, *args):
         del calls[:]
@@ -435,7 +435,7 @@ def test_term_stacks_match_one_run_per_term(case):
     unless it holds one term."""
     space, terms, blocks, cap = case
     groups = []
-    steps = ops_module._Panel._steps
+    steps = identities._Panel._steps
 
     def recording(self, w, key, members):
         groups.append((len(members), w.size, len(members) * space.size ** 2))
@@ -443,8 +443,8 @@ def test_term_stacks_match_one_run_per_term(case):
 
     stacked = identities._panel([mu for block in blocks for mu in block], space)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(ops_module, "_STACK_SIZE", cap)
-        m.setattr(ops_module._Panel, "_steps", recording)
+        m.setattr(ops_module, "_STACK_SIZE", cap)  # the one cap, which the panel reads
+        m.setattr(identities._Panel, "_steps", recording)
         got = _rows(lambda: stacked.chain(terms).measures(), pruned=False)
     assert sum(n for n, _, _ in groups) == len(terms)
     assert all(n == 1 or (weights <= cap and matrices <= cap) for n, weights, matrices in groups)
@@ -547,7 +547,7 @@ def test_signed_paths_agree_under_compensated_sum(monkeypatch, big, weight):
     weights = big + [t]
     # the two sums put the cut on either side of the small atom
     assert (t > PRUNE_REL_TOL * mass(weights)) != (t > PRUNE_REL_TOL * _compensated_sum(weights))
-    for module in ("trotterkit.measures", "trotterkit.operators"):
+    for module in ("trotterkit.measures", "trotterkit.operators", "trotterkit.identities"):
         monkeypatch.setattr(f"{module}.sum", _compensated_sum, raising=False)
     space = _discrete(5)
     mu = SignedMeasure(pos=PositiveMeasure(space, (0, 1, 2, 3, 4), np.array(weights)),

@@ -171,6 +171,15 @@ class TestSignedMeasure:
             linear_combine([1.0, bad], [PositiveMeasure.dirac(path3, 0),
                                         PositiveMeasure.dirac(path3, 1)])
 
+    def test_overflowing_coefficient_raises_without_a_warning(self, path3):
+        """A coefficient times a weight past the float range is an infinite
+        weight: refused with the error above, and no overflow warning first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="weights must be finite, got total mass inf"):
+                linear_combine([1e308, 1.0], [PositiveMeasure.dirac(path3, 0, 5.0),
+                                              PositiveMeasure.dirac(path3, 1)])
+
     def test_opposite_signs_cancel(self, path3):
         mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (0, -1.0)])
         assert mu.tv == 0.0
