@@ -27,17 +27,18 @@ from .bl_metric import (
     FunctionWitness,
     LipschitzWitness,
     bl_distance,
-    bl_distances,
     build_envelope_metric,
     dirac_distance_exact,
+    distance_blocks,
     lipschitz_constant,
+    solve_blocks,
 )
 from .diagnostics import (
     EquicontinuityProbe,
     equicontinuity_modulus,
     feller_continuity_check,
     limit_semigroup_check,
-    perturb_measures,
+    perturbations_and_distances,
     stochastic_continuity_check,
     tightness_probe,
 )
@@ -46,14 +47,17 @@ from .measures import PositiveMeasure, StateSpace, measure_from_json
 from .operators import SemigroupSpec, at_time, semigroup_from_json
 from .splitting import (
     SplittingStudy,
-    commutator_modulus,
+    _commutator_pairs,
+    _limit_pairs,
+    _limit_report,
+    _modulus,
+    _pushed_constant,
+    _pushed_pairs,
+    _swap_pair,
     dyadic_cauchy_bounds,
     dyadic_sequence,
-    estimate_limit,
-    extended_commutator_constant,
     refinement_bound_check,
     sample_scheme_family,
-    swap_order_limit_distance,
 )
 
 
@@ -315,13 +319,21 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
 
     study = SplittingStudy(g1=g1, g2=g2, mu0=mu0, t=t, schedule=scn.schedule,
                            order=scn.order, metric=metric)
-    _, report = estimate_limit(study)
-
-    t_grid = [t / 2 ** j for j in range(depth + 1)]
-    omega = commutator_modulus(g1, g2, mu0, t_grid, metric)
-
+    # the schedule, the modulus grid, the pushed moduli and the swap pair, in
+    # one solve; each group is prepared (and range-checked) as it is built,
+    # so a study refuses at the first group whose atoms are out of range
+    _, ref_kind, pairs = _limit_pairs(study)
+    blocks = distance_blocks(pairs, metric)
+    grid = t / 2.0 ** np.arange(depth + 1)
+    blocks += distance_blocks(_commutator_pairs(g1, g2, mu0, grid), metric)
     family = sample_scheme_family(g1, g2, t / max_n, 5, rng, scn.order)
-    c_hat, c_flags = extended_commutator_constant(g1, g2, mu0, omega, family, metric)
+    blocks += distance_blocks(_pushed_pairs(g1, g2, mu0, grid, family), metric)
+    blocks += distance_blocks([_swap_pair(study)], metric)
+    *distances, swap = solve_blocks(blocks)
+    m, g = len(pairs), len(grid)
+    report = _limit_report(study, ref_kind, distances[:m])
+    omega = _modulus(grid, distances[m:m + g])
+    c_hat, c_flags = _pushed_constant(omega, distances[m + g:])
 
     violations = []
     bound_rows = []
@@ -344,8 +356,6 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
                 if lhs > rhs + 1e-12:
                     violations.append({"kind": "dyadic_cauchy", "witness": wi,
                                        "i": i, "j": j, "lhs": lhs, "rhs": rhs})
-
-    swap = swap_order_limit_distance(study)
 
     out = Path(out_dir)
     header = _header(scn, seed)
@@ -401,7 +411,7 @@ STOCHASTIC_H_GRID = tuple(10.0 ** -e for e in range(1, 7))
 def run_diagnostics(scenario_path, probe, out_dir, seed) -> int:
     scn = load_scenario(scenario_path)
     rng = np.random.default_rng(seed)
-    space, g1, g2, mu0, t = scn.space, scn.g1, scn.g2, scn.mu0, scn.t
+    g1, g2, mu0, t = scn.g1, scn.g2, scn.mu0, scn.t
     if probe == "stochastic" and _flow_overflows(g1, STOCHASTIC_H_GRID[0]):
         raise ScenarioError(f"{scn.path}: g1 {g1.flow_name} flow {g1.flow_params} "
                             f"overflows at time h = {STOCHASTIC_H_GRID[0]!r}")
@@ -411,8 +421,7 @@ def run_diagnostics(scenario_path, probe, out_dir, seed) -> int:
 
     if probe == "equicontinuity":
         sizes = [10.0 ** -e for e in range(1, 5)]
-        perts = perturb_measures(mu0, sizes, rng)
-        dins = bl_distances([(mu0, p) for p in perts], space)
+        perts, dins = perturbations_and_distances(mu0, sizes, rng)
         family = sample_scheme_family(g1, g2, t / 8.0, 5, rng, scn.order)
         ops = [at_time(g1, t / 8.0), at_time(g2, t / 8.0)]
         eprobe = EquicontinuityProbe(mu0, tuple(perts), tuple(dins),

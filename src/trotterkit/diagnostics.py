@@ -118,11 +118,11 @@ def feller_continuity_check(g1, g2, t, mu, perturb_sizes, n_finest, rng,
     """Output distance of the limit estimate under input perturbations.
 
     Returns a list of (input_distance, output_distance) rows, one per
-    requested perturbation size, sorted by input distance.
+    requested perturbation size, sorted by input distance; the input
+    distances are the perturbation search's own.
     """
-    perts = perturb_measures(mu, perturb_sizes, rng)
+    perts, dins = perturbations_and_distances(mu, perturb_sizes, rng)
     base = trotter_iterate(g1, g2, t, n_finest, mu, order) if t > 0 else mu
-    dins = bl_distances([(mu, nu) for nu in perts], mu.space)
     outs = [trotter_iterate(g1, g2, t, n_finest, nu, order) if t > 0 else nu for nu in perts]
     rows = list(zip(dins, bl_distances([(base, out) for out in outs], mu.space)))
     rows.sort(key=lambda r: r[0])
@@ -146,7 +146,25 @@ def perturb_measure(mu: PositiveMeasure, target_distance: float, rng) -> Positiv
 
 
 def perturb_measures(mu: PositiveMeasure, targets, rng) -> list[PositiveMeasure]:
-    """Perturbations at requested BL distances from ``mu``, one per target.
+    """Perturbations at requested BL distances from ``mu``, one per target:
+    the lockstep searches of ``_searches``, without their distances."""
+    return _searches(mu, targets, rng)[0]
+
+
+def perturbations_and_distances(mu: PositiveMeasure, targets, rng):
+    """``perturb_measures`` and the distance from ``mu`` that each search
+    solved.  A search that ends on its fallback midpoint (80 bisection
+    steps never within 1 %) solved none; those get one more call."""
+    perts, dists = _searches(mu, targets, rng)
+    fallback = [i for i, d in enumerate(dists) if d is None]
+    for i, d in zip(fallback, bl_distances([(mu, perts[i]) for i in fallback], mu.space)):
+        dists[i] = d  # an empty call solves nothing
+    return perts, dists
+
+
+def _searches(mu: PositiveMeasure, targets, rng):
+    """Perturbations at requested BL distances from ``mu``, one per target,
+    and the distance the search solved for each (None if it solved none).
 
     Each atom weight is rescaled by a random positive factor ``1 + amp *
     direction``, clipped below at 0.05, on any space.  The amplitude comes
@@ -200,7 +218,8 @@ def perturb_measures(mu: PositiveMeasure, targets, rng) -> list[PositiveMeasure]
                 amps[i], unsolved[i] = _replay(solved[i], target)
     if None in amps:
         raise RuntimeError("could not bracket the requested perturbation distance")
-    return [candidate(d, a) for d, a in zip(directions, amps)]
+    return ([candidate(d, a) for d, a in zip(directions, amps)],
+            [known.get(a) for known, a in zip(solved, amps)])
 
 
 def _replay(solved, target):

@@ -4,7 +4,9 @@ One block of the scheme at step size h applies the second factor first,
 then the first: [P1 P2] mu = P1(P2 mu).  The order argument "g2_first"
 swaps the roles.  Quantitative checks measure the commutator modulus, the
 extended constant, the refinement bound, dyadic Cauchy domination, and the
-log-integrability of the modulus.
+log-integrability of the modulus.  Each function that solves norms is a
+pair builder, one ``bl_distances`` call and a judge, so that a study can
+solve the builders' pairs in one batch.
 """
 
 from __future__ import annotations
@@ -162,6 +164,12 @@ def fit_rate(ns, distances):
 
 def estimate_limit(study: SplittingStudy) -> tuple[PositiveMeasure, ConvergenceReport]:
     """Run the schedule, measure distances to the best available reference."""
+    finest, ref_kind, pairs = _limit_pairs(study)
+    return finest, _limit_report(study, ref_kind, bl_distances(pairs, study.metric))
+
+
+def _limit_pairs(study: SplittingStudy):
+    """(finest iterate, reference kind, (iterate, reference) per schedule entry)."""
     if len(study.schedule) < 3:
         raise ValueError("schedule needs at least 3 entries")
     iterates = {n: trotter_iterate(study.g1, study.g2, study.t, n, study.mu0, study.order)
@@ -172,16 +180,19 @@ def estimate_limit(study: SplittingStudy) -> tuple[PositiveMeasure, ConvergenceR
         ref_kind = "exact"
     else:
         reference, ref_kind = finest, "finest_iterate"
-    distances = bl_distances([(iterates[n], reference) for n in study.schedule], study.metric)
+    return finest, ref_kind, [(iterates[n], reference) for n in study.schedule]
+
+
+def _limit_report(study: SplittingStudy, ref_kind, distances) -> ConvergenceReport:
+    """The convergence report of the schedule's solved distances."""
     if ref_kind == "finest_iterate":
         ns, ds = study.schedule[:-1], distances[:-1]
     else:
         ns, ds = study.schedule, distances
     rate, saturated = fit_rate(ns, ds)
-    report = ConvergenceReport(schedule=study.schedule, distances=distances,
-                               fitted_rate=rate, rate_saturated=saturated,
-                               reference_kind=ref_kind)
-    return finest, report
+    return ConvergenceReport(schedule=study.schedule, distances=distances,
+                             fitted_rate=rate, rate_saturated=saturated,
+                             reference_kind=ref_kind)
 
 
 def _modulus_grid(t_grid) -> np.ndarray:
@@ -233,11 +244,20 @@ def extended_commutator_constant(g1, g2, mu0, omega: ModulusEstimate, family_sam
     numerator is flagged, not an error.  Returns (C_hat, flags).
     """
     metric = metric if metric is not None else mu0.space
+    pairs = _pushed_pairs(g1, g2, mu0, omega.t_grid, family_sample)
+    return _pushed_constant(omega, bl_distances(pairs, metric), zero_tol)
+
+
+def _pushed_pairs(g1, g2, mu0, grid, family_sample) -> list:
+    """``_commutator_pairs`` of P mu0 on the grid, for each P of the sample in turn."""
+    return [pair for P in family_sample
+            for pair in _commutator_pairs(g1, g2, apply(P, mu0), grid)]
+
+
+def _pushed_constant(omega: ModulusEstimate, distances, zero_tol=1e-12):
+    """(C_hat, flags) of the solved distances of ``_pushed_pairs``."""
     grid = omega.t_grid
-    pairs = [pair for P in family_sample
-             for pair in _commutator_pairs(g1, g2, apply(P, mu0), grid)]
-    distances = bl_distances(pairs, metric)
-    pushed = np.reshape(distances, (len(family_sample), len(grid))) / grid
+    pushed = np.reshape(distances, (-1, len(grid))) / grid
     c_hat = 1.0
     flags = []
     for idx, values in enumerate(pushed):
@@ -304,12 +324,16 @@ def dyadic_cauchy_bounds(rs, t, C: float, omega: ModulusEstimate):
 
 def swap_order_limit_distance(study: SplittingStudy) -> float:
     """BL distance between the finest iterates of the two factor orders."""
+    return bl_distance(*_swap_pair(study), study.metric)
+
+
+def _swap_pair(study: SplittingStudy) -> tuple:
+    """The finest iterates of the g1_first and g2_first orders."""
     if not study.schedule:
         raise ValueError("schedule must be nonempty")
     n = study.schedule[-1]
-    a = trotter_iterate(study.g1, study.g2, study.t, n, study.mu0, "g1_first")
-    b = trotter_iterate(study.g1, study.g2, study.t, n, study.mu0, "g2_first")
-    return bl_distance(a, b, study.metric)
+    return tuple(trotter_iterate(study.g1, study.g2, study.t, n, study.mu0, order)
+                 for order in ("g1_first", "g2_first"))
 
 
 def dini_integral(omega: ModulusEstimate, a: float, t: float, depth: int | None = None):

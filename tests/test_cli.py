@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from trotterkit import bl_metric
+from trotterkit.bl_metric import bl_distances
 from trotterkit.cli import (
     ScenarioError,
     build_witnesses,
@@ -16,6 +17,15 @@ from trotterkit.cli import (
     run_diagnostics,
     run_identities,
     run_study,
+)
+from trotterkit.diagnostics import perturb_measures
+from trotterkit.splitting import (
+    SplittingStudy,
+    commutator_modulus,
+    estimate_limit,
+    extended_commutator_constant,
+    sample_scheme_family,
+    swap_order_limit_distance,
 )
 
 
@@ -207,6 +217,12 @@ def _huge_coordinates(tmp_path, rate, t, points=None):
     return path
 
 
+def _table(path):
+    """The rows of a command's CSV file, below its comment and column lines, as floats."""
+    return [[float(cell) for cell in line.split(",")]
+            for line in path.read_text().splitlines()[2:]]
+
+
 def _assert_refused(result, prefix, message):
     assert (result.exit_code, type(result.exception)) == (1, SystemExit)
     lines = result.output.strip().splitlines()  # one message, no traceback
@@ -273,9 +289,9 @@ class TestStudy:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["order"] == "g2_first"
 
-    def test_study_solves_at_most_ten_lps(self, tmp_path, lp_calls):
+    def test_study_solves_one_lp(self, tmp_path, lp_calls):
         assert run_study(scenario_path("three_state"), tmp_path, seed=0) == 0
-        assert 1 <= len(lp_calls) <= 10  # one batched solve per group of norms
+        assert len(lp_calls) == 1  # every norm of the study in one batch
 
     def test_study_solves_the_base_modulus_once(self, tmp_path, lp_calls, monkeypatch):
         blocks = []
@@ -286,7 +302,32 @@ class TestStudy:
         # the schedule's 11 distances, omega on its 13-point grid, the five
         # sampled operators' pushed moduli on that grid (without omega's 13
         # again: 103 blocks in all before), the swap-order distance
-        assert blocks == [11, 13, 5 * 13, 1] and len(lp_calls) == 4
+        assert blocks == [11 + 13 + 5 * 13 + 1] and len(lp_calls) == 1
+
+    @pytest.mark.parametrize("name", ["three_state", "linear_flow"])
+    def test_batched_values_match_the_standalone_functions(self, tmp_path, name):
+        """The study's one batch gives the values of the splitting functions'
+        own solves, up to solver rounding; C_hat is a ratio of small omega
+        values, so it gets a looser bound."""
+        assert run_study(scenario_path(name), tmp_path, seed=42) == 0
+        scn = load_scenario(scenario_path(name))
+        rng = np.random.default_rng(42)
+        build_witnesses(scn.space, scn.witness_specs, rng)  # the draws before the family
+        study = SplittingStudy(g1=scn.g1, g2=scn.g2, mu0=scn.mu0, t=scn.t,
+                               schedule=scn.schedule, order=scn.order)
+        modulus = _table(tmp_path / "modulus.csv")
+        omega = commutator_modulus(scn.g1, scn.g2, scn.mu0, [row[0] for row in modulus])
+        family = sample_scheme_family(scn.g1, scn.g2, scn.t / scn.schedule[-1], 5, rng,
+                                      scn.order)
+        c_hat, flags = extended_commutator_constant(scn.g1, scn.g2, scn.mu0, omega, family)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert [row[1] for row in _table(tmp_path / "report.csv")] == pytest.approx(
+            estimate_limit(study)[1].distances, rel=0, abs=1e-12)
+        assert [row[1] for row in modulus] == pytest.approx(omega.values, rel=0, abs=1e-12)
+        assert summary["swapDistance"] == pytest.approx(swap_order_limit_distance(study),
+                                                        rel=0, abs=1e-12)
+        assert summary["C_hat"] == pytest.approx(c_hat, rel=0, abs=1e-10)
+        assert summary["C_hat_flags"] == flags
 
     def test_envelope_metric_option(self, tmp_path):
         code = run_study(scenario_path("three_state"), tmp_path, seed=0,
@@ -378,6 +419,19 @@ class TestDiagnosticsCommand:
                                tmp_path, seed=0)
         assert code == 0
         assert (tmp_path / "feller.csv").exists()
+
+    @pytest.mark.parametrize("name", ["three_state", "linear_flow"])
+    @pytest.mark.parametrize("probe", ["equicontinuity", "feller"])
+    def test_input_distances_match_a_fresh_solve(self, tmp_path, name, probe):
+        """The probes reuse the perturbation search's distances; each probe
+        draws its perturbations first, so the same seed redraws them."""
+        assert run_diagnostics(scenario_path(name), probe, tmp_path, seed=42) == 0
+        mu0 = load_scenario(scenario_path(name)).mu0
+        perts = perturb_measures(mu0, [10.0 ** -e for e in range(1, 5)],
+                                 np.random.default_rng(42))
+        fresh = bl_distances([(mu0, nu) for nu in perts], mu0.space)
+        reused = [row[0] for row in _table(tmp_path / f"{probe}.csv")]
+        assert reused == pytest.approx(sorted(fresh), rel=0, abs=1e-12)
 
 
 class TestNormCommand:

@@ -12,6 +12,7 @@ from trotterkit.diagnostics import (
     limit_semigroup_check,
     perturb_measure,
     perturb_measures,
+    perturbations_and_distances,
     stochastic_continuity_check,
     tightness_probe,
 )
@@ -155,7 +156,7 @@ class TestBatchedSolves:
             np.maximum.accumulate(worst[::-1]).tolist(), abs=1e-12)
         del lp_calls[:]
         feller_continuity_check(g1, g2, 1.0, mu0, sizes, 64, np.random.default_rng(5))
-        assert len(lp_calls) == rounds + 2  # the searches, then inputs and outputs
+        assert len(lp_calls) == rounds + 1  # the searches, then the outputs
 
 
 class TestPerturbations:
@@ -330,3 +331,24 @@ class TestLockstep:
         del lp_calls[:]
         perturb_measures(mu0, sizes, np.random.default_rng(6))
         assert len(lp_calls) == max(alone)
+
+
+class TestSolvedDistances:
+    def test_fallback_midpoint_gets_one_more_solve(self, mu0, monkeypatch):
+        # every amplitude overshoots the target by 100 %, so the bisection
+        # halves hi 80 times and returns the midpoint 2**-81, which it never
+        # solved: 80 rounds (amplitudes 1 and 1/2, then one midpoint each),
+        # and one more call for that one perturbation
+        calls = []
+
+        def overshooting(pairs, metric):
+            calls.append(len(pairs))
+            return [1.0] * len(pairs)
+
+        monkeypatch.setattr(diagnostics, "bl_distances", overshooting)
+        (alone,) = perturb_measures(mu0, [0.5], _FixedDirections([[1.0] * 3]))
+        assert len(calls) == 80
+        del calls[:]
+        (nu,), (dist,) = perturbations_and_distances(mu0, [0.5], _FixedDirections([[1.0] * 3]))
+        assert (len(calls), calls[-1], dist) == (81, 1, 1.0)
+        assert nu.weights.tobytes() == alone.weights.tobytes()
