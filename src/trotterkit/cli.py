@@ -1,7 +1,8 @@
 """Batch driver: run studies, identity suites, and diagnostics from scenario files.
 
-Exit codes: 0 success, 1 input/validation error, 2 quantitative finding
-(bound violation or failed exact check; reports are still written).
+Exit codes: 0 success, 1 input/validation error (a usage error too), 2
+quantitative finding (bound violation or failed exact check; reports are
+still written).
 All outputs are deterministic for a fixed scenario and seed: CSV uses '.'
 decimals and LF line endings, JSON is emitted with sorted keys, and every
 file carries a header with the scenario hash and tool version.
@@ -201,8 +202,9 @@ def _check_witness_spec(path, space: StateSpace, spec: dict) -> None:
         for i in [spec["index"]] if kind == "coordinate" else spec["subset"]:
             space.point_key(i)
     elif kind == "coordinate":
-        if not (int(spec["index"]) == spec["index"] and 0 <= spec["index"] < space.dim):
-            raise ValueError(f"coordinate index {spec['index']!r} outside R^{space.dim}")
+        i = spec["index"]
+        if isinstance(i, bool) or not (int(i) == i and 0 <= i < space.dim):
+            raise ValueError(f"coordinate index {i!r} outside R^{space.dim}")
     else:
         space.point_key(spec["center"])
         radius = float(spec["radius"])
@@ -463,7 +465,28 @@ def run_diagnostics(scenario_path, probe, out_dir, seed) -> int:
     return code
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group.  A usage error (an unknown command, option or
+    choice, a missing option, a value out of range) exits 1 with click's
+    message, as every input error does; click's own code for it, 2, is a
+    quantitative finding here."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exits_1(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):  # the subcommand and its options
+        return _usage_exits_1(super().invoke, ctx)
+
+
+def _usage_exits_1(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+@click.group(cls=_Group)
 def main():
     """Switching-scheme studies, identity suites, and diagnostics."""
 
@@ -477,7 +500,7 @@ def _refuse(path, reason):
 @main.command()
 @click.option("--scenario", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=0, type=click.IntRange(min=0))
 @click.option("--t", default=None, type=float)
 @click.option("--dyadic", default=None, type=int)
 @click.option("--linear", default=None, type=int)
@@ -495,7 +518,7 @@ def study(scenario, out, seed, t, dyadic, linear, order, metric):
 
 
 @main.command()
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=0, type=click.IntRange(min=0))
 @click.option("--trials", default=10, type=int)
 @click.option("--max-states", default=4, type=int)
 @click.option("--out", required=True, type=click.Path())
@@ -513,7 +536,7 @@ def identities(seed, trials, max_states, out):
               type=click.Choice(["equicontinuity", "tightness", "feller",
                                  "semigroup", "stochastic"]))
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=0, type=click.IntRange(min=0))
 def diagnostics(scenario, probe, out, seed):
     """Evidence tables for the structural hypotheses."""
     try:

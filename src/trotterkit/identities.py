@@ -10,9 +10,11 @@ A side is one term ``outer (a - b) mu`` (a ``_Gap``: the two products of a
 commutator or of a block gap, then the product after them), or the sum of
 such terms in order.  Consecutive products of a term fuse into one operator
 list (``inner`` and then ``[Pa, Pb]`` is ``[Pa, Pb] + inner``), which gives
-the same bits.  On a finite space ``_check`` runs the whole test panel as one
-``_Panel``: signed measures as rows of two dense weight arrays, with the
-terms of all its sides at once.  The products ``a`` and ``b`` of every term
+the same bits.  Measures list their atoms as ``measures`` builds them: in
+state order on a finite space, in order of first appearance on R^dim.  On a
+finite space ``_check`` runs the whole test panel as one ``_Panel``: signed
+measures as rows of two dense weight arrays over the states, with the terms
+of all its sides at once.  The products ``a`` and ``b`` of every term
 run in one ``_Panel.chain`` call, on term-major blocks of rows, with one
 stacked product per step for every term still running; their differences
 run in one ``_Panel.combine``, the products ``outer`` in a second ``chain``
@@ -90,7 +92,7 @@ def _check(name, g1, test_measures, pairs) -> IdentityCheckResult:
 def _evaluate(mu, sides) -> list:
     """The value of each side (a ``_Gap``, or a list of them to add) on mu:
     a panel of test measures, or a list of one signed measure."""
-    rows = len(mu.key) if isinstance(mu, _Panel) else len(mu)
+    rows = mu.w.shape[1] if isinstance(mu, _Panel) else len(mu)
     gaps = [gap for side in sides for gap in (side if isinstance(side, list) else [side])]
     cut = len(gaps) * rows
     products = _chains(_repeat(mu, 2 * len(gaps)), [g.a for g in gaps] + [g.b for g in gaps])
@@ -128,14 +130,14 @@ def _combine(coeffs, stacks):
 def _rows(stack, start, stop):
     """Rows ``start:stop`` of a panel, or of a list of signed measures."""
     if isinstance(stack, _Panel):
-        return _Panel(stack.space, stack.w[:, start:stop], stack.key[start:stop])
+        return _Panel(stack.space, stack.w[:, start:stop])
     return stack[start:stop]
 
 
 def _repeat(mu, count):
     """``count`` copies of the rows of a panel, or of a list, one after another."""
     if isinstance(mu, _Panel):
-        return _Panel(mu.space, np.tile(mu.w, (1, count, 1)), np.tile(mu.key, (count, 1)))
+        return _Panel(mu.space, np.tile(mu.w, (1, count, 1)))
     return mu * count
 
 
@@ -341,24 +343,23 @@ class _Panel(NamedTuple):
     """Signed measures on one finite space, one per row.
 
     ``w[0]`` and ``w[1]`` are the (rows, states) weights of the positive and
-    the negative parts, with disjoint supports.  Within each part, a row
-    lists its atoms in increasing ``key`` (rows, states): that is the order
-    of the atoms of its measure.  For ``chain`` with several terms, the
-    rows are term-major: one equal block of rows per term (in the identity
-    checks, one row per test measure in each block).
+    the negative parts, with disjoint supports: each part's atoms are its
+    nonzero states, in state order, the atom order of ``measures``.  For
+    ``chain`` with several terms, the rows are term-major: one equal block
+    of rows per term (in the identity checks, one row per test measure in
+    each block).
     """
 
     space: StateSpace
     w: np.ndarray
-    key: np.ndarray
 
     def measures(self) -> list:
         """The rows as signed measures."""
         out = []
-        for order, pos, neg in zip(self.key.argsort(axis=-1), *self.w):
+        for row in zip(*self.w):
             parts = []
-            for v in (pos, neg):
-                points = order[v[order] != 0.0]
+            for v in row:
+                (points,) = v.nonzero()
                 parts.append(PositiveMeasure(self.space, tuple(points.tolist()), v[points]))
             out.append(SignedMeasure(*parts))
         return out
@@ -381,10 +382,9 @@ class _Panel(NamedTuple):
         TV-checked on its left-to-right sum and pruned at PRUNE_REL_TOL
         times that sum, as ``_dense_step`` checks the ``mass`` of
         ``prune_dense`` and prunes (the zeros between the entries add
-        nothing).  The re-split merges the parts in ``linear_combine``'s
-        order, the positive part's states and then the rest, each in index
-        order, and cuts at the merged mass, with no cut per part (see
-        ``jordan_parts``); a row with one empty part comes out of it
+        nothing).  The re-split takes the merged weights, cuts at their
+        left-to-right mass, with no cut per part (see ``jordan_parts``), and
+        splits them by sign; a row with one empty part comes out of it
         unchanged, so every row takes it.  A group with a row that fails a
         check (a factor that is not a stochastic matrix on this space, a
         negative or non-finite weight, TV not preserved) stops; once every
@@ -395,35 +395,31 @@ class _Panel(NamedTuple):
         count = len(terms)
         if not count:
             return self
-        size, rows = self.space.size, len(self.key) // count
+        size, rows = self.space.size, self.w.shape[1] // count
         w = self.w.reshape(2, count, rows, size)
-        key = self.key.reshape(count, rows, size)
         order = sorted(range(count), key=lambda t: -len(terms[t]))
         group = max(1, operators._STACK_SIZE // max(2 * rows * size, size * size, 1))
-        out_w, out_key = np.empty_like(w), np.empty_like(key)
+        out = np.empty_like(w)
         failed = []
         for start in range(0, count, group):
             members = order[start:start + group]
-            done = self._steps(w[:, members], key[members], [terms[t] for t in members])
+            done = self._steps(w[:, members], [terms[t] for t in members])
             if done is None:
                 failed += members
             else:
-                out_w[:, members], out_key[members] = done
+                out[:, members] = done
         for t in sorted(failed):
-            out = _per_row(lambda mu, ops=terms[t]: _signed_product(ops, mu),
-                           [_Panel(self.space, w[:, t], key[t])])
-            out_w[:, t], out_key[t] = out.w, out.key
-        return _Panel(self.space, out_w.reshape(self.w.shape), out_key.reshape(self.key.shape))
+            out[:, t] = _per_row(lambda mu, ops=terms[t]: _signed_product(ops, mu),
+                                 [_Panel(self.space, w[:, t])]).w
+        return _Panel(self.space, out.reshape(self.w.shape))
 
-    def _steps(self, w, key, terms):
-        """One group of ``chain``: the weights (2, n, rows, S) and keys of
-        its n terms' blocks, the terms longest first.  Returns them after
-        every step, or None when a row fails a check."""
-        n, rows, size = key.shape
-        w, key = w.reshape(2, n * rows, size), key.reshape(n * rows, size)
-        index = np.arange(n * rows)[:, None]
-        # each part's mass, its atoms added in their order
-        tv = np.add.accumulate(w[:, index, key.argsort(axis=-1)], axis=-1)[..., -1]
+    def _steps(self, w, terms):
+        """One group of ``chain``: the weights (2, n, rows, S) of its n
+        terms' blocks, the terms longest first.  Returns them after every
+        step, or None when a row fails a check."""
+        _, n, rows, size = w.shape
+        w = w.reshape(2, n * rows, size)
+        tv = np.add.accumulate(w, axis=-1)[..., -1]  # each part's mass
         running = [ops[::-1] for ops in terms]  # in application order
         for step in range(len(running[0])):
             while len(running[-1]) <= step:
@@ -447,57 +443,43 @@ class _Panel(NamedTuple):
                          <= TV_PRESERVATION_TOL * np.maximum(1.0, before)).all()):
                 return None
             out = np.where(out > cut, out, 0.0)
-            # the merge order: the positive part's states, then the rest
-            order = index[:m], (out[0] == 0.0).argsort(axis=-1, kind="stable")
-            key[:m] = order[1].argsort(axis=-1)
             x = _SIGNS * (out[0] - out[1])  # the merged weights, and their negatives
-            cut = PRUNE_REL_TOL * np.add.accumulate(np.abs(x[0])[order], axis=-1)[:, -1:]
+            cut = PRUNE_REL_TOL * np.add.accumulate(np.abs(x[0]), axis=-1)[:, -1:]
             w[:, :m] = np.where(x > cut, x, 0.0)
-            tv[:, :m] = np.add.accumulate(w[:, order[0], order[1]], axis=-1)[..., -1]
-        return w.reshape(2, n, rows, size), key.reshape(n, rows, size)
+            tv[:, :m] = np.add.accumulate(w[:, :m], axis=-1)[..., -1]
+        return w.reshape(2, n, rows, size)
 
     @staticmethod
     def combine(coeffs, panels) -> "_Panel":
         """``linear_combine(coeffs, measures)`` on every row.
 
         The weights are added in measure order (an absent atom adds an exact
-        0.0), atoms keep their first appearance (a measure's positive part,
-        then its negative part), and the total, the cut and the Jordan split
-        are taken in that order.  A non-finite total sends the rows through
-        ``linear_combine``, which raises.  The panels of one check share the
-        space that ``_panel`` and each factor of ``chain`` are checked against.
+        0.0), and the total, the cut and the Jordan split are taken in state
+        order.  A non-finite total sends the rows through ``linear_combine``,
+        which raises.  The panels of one check share the space that
+        ``_panel`` and each factor of ``chain`` are checked against.
         """
-        space = panels[0].space
-        S = space.size
-        rows = np.arange(len(panels[0].key))[:, None]
-        # keys are below 2S: measure m's atoms take keys from 4Sm on, its
-        # negative part after its positive part, and its first appearance wins
-        first = np.full(panels[0].key.shape, 4 * S * len(panels))
-        for m in reversed(range(len(panels))):
-            pos, neg = panels[m].w > 0.0
-            first = np.where(pos | neg, 4 * S * m + 2 * S * neg + panels[m].key, first)
-        order = first.argsort(axis=-1)
         with np.errstate(over="ignore"):  # an overflow fails the test below
             x = float(coeffs[0]) * (panels[0].w[0] - panels[0].w[1])
             for c, p in zip(coeffs[1:], panels[1:]):
                 x = x + float(c) * (p.w[0] - p.w[1])
-            total = np.add.accumulate(np.abs(x)[rows, order], axis=-1)[:, -1:]
+            total = np.add.accumulate(np.abs(x), axis=-1)[:, -1:]
         if not np.isfinite(total).all():
             return _per_row(lambda *mus: linear_combine(coeffs, mus), panels)
         x = _SIGNS * np.where(np.abs(x) > PRUNE_REL_TOL * total, x, 0.0)
-        return _Panel(space, np.maximum(x, 0.0), order.argsort(axis=-1))
+        return _Panel(panels[0].space, np.maximum(x, 0.0))
 
 
 def _panel(measures, space: StateSpace):
     """The signed measures as one panel on ``space``, or None when it does
     not hold them exactly: a space that is not finite, a part on another
-    space, or atoms that are not distinct states (in both parts together)
-    with finite positive weights.  Those run per measure, which raises where
-    it raises."""
+    space, atoms that are not distinct states (in both parts together) in
+    state order within each part, with finite positive weights.  Those run
+    per measure, which raises where it raises.  Only a hand-built
+    ``PositiveMeasure`` lists its states out of order."""
     if space.kind != "finite":
         return None
     w = np.zeros((2, len(measures), space.size))
-    key = np.zeros((len(measures), space.size), dtype=np.intp)
     for r, mu in enumerate(measures):
         parts = (mu.pos, mu.neg)
         if any(part.space is not space and part.space != space for part in parts):
@@ -510,11 +492,11 @@ def _panel(measures, space: StateSpace):
             return None
         for part, states, dense in zip(parts, (pos_states, neg_states), w[:, r]):
             x = np.asarray(part.weights, dtype=float)
-            if x.shape != (len(states),) or not (np.isfinite(x) & (x > 0.0)).all():
+            if (x.shape != (len(states),) or states != sorted(states)
+                    or not (np.isfinite(x) & (x > 0.0)).all()):
                 return None
             dense[states] = x
-            key[r, states] = np.arange(len(states))
-    return _Panel(space, w, key)
+    return _Panel(space, w)
 
 
 def _per_row(fn, panels) -> _Panel:

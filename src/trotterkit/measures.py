@@ -3,7 +3,10 @@
 Positive measures are atom lists with nonnegative weights; signed measures
 are stored as an explicit (positive, negative) pair so that the Jordan
 decomposition and the total variation norm are structural rather than
-computed.
+computed.  Every measure that ``_merge_atoms`` builds lists its atoms in one
+order: on a finite space, state order (a measure is its weight vector over
+the states); on R^dim, the order of first appearance.  Every total and cut
+adds the atoms in that order.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 # under which two Euclidean points are treated as the same atom location.
 PRUNE_REL_TOL = 1e-12
 COINCIDENCE_TOL = 1e-12
+_BOOLS = (bool, np.bool_)  # integral, yet not states: JSON's true and false
 
 
 def mass(weights) -> float:
@@ -102,11 +106,11 @@ class StateSpace:
 
         On finite spaces that is the state index, on Euclidean spaces the
         coordinate tuple; ValueError for a point that is not an integer in
-        ``0..size-1``, or not ``dim`` finite coordinates.
+        ``0..size-1`` (a boolean is not), or not ``dim`` finite coordinates.
         """
         if self.kind == "finite":
             i = int(p)
-            if i != p or not 0 <= i < self.size:
+            if i != p or not 0 <= i < self.size or isinstance(p, _BOOLS):
                 raise ValueError(f"{p!r} is not a state of a {self.size}-state space")
             return i
         x = np.asarray(p, dtype=float)
@@ -135,8 +139,9 @@ def _merge_atoms(space: StateSpace, points, weights):
     On Euclidean spaces, points within the coincidence tolerance count as the
     same atom even when their exact keys differ.  Returns the ``point_key``
     of each kept atom's first point, its weight, and the total mass of the
-    merged atoms that the prune cuts at.  Raises ValueError when a weight is
-    NaN or infinite (or the total mass overflows).
+    merged atoms that the prune cuts at, all in the module's atom order.
+    Raises ValueError when a weight is NaN or infinite (or the total mass
+    overflows).
     """
     merged: dict = {}
     order: list = []
@@ -152,13 +157,14 @@ def _merge_atoms(space: StateSpace, points, weights):
         else:
             merged[key] = float(w)
             order.append((key, p))
+    if space.kind == "finite":
+        merged = dict(sorted(merged.items()))
     total = mass(map(abs, merged.values()))
     if not math.isfinite(total):  # a NaN or infinite weight would fail every cut
         raise ValueError(f"atom weights must be finite, got total mass {total!r}")
     cut = PRUNE_REL_TOL * total
     out_k, out_w = [], []
-    for key, _ in order:
-        w = merged[key]
+    for key, w in merged.items():
         if abs(w) > cut and w != 0.0:
             out_k.append(key)
             out_w.append(w)
@@ -232,9 +238,6 @@ class PositiveMeasure:
         idx, w, _ = prune_dense(np.asarray(v, dtype=float))
         return PositiveMeasure(space=space, points=tuple(idx.tolist()), weights=w)
 
-    def to_json_dict(self) -> dict:
-        return self.as_signed().to_json_dict()
-
 
 def merged_positive(space: StateSpace, atoms):
     """``PositiveMeasure.from_atoms(space, atoms)``, and the total mass of
@@ -275,17 +278,6 @@ class SignedMeasure:
         pts = list(self.pos.points) + list(self.neg.points)
         wts = np.concatenate([self.pos.weights, -self.neg.weights]) if pts else np.zeros(0)
         return pts, wts
-
-    def to_json_dict(self) -> dict:
-        pts, wts = self.support()
-        return {"atoms": [{"point": _point_json(self.space, p), "weight": w}
-                          for p, w in zip(pts, wts.tolist())]}
-
-
-def _point_json(space: StateSpace, p):
-    if space.kind == "finite":
-        return int(p)
-    return list(p)
 
 
 def _build_signed(space, points, weights) -> SignedMeasure:
@@ -332,11 +324,6 @@ def linear_combine(coeffs, measures) -> SignedMeasure:
         with np.errstate(over="ignore"):  # _build_signed refuses the infinity
             weights.extend((float(c) * wts).tolist())
     return _build_signed(space, points, weights)
-
-
-def measure_to_json(mu, *, indent=None) -> str:
-    """Serialize with >= 15 significant digits on weights (repr round-trips)."""
-    return json.dumps(mu.to_json_dict(), indent=indent)
 
 
 def measure_from_json(space: StateSpace, text: str) -> SignedMeasure:

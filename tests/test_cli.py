@@ -61,6 +61,15 @@ class TestScenarioLoading:
          "7 is not a state"),
         ("three_state", lambda d: d["witnesses"].append({"kind": "indicator", "subset": [0, -1]}),
          "-1 is not a state"),
+        # a JSON boolean is not a state, nor a coordinate index
+        ("three_state", lambda d: d["mu0"]["atoms"][0].update(point=True), "True is not a state"),
+        ("three_state", lambda d: d["witnesses"].append({"kind": "coordinate", "index": True}),
+         "True is not a state"),
+        ("three_state", lambda d: d["witnesses"].append({"kind": "indicator",
+                                                         "subset": [False, True]}),
+         "False is not a state"),
+        ("linear_flow", lambda d: d["witnesses"].append({"kind": "coordinate", "index": False}),
+         "coordinate index False outside R\\^2"),
         ("three_state", lambda d: d["study"].update(schedule={"dyadic": 1}),
          "at least 3 entries"),
         ("three_state", lambda d: d["study"].update(t=-1), "t must be finite and nonnegative"),
@@ -336,6 +345,27 @@ class TestStudy:
         assert json.loads((tmp_path / "summary.json").read_text())["metric"] == "envelope"
 
 
+class TestUsageErrors:
+    """A usage error exits 1, as every input error does (2 is a quantitative
+    finding), with click's message and without writing a file."""
+
+    @pytest.mark.parametrize("args", [
+        ["diagnostics", "--scenario", scenario_path("three_state"), "--probe", "bogus",
+         "--out", "out"],
+        ["study", "--scenario", scenario_path("three_state")],
+        ["study", "--scenario", scenario_path("three_state"), "--out", "out", "--seed", "-1"],
+        ["identities", "--out", "out/identities.json", "--seed", "-1"],
+        ["diagnostics", "--scenario", scenario_path("three_state"), "--probe", "tightness",
+         "--out", "out", "--seed", "-1"],
+    ])
+    def test_exits_1_and_writes_nothing(self, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, args)
+        assert (result.exit_code, type(result.exception)) == (1, SystemExit)
+        assert "Error: " in result.output and "Traceback" not in result.output
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestIdentitiesCommand:
     def test_exit_zero_and_payload(self, tmp_path):
         out = tmp_path / "identities.json"
@@ -450,6 +480,7 @@ class TestNormCommand:
         ('[{"point": 0, "weight": NaN}]', "weights must be finite"),
         ('[{"point": 0, "weight": 1e400}]', "weights must be finite"),
         ('[{"point": 7, "weight": 1.0}]', "7 is not a state"),
+        ('[{"point": true, "weight": 1.0}]', "True is not a state"),
         ('[{"point": 0}]', "missing key 'weight'"),
         ('[{"point": 0, "weight": 1.0}', "line 1 column"),
         ('5', "not iterable"),

@@ -24,7 +24,7 @@ from trotterkit.measures import (
     linear_combine,
     mass,
 )
-from trotterkit.operators import MarkovOperatorSpec, SemigroupSpec, apply, at_time
+from trotterkit.operators import MarkovOperatorSpec, SemigroupSpec, apply, apply_signed, at_time
 
 
 @pytest.fixture
@@ -171,6 +171,31 @@ def test_finite_checks_run_as_panels(setup, monkeypatch):
     monkeypatch.setattr(identities, "apply_signed", refuse)
     assert check_lemma_a(g1, g2, 0.8, 6, 4, panel).passed
     assert check_swap_identity(g1, g2, 0.4, 3, panel).passed
+
+
+def test_a_part_out_of_state_order_runs_per_measure(setup, monkeypatch):
+    """Only a hand-built part lists its states out of order.  A panel does
+    not hold it, so the check runs per measure, through apply_signed; a
+    measure in state order gives the same result on either path."""
+    space, g1, g2, panel = setup
+    mu = panel[-1]  # atoms on every state
+    shuffled = PositiveMeasure(space, mu.points[::-1], mu.weights[::-1])
+    assert identities._panel([mu.as_signed()], space) is not None
+    assert identities._panel([mu.as_signed(), shuffled.as_signed()], space) is None
+    calls = []
+
+    def counting(P, nu):
+        calls.append(P)
+        return apply_signed(P, nu)
+
+    monkeypatch.setattr(identities, "apply_signed", counting)
+    on_panel = check_lemma_a(g1, g2, 0.8, 6, 4, [mu])
+    assert not calls
+    mixed = check_lemma_a(g1, g2, 0.8, 6, 4, [mu, shuffled])
+    assert calls and mixed.passed
+    monkeypatch.setattr(identities, "_panel", lambda measures, space: None)
+    assert check_lemma_a(g1, g2, 0.8, 6, 4, [mu]) == on_panel
+    assert check_lemma_a(g1, g2, 0.8, 6, 4, [mu, shuffled]) == mixed
 
 
 def test_runner_calls_do_not_grow_with_the_indices(setup, monkeypatch):
@@ -343,14 +368,15 @@ def _operators(draw, space):
 
 @st.composite
 def _signed_measure(draw, space):
-    """A Jordan pair on ``space``, its atoms listed in a drawn order."""
+    """A Jordan pair on ``space``, each part's atoms in state order, as
+    every measure on a finite space lists them."""
     k = space.size
-    states = draw(st.permutations(range(k)))
     shape = draw(st.sampled_from(["split", "no negative part", "no positive part", "empty",
                                   "mass zero", "at the cut", "above the cut"]))
     if shape == "mass zero":  # equal Diracs
         w = draw(st.floats(1e-3, 1.0))
-        pos, neg = [(states[0], w)], [(states[1], w)]
+        i, j = draw(st.permutations(range(k)))[:2]
+        pos, neg = [(i, w)], [(j, w)]
     elif shape in ("at the cut", "above the cut"):
         big = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=k - 1))
         t = _at_cut(big)
@@ -368,8 +394,8 @@ def _signed_measure(draw, space):
             sides = [False] * k
         elif shape == "empty":
             weights = [0.0] * k
-        pos = [(i, weights[i]) for i in states if sides[i] and weights[i] > 0.0]
-        neg = [(i, weights[i]) for i in states if not sides[i] and weights[i] > 0.0]
+        pos = [(i, weights[i]) for i in range(k) if sides[i] and weights[i] > 0.0]
+        neg = [(i, weights[i]) for i in range(k) if not sides[i] and weights[i] > 0.0]
 
     def part(atoms):
         return PositiveMeasure(space, tuple(int(i) for i, _ in atoms),
@@ -437,9 +463,9 @@ def test_term_stacks_match_one_run_per_term(case):
     groups = []
     steps = identities._Panel._steps
 
-    def recording(self, w, key, members):
+    def recording(self, w, members):
         groups.append((len(members), w.size, len(members) * space.size ** 2))
-        return steps(self, w, key, members)
+        return steps(self, w, members)
 
     stacked = identities._panel([mu for block in blocks for mu in block], space)
     with pytest.MonkeyPatch.context() as m:
@@ -482,7 +508,7 @@ def _combine_case(draw):
     rows = draw(st.integers(1, 4))
     columns = draw(st.lists(st.lists(_signed_measure(space), min_size=rows, max_size=rows),
                             min_size=1, max_size=4))
-    if draw(st.booleans()):  # measures in chain output order, unless the chain raises
+    if draw(st.booleans()):  # measures as a chain outputs them, unless the chain raises
         ops = draw(_operators(space))
         try:
             columns = [[_per_factor_chain(mu, ops) for mu in column] for column in columns]

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -15,9 +16,10 @@ from trotterkit.measures import (
     _build_signed,
     _merge_atoms,
     linear_combine,
+    mass,
     measure_from_json,
-    measure_to_json,
 )
+from trotterkit.operators import MarkovOperatorSpec, apply
 
 
 @pytest.fixture
@@ -81,9 +83,16 @@ class TestStateSpace:
 
     def test_finite_accepts_integral_points_of_any_type(self, path3):
         mu = PositiveMeasure.from_atoms(path3, [(np.int64(2), 0.5), (2.0, 0.25), (0, 0.25)])
-        assert mu.points == (2, 0)
+        assert mu.points == (0, 2)
         assert mu.weight_vector().tolist() == [0.25, 0.0, 0.75]
         assert path3.distance(np.int64(0), 2.0) == 2.0
+
+    @pytest.mark.parametrize("point", [True, False, np.bool_(True), np.bool_(False)])
+    def test_finite_rejects_booleans(self, path3, point):
+        with pytest.raises(ValueError, match="not a state"):
+            path3.point_key(point)
+        with pytest.raises(ValueError, match="not a state"):
+            PositiveMeasure.from_atoms(path3, [(point, 1.0)])
 
     def test_euclidean_distance(self):
         s = StateSpace.euclidean(2)
@@ -260,17 +269,63 @@ def signed_atoms(draw):
 
 
 class TestSerialization:
-    def test_round_trip_finite(self, path3):
+    def test_parses_finite_measure(self, path3):
         mu = SignedMeasure.from_atoms(path3, [(0, 0.123456789012345), (2, -0.4)])
-        back = measure_from_json(path3, measure_to_json(mu))
+        back = measure_from_json(
+            path3, '{"atoms": [{"point": 0, "weight": 0.123456789012345},'
+                   ' {"point": 2, "weight": -0.4}]}')
         assert linear_combine([1.0, -1.0], [mu, back]).tv == 0.0
 
-    def test_round_trip_euclidean(self):
+    def test_parses_euclidean_measure(self):
         s = StateSpace.euclidean(2)
         mu = PositiveMeasure.from_atoms(s, [([0.1, 0.2], 0.7), ([1.0, -1.0], 0.3)])
-        back = measure_from_json(s, measure_to_json(mu))
+        back = measure_from_json(
+            s, '{"atoms": [{"point": [0.1, 0.2], "weight": 0.7},'
+               ' {"point": [1.0, -1.0], "weight": 0.3}]}')
+        assert back.pos.points == mu.points and back.pos.weights.tolist() == [0.7, 0.3]
         assert back.tv == pytest.approx(1.0)
 
     def test_rejects_non_finite_weight(self, path3):
         with pytest.raises(ValueError):
             measure_from_json(path3, '{"atoms": [{"point": 0, "weight": NaN}]}')
+
+
+class TestStateOrder:
+    """Every measure on a finite space lists its atoms in state order,
+    whatever order its atoms come in, and its mass adds them in that order."""
+
+    @staticmethod
+    def assert_state_order(mu):
+        for part in (mu.pos, mu.neg) if isinstance(mu, SignedMeasure) else (mu,):
+            assert list(part.points) == sorted(part.points)
+            assert part.tv == mass(part.weight_vector().tolist())
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_every_finite_constructor(self, data):
+        k = data.draw(st.integers(2, 9))
+        space = StateSpace.finite(np.ones((k, k)) - np.eye(k))
+        states = data.draw(st.permutations(range(k)))
+        weights = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
+        signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=k, max_size=k))
+        atoms = list(zip(states, weights))
+        signed = [(i, s * w) for (i, w), s in zip(atoms, signs)]
+        mu = PositiveMeasure.from_atoms(space, atoms)
+        ordered = PositiveMeasure.from_atoms(space, sorted(atoms))
+        assert mu.points == tuple(range(k))
+        assert mu.weights.tobytes() == ordered.weights.tobytes()
+        self.assert_state_order(mu)
+        self.assert_state_order(SignedMeasure.from_atoms(space, signed))
+        halves = [PositiveMeasure.from_atoms(space, atoms[:k // 2]),
+                  SignedMeasure.from_atoms(space, signed[k // 2:])]
+        self.assert_state_order(linear_combine([1.0, -0.5], halves))
+        self.assert_state_order(measure_from_json(space, json.dumps(
+            {"atoms": [{"point": i, "weight": w} for i, w in signed]})))
+        # a kernel and a map that send the states to the drawn order
+        kernel = MarkovOperatorSpec(kind="kernel", space=space, kernel=lambda p: (
+            PositiveMeasure(space, (states[p], states[-1 - p]), np.array([0.5, 0.5]))
+            if states[p] != states[-1 - p] else PositiveMeasure.dirac(space, states[p])))
+        shuffle = MarkovOperatorSpec(kind="deterministic_map", space=space,
+                                     point_map=lambda p: states[p])
+        for P in (kernel, shuffle):
+            self.assert_state_order(apply(P, mu))
