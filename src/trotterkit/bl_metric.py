@@ -17,6 +17,9 @@ Pruning: pair (i, j) gets no flow column when some point l splits it into
 two strictly shorter hops with d_il + d_lj <= d_ij.  Its flow routes through
 l at no extra cost, and |f_i - f_j| <= L d_ij follows from the kept pairs by
 the triangle inequality (induction on d), so the optimum is unchanged.
+It is one array test of the pairs against every l, PRUNE_CHUNK entries at a
+time.  Within one ``norm_blocks`` call, supports with the same points in the
+same order share their distances and pairs; nothing is kept across calls.
 
 Column generation: a block first gets flow columns only for the pairs among
 each point's NEAREST nearest neighbours, pruned as above (each pair against
@@ -42,6 +45,10 @@ consecutive blocks; a longer batch solves several.  ``bl_distance`` and
 alone and reads its witness off the duals of its last solve, the only one
 for a support of at most NEAREST + 1 points.  A failed solve raises
 RuntimeError.
+
+HiGHS runs without presolve, which cost more than it saved on these LPs: on
+a 2-vCPU VM three_state's study LP (990 columns) took 11.3 ms with it and 9.5
+without, a generic k = 96 norm 18.6 and 14.9 ms, with equal optimal values.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array
 
 from .measures import SignedMeasure, StateSpace, linear_combine
 
@@ -73,6 +80,9 @@ CHECK_TOL = 1e-12
 # Pairwise distances must lie below this: HiGHS refuses matrix entries of 1e15
 # or more (large_matrix_value): three atoms 1e15 apart gave a Model error, 1e14 solved.
 MAX_DISTANCE = 1e15
+# Entries per array of the pruning's split test.  Unchunked, the k = 200
+# norms of the bl_norm_large benchmark raised its peak RSS from 89 to 108 MB.
+PRUNE_CHUNK = 1 << 14
 
 
 class OracleSupportError(ValueError):
@@ -211,17 +221,19 @@ def lipschitz_constant(values, dist) -> float:
     return float(np.max(np.abs(v[:, None] - v[None, :])[apart] / dist[apart], initial=0.0))
 
 
-def _unit_support(mu: SignedMeasure, metric):
-    """(points, TV scale, weights at unit TV, distances).  Norms are solved at
-    unit TV so solver tolerances cannot swallow tiny measures."""
+def _unit_support(mu: SignedMeasure, metric, shared):
+    """(points, TV scale, weights at unit TV, (distances, starting pairs)).
+    Norms are solved at unit TV so solver tolerances cannot swallow tiny
+    measures.  ``shared``, one call's dict, holds the last item per support."""
     pts, wts = mu.support()
     scale = float(np.sum(np.abs(wts)))
-    wts = wts / scale if scale else wts
-    dist = pairwise_distances(metric, pts)
-    if not (dist < MAX_DISTANCE).all():  # an infinite or NaN distance fails it too
-        raise DistanceRangeError(f"support points lie {float(dist.max())!r} apart; the "
-                                 f"BL norm LP needs distances below {MAX_DISTANCE:g}")
-    return pts, scale, wts, dist
+    if (key := tuple(pts)) not in shared:
+        dist = pairwise_distances(metric, pts)
+        if not (dist < MAX_DISTANCE).all():  # an infinite or NaN distance fails it too
+            raise DistanceRangeError(f"support points lie {float(dist.max())!r} apart; the "
+                                     f"BL norm LP needs distances below {MAX_DISTANCE:g}")
+        shared[key] = dist, _flow_pairs(dist)
+    return pts, scale, wts / scale if scale else wts, shared[key]
 
 
 def _flow_pairs(dist):
@@ -241,11 +253,12 @@ def _flow_pairs(dist):
         near = np.ones((k, k), dtype=bool)
     np.fill_diagonal(near, False)
     src, dst = np.nonzero(near)
-    d, kept = dist[src, dst], np.ones(len(src), dtype=bool)
-    for l in range(k):
-        into, out = dist[src, l], dist[l, dst]
-        kept &= ~((into + out <= d) & (np.maximum(into, out) < d))
-    return src[kept], dst[kept]
+    split, step = np.zeros(len(src), dtype=bool), max(PRUNE_CHUNK // max(k, 1), 1)
+    for a in range(0, len(src), step):  # rows: pairs (i, j); columns: l
+        i, j = src[a:a + step], dst[a:a + step]
+        into, out, d = dist[i], dist.T[j], dist[i, j, None]
+        split[a:a + step] = np.logical_or.reduce((into + out <= d) & (np.maximum(into, out) < d), 1)
+    return src[~split], dst[~split]
 
 
 def _certified_lp(blocks):
@@ -283,7 +296,8 @@ def _flow_lp(blocks):
     result and the column of each t_m.
     """
     c, A_ub, b_ub, A_eq, b_eq, t_cols = _flow_matrices(blocks)
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs")
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs",
+                  options={"presolve": False})
     if not res.success:
         raise RuntimeError(f"BL norm LP failed: {res.message}")
     return res, t_cols
@@ -308,9 +322,9 @@ def _flow_matrices(blocks):
         row, col = row + k, t + 1
     c = np.zeros(col)
     c[t_cols] = 1.0
-    A_eq = csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    A_eq = coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                      shape=(row, col))
-    A_ub = csr_array((np.concatenate(ub_vals),
+    A_ub = coo_array((np.concatenate(ub_vals),
                       (np.concatenate(ub_rows), np.concatenate(ub_cols))),
                      shape=(2 * len(blocks), col))
     b_eq = np.concatenate([b[0] for b in blocks])
@@ -326,10 +340,10 @@ def norm_blocks(measures, metric) -> list:
     """One (TV scale, flow block) entry per measure, unsolved: unit-TV
     weights, distances (DistanceRangeError here) and starting flow pairs.
     A zero measure gets scale 0 and no block."""
-    entries = []
+    entries, shared = [], {}
     for mu in measures:
-        _, scale, wts, dist = _unit_support(mu, metric)
-        entries.append((scale, (wts, dist, _flow_pairs(dist)) if scale else None))
+        _, scale, wts, (dist, pairs) = _unit_support(mu, metric, shared)
+        entries.append((scale, (wts, dist, pairs) if scale else None))
     return entries
 
 
@@ -375,11 +389,11 @@ def bl_dual_norm(mu: SignedMeasure, metric) -> tuple[float, LipschitzWitness]:
     it) with an attaining unit-ball witness, both from the flow LP's last
     solve: f from the duals of its equality rows, (M, L) from those of its
     two inequality rows."""
-    pts, scale, wts, dist = _unit_support(mu, metric)
+    pts, scale, wts, (dist, pairs) = _unit_support(mu, metric, {})
     if scale == 0.0:
         return 0.0, LipschitzWitness(points=tuple(pts), values=np.zeros(len(pts)),
                                      sup_bound=float(len(pts) > 0), lip_bound=0.0)
-    res, _ = _certified_lp([(wts, dist, _flow_pairs(dist))])
+    res, _ = _certified_lp([(wts, dist, pairs)])
     sup_bound, lip_bound = -res.ineqlin.marginals + 0.0
     witness = LipschitzWitness(points=tuple(pts), values=res.eqlin.marginals + 0.0,
                                sup_bound=float(sup_bound), lip_bound=float(lip_bound))
@@ -441,7 +455,7 @@ def bl_dual_norm_oracle(mu: SignedMeasure, metric) -> float:
     for M = 1 - L), so a coarse grid followed by ternary refinement recovers
     the optimum.  Refuses supports larger than ORACLE_MAX_SUPPORT.
     """
-    pts, scale, wts, dist = _unit_support(mu, metric)
+    pts, scale, wts, (dist, _) = _unit_support(mu, metric, {})
     if len(pts) > ORACLE_MAX_SUPPORT:
         raise OracleSupportError(f"oracle limited to supports of size <= {ORACLE_MAX_SUPPORT}")
     if scale == 0.0:

@@ -44,7 +44,14 @@ from .diagnostics import (
     tightness_probe,
 )
 from .identities import run_identity_suite
-from .measures import PositiveMeasure, StateSpace, measure_from_json
+from .measures import (
+    PositiveMeasure,
+    StateSpace,
+    json_atoms,
+    json_number,
+    json_point,
+    measure_from_json,
+)
 from .operators import SemigroupSpec, at_time, semigroup_from_json
 from .splitting import (
     SplittingStudy,
@@ -158,8 +165,7 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError(f"{path}: unknown space kind {space_spec['kind']!r}")
         g1 = semigroup_from_json(space, doc["g1"])
         g2 = semigroup_from_json(space, doc["g2"])
-        mu0 = PositiveMeasure.from_atoms(
-            space, [(a["point"], float(a["weight"])) for a in doc["mu0"]["atoms"]])
+        mu0 = PositiveMeasure.from_atoms(space, json_atoms(doc["mu0"]["atoms"]))
         if not mu0.points:  # no atoms, or only zero weights (pruned)
             raise ScenarioError(f"{path}: mu0 has no mass")
         study = doc["study"]
@@ -168,7 +174,7 @@ def load_scenario(path) -> Scenario:
         if kind is None:
             raise ScenarioError(f"{path}: schedule needs 'dyadic' or 'linear'")
         schedule = _schedule(kind, sched_spec[kind])
-        t = float(study["t"])
+        t = json_number(study["t"], "time horizon t")
         witness_specs = tuple(doc.get("witnesses", []))
         for spec in witness_specs:
             _check_witness_spec(path, space, spec)
@@ -206,8 +212,8 @@ def _check_witness_spec(path, space: StateSpace, spec: dict) -> None:
         if isinstance(i, bool) or not (int(i) == i and 0 <= i < space.dim):
             raise ValueError(f"coordinate index {i!r} outside R^{space.dim}")
     else:
-        space.point_key(spec["center"])
-        radius = float(spec["radius"])
+        space.point_key(json_point(spec["center"]))
+        radius = json_number(spec["radius"], "indicator radius")
         if not (math.isfinite(radius) and radius > 0.0):
             raise ValueError(f"indicator radius must be finite and positive, "
                              f"got {spec['radius']!r}")

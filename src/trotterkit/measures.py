@@ -326,6 +326,27 @@ def linear_combine(coeffs, measures) -> SignedMeasure:
     return _build_signed(space, points, weights)
 
 
+def json_number(value, what) -> float:
+    """``float(value)`` for a JSON number; ValueError for true and false,
+    which float() reads as 1.0 and 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def json_point(p):
+    """``p``, unless it is a coordinate list holding true or false, which numpy
+    reads as 1.0 and 0.0: ValueError.  (``point_key`` refuses such a state.)"""
+    if isinstance(p, list) and any(isinstance(x, bool) for x in p):
+        raise ValueError(f"coordinates must be numbers, got point {json.dumps(p)}")
+    return p
+
+
+def json_atoms(atoms) -> list:
+    """(point, weight) pairs of a JSON atom list, checked by ``json_point``
+    and ``json_number``."""
+    return [(json_point(a["point"]), json_number(a["weight"], "weight")) for a in atoms]
+
+
 def measure_from_json(space: StateSpace, text: str) -> SignedMeasure:
-    d = json.loads(text)
-    return SignedMeasure.from_atoms(space, [(a["point"], float(a["weight"])) for a in d["atoms"]])
+    return SignedMeasure.from_atoms(space, json_atoms(json.loads(text)["atoms"]))

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -16,6 +18,7 @@ from trotterkit.bl_metric import (
     build_envelope_metric,
     dirac_distance_exact,
 )
+from trotterkit.cli import load_scenario
 from trotterkit.measures import PositiveMeasure, SignedMeasure, StateSpace, linear_combine
 
 
@@ -315,7 +318,7 @@ def all_pairs_prune(dist):
 def full_lp_value(mu, metric):
     """Reference: the norm from one flow LP with a column for every pair the
     all-pairs prune keeps."""
-    _, scale, wts, dist = bl_metric._unit_support(mu, metric)
+    _, scale, wts, (dist, _) = bl_metric._unit_support(mu, metric, {})
     res, _ = bl_metric._flow_lp([(wts, dist, all_pairs_prune(dist))])
     return res.fun * scale
 
@@ -419,6 +422,160 @@ class TestColumnGeneration:
         for mu, value in zip(batch, values):
             assert abs(value - bl_norm_values([mu], space)[0]) <= 1e-12
         assert abs(values[1] - full_lp_value(large, space)) <= 1e-12 * large.tv
+
+
+def loop_flow_pairs(dist):
+    """Reference: the starting pairs with the split test as a loop over the
+    middle point l, one vector test of every candidate pair per l."""
+    k = len(dist)
+    near = np.ones((k, k), dtype=bool)
+    if k > bl_metric.NEAREST + 1:
+        near[:] = False
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :bl_metric.NEAREST + 1]
+        near[np.arange(k)[:, None], nearest] = True
+        near |= near.T
+    np.fill_diagonal(near, False)
+    src, dst = np.nonzero(near)
+    d, kept = dist[src, dst], np.ones(len(src), dtype=bool)
+    for l in range(k):
+        into, out = dist[src, l], dist[l, dst]
+        kept &= ~((into + out <= d) & (np.maximum(into, out) < d))
+    return src[kept], dst[kept]
+
+
+def pruning_cases():
+    """(name, distance matrix) per metric the array test must prune as the
+    loop does: commuting.json's path metric, and random R^3 points and grid
+    graphs (exact triangle equalities) at k = 1, 2, NEAREST + 1, NEAREST + 2,
+    40 and 200."""
+    rng = np.random.default_rng(71)
+    commuting = load_scenario(str(resources.files("trotterkit").joinpath(
+        "scenarios/commuting.json"))).space
+    cases = [("commuting", commuting.dist)]
+    near = bl_metric.NEAREST
+    grids = {1: (1, 1), 2: (1, 2), near + 1: (1, near + 1), near + 2: (1, near + 2),
+             40: (5, 8), 200: (10, 20)}  # 1 x k grids are path graphs
+    for k, shape in grids.items():
+        cases += [(f"generic{k}", random_metric_space(rng, k).dist),
+                  (f"grid{k}", grid_metric(rng, *shape).dist)]
+    return [pytest.param(dist, id=name) for name, dist in cases]
+
+
+def is_row_major(src, dst):
+    return bool(np.all((src[1:] > src[:-1]) | (src[1:] == src[:-1]) & (dst[1:] > dst[:-1])))
+
+
+class TestArrayPruning:
+    @pytest.mark.parametrize("dist", pruning_cases())
+    def test_keeps_the_loops_pairs_bitwise_in_row_major_order(self, dist):
+        src, dst = bl_metric._flow_pairs(dist)
+        ref_src, ref_dst = loop_flow_pairs(dist)
+        assert src.dtype == ref_src.dtype and dst.dtype == ref_dst.dtype
+        assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst)
+        assert is_row_major(src, dst)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 121, bl_metric.PRUNE_CHUNK])
+    def test_pairs_that_span_several_chunks(self, chunk, monkeypatch):
+        rng = np.random.default_rng(72)
+        monkeypatch.setattr(bl_metric, "PRUNE_CHUNK", chunk)
+        for dist in (random_metric_space(rng, 40).dist, grid_metric(rng, 10, 20).dist,
+                     random_metric_space(rng, 200).dist):
+            src, dst = bl_metric._flow_pairs(dist)
+            ref_src, ref_dst = loop_flow_pairs(dist)
+            assert len(ref_src) > max(chunk // len(dist), 1)  # kept pairs alone fill a chunk
+            assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst)
+
+
+def assert_entry_equal(entry, alone):
+    (scale, block), (alone_scale, alone_block) = entry, alone
+    assert scale == alone_scale
+    if block is None:
+        assert alone_block is None
+        return
+    (wts, dist, (src, dst)), (a_wts, a_dist, (a_src, a_dst)) = block, alone_block
+    assert np.array_equal(wts, a_wts) and np.array_equal(dist, a_dist)
+    assert np.array_equal(src, a_src) and np.array_equal(dst, a_dst)
+
+
+class TestSharedSupports:
+    def test_repeated_and_reordered_supports_match_their_own_entries(self):
+        rng = np.random.default_rng(73)
+        space = random_metric_space(rng, 24)
+        forward = SignedMeasure.from_atoms(space, [(0, 0.5), (3, 0.2), (9, -0.7)])
+        scaled = linear_combine([3.0], [forward])  # the same support, in the same order
+        reordered = SignedMeasure.from_atoms(space, [(0, -0.5), (3, -0.2), (9, 0.7)])
+        large = full_support_measure(rng, space, zero_mass=True)
+        batch = [forward, large, scaled, reordered, SignedMeasure.from_atoms(space, []),
+                 large, forward]
+        assert forward.support()[0] == [0, 3, 9] and reordered.support()[0] == [9, 0, 3]
+        entries = bl_metric.norm_blocks(batch, space)
+        for mu, entry in zip(batch, entries):
+            assert_entry_equal(entry, bl_metric.norm_blocks([mu], space)[0])
+        # one distance matrix per support within the call
+        assert entries[0][1][1] is entries[2][1][1] is entries[6][1][1]
+        assert entries[1][1][1] is entries[5][1][1]
+        assert entries[3][1][1] is not entries[0][1][1]
+
+    def test_calls_on_two_spaces_share_nothing(self, path3):
+        flat = StateSpace.finite(np.ones((3, 3)) - np.eye(3))  # no pair is pruned
+        mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (1, -0.5), (2, -0.5)])
+        nu = SignedMeasure.from_atoms(flat, [(0, 1.0), (1, -0.5), (2, -0.5)])
+        assert mu.support()[0] == nu.support()[0]
+        for space, m, kept in ((path3, mu, 4), (flat, nu, 6), (path3, mu, 4)):
+            (_, (_, dist, (src, dst))), = bl_metric.norm_blocks([m], space)
+            assert np.array_equal(dist, space.dist) and len(src) == kept
+            assert np.array_equal(src, bl_metric._flow_pairs(space.dist)[0])
+
+    def test_envelope_values_and_distances_with_and_without_repeats(self, monkeypatch):
+        rng = np.random.default_rng(74)
+        base = random_metric_space(rng, 8)
+        family = [LipschitzWitness(points=tuple(range(8)), values=rng.uniform(-1.0, 1.0, 8),
+                                   sup_bound=1.0, lip_bound=1.0)]
+        metric = build_envelope_metric(base, family)
+        a = full_support_measure(rng, base, zero_mass=True)
+        b = SignedMeasure.from_atoms(base, [(1, 0.4), (5, -0.1), (6, -0.3)])
+        calls = []
+        distance = type(metric).distance
+        monkeypatch.setattr(type(metric), "distance",
+                            lambda self, p, q: calls.append((p, q)) or distance(self, p, q))
+        distinct = bl_norm_values([a, b], metric)
+        assert len(calls) == 28 + 3
+        repeated = bl_norm_values([a, b, a, b, a], metric)
+        assert len(calls) == 2 * (28 + 3)  # repeats compute no distance
+        assert repeated == pytest.approx(distinct * 2 + distinct[:1], abs=1e-12)
+        for mu, entry in zip([a, b, a], bl_metric.norm_blocks([a, b, a], metric)):
+            assert_entry_equal(entry, bl_metric.norm_blocks([mu], metric)[0])
+
+
+class TestPresolveOff:
+    def test_every_solve_runs_without_presolve(self, path3, monkeypatch):
+        options = []
+
+        def recording(*args, **kwargs):
+            options.append(kwargs.get("options"))
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(bl_metric, "linprog", recording)
+        mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (2, -1.0)])
+        bl_dual_norm(mu, path3)
+        bl_norm_values([mu, mu], path3)
+        assert options == [{"presolve": False}] * 2
+
+    def test_witness_attains_the_value_in_the_unit_ball(self, lp_calls):
+        rng = np.random.default_rng(75)
+        space = random_metric_space(rng, 40)
+        sizes = list(range(2, 41, 3)) + [40]
+        assert max(sizes) > bl_metric.NEAREST + 1
+        for k in sizes:
+            chosen = rng.choice(40, k, replace=False).tolist()
+            w = rng.normal(size=k)
+            mu = SignedMeasure.from_atoms(space, list(zip(chosen, (w - w.mean()).tolist())))
+            del lp_calls[:]
+            value, witness = bl_dual_norm(mu, space)
+            # check_feasible at LP_FEAS_TOL, the unit ball and the value attained
+            assert_certificate(mu, space, value, witness, tol=bl_metric.LP_FEAS_TOL)
+            assert abs(value - full_lp_value(mu, space)) <= 1e-12 * mu.tv
+        assert len(lp_calls) >= 2  # the 40-point support took column generation
 
 
 @st.composite

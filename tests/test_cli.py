@@ -70,6 +70,19 @@ class TestScenarioLoading:
          "False is not a state"),
         ("linear_flow", lambda d: d["witnesses"].append({"kind": "coordinate", "index": False}),
          "coordinate index False outside R\\^2"),
+        # nor a weight, a coordinate, a radius or a time horizon
+        ("three_state", lambda d: d["mu0"]["atoms"][0].update(weight=True),
+         "weight must be a number, got true"),
+        ("linear_flow", lambda d: d["mu0"]["atoms"][0].update(weight=False),
+         "weight must be a number, got false"),
+        ("linear_flow", lambda d: d["mu0"]["atoms"][0].update(point=[True, False]),
+         r"coordinates must be numbers, got point \[true, false\]"),
+        ("linear_flow", lambda d: d["witnesses"][2].update(center=[0.5, True]),
+         r"coordinates must be numbers, got point \[0.5, true\]"),
+        ("linear_flow", lambda d: d["witnesses"][2].update(radius=True),
+         "indicator radius must be a number, got true"),
+        ("three_state", lambda d: d["study"].update(t=True),
+         "time horizon t must be a number, got true"),
         ("three_state", lambda d: d["study"].update(schedule={"dyadic": 1}),
          "at least 3 entries"),
         ("three_state", lambda d: d["study"].update(t=-1), "t must be finite and nonnegative"),
@@ -481,6 +494,9 @@ class TestNormCommand:
         ('[{"point": 0, "weight": 1e400}]', "weights must be finite"),
         ('[{"point": 7, "weight": 1.0}]', "7 is not a state"),
         ('[{"point": true, "weight": 1.0}]', "True is not a state"),
+        ('[{"point": 0, "weight": true}]', "weight must be a number, got true"),
+        ('[{"point": 1, "weight": 0.5}, {"point": 0, "weight": false}]',
+         "weight must be a number, got false"),
         ('[{"point": 0}]', "missing key 'weight'"),
         ('[{"point": 0, "weight": 1.0}', "line 1 column"),
         ('5', "not iterable"),
@@ -498,6 +514,15 @@ class TestNormCommand:
         lines = result.output.strip().splitlines()  # one message, no traceback
         assert len(lines) == 1 and re.search(message, lines[0])
         assert lines[0].startswith(f"{a}: ")  # the message names the file
+
+    def test_rejects_boolean_coordinates_with_one_message(self, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text('{"atoms": [{"point": [0.5], "weight": 1.0}]}')
+        b.write_text('{"atoms": [{"point": [true], "weight": 1.0}]}')
+        result = CliRunner().invoke(main, ["norm", "--scenario",
+                                           scenario_path("translation"), str(a), str(b)])
+        _assert_refused(result, b, r"coordinates must be numbers, got point \[true\]")
 
     @pytest.mark.parametrize("far", [1e14, 1e15])
     def test_three_atoms_far_apart(self, tmp_path, far):
