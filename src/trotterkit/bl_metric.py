@@ -180,14 +180,6 @@ class EnvelopeMetric:
     base: StateSpace
     family: tuple = ()
 
-    @property
-    def kind(self):
-        return self.base.kind
-
-    @property
-    def space(self) -> StateSpace:
-        return self.base
-
     def distance(self, p, q) -> float:
         d = self.base.distance(p, q)
         for g in self.family:

@@ -48,7 +48,9 @@ from .measures import (
     PositiveMeasure,
     StateSpace,
     json_atoms,
+    json_integer,
     json_number,
+    json_numbers,
     json_point,
     measure_from_json,
 )
@@ -75,7 +77,6 @@ class ScenarioError(ValueError):
 
 def _schedule(kind: str, n) -> tuple:
     """Iterate counts 1, 2, 4, ..., 2^n ("dyadic") or 1, 2, ..., n ("linear")."""
-    n = int(n)
     return tuple(2 ** j for j in range(n + 1)) if kind == "dyadic" else tuple(range(1, n + 1))
 
 
@@ -158,9 +159,9 @@ def load_scenario(path) -> Scenario:
     try:
         space_spec = doc["space"]
         if space_spec["kind"] == "finite":
-            space = StateSpace.finite(np.asarray(space_spec["dist"], dtype=float))
+            space = StateSpace.finite(json_numbers(space_spec["dist"], "distance matrix entry"))
         elif space_spec["kind"] == "euclidean":
-            space = StateSpace.euclidean(int(space_spec["dim"]))
+            space = StateSpace.euclidean(json_integer(space_spec["dim"], "space dim"))
         else:
             raise ScenarioError(f"{path}: unknown space kind {space_spec['kind']!r}")
         g1 = semigroup_from_json(space, doc["g1"])
@@ -173,7 +174,7 @@ def load_scenario(path) -> Scenario:
         kind = next((k for k in ("dyadic", "linear") if k in sched_spec), None)
         if kind is None:
             raise ScenarioError(f"{path}: schedule needs 'dyadic' or 'linear'")
-        schedule = _schedule(kind, sched_spec[kind])
+        schedule = _schedule(kind, json_integer(sched_spec[kind], f"{kind} schedule count"))
         t = json_number(study["t"], "time horizon t")
         witness_specs = tuple(doc.get("witnesses", []))
         for spec in witness_specs:

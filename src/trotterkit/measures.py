@@ -83,7 +83,7 @@ class StateSpace:
     @staticmethod
     def finite(dist) -> "StateSpace":
         d = np.asarray(dist, dtype=float)
-        return StateSpace(kind="finite", size=d.shape[0], dist=d)
+        return StateSpace(kind="finite", size=d.shape[0] if d.ndim else 0, dist=d)
 
     @staticmethod
     def euclidean(dim: int) -> "StateSpace":
@@ -144,19 +144,17 @@ def _merge_atoms(space: StateSpace, points, weights):
     overflows).
     """
     merged: dict = {}
-    order: list = []
     for p, w in zip(points, weights):
         key = space.point_key(p)
         if key not in merged and space.kind == "euclidean":
-            for existing, q in order:
-                if space.points_equal(p, q):
+            for existing in merged:  # points_equal on the coordinate floats
+                if all(abs(x - y) < COINCIDENCE_TOL for x, y in zip(key, existing)):
                     key = existing
                     break
         if key in merged:
             merged[key] += float(w)
         else:
             merged[key] = float(w)
-            order.append((key, p))
     if space.kind == "finite":
         merged = dict(sorted(merged.items()))
     total = mass(map(abs, merged.values()))
@@ -332,6 +330,20 @@ def json_number(value, what) -> float:
     if isinstance(value, bool):
         raise ValueError(f"{what} must be a number, got {json.dumps(value)}")
     return float(value)
+
+
+def json_numbers(value, what):
+    """``json_number`` on a JSON number, or on each entry of nested lists."""
+    if isinstance(value, list):
+        return [json_numbers(x, what) for x in value]
+    return json_number(value, what)
+
+
+def json_integer(value, what) -> int:
+    """``value`` for a JSON integer; ValueError for true, 3.7 or "4", which int() reads."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def json_point(p):

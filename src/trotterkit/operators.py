@@ -3,21 +3,20 @@
 Four operator kinds share one interface: column-stochastic matrices on a
 finite space, deterministic-map lifts (Dirac pushforwards), kernels that
 send each point to a probability measure, and products of operators
-(``compose``).  Stochastic-matrix steps on positive measures run in
-``_apply_chain``: each run of two or more of them on one space fills one
-stack of dense weight vectors with one product per step, and one vectorised
-prune and TV test over the stack (``_dense_kept_steps``) finds the first
-step that must prune or raise; that step alone, and every single step, runs
-``_dense_step``.  Chains of deterministic maps on R^dim run in
-``_map_chain`` the same way: the flows carry an array form of their map,
-each run of them fills one stack of point arrays with one call per step,
-and one finiteness and coincidence test over the stack (``_kept_steps``)
-finds the first step that must merge atoms or raise; that step alone runs
-``point_map`` point by point and ``from_atoms``.  Every kind of step checks
-TV on the merged mass before the prune.  ``apply_signed`` acts on a signed
-measure through its Jordan pair: ``apply`` on each part, factor by factor,
-then the re-split.  Semigroups are generated by a rate matrix (matrix
-exponential), a linear flow on R^dim, or a named closed-form flow.
+(``compose``).  Maps and kernels act atom by atom in ``_atom_step``, ``P mu
+= sum_i w_i P(delta_{x_i})``.  Stochastic-matrix steps on positive measures
+run in ``_apply_chain``: each run of two or more of them on one space fills
+one stack of dense weight vectors with one product per step, and one
+vectorised prune and TV test over the stack (``_dense_kept_steps``) finds
+the first step that must prune or raise; that step alone, and every single
+step, runs ``_dense_step``.  Chains of deterministic maps on R^dim run in
+``_map_chain`` the same way, on stacks of point arrays with a finiteness and
+coincidence test (``_kept_steps``); the first step that must merge atoms or
+raise, and every step that no stack runs, takes ``_atom_step``.  Every kind
+of step checks TV on the merged mass before the prune.  ``apply_signed``
+acts on a signed measure through its Jordan pair: ``apply`` on each part,
+factor by factor, then the re-split.  Semigroups are generated by a rate
+matrix (matrix exponential), a linear flow on R^dim, or a named flow.
 """
 
 from __future__ import annotations
@@ -36,6 +35,8 @@ from .measures import (
     SignedMeasure,
     SpaceMismatchError,
     StateSpace,
+    json_number,
+    json_numbers,
     linear_combine,
     mass,
     merged_positive,
@@ -156,28 +157,31 @@ def apply(P: MarkovOperatorSpec, mu: PositiveMeasure) -> PositiveMeasure:
     check_input(P, mu)
     if P.kind == "composite":
         return _apply_chain(P.factors[::-1], mu)
-    if P.kind == "stochastic_matrix" or (
-            P.kind == "deterministic_map" and P.space.kind == "euclidean"):
+    if P.kind == "stochastic_matrix":
         return _apply_chain((P,), mu)
+    return _atom_step(P, mu)
+
+
+def _atom_step(P: MarkovOperatorSpec, mu: PositiveMeasure) -> PositiveMeasure:
+    """A map or a kernel on a measure of its space, atom by atom: ``P mu =
+    sum_i w_i P(delta_{x_i})``, merged and pruned by ``merged_positive``,
+    with the TV check on the merged mass before the prune.  A map gets each
+    point (on R^dim as a float array), a kernel returns a unit mass on the
+    operator's space."""
     if P.kind == "deterministic_map":
-        space, atoms = P.space, [(P.point_map(p), w) for p, w in zip(mu.points, mu.weights)]
+        euclidean = P.space.kind == "euclidean"
+        atoms = [(P.point_map(np.asarray(p, dtype=float) if euclidean else p), w)
+                 for p, w in zip(mu.points, mu.weights)]
     else:
-        if not len(mu):
-            return mu
-        parts = []
-        for p in mu.points:
+        atoms = []
+        for p, w in zip(mu.points, mu.weights):
             kp = P.kernel(p)
             if abs(kp.tv - 1.0) > STOCHASTICITY_TOL:
                 raise ValueError(f"kernel at {p!r} has mass {kp.tv}, expected 1")
-            parts.append(kp)
-        # the space check and the weights of linear_combine(mu.weights, parts)
-        space = parts[0].space
-        if any(kp.space is not space and kp.space != space for kp in parts):
-            raise SpaceMismatchError("measures live on different state spaces")
-        atoms = [atom for kp, w in zip(parts, mu.weights) for atom in zip(
-            kp.points, (float(w) * np.asarray(kp.weights, dtype=float)).tolist())]
-    out, total = merged_positive(space, atoms)
-    _check_tv(P, mu.tv, total)  # the merged mass, before the prune, as _dense_step
+            _check_space(P, kp.space)
+            atoms += zip(kp.points, (float(w) * np.asarray(kp.weights, dtype=float)).tolist())
+    out, total = merged_positive(P.space, atoms)
+    _check_tv(P, mu.tv, total)
     return out
 
 
@@ -197,8 +201,8 @@ def _apply_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
     single steps after each failing stack (see the loop).  A one-step run,
     a factor on another space (which ``_dense_step`` refuses) and every
     single ``apply`` take ``_dense_step`` alone.  Deterministic maps on
-    R^dim run on one point array the same way (see ``_map_chain``).  These steps keep
-    the checks and exceptions of ``apply`` and are not counted in
+    R^dim run on one point array the same way (see ``_map_chain``).  These
+    steps keep the checks and exceptions of ``apply`` and are not counted in
     APPLY_COUNT.  Any other chain is one ``apply`` per operator.  The
     callers have run ``check_input`` on ``(ops[0], mu)``.
     """
@@ -279,8 +283,8 @@ def _map_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
     """Push a positive measure on R^dim through the deterministic maps
     ``ops``, first operator first, bit for bit as one ``apply`` per operator.
 
-    The atoms run as one (m, dim) point array and the weight array.  Each
-    maximal run of operators with an ``_array_map`` on this space fills one
+    While the atoms are a point array (``_point_array``), each maximal run
+    of operators with an ``_array_map`` on this space fills one
     (steps + 1, m, dim, 1) stack, one array call per step, under
     ``np.errstate(all="ignore")``.  One test over the stack
     (``_kept_steps``) then finds the first step that ``apply`` would not
@@ -288,25 +292,19 @@ def _map_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
     COINCIDENCE_TOL in every coordinate.  The steps before it move points
     only, and since the weights clear the prune cut, ``apply``'s merge,
     prune and TV check would change nothing there.  The steps from it on are
-    discarded, and the chain goes on from the last kept step with one
-    ``point_map`` step.  An array call that raises ends its run the same way.
+    discarded.  An array call that raises ends its run the same way.
 
-    A ``point_map`` step calls the map once per point, in order, and runs
-    the same test on its one-step stack.  When it fails (a coincidence, a
-    bad image, weights the prune would change, points that are not an
-    (m, dim) array), the step runs ``from_atoms`` and the TV check as
-    ``apply`` does, so it merges, prunes, warns and raises as ``apply``.
+    Every other step (the first refused step of a run, a map without an
+    ``_array_map``, atoms that are no point array) is ``_check_space`` and
+    ``_atom_step``, so it merges, prunes, warns and raises as ``apply``.
     """
-    space, points, weights = mu.space, mu.points, mu.weights
-    X = _point_array(points, weights, space.dim)
-    out = None  # the result when the last step ran from_atoms
     i = 0
     while i < len(ops):
-        end = i
+        X, end = _point_array(mu), i
         if X is not None:
             limit = min(len(ops), i + max(1, _STACK_SIZE // X.size))
             while end < limit and ops[end]._array_map is not None and (
-                    ops[end].space is space or ops[end].space == space):
+                    ops[end].space is mu.space or ops[end].space == mu.space):
                 end += 1
         if end > i:
             S = np.empty((end - i + 1,) + X.shape + (1,))
@@ -320,53 +318,33 @@ def _map_chain(ops, mu: PositiveMeasure) -> PositiveMeasure:
                         break
             kept = _kept_steps(S[1:, ..., 0])
             if kept:
-                X, out, space = S[kept, ..., 0], None, ops[i + kept - 1].space
+                mu = PositiveMeasure(space=ops[i + kept - 1].space,
+                                     points=tuple(map(tuple, S[kept, ..., 0].tolist())),
+                                     weights=mu.weights.copy())
                 i += kept
             if i == end:
                 continue
-        P = ops[i]
+        _check_space(ops[i], mu.space)
+        mu = _atom_step(ops[i], mu)
         i += 1
-        _check_space(P, space)
-        space = P.space
-        if X is None:
-            moved = [(P.point_map(np.asarray(p, dtype=float)), w)
-                     for p, w in zip(points, weights)]
-        else:
-            images = [P.point_map(x) for x in X]
-            try:
-                Y = np.array(images, dtype=float)
-            except (TypeError, ValueError):  # ragged images make no array
-                Y = None
-            if Y is not None and Y.shape == X.shape and _kept_steps(Y[None]):
-                X, out = Y, None
-                continue
-            moved = list(zip(images, weights))
-        out, total = merged_positive(space, moved)
-        _check_tv(P, mass(weights.tolist()), total)
-        points, weights = out.points, out.weights
-        X = _point_array(points, weights, space.dim)
-    if out is not None:
-        return out
-    return PositiveMeasure(space=space, points=tuple(map(tuple, X.tolist())),
-                           weights=weights.copy())
+    return mu
 
 
-def _point_array(points, weights, dim: int):
-    """The points as an (m, dim) float array, when a step without a
-    coincidence leaves these atoms as they are: m >= 1 float weights, all
+def _point_array(mu: PositiveMeasure):
+    """The points of ``mu`` as an (m, dim) float array, when a step without
+    a coincidence leaves its atoms as they are: m >= 1 float weights, all
     above the prune cut (``prune_dense``'s test).  None otherwise."""
-    m = len(points)
-    if not (m and isinstance(weights, np.ndarray) and weights.dtype == float
-            and weights.shape == (m,)):
+    m, weights = len(mu), mu.weights  # an ndarray: check_input compared it
+    if not (m and weights.dtype == float and weights.shape == (m,)):
         return None
     listed = weights.tolist()
     if not min(listed) > PRUNE_REL_TOL * mass(listed):
         return None
     try:
-        X = np.array(points, dtype=float)
+        X = np.array(mu.points, dtype=float)
     except (TypeError, ValueError):
         return None
-    return X if X.shape == (m, dim) else None
+    return X if X.shape == (m, mu.space.dim) else None
 
 
 def _kept_steps(Y) -> int:
@@ -597,9 +575,12 @@ def semigroup_from_json(space: StateSpace, spec: dict) -> SemigroupSpec:
     if aux and aux not in ("one", "euclidean_norm"):
         raise ValueError(f"unknown auxiliaryNormWeight {aux!r}")
     if kind == "matrix_exponential":
-        return SemigroupSpec.matrix_exponential(space, np.asarray(spec["Q"], dtype=float))
+        return SemigroupSpec.matrix_exponential(space, json_numbers(spec["Q"], "generator entry"))
     if kind == "linear_flow_lift":
-        return SemigroupSpec.linear_flow_lift(space, np.asarray(spec["A"], dtype=float))
+        return SemigroupSpec.linear_flow_lift(space, json_numbers(spec["A"], "flow matrix entry"))
     if kind == "map_flow":
-        return SemigroupSpec.map_flow(space, spec["map"], spec.get("params"))
+        params = dict(spec.get("params") or {})
+        json_numbers(params.get("velocity", 1.0), "flow velocity")
+        json_number(params.get("rate", 1.0), "flow rate")
+        return SemigroupSpec.map_flow(space, spec["map"], params)
     raise ValueError(f"unknown semigroup kind {kind!r}")

@@ -675,7 +675,7 @@ class TestBatchedNorms:
     @given(data=st.data())
     def test_each_value_matches_its_own_solve(self, lp_calls, data):
         metric, points = data.draw(batch_metrics())
-        space = getattr(metric, "space", metric)
+        space = getattr(metric, "base", metric)
         batch = data.draw(st.lists(batch_measures(space, points), min_size=1, max_size=6))
         del lp_calls[:]
         values = bl_norm_values(batch, metric)

@@ -85,6 +85,36 @@ class TestScenarioLoading:
          "time horizon t must be a number, got true"),
         ("three_state", lambda d: d["study"].update(schedule={"dyadic": 1}),
          "at least 3 entries"),
+        # nor an entry of a distance, generator or flow matrix, a velocity
+        # (or one of its coordinates) or a rate
+        ("three_state", lambda d: d["space"]["dist"][0].__setitem__(1, True),
+         "distance matrix entry must be a number, got true"),
+        ("three_state", lambda d: d["g1"]["Q"][0].__setitem__(1, True),
+         "generator entry must be a number, got true"),
+        ("linear_flow", lambda d: d["g2"]["A"][1].__setitem__(0, False),
+         "flow matrix entry must be a number, got false"),
+        ("translation", lambda d: d["g1"]["params"].update(velocity=[True]),
+         "flow velocity must be a number, got true"),
+        ("translation", lambda d: d["g2"]["params"].update(velocity=True),
+         "flow velocity must be a number, got true"),
+        ("translation", lambda d: d.update(g1={"kind": "map_flow", "map": "contraction",
+                                               "params": {"rate": True}}),
+         "flow rate must be a number, got true"),
+        # the dimension and the schedule counts are JSON integers
+        ("translation", lambda d: d["space"].update(dim=True),
+         "space dim must be an integer, got true"),
+        ("linear_flow", lambda d: d["space"].update(dim=2.0),
+         "space dim must be an integer, got 2.0"),
+        ("three_state", lambda d: d["study"].update(schedule={"dyadic": True}),
+         "dyadic schedule count must be an integer, got true"),
+        ("three_state", lambda d: d["study"].update(schedule={"dyadic": 3.7}),
+         "dyadic schedule count must be an integer, got 3.7"),
+        ("three_state", lambda d: d["study"].update(schedule={"dyadic": "4"}),
+         'dyadic schedule count must be an integer, got "4"'),
+        ("three_state", lambda d: d["study"].update(schedule={"linear": 4.0}),
+         "linear schedule count must be an integer, got 4.0"),
+        ("three_state", lambda d: d["space"].update(dist=5),
+         r"distance matrix shape \(\) does not match size 0"),
         ("three_state", lambda d: d["study"].update(t=-1), "t must be finite and nonnegative"),
         ("three_state", lambda d: d["mu0"]["atoms"][0].update(weight=float("nan")),
          "weights must be finite"),

@@ -452,6 +452,31 @@ def test_map_product_matches_per_factor_loop(case):
             == _map_outcome(_atom_path_map_apply, factors[0], mu))
 
 
+def test_single_map_apply_builds_no_stack(monkeypatch):
+    """One Euclidean map ``apply`` is one atom step: it never enters the
+    chain runner, and it gives the atom path's bits, merges included."""
+    def no_stack(ops, mu):
+        raise AssertionError("a single apply ran the point-array chain")
+
+    monkeypatch.setattr(ops_module, "_map_chain", no_stack)
+    plane = StateSpace.euclidean(2)
+    cloud = PositiveMeasure.from_atoms(
+        plane, [([0.3, -1.2], 0.5), ([2.0, 0.1], 0.25), ([-0.7, 0.4], 0.25)])
+    maps = [at_time(SemigroupSpec.linear_flow_lift(plane, [[-0.2, 1.0], [-1.0, -0.2]]), 0.9),
+            at_time(SemigroupSpec.map_flow(plane, "rotation", {"rate": 0.7}), 0.4),
+            at_time(SemigroupSpec.map_flow(plane, "translation", {"velocity": [1.0, -1.0]}),
+                    0.25),
+            # e^-200 brings the three images within the coincidence tolerance
+            at_time(SemigroupSpec.map_flow(plane, "contraction", {"rate": 200.0}), 1.0),
+            MarkovOperatorSpec.identity(plane),
+            MarkovOperatorSpec(kind="deterministic_map", space=plane, point_map=_snap(0.0))]
+    for P in maps:
+        for mu in (cloud, PositiveMeasure(space=plane)):
+            outcome = _map_outcome(apply, P, mu)
+            assert outcome[0] == "ok" and outcome == _map_outcome(_atom_path_map_apply, P, mu)
+    assert _map_outcome(apply, maps[3], cloud)[2] == 1
+
+
 @pytest.mark.parametrize("delta, atoms", list(zip(_SNAP_DELTAS, [1, 1, 1, 2, 2, 2])))
 def test_images_at_the_tolerance(delta, atoms):
     """Snapped to 0 from either side, the images are 2 * delta apart: at

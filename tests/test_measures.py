@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from trotterkit.measures import (
     COINCIDENCE_TOL,
+    PRUNE_REL_TOL,
     InvalidMetricError,
     PositiveMeasure,
     SignedMeasure,
@@ -157,6 +158,24 @@ class TestPositiveMeasure:
             mu = PositiveMeasure.from_atoms(s, [([1e308, 1e308], 0.5), ([-1e308, 1e308], 0.5)])
         assert mu.points == ((1e308, 1e308), (-1e308, 1e308))
 
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_euclidean_merge_matches_points_equal_loop(self, data):
+        """The merge compares coordinate floats as ``points_equal`` compares
+        the points: chains within the tolerance, points exactly the
+        tolerance apart, signed zeros and overflowing differences."""
+        dim = data.draw(st.integers(1, 2))
+        space = StateSpace.euclidean(dim)
+        pool = [[x] * dim for x in (0.0, -0.0, 0.6 * COINCIDENCE_TOL, 1.2 * COINCIDENCE_TOL,
+                                    COINCIDENCE_TOL, 1.0, 1.0 + 0.6 * COINCIDENCE_TOL,
+                                    1e308, -1e308)]
+        idx = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))
+        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(idx), max_size=len(idx)))
+        points = [pool[i] for i in idx]
+        keys, w, total = _merge_atoms(space, points, weights)
+        ref = merge_with_points_equal(space, points, weights)
+        assert repr((keys, w, total)) == repr(ref)  # repr tells -0.0 from 0.0
+
     def test_weight_vector_round_trip(self, path3):
         mu = PositiveMeasure.from_atoms(path3, [(0, 0.5), (2, 0.5)])
         v = mu.weight_vector()
@@ -229,6 +248,22 @@ class TestSignedMeasure:
             assert repr(part.points) == repr(ref.points)  # repr tells -0.0 from 0.0
             assert (part.weights.dtype, part.weights.tobytes()) == (
                 ref.weights.dtype, ref.weights.tobytes())
+
+
+def merge_with_points_equal(space, points, weights):
+    """Reference: ``_merge_atoms`` on R^dim as a loop that compares each new
+    point with the first point of every atom so far by ``points_equal``."""
+    merged, order = {}, []
+    for p, w in zip(points, weights):
+        key = space.point_key(p)
+        if key not in merged:
+            key = next((k for k, q in order if space.points_equal(p, q)), key)
+        if key not in merged:
+            order.append((key, p))
+        merged[key] = merged[key] + float(w) if key in merged else float(w)
+    total = mass(map(abs, merged.values()))
+    kept = [(k, x) for k, x in merged.items() if abs(x) > PRUNE_REL_TOL * total and x != 0.0]
+    return [k for k, _ in kept], [x for _, x in kept], total
 
 
 def merge_twice(space, points, weights):

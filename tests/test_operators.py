@@ -68,6 +68,21 @@ class TestOperators:
         out = apply(P, PositiveMeasure.dirac(path3, 2))
         assert out.tv == pytest.approx(1.0, abs=1e-12)
 
+    def test_kernel_on_an_empty_measure(self, path3):
+        def never(p):
+            raise AssertionError("the kernel has no atom to act on")
+
+        out = apply(MarkovOperatorSpec(kind="kernel", space=path3, kernel=never),
+                    PositiveMeasure(space=path3))
+        assert (out.space, out.points, out.weights.tolist()) == (path3, (), [])
+
+    def test_kernel_images_live_on_the_operator_space(self, path3):
+        foreign = StateSpace.finite(2.0 * path3.dist)
+        P = MarkovOperatorSpec(kind="kernel", space=path3,
+                               kernel=lambda p: PositiveMeasure.dirac(foreign, p))
+        with pytest.raises(SpaceMismatchError):
+            apply(P, PositiveMeasure.dirac(path3, 1))
+
     def test_apply_signed_jordan_route(self, path3):
         P = MarkovOperatorSpec.identity(path3)
         mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (1, -0.5)])
