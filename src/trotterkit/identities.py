@@ -11,18 +11,21 @@ commutator or of a block gap, then the product after them), or the sum of
 such terms in order.  Consecutive products of a term fuse into one operator
 list (``inner`` and then ``[Pa, Pb]`` is ``[Pa, Pb] + inner``), which gives
 the same bits.  Measures list their atoms as ``measures`` builds them: in
-state order on a finite space, in order of first appearance on R^dim.  On a
-finite space ``_check`` runs the whole test panel as one ``_Panel``: signed
-measures as rows of two dense weight arrays over the states, with the terms
-of all its sides at once.  The products ``a`` and ``b`` of every term
+state order on a finite space, in order of first appearance on R^dim.
+
+A check runs on one ``_Panel`` or wholly per measure.  The panel holds the
+test measures as rows of two dense weight arrays over the states and runs
+the terms of all sides at once.  The products ``a`` and ``b`` of every term
 run in one ``_Panel.chain`` call, on term-major blocks of rows, with one
 stacked product per step for every term still running; their differences
 run in one ``_Panel.combine``, the products ``outer`` in a second ``chain``
 call, and each sum in one combine.  Each row is bitwise what
 ``apply_signed``, factor by factor, and ``linear_combine`` give for its
-measure.  Anywhere else (linear-flow lifts on R^dim, measures a panel does
-not hold) the same terms run per measure, through ``apply_signed`` and
-``linear_combine``.
+measure.  Where the panel cannot give those bits (a space that is not
+finite, a measure it does not hold, a factor that is not a stochastic
+matrix on its space, a row that fails a check) it raises ``_Refused``, and
+``_check`` evaluates every side on one test measure at a time with
+``_value``, which raises where ``apply_signed`` and ``linear_combine`` do.
 """
 
 from __future__ import annotations
@@ -69,47 +72,53 @@ class _Gap(NamedTuple):
     b: list
 
 
+class _Refused(Exception):
+    """The panel cannot give a check's per-measure bits."""
+
+
 def _check(name, g1, test_measures, pairs) -> IdentityCheckResult:
     """Worst BL distance over the (lhs, rhs) ``pairs`` of sides, for each
     signed test measure (per test measure, then per pair), from one batched
-    solve.  Each side is evaluated once; on a finite space, on the panel."""
+    solve.  Each side is evaluated once: on the panel, or, if it refuses,
+    on each test measure."""
     if not test_measures:
         raise ValueError(f"{name}: need at least one test measure")
     tests = [mu.as_signed() if isinstance(mu, PositiveMeasure) else mu for mu in test_measures]
     sides = list({id(side): side for pair in pairs for side in pair}.values())
     slot = {id(side): i for i, side in enumerate(sides)}
-    panel = _panel(tests, g1.space)
-    if panel is None:
-        rows = [[value[0] for value in _evaluate([mu], sides)] for mu in tests]
-    else:
-        rows = list(zip(*(value.measures() for value in _evaluate(panel, sides))))
+    try:
+        rows = list(zip(*(value.measures() for value in _evaluate(_panel(tests, g1.space), sides))))
+    except _Refused:
+        rows = [[_value(side, mu) for side in sides] for mu in tests]
     measured = [(row[slot[id(lhs)]], row[slot[id(rhs)]]) for row in rows for lhs, rhs in pairs]
     deviation = max([0.0] + bl_distances(measured, measured[0][0].space))
     tolerance = MATRIX_TOL if g1.kind == "matrix_exponential" else LIFT_TOL
     return IdentityCheckResult(name, deviation, len(test_measures), tolerance)
 
 
-def _evaluate(mu, sides) -> list:
-    """The value of each side (a ``_Gap``, or a list of them to add) on mu:
-    a panel of test measures, or a list of one signed measure."""
-    rows = mu.w.shape[1] if isinstance(mu, _Panel) else len(mu)
+def _evaluate(panel, sides) -> list:
+    """The value of each side (a ``_Gap``, or a list of them to add) on the
+    rows of a panel, as a panel."""
+    rows = panel.w.shape[1]
     gaps = [gap for side in sides for gap in (side if isinstance(side, list) else [side])]
     cut = len(gaps) * rows
-    products = _chains(_repeat(mu, 2 * len(gaps)), [g.a for g in gaps] + [g.b for g in gaps])
-    cores = _combine([1.0, -1.0], [_rows(products, 0, cut), _rows(products, cut, 2 * cut)])
-    done = _chains(cores, [g.outer for g in gaps])
-    blocks = iter([_rows(done, start, start + rows) for start in range(0, cut, rows)])
-    return [_sum([next(blocks) for _ in side], mu) if isinstance(side, list) else next(blocks)
-            for side in sides]
+    products = _Panel(panel.space, np.tile(panel.w, (1, 2 * len(gaps), 1))).chain(
+        [g.a for g in gaps] + [g.b for g in gaps])
+    cores = _Panel.combine([1.0, -1.0], [products.rows(0, cut), products.rows(cut, 2 * cut)])
+    done = cores.chain([g.outer for g in gaps])
+    blocks = iter([done.rows(start, start + rows) for start in range(0, cut, rows)])
+    # a sum of no terms is the zero measure on the panel's space
+    return [_Panel.combine([1.0] * len(side) or [0.0], [next(blocks) for _ in side] or [panel])
+            if isinstance(side, list) else next(blocks) for side in sides]
 
 
-def _chains(stack, terms):
-    """The product of ``terms[t]`` in written order (the last acts first) on
-    the t-th block of rows of a panel, or on the t-th of a list of signed
-    measures."""
-    if isinstance(stack, _Panel):
-        return stack.chain(terms)
-    return [_signed_product(ops, mu) for mu, ops in zip(stack, terms)]
+def _value(side, mu):
+    """The value of a side on one signed measure, as ``_evaluate`` gives it
+    on a panel row."""
+    if isinstance(side, list):
+        return linear_combine([1.0] * len(side) or [0.0], [_value(gap, mu) for gap in side] or [mu])
+    core = linear_combine([1.0, -1.0], [_signed_product(side.a, mu), _signed_product(side.b, mu)])
+    return _signed_product(side.outer, core)
 
 
 def _signed_product(ops, mu):
@@ -118,32 +127,6 @@ def _signed_product(ops, mu):
     for P in reversed(ops):
         mu = apply_signed(P, mu)
     return mu
-
-
-def _combine(coeffs, stacks):
-    """``linear_combine`` row by row, of panels or of lists of signed measures."""
-    if isinstance(stacks[0], _Panel):
-        return _Panel.combine(coeffs, stacks)
-    return [linear_combine(coeffs, list(row)) for row in zip(*stacks)]
-
-
-def _rows(stack, start, stop):
-    """Rows ``start:stop`` of a panel, or of a list of signed measures."""
-    if isinstance(stack, _Panel):
-        return _Panel(stack.space, stack.w[:, start:stop])
-    return stack[start:stop]
-
-
-def _repeat(mu, count):
-    """``count`` copies of the rows of a panel, or of a list, one after another."""
-    if isinstance(mu, _Panel):
-        return _Panel(mu.space, np.tile(mu.w, (1, count, 1)))
-    return mu * count
-
-
-def _sum(terms, mu):
-    """The terms added in list order; the zero measure on mu's space if none."""
-    return _combine([1.0] * len(terms), terms) if terms else _combine([0.0], [mu])
 
 
 def _integers(**indices) -> None:
@@ -364,6 +347,10 @@ class _Panel(NamedTuple):
             out.append(SignedMeasure(*parts))
         return out
 
+    def rows(self, start, stop) -> "_Panel":
+        """Rows ``start:stop``."""
+        return _Panel(self.space, self.w[:, start:stop])
+
     def chain(self, terms) -> "_Panel":
         """The product of ``terms[t]`` in written order (the last acts
         first) on the t-th of ``len(terms)`` equal blocks of rows, for every
@@ -385,12 +372,9 @@ class _Panel(NamedTuple):
         nothing).  The re-split takes the merged weights, cuts at their
         left-to-right mass, with no cut per part (see ``jordan_parts``), and
         splits them by sign; a row with one empty part comes out of it
-        unchanged, so every row takes it.  A group with a row that fails a
-        check (a factor that is not a stochastic matrix on this space, a
-        negative or non-finite weight, TV not preserved) stops; once every
-        group has run, the terms of the failed groups run one at a time, in
-        term order, through ``apply_signed``, which raises as it does, for
-        the first failing term and measure.
+        unchanged, so every row takes it.  A factor that is not a stochastic
+        matrix on this space, or a row that fails a check (a negative or
+        non-finite weight, TV not preserved), raises ``_Refused``.
         """
         count = len(terms)
         if not count:
@@ -400,23 +384,15 @@ class _Panel(NamedTuple):
         order = sorted(range(count), key=lambda t: -len(terms[t]))
         group = max(1, operators._STACK_SIZE // max(2 * rows * size, size * size, 1))
         out = np.empty_like(w)
-        failed = []
         for start in range(0, count, group):
             members = order[start:start + group]
-            done = self._steps(w[:, members], [terms[t] for t in members])
-            if done is None:
-                failed += members
-            else:
-                out[:, members] = done
-        for t in sorted(failed):
-            out[:, t] = _per_row(lambda mu, ops=terms[t]: _signed_product(ops, mu),
-                                 [_Panel(self.space, w[:, t])]).w
+            out[:, members] = self._steps(w[:, members], [terms[t] for t in members])
         return _Panel(self.space, out.reshape(self.w.shape))
 
     def _steps(self, w, terms):
         """One group of ``chain``: the weights (2, n, rows, S) of its n
         terms' blocks, the terms longest first.  Returns them after every
-        step, or None when a row fails a check."""
+        step."""
         _, n, rows, size = w.shape
         w = w.reshape(2, n * rows, size)
         tv = np.add.accumulate(w, axis=-1)[..., -1]  # each part's mass
@@ -429,7 +405,7 @@ class _Panel(NamedTuple):
                 P = ops[step]
                 if P.kind != "stochastic_matrix" or (P.space is not self.space
                                                      and P.space != self.space):
-                    return None
+                    raise _Refused
                 matrices.append(P.matrix)
             m = len(running) * rows
             out = np.matmul(np.stack(matrices)[:, None],
@@ -441,7 +417,7 @@ class _Panel(NamedTuple):
             if not (np.minimum.reduce(out, None) >= 0.0 and np.maximum.reduce(cut, None) < np.inf
                     and (np.abs(total - before)
                          <= TV_PRESERVATION_TOL * np.maximum(1.0, before)).all()):
-                return None
+                raise _Refused
             out = np.where(out > cut, out, 0.0)
             x = _SIGNS * (out[0] - out[1])  # the merged weights, and their negatives
             cut = PRUNE_REL_TOL * np.add.accumulate(np.abs(x[0]), axis=-1)[:, -1:]
@@ -455,8 +431,8 @@ class _Panel(NamedTuple):
 
         The weights are added in measure order (an absent atom adds an exact
         0.0), and the total, the cut and the Jordan split are taken in state
-        order.  A non-finite total sends the rows through ``linear_combine``,
-        which raises.  The panels of one check share the space that
+        order.  A non-finite total, on which ``linear_combine`` raises,
+        raises ``_Refused``.  The panels of one check share the space that
         ``_panel`` and each factor of ``chain`` are checked against.
         """
         with np.errstate(over="ignore"):  # an overflow fails the test below
@@ -465,42 +441,35 @@ class _Panel(NamedTuple):
                 x = x + float(c) * (p.w[0] - p.w[1])
             total = np.add.accumulate(np.abs(x), axis=-1)[:, -1:]
         if not np.isfinite(total).all():
-            return _per_row(lambda *mus: linear_combine(coeffs, mus), panels)
+            raise _Refused
         x = _SIGNS * np.where(np.abs(x) > PRUNE_REL_TOL * total, x, 0.0)
         return _Panel(panels[0].space, np.maximum(x, 0.0))
 
 
 def _panel(measures, space: StateSpace):
-    """The signed measures as one panel on ``space``, or None when it does
-    not hold them exactly: a space that is not finite, a part on another
+    """The signed measures as one panel on ``space``; ``_Refused`` when it
+    does not hold them exactly: a space that is not finite, a part on another
     space, atoms that are not distinct states (in both parts together) in
-    state order within each part, with finite positive weights.  Those run
-    per measure, which raises where it raises.  Only a hand-built
-    ``PositiveMeasure`` lists its states out of order."""
+    state order within each part, with finite positive weights.  Only a
+    hand-built ``PositiveMeasure`` lists its states out of order."""
     if space.kind != "finite":
-        return None
+        raise _Refused
     w = np.zeros((2, len(measures), space.size))
     for r, mu in enumerate(measures):
         parts = (mu.pos, mu.neg)
         if any(part.space is not space and part.space != space for part in parts):
-            return None
+            raise _Refused
         try:
             pos_states, neg_states = ([space.point_key(p) for p in part.points] for part in parts)
         except ValueError:
-            return None
+            raise _Refused
         if len(set(pos_states + neg_states)) < len(pos_states) + len(neg_states):
-            return None
+            raise _Refused
         for part, states, dense in zip(parts, (pos_states, neg_states), w[:, r]):
             x = np.asarray(part.weights, dtype=float)
             if (x.shape != (len(states),) or states != sorted(states)
                     or not (np.isfinite(x) & (x > 0.0)).all()):
-                return None
+                raise _Refused
             dense[states] = x
     return _Panel(space, w)
 
-
-def _per_row(fn, panels) -> _Panel:
-    """``fn`` on each row's measures, one row at a time: the path of a
-    panel that fails a check, so that it raises as the per-measure path does."""
-    return _panel([fn(*row) for row in zip(*(p.measures() for p in panels))],
-                  panels[0].space)

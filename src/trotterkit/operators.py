@@ -125,7 +125,7 @@ def compose(*ops: MarkovOperatorSpec) -> MarkovOperatorSpec:
 
 
 def _flow_operator(space: StateSpace, point_map, array_map) -> MarkovOperatorSpec:
-    """A deterministic map on R^dim; ``array_map`` None takes single points only."""
+    """A deterministic map on R^dim with its ``_array_map``."""
     P = MarkovOperatorSpec(kind="deterministic_map", space=space, point_map=point_map)
     object.__setattr__(P, "_array_map", array_map)
     return P
@@ -453,13 +453,11 @@ class SemigroupSpec:
     space: StateSpace
     Q: np.ndarray | None = None
     A: np.ndarray | None = None
-    flow: object = None
+    flow: object = field(default=None, init=False)  # set from _NAMED_FLOWS
     flow_name: str = ""
     flow_params: dict = field(default_factory=dict)
     _operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _iterates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # a named flow takes an array of points as it takes one point
-    _named: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "matrix_exponential":
@@ -482,25 +480,23 @@ class SemigroupSpec:
                 raise ValueError("flow matrix has non-finite entries")
             object.__setattr__(self, "A", a)
         elif self.kind == "map_flow":
-            if self.flow is None:
-                if self.flow_name not in _NAMED_FLOWS:
-                    raise ValueError(f"unknown flow {self.flow_name!r}")
-                if self.space.kind != "euclidean":  # named flows move coordinates
-                    raise ValueError(f"{self.flow_name} flow needs a Euclidean space, "
-                                     f"not a {self.space.kind} one")
-                dim = self.space.dim
-                velocity = np.asarray(self.flow_params.get("velocity", [1.0]), dtype=float)
-                if (self.flow_name == "rotation" and dim < 2) or (
-                        self.flow_name == "translation"
-                        and velocity.shape not in ((), (1,), (dim,))):
-                    raise ValueError(f"{self.flow_name} flow {self.flow_params} does not fit "
-                                     f"a space of dim {dim}")
-                if not (np.isfinite(velocity).all()
-                        and math.isfinite(self.flow_params.get("rate", 1.0))):
-                    raise ValueError(f"{self.flow_name} flow {self.flow_params} has a "
-                                     "non-finite velocity or rate")
-                object.__setattr__(self, "flow", _NAMED_FLOWS[self.flow_name](self.flow_params))
-                object.__setattr__(self, "_named", True)
+            if self.flow_name not in _NAMED_FLOWS:
+                raise ValueError(f"unknown flow {self.flow_name!r}")
+            if self.space.kind != "euclidean":  # named flows move coordinates
+                raise ValueError(f"{self.flow_name} flow needs a Euclidean space, "
+                                 f"not a {self.space.kind} one")
+            dim = self.space.dim
+            velocity = np.asarray(self.flow_params.get("velocity", [1.0]), dtype=float)
+            if (self.flow_name == "rotation" and dim < 2) or (
+                    self.flow_name == "translation"
+                    and velocity.shape not in ((), (1,), (dim,))):
+                raise ValueError(f"{self.flow_name} flow {self.flow_params} does not fit "
+                                 f"a space of dim {dim}")
+            if not (np.isfinite(velocity).all()
+                    and math.isfinite(self.flow_params.get("rate", 1.0))):
+                raise ValueError(f"{self.flow_name} flow {self.flow_params} has a "
+                                 "non-finite velocity or rate")
+            object.__setattr__(self, "flow", _NAMED_FLOWS[self.flow_name](self.flow_params))
         else:
             raise ValueError(f"unknown semigroup kind {self.kind!r}")
 
@@ -558,11 +554,9 @@ def _operator_at(G: SemigroupSpec, t: float) -> MarkovOperatorSpec:
         # NumPy runs the stacked product as one gemv per point, the call E @ x
         return _flow_operator(G.space, lambda x, _E=Et: _E @ np.asarray(x, dtype=float),
                               lambda src, dst, _E=Et: np.matmul(_E, src, out=dst))
-    flow = G.flow
-    return _flow_operator(
-        G.space, lambda x, _t=t: flow(_t, np.asarray(x, dtype=float)),
-        (lambda src, dst, _t=t: np.copyto(dst[..., 0], flow(_t, src[..., 0])))
-        if G._named else None)  # a given flow may take single points only
+    flow = G.flow  # a named flow takes an array of points as it takes one point
+    return _flow_operator(G.space, lambda x, _t=t: flow(_t, np.asarray(x, dtype=float)),
+                          lambda src, dst, _t=t: np.copyto(dst[..., 0], flow(_t, src[..., 0])))
 
 
 def semigroup_from_json(space: StateSpace, spec: dict) -> SemigroupSpec:

@@ -10,7 +10,9 @@ from click.testing import CliRunner
 from trotterkit import bl_metric
 from trotterkit.bl_metric import bl_distances
 from trotterkit.cli import (
+    MAX_SCHEDULE_BLOCKS,
     ScenarioError,
+    _schedule,
     build_witnesses,
     load_scenario,
     main,
@@ -85,6 +87,8 @@ class TestScenarioLoading:
          "time horizon t must be a number, got true"),
         ("three_state", lambda d: d["study"].update(schedule={"dyadic": 1}),
          "at least 3 entries"),
+        ("three_state", lambda d: d["study"].update(schedule={"dyadic": 2000}),
+         "a dyadic schedule count of 2000 asks for more than 2097152 Trotter blocks"),
         # nor an entry of a distance, generator or flow matrix, a velocity
         # (or one of its coordinates) or a rate
         ("three_state", lambda d: d["space"]["dist"][0].__setitem__(1, True),
@@ -193,6 +197,8 @@ class TestScenarioLoading:
     @pytest.mark.parametrize("override, message", [
         (["--dyadic", "1"], "at least 3 entries"),
         (["--linear", "2"], "at least 3 entries"),
+        (["--dyadic", "2000"], "a dyadic schedule count of 2000 asks for more than 2097152"),
+        (["--linear", "2048"], "a linear schedule count of 2048 asks for more than 2097152"),
         (["--t", "-1"], "t must be finite and nonnegative, got -1.0"),
         (["--t", "0"], "study needs a time horizon t > 0"),
         (["--t", "5e-324"], r"study needs t / 2\^12 > 0, got t = 5e-324"),
@@ -228,6 +234,16 @@ class TestScenarioLoading:
         path = tmp_path / "aux.json"
         path.write_text(json.dumps(doc))
         assert load_scenario(str(path)).g1.kind == "matrix_exponential"
+
+    def test_schedule_counts_up_to_the_block_bound(self):
+        """2^21 - 1 blocks for "dyadic": 20 and 2047 * 2048 / 2 for "linear":
+        2047 are within MAX_SCHEDULE_BLOCKS = 2^21; one more count is not."""
+        assert MAX_SCHEDULE_BLOCKS == 2 ** 21
+        assert _schedule("s.json", "dyadic", 20)[-1] == 2 ** 20
+        assert _schedule("s.json", "linear", 2047)[-1] == 2047
+        for kind, n in (("dyadic", 21), ("linear", 2048), ("dyadic", 10 ** 18)):
+            with pytest.raises(ScenarioError, match=f"^s.json: a {kind} schedule count of {n} "):
+                _schedule("s.json", kind, n)
 
     def test_with_overrides_checks_again_and_keeps_the_original(self):
         scn = load_scenario(scenario_path("three_state"))

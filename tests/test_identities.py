@@ -173,6 +173,10 @@ def test_finite_checks_run_as_panels(setup, monkeypatch):
     assert check_swap_identity(g1, g2, 0.4, 3, panel).passed
 
 
+def _refuse(*args):
+    raise identities._Refused
+
+
 def test_a_part_out_of_state_order_runs_per_measure(setup, monkeypatch):
     """Only a hand-built part lists its states out of order.  A panel does
     not hold it, so the check runs per measure, through apply_signed; a
@@ -180,8 +184,9 @@ def test_a_part_out_of_state_order_runs_per_measure(setup, monkeypatch):
     space, g1, g2, panel = setup
     mu = panel[-1]  # atoms on every state
     shuffled = PositiveMeasure(space, mu.points[::-1], mu.weights[::-1])
-    assert identities._panel([mu.as_signed()], space) is not None
-    assert identities._panel([mu.as_signed(), shuffled.as_signed()], space) is None
+    identities._panel([mu.as_signed()], space)
+    with pytest.raises(identities._Refused):
+        identities._panel([mu.as_signed(), shuffled.as_signed()], space)
     calls = []
 
     def counting(P, nu):
@@ -193,9 +198,52 @@ def test_a_part_out_of_state_order_runs_per_measure(setup, monkeypatch):
     assert not calls
     mixed = check_lemma_a(g1, g2, 0.8, 6, 4, [mu, shuffled])
     assert calls and mixed.passed
-    monkeypatch.setattr(identities, "_panel", lambda measures, space: None)
+    monkeypatch.setattr(identities, "_panel", _refuse)
     assert check_lemma_a(g1, g2, 0.8, 6, 4, [mu]) == on_panel
     assert check_lemma_a(g1, g2, 0.8, 6, 4, [mu, shuffled]) == mixed
+
+
+def _outcome(check):
+    try:
+        return ("ok", check())
+    except (ValueError, RuntimeError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("factor", ["kernel", "scaled"])
+@pytest.mark.parametrize("where, chain_calls", [("a and b", 1), ("outer", 2)])
+def test_a_refusal_mid_check_runs_the_check_per_measure(setup, monkeypatch, factor, where,
+                                                        chain_calls):
+    """In lemma (b) with k = 3, only the term j = 2 has P2(2h) in its
+    products ``a`` and ``b``, and only it has P1(2h) as ``outer``.  Either
+    one, replaced by a factor the panel refuses, stops the panel in that
+    ``chain`` call, and the check equals an all-per-measure run: a value for
+    the same transitions as a kernel, the TV exception for a scaled matrix."""
+    space, g1, g2, panel = setup
+    t, m, k = 0.8, 6, 3
+    g = g2 if where == "a and b" else g1
+    time = 2 * (t / m)
+    P = at_time(g, time)
+    if factor == "kernel":
+        bad = MarkovOperatorSpec(kind="kernel", space=space, kernel=lambda i: (
+            PositiveMeasure.from_atoms(space, list(enumerate(P.matrix[:, i].tolist())))))
+    else:
+        bad = _corrupted(space, 1.1 * P.matrix)
+    monkeypatch.setattr(identities, "at_time",
+                        lambda G, s: bad if G is g and s == time else at_time(G, s))
+    calls = []
+    chain = identities._Panel.chain
+
+    def counting(self, terms):
+        calls.append(len(terms))
+        return chain(self, terms)
+
+    monkeypatch.setattr(identities._Panel, "chain", counting)
+    mid_check = _outcome(lambda: check_lemma_b(g1, g2, t, m, k, panel))
+    assert len(calls) == chain_calls
+    assert mid_check[0] == ("ok" if factor == "kernel" else "raised")
+    monkeypatch.setattr(identities, "_panel", _refuse)
+    assert _outcome(lambda: check_lemma_b(g1, g2, t, m, k, panel)) == mid_check
 
 
 def test_runner_calls_do_not_grow_with_the_indices(setup, monkeypatch):
@@ -281,9 +329,10 @@ def test_flow_array_maps_are_rowwise_point_maps():
             assert [y.tobytes() for y in Y[..., 0]] == expected, P
 
 
-# The panel against the per-measure path: ``_chains`` and ``_combine`` on a
-# panel must give, row by row, bitwise what the per-factor loop below and
-# ``linear_combine`` give on each measure, exceptions included.
+# The panel against the per-measure path: ``_Panel.chain`` and
+# ``_Panel.combine`` must give, row by row, bitwise what the per-factor loop
+# below and ``linear_combine`` give on each measure, or refuse; they refuse
+# wherever the per-measure path raises.
 
 
 def _per_factor_chain(mu, ops):
@@ -404,9 +453,14 @@ def _signed_measure(draw, space):
     return SignedMeasure(pos=part(pos), neg=part(neg))
 
 
+_REFUSED = ("refused",)
+
+
 def _rows(fn, pruned=True):
     try:
         out = fn()
+    except identities._Refused:
+        return _REFUSED
     except (ValueError, RuntimeError) as exc:
         return ("raised", type(exc), str(exc))
     parts = [part for mu in out for part in (mu.pos, mu.neg)]
@@ -426,12 +480,15 @@ def _chain_case(draw):
 @settings(max_examples=300)
 @given(_chain_case())
 def test_panel_chain_matches_per_measure(case):
+    """The same rows, or a refusal: for a factor on another space, or where
+    the per-factor loop raises."""
     space, ops, measures = case
     panel = identities._panel(measures, space)
-    assert panel is not None
     pruned = bool(ops)  # no factor leaves the measures as drawn
-    assert (_rows(lambda: identities._chains(panel, [ops]).measures(), pruned)
-            == _rows(lambda: [_per_factor_chain(mu, ops) for mu in measures], pruned))
+    got = _rows(lambda: panel.chain([ops]).measures(), pruned)
+    expected = _rows(lambda: [_per_factor_chain(mu, ops) for mu in measures], pruned)
+    assert got == expected or got == _REFUSED and (
+        expected[0] == "raised" or any(P.space != space for P in ops))
 
 
 @st.composite
@@ -456,9 +513,10 @@ def _terms_case(draw):
 @given(_terms_case())
 def test_term_stacks_match_one_run_per_term(case):
     """The runner on term-major blocks against one single-term run per term
-    and against the per-factor loop, term by term: the same rows, or the
-    exception of the first failing term.  Every group stays under the cap
-    unless it holds one term."""
+    and against the per-factor loop, term by term: the same rows, or a
+    refusal if any term refuses alone.  Every group stays under the cap
+    unless it holds one term, and a run that does not refuse runs each term
+    in one group."""
     space, terms, blocks, cap = case
     groups = []
     steps = identities._Panel._steps
@@ -472,13 +530,13 @@ def test_term_stacks_match_one_run_per_term(case):
         m.setattr(ops_module, "_STACK_SIZE", cap)  # the one cap, which the panel reads
         m.setattr(identities._Panel, "_steps", recording)
         got = _rows(lambda: stacked.chain(terms).measures(), pruned=False)
-    assert sum(n for n, _, _ in groups) == len(terms)
+    assert got == _REFUSED or sum(n for n, _, _ in groups) == len(terms)
     assert all(n == 1 or (weights <= cap and matrices <= cap) for n, weights, matrices in groups)
     assert got == _rows(lambda: [mu for block, ops in zip(blocks, terms) for mu in
                                  identities._panel(block, space).chain([ops]).measures()],
                         pruned=False)
-    assert got == _rows(lambda: [_per_factor_chain(mu, ops) for block, ops in zip(blocks, terms)
-                                 for mu in block], pruned=False)
+    assert got in (_REFUSED, _rows(lambda: [_per_factor_chain(mu, ops) for block, ops in
+                                            zip(blocks, terms) for mu in block], pruned=False))
 
 
 def test_fortran_order_matrices_keep_their_bits_in_a_stack():
@@ -522,11 +580,12 @@ def _combine_case(draw):
 @settings(max_examples=300)
 @given(_combine_case())
 def test_panel_combine_matches_linear_combine(case):
+    """The same rows, or a refusal exactly where linear_combine raises."""
     space, coeffs, columns = case
     panels = [identities._panel(column, space) for column in columns]
-    assert all(panel is not None for panel in panels)
-    assert (_rows(lambda: identities._combine(coeffs, panels).measures())
-            == _rows(lambda: [linear_combine(coeffs, list(row)) for row in zip(*columns)]))
+    expected = _rows(lambda: [linear_combine(coeffs, list(row)) for row in zip(*columns)])
+    assert _rows(lambda: identities._Panel.combine(coeffs, panels).measures()) == (
+        _REFUSED if expected[0] == "raised" else expected)
 
 
 def test_at_cut_weights_straddle_the_prune():
@@ -539,7 +598,7 @@ def test_at_cut_weights_straddle_the_prune():
     for weight, kept in ((t, False), (np.nextafter(t, 1.0), True)):
         mu = SignedMeasure(pos=PositiveMeasure(space, (0, 1, 2), np.array(big + [weight])),
                            neg=PositiveMeasure(space))
-        out, = identities._chains(identities._panel([mu], space), [[eye]]).measures()
+        out, = identities._panel([mu], space).chain([[eye]]).measures()
         assert (out.pos.points == (0, 1, 2)) is kept
 
 
@@ -580,7 +639,7 @@ def test_signed_paths_agree_under_compensated_sum(monkeypatch, big, weight):
                        neg=PositiveMeasure(space))
     panel = identities._panel([mu], space)
     eye = _stochastic(space, np.eye(5))
-    assert (_rows(lambda: identities._chains(panel, [[eye]]).measures())
+    assert (_rows(lambda: panel.chain([[eye]]).measures())
             == _rows(lambda: [_per_factor_chain(mu, [eye])]))
-    assert (_rows(lambda: identities._combine([1.0], [panel]).measures())
+    assert (_rows(lambda: identities._Panel.combine([1.0], [panel]).measures())
             == _rows(lambda: [linear_combine([1.0], [mu])]))
