@@ -3,8 +3,10 @@
 Each ``check_*`` states both sides of a telescoping or swap decomposition as
 operator lists (never materializing operator matrices), and the one driver
 ``_check`` evaluates them on a panel of test measures and reports the worst
-BL-norm deviation from one batched norm solve.  These are exact operator
-identities, so deviations are pure floating-point noise.
+BL-norm deviation from ``max_bl_distance``: closed-form bounds settle most
+distances, and one batched norm solve takes only those that can hold the
+maximum.  These are exact operator identities, so deviations are pure
+floating-point noise.
 
 A side is one term ``outer (a - b) mu`` (a ``_Gap``: the two products of a
 commutator or of a block gap, then the product after them), or the sum of
@@ -36,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import operators
-from .bl_metric import bl_distances
+from .bl_metric import max_bl_distance
 from .measures import PRUNE_REL_TOL, PositiveMeasure, SignedMeasure, StateSpace, linear_combine
 from .operators import TV_PRESERVATION_TOL, SemigroupSpec, apply_signed, at_time
 
@@ -78,9 +80,9 @@ class _Refused(Exception):
 
 def _check(name, g1, test_measures, pairs) -> IdentityCheckResult:
     """Worst BL distance over the (lhs, rhs) ``pairs`` of sides, for each
-    signed test measure (per test measure, then per pair), from one batched
-    solve.  Each side is evaluated once: on the panel, or, if it refuses,
-    on each test measure."""
+    signed test measure (per test measure, then per pair), from
+    ``max_bl_distance``.  Each side is evaluated once: on the panel, or, if
+    it refuses, on each test measure."""
     if not test_measures:
         raise ValueError(f"{name}: need at least one test measure")
     tests = [mu.as_signed() if isinstance(mu, PositiveMeasure) else mu for mu in test_measures]
@@ -91,7 +93,7 @@ def _check(name, g1, test_measures, pairs) -> IdentityCheckResult:
     except _Refused:
         rows = [[_value(side, mu) for side in sides] for mu in tests]
     measured = [(row[slot[id(lhs)]], row[slot[id(rhs)]]) for row in rows for lhs, rhs in pairs]
-    deviation = max([0.0] + bl_distances(measured, measured[0][0].space))
+    deviation = max_bl_distance(measured, measured[0][0].space)
     tolerance = MATRIX_TOL if g1.kind == "matrix_exponential" else LIFT_TOL
     return IdentityCheckResult(name, deviation, len(test_measures), tolerance)
 

@@ -12,11 +12,13 @@ from trotterkit.bl_metric import (
     LipschitzWitness,
     OracleSupportError,
     bl_distance,
+    bl_distances,
     bl_dual_norm,
     bl_dual_norm_oracle,
     bl_norm_values,
     build_envelope_metric,
     dirac_distance_exact,
+    max_bl_distance,
 )
 from trotterkit.cli import load_scenario
 from trotterkit.measures import PositiveMeasure, SignedMeasure, StateSpace, linear_combine
@@ -723,6 +725,121 @@ class TestBatchedNorms:
         b = SignedMeasure.from_atoms(path3, [(1, 0.3)])
         with pytest.raises(RuntimeError, match="forced failure"):
             bl_norm_values([a, b], path3)
+
+
+@st.composite
+def near_coincident_spaces(draw):
+    """A random finite space of 2 to 8 points of R^3, some of them copies of
+    an earlier point moved by 1e-9 to 1e-6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.normal(size=(draw(st.integers(2, 8)), 3))
+    for i in range(1, len(pts)):
+        if draw(st.booleans()):
+            shift = rng.normal(size=3)
+            pts[i] = pts[draw(st.integers(0, i - 1))] + shift / np.linalg.norm(shift) * 10.0 ** (
+                draw(st.floats(-9.0, -6.0)))
+    return StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+
+
+@st.composite
+def signed_measures_on(draw, space, signs):
+    """A nonzero measure on some states of ``space`` whose weights take the
+    signs ``signs`` (-1, 1 or both)."""
+    chosen = draw(st.lists(st.integers(0, space.size - 1), min_size=1, max_size=space.size,
+                           unique=True))
+    w = draw(st.lists(st.floats(0.01, 1.0), min_size=len(chosen), max_size=len(chosen)))
+    sign = draw(st.lists(st.sampled_from(signs), min_size=len(chosen), max_size=len(chosen)))
+    return SignedMeasure.from_atoms(space, [(i, s * x) for i, s, x in zip(chosen, sign, w)])
+
+
+def lower_bound(mu, metric):
+    """``max_bl_distance``'s lower bound on the norm of ``mu``."""
+    ((scale, block),) = bl_metric.norm_blocks([mu], metric)
+    return scale * bl_metric._unit_lower_bound(*block[:2])
+
+
+class TestLowerBounds:
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_bound_norm_and_total_variation_are_ordered(self, data):
+        space = data.draw(near_coincident_spaces())
+        mu = data.draw(signed_measures_on(space, [-1.0, 1.0]))
+        value = bl_dual_norm(mu, space)[0]
+        assert lower_bound(mu, space) <= value + 1e-9 * mu.tv
+        assert value <= mu.tv * (1.0 + 1e-9)
+
+    @settings(max_examples=40)
+    @given(st.data(), st.sampled_from([-1.0, 1.0]))
+    def test_one_signed_bound_is_the_total_variation(self, data, sign):
+        space = data.draw(near_coincident_spaces())
+        mu = data.draw(signed_measures_on(space, [sign]))
+        # the TV up to the order of its sum: no margin on a bound that is the norm
+        assert lower_bound(mu, space) == pytest.approx(mu.tv, rel=1e-14)
+        assert bl_dual_norm(mu, space)[0] == pytest.approx(mu.tv, rel=1e-9)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_oracle_agrees_and_keeps_the_order(self, data):
+        space = data.draw(near_coincident_spaces())
+        mu = data.draw(signed_measures_on(space, [-1.0, 1.0]))
+        assume(len(mu.support()[0]) <= bl_metric.ORACLE_MAX_SUPPORT)
+        oracle = bl_dual_norm_oracle(mu, space)
+        # the LP's feasibility tolerance: beside points 1e-8 apart, one norm
+        # at TV 2 came 2.5e-9 above the oracle and the dense primal LP
+        assert abs(oracle - bl_dual_norm(mu, space)[0]) <= 1e-7 * mu.tv
+        assert lower_bound(mu, space) <= oracle + 1e-9 * mu.tv
+
+
+def assert_max_of_every_distance(pairs, metric):
+    """``max_bl_distance`` within 1e-9 times the largest TV of the pairs'
+    max of ``bl_distances``."""
+    largest = max((linear_combine([1.0, -1.0], pair).tv for pair in pairs), default=0.0)
+    expected = max([0.0] + bl_distances(pairs, metric))
+    assert abs(max_bl_distance(pairs, metric) - expected) <= 1e-9 * largest
+    return expected
+
+
+class TestMaxDistance:
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_equals_the_max_of_every_distance(self, data):
+        metric, points = data.draw(batch_metrics())
+        space = getattr(metric, "base", metric)
+        measures = st.tuples(batch_measures(space, points), batch_measures(space, points))
+        assert_max_of_every_distance(data.draw(st.lists(measures, max_size=6)), metric)
+
+    def test_empty_and_zero_lists_solve_nothing(self, path3, lp_calls):
+        a = SignedMeasure.from_atoms(path3, [(0, 1.0), (2, -0.5)])
+        empty = SignedMeasure.from_atoms(path3, [])
+        assert max_bl_distance([], path3) == 0.0
+        assert max_bl_distance([(a, a), (empty, empty)], path3) == 0.0
+        assert lp_calls == []
+
+    def test_a_list_that_needs_no_lp(self, path3, lp_calls):
+        a, c = PositiveMeasure.dirac(path3, 0), PositiveMeasure.dirac(path3, 2)
+        both = PositiveMeasure.from_atoms(path3, [(0, 1.0), (1, 1.0)])
+        empty = PositiveMeasure.from_atoms(path3, [])
+        # one sign, TV 2: the norm is 2; the Dirac pair has TV 2, not above it
+        pairs = [(both, empty), (a, c)]
+        assert max_bl_distance(pairs, path3) == 2.0
+        assert lp_calls == []
+        assert assert_max_of_every_distance(pairs, path3) == pytest.approx(2.0, abs=1e-9)
+
+    def test_the_largest_tv_need_not_hold_the_maximum(self):
+        x = np.array([0.0, 1e-3, 5.0, 6.0])
+        space = StateSpace.finite(np.abs(x[:, None] - x[None, :]))
+        near = (PositiveMeasure.dirac(space, 0), PositiveMeasure.dirac(space, 1))  # TV 2
+        far = tuple(PositiveMeasure.from_atoms(space, [(i, 0.5)]) for i in (2, 3))  # TV 1
+        value = assert_max_of_every_distance([near, far], space)
+        assert value == pytest.approx(0.5 * dirac_distance_exact(1.0), abs=1e-9)
+
+    def test_a_block_whose_tv_sits_on_the_bound_is_solved(self, path3, lp_calls):
+        # the Dirac pair 2 apart has the bound 2 * 2 / (2 + 2) = 1.0 before
+        # BOUND_MARGIN, and the half-weight pair has TV 1.0: both are solved
+        a, c = PositiveMeasure.dirac(path3, 0), PositiveMeasure.dirac(path3, 2)
+        halves = tuple(PositiveMeasure.from_atoms(path3, [(i, 0.5)]) for i in (0, 2))
+        assert max_bl_distance([(a, c), halves], path3) == pytest.approx(1.0, abs=1e-9)
+        assert lp_calls == [(2 + 2, 2 * (4 + 2 + 1))]
 
 
 class TestWitnessLookup:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from trotterkit import identities
 from trotterkit import operators as ops_module
+from trotterkit.bl_metric import bl_distances, max_bl_distance
 from trotterkit.identities import (
     check_corollary,
     check_corollary_recomposition,
@@ -118,8 +119,15 @@ def test_suite_rejects_zero_trials():
         run_identity_suite(seed=0, trials=0, max_states=4)
 
 
-def test_each_check_solves_one_lp(setup, lp_calls):
+def test_each_check_solves_at_most_one_lp(setup, lp_calls, monkeypatch):
     _, g1, g2, panel = setup
+    measured = []
+
+    def recording(pairs, metric):
+        measured.append((pairs, metric))
+        return max_bl_distance(pairs, metric)
+
+    monkeypatch.setattr(identities, "max_bl_distance", recording)
     checks = [lambda: check_lemma_a(g1, g2, 0.8, 6, 4, panel),
               lambda: check_lemma_b(g1, g2, 0.8, 6, 3, panel),
               lambda: check_lemma_c(g1, g2, 0.8, 2, 3, panel),
@@ -127,10 +135,15 @@ def test_each_check_solves_one_lp(setup, lp_calls):
               lambda: check_corollary_recomposition(g1, g2, 0.8, 2, 3, panel),
               lambda: check_swap_identity(g1, g2, 0.4, 3, panel)]
     for check in checks:
-        del lp_calls[:]
+        del lp_calls[:], measured[:]
         result = check()
-        # the whole panel's deviations in one solve (some of them are nonzero)
-        assert len(lp_calls) == 1 and result.max_deviation > 0.0 and result.passed
+        # the panel's deviations that can hold the maximum in one solve (some
+        # of them are nonzero), and the maximum of every deviation
+        assert len(lp_calls) <= 1 and result.max_deviation > 0.0 and result.passed
+        ((pairs, metric),) = measured
+        largest = max(linear_combine([1.0, -1.0], pair).tv for pair in pairs)
+        unpruned = max([0.0] + bl_distances(pairs, metric))
+        assert abs(result.max_deviation - unpruned) <= 1e-9 * largest
 
 
 def test_suite_rejects_fewer_than_two_states():
