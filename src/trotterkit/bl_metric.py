@@ -10,27 +10,41 @@ its dual flow form (Kantorovich-Rubinstein duality for the flat metric):
 
 over r+, r- >= 0 per point, flows y_ij >= 0 on directed pairs, and t, with
 (div y)_i the flow out of i minus the flow into i: k sparse equality rows and
-two inequality rows.  The witness is read off the duals: f from the equality
-rows, (M, L) from the two inequality rows.
+two inequality rows.
 
-Pruning: pair (i, j) gets no flow column when some point l splits it into
-two strictly shorter hops with d_il + d_lj <= d_ij.  Its flow routes through
-l at no extra cost, and |f_i - f_j| <= L d_ij follows from the kept pairs by
-the triangle inequality (induction on d), so the optimum is unchanged.
-It is one array test of the pairs against every l, PRUNE_CHUNK entries at a
-time.  Within one ``norm_blocks`` call, supports with the same points in the
-same order share their distances and pairs; nothing is kept across calls.
+Columns: a block of at most NEAREST + 1 points gets a flow column for
+exactly the pairs (i, j) with w_i > 0 > w_j, in row-major order, and is
+final after one solve: some optimum uses only those pairs (Hanin, Proc. AMS
+1992).  Cancel an optimal flow's cycles and replace each source-to-sink
+path by its direct pair: by the triangle inequality (``StateSpace.finite``
+enforces it to 1e-12; Euclidean and envelope metrics satisfy it) that costs
+no more.  Where a point's net flow disagrees in sign with its weight, or
+exceeds it, absorb that mass at the flow's source instead: |r|_1 stays the
+same and the transport cost drops.  No prune applies: its split route
+i -> l -> j needs a hop between two atoms of one sign.
 
-Column generation: a block first gets flow columns only for the pairs among
-each point's NEAREST nearest neighbours, pruned as above (each pair against
-every l).  Up to NEAREST + 1 points that is every pair, so such a block is
-final after one solve and the triangle argument certifies it.  A larger
-block is checked after each solve: every pair without a column whose dual
-constraint f_i - f_j <= L d_ij is broken by more than CHECK_TOL gets a
-column, and the run is solved again until no block gains one (delayed
-column generation, with the all-pairs dual check of Schmitzer's sparse
-multiscale transport).  The final duals are feasible on every pair, so the
-restricted optimum is the full one and the witness is feasible everywhere.
+Pruning, above NEAREST + 1 points: pair (i, j) gets no flow column when
+some point l splits it into two strictly shorter hops with d_il + d_lj <=
+d_ij.  Its flow routes through l at no extra cost, and |f_i - f_j| <= L d_ij
+follows from the kept pairs by the triangle inequality (induction on d), so
+the optimum is unchanged.  It is one array test of the pairs against every
+l, PRUNE_CHUNK entries at a time.  Supports with the same points in the same
+order share distances and pairs within one ``norm_blocks`` call, only there.
+
+Column generation, above NEAREST + 1 points: a block first gets flow
+columns only for the pairs among each point's NEAREST nearest neighbours,
+pruned as above.  After each solve, every pair without a column whose dual
+constraint f_i - f_j <= L d_ij is broken by more than CHECK_TOL gets one,
+and the run is solved again until no block gains one (delayed column
+generation, with the all-pairs dual check of Schmitzer's sparse multiscale
+transport).  The restricted optimum is then the full one.
+
+Witness: the duals of the equality rows (f) and of the inequality rows (M, L,
+clipped at 0) bound f only on pairs with a column.  So, with f clipped to +-M
+and N the negative atoms, ``bl_dual_norm`` takes their double c-transform: each
+point outside N gets min(M, min_{j in N} f_j + L d_ij), then each j in N gets
+max(-M, max_{i not in N} f_i - L d_ij).  That is feasible on every pair by
+construction and, on exactly feasible duals, never lowers the pairing.
 
 Batches: ``bl_norm_values`` stacks the flow LPs of many measures as
 diagonal blocks, each with its own t_m, and minimizes the sum of the t_m.
@@ -42,9 +56,7 @@ consecutive blocks; a longer batch solves several.  ``bl_distance`` and
 ``bl_distances`` are its pairwise forms.  ``norm_blocks`` and
 ``distance_blocks`` prepare blocks, range check included, that one
 ``solve_blocks`` call solves together.  ``bl_dual_norm`` solves one block
-alone and reads its witness off the duals of its last solve, the only one
-for a support of at most NEAREST + 1 points.  A failed solve raises
-RuntimeError.
+alone.  A failed solve raises RuntimeError.
 
 Maxima: ``max_bl_distance`` is the largest of ``bl_distances`` without
 solving every block.  With w the unit-TV weights, a block of one sign has
@@ -76,9 +88,9 @@ from .measures import SignedMeasure, StateSpace, linear_combine
 
 LP_FEAS_TOL = 1e-9
 ORACLE_MAX_SUPPORT = 6
-# Widest batched LP.  Solver time and memory grow faster than the width: on
-# a 12-state metric, one LP of 78 blocks (12,246 columns) took 0.10 s and
-# raised peak RSS by 18 MB, six LPs of at most 13 blocks 0.074 s and 3 MB.
+# Widest batched LP.  Peak memory grows with the width, solver time hardly
+# falls: a 12-state study's 90 blocks (5,485 columns) took 27 ms and 4.5 MB as
+# one LP, 28 ms and 1.6 MB as three of <= 2,048 columns, 31 and 0.4 as six of <= 1,024.
 MAX_LP_COLUMNS = 2048
 # Nearest neighbours per point whose pairs get a flow column before the
 # dual check.  On 40 benchmark norms (k = 96 and 200, R^3 and grid-graph
@@ -232,7 +244,8 @@ def lipschitz_constant(values, dist) -> float:
 def _unit_support(mu: SignedMeasure, metric, shared):
     """(points, TV scale, weights at unit TV, (distances, starting pairs)).
     Norms are solved at unit TV so solver tolerances cannot swallow tiny
-    measures.  ``shared``, one call's dict, holds the last item per support."""
+    measures.  ``shared``, one call's dict, holds each support's distances
+    and, above NEAREST + 1 points, its pairs: below, they follow the signs."""
     pts, wts = mu.support()
     scale = float(np.sum(np.abs(wts)))
     if (key := tuple(pts)) not in shared:
@@ -240,25 +253,23 @@ def _unit_support(mu: SignedMeasure, metric, shared):
         if not (dist < MAX_DISTANCE).all():  # an infinite or NaN distance fails it too
             raise DistanceRangeError(f"support points lie {float(dist.max())!r} apart; the "
                                      f"BL norm LP needs distances below {MAX_DISTANCE:g}")
-        shared[key] = dist, _flow_pairs(dist)
-    return pts, scale, wts / scale if scale else wts, shared[key]
+        shared[key] = dist, _flow_pairs(dist) if len(pts) > NEAREST + 1 else None
+    dist, pairs = shared[key]
+    if pairs is None:  # every positive-to-negative pair (Columns)
+        pairs = np.nonzero((wts > 0.0)[:, None] & (wts < 0.0)[None, :])
+    return pts, scale, wts / scale if scale else wts, (dist, pairs)
 
 
 def _flow_pairs(dist):
-    """Directed pairs (i, j) that start with a flow column, in row-major
-    order: the pairs among each point's NEAREST nearest neighbours (either
-    way round) that no point l splits into two strictly shorter hops with
-    d_il + d_lj <= d_ij.  Up to NEAREST + 1 points that is every pair the
-    prune keeps."""
+    """Directed pairs (i, j) that start with a flow column in a block of
+    more than NEAREST + 1 points, in row-major order: the pairs among each
+    point's NEAREST nearest neighbours (either way round) that no point l
+    splits into two strictly shorter hops with d_il + d_lj <= d_ij."""
     k = len(dist)
-    if k > NEAREST + 1:
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :NEAREST + 1]
-        near = np.zeros((k, k), dtype=bool)
-        near[np.arange(k)[:, None], nearest] = True
-        near |= near.T
-    else:  # every pair is a neighbour pair; skipping the sort keeps numpy's sort
-        # code unloaded, which saved 0.13 MB of a study_finite pass's peak RSS
-        near = np.ones((k, k), dtype=bool)
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :NEAREST + 1]
+    near = np.zeros((k, k), dtype=bool)
+    near[np.arange(k)[:, None], nearest] = True
+    near |= near.T
     np.fill_diagonal(near, False)
     src, dst = np.nonzero(near)
     split, step = np.zeros(len(src), dtype=bool), max(PRUNE_CHUNK // max(k, 1), 1)
@@ -395,16 +406,20 @@ def _column_runs(blocks):
 def bl_dual_norm(mu: SignedMeasure, metric) -> tuple[float, LipschitzWitness]:
     """Dual BL norm of ``mu`` (``metric``: a StateSpace or an EnvelopeMetric over
     it) with an attaining unit-ball witness, both from the flow LP's last
-    solve: f from the duals of its equality rows, (M, L) from those of its
-    two inequality rows."""
+    solve: the witness is the double c-transform of its duals (Witness)."""
     pts, scale, wts, (dist, pairs) = _unit_support(mu, metric, {})
     if scale == 0.0:
         return 0.0, LipschitzWitness(points=tuple(pts), values=np.zeros(len(pts)),
                                      sup_bound=float(len(pts) > 0), lip_bound=0.0)
     res, _ = _certified_lp([(wts, dist, pairs)])
-    sup_bound, lip_bound = -res.ineqlin.marginals + 0.0
-    witness = LipschitzWitness(points=tuple(pts), values=res.eqlin.marginals + 0.0,
-                               sup_bound=float(sup_bound), lip_bound=float(lip_bound))
+    M, L = np.maximum(-res.ineqlin.marginals, 0.0) + 0.0
+    neg = wts < 0.0
+    cross = L * dist[np.ix_(~neg, neg)]
+    f = np.clip(res.eqlin.marginals, -M, M)
+    f[~neg] = np.min(f[neg] + cross, axis=1, initial=M)
+    f[neg] = np.max(f[~neg][:, None] - cross, axis=0, initial=-M)
+    witness = LipschitzWitness(points=tuple(pts), values=f + 0.0,
+                               sup_bound=float(M), lip_bound=float(L))
     return float(max(res.fun * scale, 0.0)) + 0.0, witness
 
 

@@ -291,10 +291,10 @@ class TestFlowForm:
         a = PositiveMeasure.from_atoms(path3, [(0, 0.5), (1, 0.5)])
         b = PositiveMeasure.from_atoms(path3, [(2, 1.0)])
         bl_distance(a, b, path3)
-        # path3 prunes (0, 2) and (2, 0): 6 r columns, 4 flows and t
-        assert lp_calls == [(3, 11)]
+        # flows only from positive to negative atoms: 6 r columns, (0, 2), (1, 2) and t
+        assert lp_calls == [(3, 9)]
         bl_dual_norm(linear_combine([1.0, -1.0], [a, b]), path3)
-        assert lp_calls == [(3, 11), (3, 11)]
+        assert lp_calls == [(3, 9), (3, 9)]
 
     def test_failed_stage_one_raises(self, path3, monkeypatch):
         monkeypatch.setattr(bl_metric, "linprog", lambda *a, **kw: OptimizeResult(
@@ -347,6 +347,24 @@ def column_generation_cases():
     return cases
 
 
+def parabola_measure(c):
+    """(space, measure) on 40 points of the parabola y = c x^2, x = 0.04 i:
+    weight 1e-3 everywhere but 0.5 and -0.538 at the ends."""
+    x = 0.04 * np.arange(40)
+    pts = np.column_stack([x, c * x ** 2])
+    space = StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+    w = np.full(40, 1e-3)
+    w[0], w[-1] = 0.5, -0.538
+    return space, SignedMeasure.from_atoms(space, list(enumerate(w.tolist())))
+
+
+def sign_pairs(wts):
+    """Reference: the pairs (i, j) with w_i > 0 > w_j, as (sources, sinks)
+    lists from a loop in row-major order."""
+    pairs = [(i, j) for i in range(len(wts)) for j in range(len(wts)) if wts[i] > 0.0 > wts[j]]
+    return [i for i, _ in pairs], [j for _, j in pairs]
+
+
 class TestColumnGeneration:
     @pytest.mark.parametrize("metric, mu", column_generation_cases())
     def test_matches_the_full_lp_with_a_certified_witness(self, metric, mu):
@@ -362,11 +380,12 @@ class TestColumnGeneration:
         rng = np.random.default_rng(k)
         spaces = [random_metric_space(rng, k), grid_metric(rng, 1, k)]
         for space in spaces:
-            src, dst = bl_metric._flow_pairs(space.dist)
-            ref_src, ref_dst = all_pairs_prune(space.dist)
-            assert src.tolist() == ref_src.tolist() and dst.tolist() == ref_dst.tolist()
+            mu = full_support_measure(rng, space)
+            (_, (wts, _, (src, dst))), = bl_metric.norm_blocks([mu], space)
+            ref_src, ref_dst = sign_pairs(wts)
+            assert src.tolist() == ref_src and dst.tolist() == ref_dst
             del lp_calls[:]
-            bl_dual_norm(full_support_measure(rng, space), space)
+            bl_dual_norm(mu, space)
             assert lp_calls == [(k, 2 * k + len(ref_src) + 1)]
 
     def test_large_generic_support_adds_columns_in_rounds(self, lp_calls):
@@ -382,15 +401,10 @@ class TestColumnGeneration:
 
     def test_stops_only_when_no_pair_without_a_column_breaks_its_dual_constraint(
             self, monkeypatch):
-        # 40 points on a faint parabola: the end points' direct pair is barely
-        # shorter than a path of neighbour hops, so the first solve's duals
-        # break a constraint by about 3e-7 at unit TV, above 1e-12 and below 1e-6
-        x = 0.04 * np.arange(40)
-        pts = np.column_stack([x, 1e-3 * x ** 2])
-        space = StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
-        w = np.full(40, 1e-3)
-        w[0], w[-1] = 0.5, -0.538
-        mu = SignedMeasure.from_atoms(space, list(enumerate(w.tolist())))
+        # the end points' direct pair is barely shorter than a path of
+        # neighbour hops, so the first solve's duals break a constraint by
+        # about 3e-7 at unit TV, above 1e-12 and below 1e-6
+        space, mu = parabola_measure(1e-3)
         solves = []
         flow_lp = bl_metric._flow_lp
 
@@ -409,6 +423,14 @@ class TestColumnGeneration:
         assert gap.max() <= 1e-12
         # the solver's own tolerances limit both values to about 1e-10 here
         assert abs(value - full_lp_value(mu, space)) <= 1e-9 * mu.tv
+
+    @pytest.mark.parametrize("c", [1e-2, 1e-3])
+    def test_witness_of_a_near_degenerate_support_keeps_its_bounds(self, c):
+        # the duals alone broke L d_ij by 2.2e-8 (c = 1e-2) and 9.8e-8 (1e-3)
+        space, mu = parabola_measure(c)
+        value, witness = bl_dual_norm(mu, space)
+        assert witness.check_feasible(space, slack=1e-15)
+        assert abs(witness.pair(mu) - value) <= 1e-9 * mu.tv
 
     def test_mixed_batch_matches_each_own_solve(self, lp_calls):
         rng = np.random.default_rng(64)  # a 60-point support that needs two solves
@@ -519,14 +541,14 @@ class TestSharedSupports:
         assert entries[3][1][1] is not entries[0][1][1]
 
     def test_calls_on_two_spaces_share_nothing(self, path3):
-        flat = StateSpace.finite(np.ones((3, 3)) - np.eye(3))  # no pair is pruned
+        flat = StateSpace.finite(np.ones((3, 3)) - np.eye(3))
         mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (1, -0.5), (2, -0.5)])
         nu = SignedMeasure.from_atoms(flat, [(0, 1.0), (1, -0.5), (2, -0.5)])
         assert mu.support()[0] == nu.support()[0]
-        for space, m, kept in ((path3, mu, 4), (flat, nu, 6), (path3, mu, 4)):
+        for space, m in ((path3, mu), (flat, nu), (path3, mu)):
             (_, (_, dist, (src, dst))), = bl_metric.norm_blocks([m], space)
-            assert np.array_equal(dist, space.dist) and len(src) == kept
-            assert np.array_equal(src, bl_metric._flow_pairs(space.dist)[0])
+            assert np.array_equal(dist, space.dist) and len(src) == 2  # (0, 1) and (0, 2)
+            assert (src.tolist(), dst.tolist()) == ([0, 0], [1, 2])
 
     def test_envelope_values_and_distances_with_and_without_repeats(self, monkeypatch):
         rng = np.random.default_rng(74)
@@ -702,17 +724,17 @@ class TestBatchedNorms:
         b = SignedMeasure.from_atoms(path3, [(1, 0.3)])
         empty = SignedMeasure.from_atoms(path3, [])
         values = bl_norm_values([a, empty, b, a], path3)
-        # a: 2 points, 2 flows; b: 1 point, no flow; r+, r-, flows and t per block
-        assert lp_calls == [(2 + 1 + 2, (4 + 2 + 1) + (2 + 0 + 1) + (4 + 2 + 1))]
+        # a: 2 points, the flow (0, 2); b: 1 point, no flow; r+, r-, flows and t per block
+        assert lp_calls == [(2 + 1 + 2, (4 + 1 + 1) + (2 + 0 + 1) + (4 + 1 + 1))]
         assert values == pytest.approx([dirac_distance_exact(2.0), 0.0, 0.3,
                                         dirac_distance_exact(2.0)], abs=1e-12)
 
     def test_long_batches_split_into_runs_of_bounded_width(self, path3, lp_calls,
                                                            monkeypatch):
         rng = np.random.default_rng(9)
-        batch = [full_support_measure(rng, path3) for _ in range(5)]  # 11 columns each
+        batch = [full_support_measure(rng, path3) for _ in range(5)]  # 9 columns each
         expected = [bl_norm_values([mu], path3)[0] for mu in batch]
-        for width, shapes in ((25, [(6, 22), (6, 22), (3, 11)]), (10, [(3, 11)] * 5)):
+        for width, shapes in ((25, [(6, 18), (6, 18), (3, 9)]), (10, [(3, 9)] * 5)):
             monkeypatch.setattr(bl_metric, "MAX_LP_COLUMNS", width)
             del lp_calls[:]
             assert bl_norm_values(batch, path3) == pytest.approx(expected, abs=1e-12)
@@ -784,10 +806,73 @@ class TestLowerBounds:
         mu = data.draw(signed_measures_on(space, [-1.0, 1.0]))
         assume(len(mu.support()[0]) <= bl_metric.ORACLE_MAX_SUPPORT)
         oracle = bl_dual_norm_oracle(mu, space)
-        # the LP's feasibility tolerance: beside points 1e-8 apart, one norm
-        # at TV 2 came 2.5e-9 above the oracle and the dense primal LP
+        # the LP's feasibility tolerance: with three negative atoms within
+        # 1.9e-7 of each other, one norm at TV 4.25 came 2.7e-8 above the
+        # oracle and the dense primal LP (6.4e-9 x TV)
         assert abs(oracle - bl_dual_norm(mu, space)[0]) <= 1e-7 * mu.tv
         assert lower_bound(mu, space) <= oracle + 1e-9 * mu.tv
+
+    def test_norm_beside_near_coincident_points_matches_the_oracle(self):
+        # with a flow column on (0, 1), one pair of atoms of one sign, this
+        # norm came 2.4e-9 above the oracle and the dense primal LP
+        d = 2.088
+        space = StateSpace.finite([[0.0, 1e-8, d], [1e-8, 0.0, d], [d, d, 0.0]])
+        mu = SignedMeasure.from_atoms(space, [(2, 0.5), (0, -1.0), (1, -0.5)])
+        assert abs(bl_dual_norm(mu, space)[0] - bl_dual_norm_oracle(mu, space)) <= 1e-12
+
+
+@st.composite
+def small_blocks(draw):
+    """(metric, nonzero measure, tolerance) on 1 to NEAREST + 1 points of a
+    near-coincident space, of random R^3 points, of the plane's quarter
+    lattice or under an envelope metric.  The weights have one sign, zero
+    net mass or neither, and one atom may keep weight 0.  The tolerance, at
+    unit TV, is the LP's feasibility tolerance 1e-7 on near-coincident
+    spaces (see ``test_oracle_agrees_and_keeps_the_order``), else 1e-9."""
+    kind = draw(st.sampled_from(["near", "generic", "euclidean", "envelope"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, bl_metric.NEAREST + 1))
+    if kind == "near":
+        space = metric = draw(near_coincident_spaces())
+        k = min(k, space.size)
+    elif kind == "euclidean":
+        space = metric = StateSpace.euclidean(2)
+        lattice = [(x / 4.0, y / 4.0) for x in range(-8, 9) for y in range(-8, 9)]
+    else:
+        space = metric = random_metric_space(rng, k)
+    if kind == "envelope":
+        g = LipschitzWitness(points=tuple(range(k)), values=rng.uniform(-1.0, 1.0, k),
+                             sup_bound=1.0, lip_bound=1.0)
+        metric = build_envelope_metric(space, [g])
+    chosen = rng.choice(len(lattice) if kind == "euclidean" else space.size, k, replace=False)
+    points = [lattice[i] for i in chosen] if kind == "euclidean" else chosen.tolist()
+    form = draw(st.sampled_from(["zero mass", "net mass", "one sign"] if k > 1 else ["one sign"]))
+    w = rng.uniform(0.01, 1.0, k) * draw(st.sampled_from([-1.0, 1.0]))
+    if form != "one sign":
+        w = rng.normal(size=k)
+        w -= w.mean() if form == "zero mass" else 0.0
+    zero = k > 1 and draw(st.booleans())
+    mu = SignedMeasure.from_atoms(space, list(zip(points[zero:], w[zero:].tolist())))
+    if zero:  # from_atoms drops a weight of 0; a hand-built measure keeps it
+        pos = PositiveMeasure(space, mu.pos.points + (space.point_key(points[0]),),
+                              np.append(mu.pos.weights, 0.0))
+        mu = SignedMeasure(pos=pos, neg=mu.neg)
+    return metric, mu, 1e-7 if kind == "near" else 1e-9
+
+
+class TestColumnRule:
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_sign_pairs_give_the_all_pairs_value_and_a_certified_witness(self, data):
+        metric, mu, tol = data.draw(small_blocks())
+        (_, (wts, _, (src, dst))), = bl_metric.norm_blocks([mu], metric)
+        assert (src.tolist(), dst.tolist()) == sign_pairs(wts)
+        value, witness = bl_dual_norm(mu, metric)
+        assert abs(value - full_lp_value(mu, metric)) <= tol * mu.tv
+        assert abs(norm_value(mu, metric) - value) <= 1e-12 * mu.tv
+        assert len(witness.points) == len(wts)
+        assert witness.check_feasible(metric, slack=1e-12)
+        assert_certificate(mu, metric, value, witness, tol)
 
 
 def assert_max_of_every_distance(pairs, metric):
@@ -839,7 +924,7 @@ class TestMaxDistance:
         a, c = PositiveMeasure.dirac(path3, 0), PositiveMeasure.dirac(path3, 2)
         halves = tuple(PositiveMeasure.from_atoms(path3, [(i, 0.5)]) for i in (0, 2))
         assert max_bl_distance([(a, c), halves], path3) == pytest.approx(1.0, abs=1e-9)
-        assert lp_calls == [(2 + 2, 2 * (4 + 2 + 1))]
+        assert lp_calls == [(2 + 2, 2 * (4 + 1 + 1))]
 
 
 class TestWitnessLookup:
