@@ -23,6 +23,23 @@ exceeds it, absorb that mass at the flow's source instead: |r|_1 stays the
 same and the transport cost drops.  No prune applies: its split route
 i -> l -> j needs a hop between two atoms of one sign.
 
+Stars: a block in which at most one atom has one of the signs gets its
+norm in closed form, without an LP (``_star_norm``).  With one sign only,
+the norm is the TV: f = 1 or f = -1 is in the unit ball.  Otherwise let c
+be the lone atom of its sign, a = |w_c|, and let the leaves j carry b_j =
+|w_j| at d_j = d(c, j), sorted stably by d_j.  By Columns some optimum
+ships flow only from c to the leaves or back.  Shipping Y <= min(a, sum b)
+leaves |r|_1 = TV - 2Y, and the cheapest transport of Y fills the nearest
+leaves first, at a cost C(Y) that is convex and piecewise linear.  So the
+norm is min_Y max(TV - 2Y, C(Y)).  Walk the segments: on leaf j, from (Y,
+C) over min(b_j, a - Y), the sides meet after s = (TV - 2Y - C) / (2 +
+d_j).  If s fits in the segment the norm is C + d_j s, the transport side,
+a sum of nonnegative terms; the equal TV - 2(Y + s) cancels (8e-8 off
+relative at d = 1e-10).  If no segment holds the crossing, the norm is
+max(TV - 2Y, C) at its end.  Two Diracs of weights a and b, d apart, get
+max(|a - b|, (a + b) d / (2 + d)), ``dirac_distance_exact`` when a = b.
+``bl_dual_norm`` returns a witness, so it solves the LP for stars too.
+
 Pruning, above NEAREST + 1 points: pair (i, j) gets no flow column when
 some point l splits it into two strictly shorter hops with d_il + d_lj <=
 d_ij.  Its flow routes through l at no extra cost, and |f_i - f_j| <= L d_ij
@@ -71,8 +88,9 @@ at most its TV <= L, and L is at most the maximum, so the maximum is
 unchanged; only the LP's tolerance separates the two results.
 
 HiGHS runs without presolve, which cost more than it saved on these LPs: on
-a 2-vCPU VM three_state's study LP (990 columns) took 11.3 ms with it and 9.5
-without, a generic k = 96 norm 18.6 and 14.9 ms, with equal optimal values.
+a 2-vCPU VM the nine LPs of three 12-state studies (1,021 to 2,042 columns)
+took 91 ms in all with it and 73 without, a generic k = 96 norm 18.6 and
+14.9 ms, with equal optimal values.
 """
 
 from __future__ import annotations
@@ -368,23 +386,51 @@ def norm_blocks(measures, metric) -> list:
 
 def solve_blocks(entries) -> list[float]:
     """Dual BL norms of ``norm_blocks`` entries (of one call or several
-    joined), from block-diagonal flow LPs.  Each value agrees with its
-    measure's own solve to HiGHS's default tolerances (feasibility 1e-7),
-    not bitwise: batched together, the 65 pushed commutator distances of
-    linear_flow's study (supports of 4 points, TV 2) came up to 2.3e-9
-    from one solve each, and a support with an atom of weight about 3e-8
-    beside atoms of 0.3 to 0.7 3.7e-9.  Consecutive blocks share one LP up
-    to MAX_LP_COLUMNS columns of the blocks' first solve; a run is solved
+    joined): stars in closed form (Stars), the other blocks from
+    block-diagonal flow LPs.  Each LP value agrees with its measure's own
+    solve to HiGHS's default tolerances (feasibility 1e-7), not bitwise:
+    batched together, the 65 pushed commutator distances of linear_flow's
+    study (supports of 4 points, TV 2) came up to 2.3e-9 from one solve
+    each, and a support with an atom of weight about 3e-8 beside atoms of
+    0.3 to 0.7 3.7e-9.  Consecutive blocks share one LP up to
+    MAX_LP_COLUMNS columns of the blocks' first solve; a run is solved
     again while its large blocks gain columns.  Zero measures get 0.0, and
-    a list of them, or an empty list, solves nothing.
+    a list of them and stars, or an empty list, solves no LP.
     """
-    values = [0.0] * len(entries)
-    blocks = [(i, scale, block) for i, (scale, block) in enumerate(entries) if scale]
+    values, blocks = [0.0] * len(entries), []
+    for i, (scale, block) in enumerate(entries):
+        star = _star_norm(*block[:2]) if scale else 0.0
+        if star is None:
+            blocks.append((i, scale, block))
+        else:
+            values[i] = star * scale
     for run in _column_runs(blocks):
         res, t_cols = _certified_lp([block for _, _, block in run])
         for (i, scale, _), t in zip(run, res.x[t_cols].tolist()):
             values[i] = float(max(t * scale, 0.0)) + 0.0
     return values
+
+
+def _star_norm(wts, dist):
+    """Norm of unit-TV weights ``wts`` on points ``dist`` apart when at most
+    one atom has one of the signs (Stars), else None."""
+    pos, neg = np.flatnonzero(wts > 0.0), np.flatnonzero(wts < 0.0)
+    if len(pos) > 1 and len(neg) > 1:
+        return None
+    if not (len(pos) and len(neg)):
+        return 1.0
+    (c,), leaves = (pos, neg) if len(pos) == 1 else (neg, pos)
+    near = dist[c, leaves]
+    order = np.argsort(near, kind="stable")
+    left, y, cost = abs(float(wts[c])), 0.0, 0.0  # left = a - Y
+    for d, b in zip(near[order].tolist(), np.abs(wts[leaves[order]]).tolist()):
+        s, step = (1.0 - 2.0 * y - cost) / (2.0 + d), min(b, left)
+        if s <= step:
+            return cost + d * max(s, 0.0)
+        y, cost, left = y + step, cost + d * step, left - step
+        if left <= 0.0:
+            break
+    return max(1.0 - 2.0 * y, cost)
 
 
 def _column_runs(blocks):
@@ -538,7 +584,8 @@ def _unit_lower_bound(wts, dist) -> float:
 
 
 def bl_distance(mu, nu, metric) -> float:
-    """BL distance between two measures (positive or signed): one flow LP."""
+    """BL distance between two measures (positive or signed): the closed
+    form if their difference is a star, else one flow LP."""
     return bl_distances([(mu, nu)], metric)[0]
 
 

@@ -29,8 +29,20 @@ def path3():
     return StateSpace.finite([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 
 
+@pytest.fixture
+def path4():
+    x = np.arange(4.0)
+    return StateSpace.finite(np.abs(x[:, None] - x[None, :]))
+
+
+def two_by_two(space):
+    """Two atoms of each sign, so the norm needs the flow LP: positive at the
+    path's ends, negative in between.  On ``path4`` its norm is 2/3."""
+    return SignedMeasure.from_atoms(space, [(0, 0.5), (1, -0.5), (2, -0.5), (3, 0.5)])
+
+
 def norm_value(mu, metric):
-    """The norm alone, as one flow LP."""
+    """The norm alone, from one ``bl_norm_values`` call."""
     return bl_norm_values([mu], metric)[0]
 
 
@@ -287,22 +299,22 @@ class TestFlowForm:
             assert_certificate(mu, space, value, witness)
             assert norm_value(mu, space) == pytest.approx(value, abs=1e-12)
 
-    def test_distance_and_norm_each_solve_one_lp(self, path3, lp_calls):
-        a = PositiveMeasure.from_atoms(path3, [(0, 0.5), (1, 0.5)])
-        b = PositiveMeasure.from_atoms(path3, [(2, 1.0)])
-        bl_distance(a, b, path3)
-        # flows only from positive to negative atoms: 6 r columns, (0, 2), (1, 2) and t
-        assert lp_calls == [(3, 9)]
-        bl_dual_norm(linear_combine([1.0, -1.0], [a, b]), path3)
-        assert lp_calls == [(3, 9), (3, 9)]
+    def test_distance_and_norm_each_solve_one_lp(self, path4, lp_calls):
+        a = PositiveMeasure.from_atoms(path4, [(0, 0.5), (3, 0.5)])
+        b = PositiveMeasure.from_atoms(path4, [(1, 0.5), (2, 0.5)])
+        bl_distance(a, b, path4)
+        # flows only from positive to negative atoms: 8 r columns, (0, 1),
+        # (0, 2), (3, 1), (3, 2) and t
+        assert lp_calls == [(4, 13)]
+        bl_dual_norm(linear_combine([1.0, -1.0], [a, b]), path4)
+        assert lp_calls == [(4, 13), (4, 13)]
 
-    def test_failed_stage_one_raises(self, path3, monkeypatch):
+    def test_failed_stage_one_raises(self, path4, monkeypatch):
         monkeypatch.setattr(bl_metric, "linprog", lambda *a, **kw: OptimizeResult(
             success=False, status=2, message="forced failure"))
-        mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (2, -1.0)])
         for norm in (bl_dual_norm, norm_value):
             with pytest.raises(RuntimeError, match="forced failure"):
-                norm(mu, path3)
+                norm(two_by_two(path4), path4)
 
 
 def all_pairs_prune(dist):
@@ -572,7 +584,7 @@ class TestSharedSupports:
 
 
 class TestPresolveOff:
-    def test_every_solve_runs_without_presolve(self, path3, monkeypatch):
+    def test_every_solve_runs_without_presolve(self, path4, monkeypatch):
         options = []
 
         def recording(*args, **kwargs):
@@ -580,9 +592,9 @@ class TestPresolveOff:
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr(bl_metric, "linprog", recording)
-        mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (2, -1.0)])
-        bl_dual_norm(mu, path3)
-        bl_norm_values([mu, mu], path3)
+        mu = two_by_two(path4)
+        bl_dual_norm(mu, path4)
+        bl_norm_values([mu, mu], path4)
         assert options == [{"presolve": False}] * 2
 
     def test_witness_attains_the_value_in_the_unit_ball(self, lp_calls):
@@ -697,13 +709,17 @@ def batch_measures(draw, space, points):
 class TestBatchedNorms:
     @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_each_value_matches_its_own_solve(self, lp_calls, data):
+    def test_each_value_matches_its_own_solve(self, lp_calls, block_solves, data):
         metric, points = data.draw(batch_metrics())
         space = getattr(metric, "base", metric)
         batch = data.draw(st.lists(batch_measures(space, points), min_size=1, max_size=6))
-        del lp_calls[:]
+        del lp_calls[:], block_solves[:]
         values = bl_norm_values(batch, metric)
-        assert len(lp_calls) == int(any(mu.tv > 0.0 for mu in batch))
+        # one batch; one LP if a block has two atoms of each sign (not a star)
+        nonzero = sum(mu.tv > 0.0 for mu in batch)
+        assert block_solves == ([nonzero] if nonzero else [])
+        assert len(lp_calls) == int(any(min(len(mu.pos.points), len(mu.neg.points)) > 1
+                                        for mu in batch))
         assert len(values) == len(batch)
         for mu, value in zip(batch, values):
             if mu.tv == 0.0:
@@ -712,41 +728,43 @@ class TestBatchedNorms:
             assert value == pytest.approx(bl_norm_values([mu], metric)[0], abs=1e-12)
             assert value == pytest.approx(primal_lp(mu, metric), abs=1e-9)
 
-    def test_empty_and_zero_batches_solve_nothing(self, path3, lp_calls):
+    def test_empty_and_zero_batches_solve_nothing(self, path3, lp_calls, block_solves):
         assert bl_norm_values([], path3) == []
         empty = SignedMeasure.from_atoms(path3, [])
         cancelled = SignedMeasure.from_atoms(path3, [(1, 0.5), (1, -0.5)])
         assert bl_norm_values([empty, cancelled], path3) == [0.0, 0.0]
-        assert lp_calls == []
+        assert lp_calls == [] and block_solves == []
 
-    def test_one_solve_stacks_every_nonzero_block(self, path3, lp_calls):
-        a = SignedMeasure.from_atoms(path3, [(0, 1.0), (2, -1.0)])
-        b = SignedMeasure.from_atoms(path3, [(1, 0.3)])
-        empty = SignedMeasure.from_atoms(path3, [])
-        values = bl_norm_values([a, empty, b, a], path3)
-        # a: 2 points, the flow (0, 2); b: 1 point, no flow; r+, r-, flows and t per block
-        assert lp_calls == [(2 + 1 + 2, (4 + 1 + 1) + (2 + 0 + 1) + (4 + 1 + 1))]
-        assert values == pytest.approx([dirac_distance_exact(2.0), 0.0, 0.3,
-                                        dirac_distance_exact(2.0)], abs=1e-12)
+    def test_one_solve_stacks_every_nonzero_block(self, path4, lp_calls):
+        a = two_by_two(path4)
+        b = SignedMeasure.from_atoms(path4, [(1, 0.3)])
+        empty = SignedMeasure.from_atoms(path4, [])
+        values = bl_norm_values([a, empty, b, a], path4)
+        # a: 4 points, the flows (0, 1), (0, 2), (3, 1), (3, 2); r+, r-,
+        # flows and t per block.  b, of one sign, is a star: no columns
+        assert lp_calls == [(4 + 4, 2 * (8 + 4 + 1))]
+        assert values == pytest.approx([dirac_distance_exact(1.0), 0.0, 0.3,
+                                        dirac_distance_exact(1.0)], abs=1e-12)
 
-    def test_long_batches_split_into_runs_of_bounded_width(self, path3, lp_calls,
+    def test_long_batches_split_into_runs_of_bounded_width(self, path4, lp_calls,
                                                            monkeypatch):
         rng = np.random.default_rng(9)
-        batch = [full_support_measure(rng, path3) for _ in range(5)]  # 9 columns each
-        expected = [bl_norm_values([mu], path3)[0] for mu in batch]
-        for width, shapes in ((25, [(6, 18), (6, 18), (3, 9)]), (10, [(3, 9)] * 5)):
+        batch = [SignedMeasure.from_atoms(path4, list(enumerate(
+            (rng.permutation([1.0, 1.0, -1.0, -1.0]) * rng.uniform(0.1, 1.0, 4)).tolist())))
+            for _ in range(5)]  # two atoms of each sign: 13 columns each
+        expected = [bl_norm_values([mu], path4)[0] for mu in batch]
+        for width, shapes in ((26, [(8, 26), (8, 26), (4, 13)]), (12, [(4, 13)] * 5)):
             monkeypatch.setattr(bl_metric, "MAX_LP_COLUMNS", width)
             del lp_calls[:]
-            assert bl_norm_values(batch, path3) == pytest.approx(expected, abs=1e-12)
+            assert bl_norm_values(batch, path4) == pytest.approx(expected, abs=1e-12)
             assert lp_calls == shapes
 
-    def test_failed_batch_raises(self, path3, monkeypatch):
+    def test_failed_batch_raises(self, path4, monkeypatch):
         monkeypatch.setattr(bl_metric, "linprog", lambda *a, **kw: OptimizeResult(
             success=False, status=2, message="forced failure"))
-        a = SignedMeasure.from_atoms(path3, [(0, 1.0), (2, -1.0)])
-        b = SignedMeasure.from_atoms(path3, [(1, 0.3)])
+        b = SignedMeasure.from_atoms(path4, [(1, 0.3)])
         with pytest.raises(RuntimeError, match="forced failure"):
-            bl_norm_values([a, b], path3)
+            bl_norm_values([two_by_two(path4), b], path4)
 
 
 @st.composite
@@ -875,6 +893,88 @@ class TestColumnRule:
         assert_certificate(mu, metric, value, witness, tol)
 
 
+@st.composite
+def stars(draw):
+    """(metric, star measure, tolerance): a centre atom and 1 to 7 leaves of
+    the other sign (or, one time in four, of its own), on a finite space of
+    R^3 points, on the plane or under an envelope metric.  Some leaves lie
+    1e-9 to 1e-6 from an earlier point, and the TV is 10^-6 to 10.  The
+    tolerance, at unit TV, is the all-pairs LP's: 1e-7 beside such near
+    points (see ``small_blocks``), else 1e-9."""
+    kind = draw(st.sampled_from(["finite", "euclidean", "envelope"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(2, 8))
+    pts = rng.normal(size=(k, 2 if kind == "euclidean" else 3)) * 10.0 ** draw(
+        st.floats(-3.0, 1.0))
+    near = [i for i in range(1, k) if draw(st.integers(0, 3)) == 0]
+    for i in near:
+        shift = rng.normal(size=pts.shape[1])
+        pts[i] = pts[draw(st.integers(0, i - 1))] + shift / np.linalg.norm(shift) * 10.0 ** (
+            draw(st.floats(-9.0, -6.0)))
+    if kind == "euclidean":
+        space = metric = StateSpace.euclidean(2)
+        points = pts.tolist()
+    else:
+        space = metric = StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+        points = list(range(k))
+    if kind == "envelope":
+        metric = build_envelope_metric(space, [LipschitzWitness(
+            points=tuple(points), values=rng.uniform(-1.0, 1.0, k), sup_bound=1.0, lip_bound=1.0)])
+    w = rng.uniform(0.01, 1.0, k) * draw(st.sampled_from([-1.0, 1.0]))
+    centre = draw(st.integers(0, k - 1))
+    if draw(st.integers(0, 3)):
+        w[centre] = -w[centre]
+    w *= 10.0 ** draw(st.floats(-6.0, 1.0)) / np.abs(w).sum()
+    mu = SignedMeasure.from_atoms(space, list(zip(points, w.tolist())))
+    return metric, mu, 1e-7 if near else 1e-9
+
+
+def two_point_spaces(d):
+    """Two points d apart: on the line and as a finite space."""
+    return [(StateSpace.euclidean(1), [0.0], [d]),
+            (StateSpace.finite([[0.0, d], [d, 0.0]]), 0, 1)]
+
+
+class TestStars:
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_closed_form_matches_the_oracle_and_the_full_lp(self, lp_calls, data):
+        metric, mu, tol = data.draw(stars())
+        (_, (wts, dist, _)), = bl_metric.norm_blocks([mu], metric)
+        assert bl_metric._star_norm(wts, dist) is not None
+        del lp_calls[:]
+        value = norm_value(mu, metric)
+        assert lp_calls == []
+        if len(wts) <= bl_metric.ORACLE_MAX_SUPPORT:
+            assert abs(value - bl_dual_norm_oracle(mu, metric)) <= 1e-12 * mu.tv
+        # beside near points the LP read one star of one sign, whose norm is
+        # its TV, 2.3e-9 x TV above it
+        assert abs(value - full_lp_value(mu, metric)) <= tol * mu.tv
+
+    @pytest.mark.parametrize("d", [1e-11, 1e-10, 1e-9, 1e-6, 1e-3, 1.0, 7.0, 1e3])
+    def test_dirac_pairs_take_the_closed_form_at_every_distance(self, d):
+        # the LP read 0.0 at d <= 1e-9
+        for space, p, q in two_point_spaces(d):
+            value = bl_distance(PositiveMeasure.dirac(space, p), PositiveMeasure.dirac(space, q),
+                                space)
+            assert abs(value / dirac_distance_exact(d) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("d", [1e-10, 0.3, 2.0, 50.0])
+    @pytest.mark.parametrize("a, b", [(0.7, 0.2), (0.2, 0.7), (1.0, 1e-9), (3.0, 2.5)])
+    def test_unequal_diracs(self, d, a, b):
+        # max(|a - b|, (a + b) d / (2 + d)): ship min(a, b) or less
+        for space, p, q in two_point_spaces(d):
+            mu = SignedMeasure.from_atoms(space, [(p, a), (q, -b)])
+            expected = max(abs(a - b), (a + b) * d / (2.0 + d))
+            assert norm_value(mu, space) == pytest.approx(expected, rel=1e-15)
+
+    def test_norm_beside_near_coincident_points_matches_the_oracle(self):
+        # the LP put this norm 1.2e-9 above the oracle
+        d = 2.088
+        space = StateSpace.finite([[0.0, 1e-8, d + 5e-9], [1e-8, 0.0, d], [d + 5e-9, d, 0.0]])
+        mu = SignedMeasure.from_atoms(space, [(2, 0.5), (0, -1.0), (1, -0.5)])
+        assert abs(norm_value(mu, space) - bl_dual_norm_oracle(mu, space)) <= 1e-13 * mu.tv
+
 def assert_max_of_every_distance(pairs, metric):
     """``max_bl_distance`` within 1e-9 times the largest TV of the pairs'
     max of ``bl_distances``."""
@@ -893,21 +993,21 @@ class TestMaxDistance:
         measures = st.tuples(batch_measures(space, points), batch_measures(space, points))
         assert_max_of_every_distance(data.draw(st.lists(measures, max_size=6)), metric)
 
-    def test_empty_and_zero_lists_solve_nothing(self, path3, lp_calls):
+    def test_empty_and_zero_lists_solve_nothing(self, path3, lp_calls, block_solves):
         a = SignedMeasure.from_atoms(path3, [(0, 1.0), (2, -0.5)])
         empty = SignedMeasure.from_atoms(path3, [])
         assert max_bl_distance([], path3) == 0.0
         assert max_bl_distance([(a, a), (empty, empty)], path3) == 0.0
-        assert lp_calls == []
+        assert lp_calls == [] and block_solves == []
 
-    def test_a_list_that_needs_no_lp(self, path3, lp_calls):
+    def test_a_list_that_needs_no_lp(self, path3, lp_calls, block_solves):
         a, c = PositiveMeasure.dirac(path3, 0), PositiveMeasure.dirac(path3, 2)
         both = PositiveMeasure.from_atoms(path3, [(0, 1.0), (1, 1.0)])
         empty = PositiveMeasure.from_atoms(path3, [])
         # one sign, TV 2: the norm is 2; the Dirac pair has TV 2, not above it
         pairs = [(both, empty), (a, c)]
         assert max_bl_distance(pairs, path3) == 2.0
-        assert lp_calls == []
+        assert lp_calls == [] and block_solves == []
         assert assert_max_of_every_distance(pairs, path3) == pytest.approx(2.0, abs=1e-9)
 
     def test_the_largest_tv_need_not_hold_the_maximum(self):
@@ -918,13 +1018,13 @@ class TestMaxDistance:
         value = assert_max_of_every_distance([near, far], space)
         assert value == pytest.approx(0.5 * dirac_distance_exact(1.0), abs=1e-9)
 
-    def test_a_block_whose_tv_sits_on_the_bound_is_solved(self, path3, lp_calls):
+    def test_a_block_whose_tv_sits_on_the_bound_is_solved(self, path3, block_solves):
         # the Dirac pair 2 apart has the bound 2 * 2 / (2 + 2) = 1.0 before
         # BOUND_MARGIN, and the half-weight pair has TV 1.0: both are solved
         a, c = PositiveMeasure.dirac(path3, 0), PositiveMeasure.dirac(path3, 2)
         halves = tuple(PositiveMeasure.from_atoms(path3, [(i, 0.5)]) for i in (0, 2))
         assert max_bl_distance([(a, c), halves], path3) == pytest.approx(1.0, abs=1e-9)
-        assert lp_calls == [(2 + 2, 2 * (4 + 1 + 1))]
+        assert block_solves == [2]
 
 
 class TestWitnessLookup:

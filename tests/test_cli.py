@@ -357,20 +357,21 @@ class TestStudy:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["order"] == "g2_first"
 
-    def test_study_solves_one_lp(self, tmp_path, lp_calls):
-        assert run_study(scenario_path("three_state"), tmp_path, seed=0) == 0
-        assert len(lp_calls) == 1  # every norm of the study in one batch
+    def test_study_solves_one_lp(self, tmp_path, lp_calls, block_solves):
+        # every norm of the study in one batch: three_state's blocks are all
+        # stars, solved without an LP; linear_flow's 4-point commutator
+        # blocks are not, and share one LP
+        for name, lps in (("three_state", 0), ("linear_flow", 1)):
+            del lp_calls[:], block_solves[:]
+            assert run_study(scenario_path(name), tmp_path / name, seed=0) == 0
+            assert len(block_solves) == 1 and len(lp_calls) == lps
 
-    def test_study_solves_the_base_modulus_once(self, tmp_path, lp_calls, monkeypatch):
-        blocks = []
-        flow_lp = bl_metric._flow_lp
-        monkeypatch.setattr(bl_metric, "_flow_lp",
-                            lambda batch: blocks.append(len(batch)) or flow_lp(batch))
+    def test_study_solves_the_base_modulus_once(self, tmp_path, block_solves):
         assert run_study(scenario_path("three_state"), tmp_path, seed=0) == 0
         # the schedule's 11 distances, omega on its 13-point grid, the five
         # sampled operators' pushed moduli on that grid (without omega's 13
         # again: 103 blocks in all before), the swap-order distance
-        assert blocks == [11 + 13 + 5 * 13 + 1] and len(lp_calls) == 1
+        assert block_solves == [11 + 13 + 5 * 13 + 1]
 
     @pytest.mark.parametrize("name", ["three_state", "linear_flow"])
     def test_batched_values_match_the_standalone_functions(self, tmp_path, name):

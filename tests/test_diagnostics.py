@@ -136,27 +136,27 @@ class TestContinuity:
 
 
 class TestBatchedSolves:
-    def test_each_probe_solves_its_norms_at_once(self, path3, mu0, lp_calls):
+    def test_each_probe_solves_its_norms_at_once(self, path3, mu0, block_solves):
         g1 = SemigroupSpec.matrix_exponential(path3, Q1)
         g2 = SemigroupSpec.matrix_exponential(path3, Q2)
         sizes = [1e-1, 1e-2, 1e-3]
         rng = np.random.default_rng(5)
         perts = perturb_measures(mu0, sizes, rng)
-        rounds = len(lp_calls)
-        del lp_calls[:]
+        rounds = len(block_solves)
+        del block_solves[:]
         ops = (at_time(g1, 0.1), at_time(g2, 0.1))
         rows = equicontinuity_modulus(EquicontinuityProbe(mu0, tuple(perts), tuple(sizes), ops))
         limit_semigroup_check(g1, g2, mu0, 0.5, 0.5, 64)
         stochastic_continuity_check(g1, mu0, [1e-1, 1e-2, 1e-3])
-        assert len(lp_calls) == 3
+        assert len(block_solves) == 3
         worst = [max(bl_distance(apply(P, mu0), apply(P, nu), path3) for P in ops)
                  for nu in perts]
         # rows run from the smallest input distance up, as a running maximum
         assert [d for _, d in rows] == pytest.approx(
             np.maximum.accumulate(worst[::-1]).tolist(), abs=1e-12)
-        del lp_calls[:]
+        del block_solves[:]
         feller_continuity_check(g1, g2, 1.0, mu0, sizes, 64, np.random.default_rng(5))
-        assert len(lp_calls) == rounds + 1  # the searches, then the outputs
+        assert len(block_solves) == rounds + 1  # the searches, then the outputs
 
 
 class TestPerturbations:
@@ -166,14 +166,14 @@ class TestPerturbations:
             nu = perturb_measure(mu0, target, rng)
             assert bl_distance(mu0, nu, path3) == pytest.approx(target, rel=0.011)
 
-    def test_bisection_verifies_its_path_in_two_solves(self, mu0, lp_calls):
+    def test_bisection_verifies_its_path_in_two_solves(self, mu0, block_solves):
         # one solve of amplitudes 1 and 1/2, then one of the predicted path
         rng = np.random.default_rng(0)
         counts = []
         for target in (0.1, 0.01, 1e-3, 1e-4):
-            del lp_calls[:]
+            del block_solves[:]
             perturb_measure(mu0, target, rng)
-            counts.append(len(lp_calls))
+            counts.append(len(block_solves))
         assert counts == [2, 2, 2, 2]
 
     def test_draws_one_direction_per_call(self, mu0):
@@ -271,25 +271,25 @@ def _outcome(perturb_all, mu, targets, directions):
 class TestPredictAndVerify:
     @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=perturbation_cases())
-    def test_matches_the_sequential_search_bit_for_bit(self, case, lp_calls):
-        del lp_calls[:]
+    def test_matches_the_sequential_search_bit_for_bit(self, case, block_solves):
+        del block_solves[:]
         expected = _outcome(_one_by_one(_sequential_perturbation), *case)
-        steps = len(lp_calls)
-        del lp_calls[:]
+        steps = len(block_solves)
+        del block_solves[:]
         assert _outcome(_one_by_one(perturb_measure), *case) == expected
-        assert len(lp_calls) <= steps
+        assert len(block_solves) <= steps
 
-    def test_clipped_direction_beyond_amplitude_one(self, lp_calls):
+    def test_clipped_direction_beyond_amplitude_one(self, block_solves):
         # amplitude 1 clips the first factor and only 4 brackets (distances
         # 0.39, 0.49, 0.69 at 1, 2, 4), so linear predictions miss
         s = StateSpace.euclidean(1)
         mu = PositiveMeasure.from_atoms(s, [([0.0], 0.5), ([1.0], 0.3), ([3.0], 0.2)])
         case = (mu, [0.6], [[-0.99, 0.3, 1.0]])
         expected = _outcome(_one_by_one(_sequential_perturbation), *case)
-        steps = len(lp_calls)
-        del lp_calls[:]
+        steps = len(block_solves)
+        del block_solves[:]
         assert _outcome(_one_by_one(perturb_measure), *case) == expected
-        assert (steps, len(lp_calls)) == (8, 4)
+        assert (steps, len(block_solves)) == (8, 4)
 
 
 def _rounds(monkeypatch, perturb_all, mu, targets, directions):
@@ -320,17 +320,17 @@ class TestLockstep:
                  for t, d in zip(targets, directions)]
         assert rounds == max(alone)
 
-    def test_probe_sizes_solve_as_many_lps_as_the_longest_search(self, mu0, lp_calls):
+    def test_probe_sizes_solve_as_many_lps_as_the_longest_search(self, mu0, block_solves):
         # consecutive one-target calls draw the lockstep's directions
         sizes = [10.0 ** -e for e in range(1, 5)]
         rng, alone = np.random.default_rng(6), []
         for size in sizes:
-            del lp_calls[:]
+            del block_solves[:]
             perturb_measure(mu0, size, rng)
-            alone.append(len(lp_calls))
-        del lp_calls[:]
+            alone.append(len(block_solves))
+        del block_solves[:]
         perturb_measures(mu0, sizes, np.random.default_rng(6))
-        assert len(lp_calls) == max(alone)
+        assert len(block_solves) == max(alone)
 
 
 class TestSolvedDistances:

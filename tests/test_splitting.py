@@ -117,14 +117,14 @@ class TestModulus:
 
 
 class TestBatchedSolves:
-    def test_schedule_grid_and_family_each_solve_once(self, pair, mu0, path3, lp_calls):
+    def test_schedule_grid_and_family_each_solve_once(self, pair, mu0, path3, block_solves):
         study = SplittingStudy(*pair, mu0, 1.0, (1, 2, 4, 8))
         grid = [1.0 / 2 ** j for j in range(6)]
         family = sample_scheme_family(*pair, 0.1, 5, np.random.default_rng(0))
         _, report = estimate_limit(study)
         omega = commutator_modulus(*pair, mu0, grid)
         c_hat, flags = extended_commutator_constant(*pair, mu0, omega, family)
-        assert len(lp_calls) == 3
+        assert len(block_solves) == 3
         ref = exact_reference(*pair, 1.0, mu0)
         assert report.distances == pytest.approx(
             [bl_distance(trotter_iterate(*pair, 1.0, n, mu0), ref, path3)
