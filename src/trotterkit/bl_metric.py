@@ -12,16 +12,16 @@ over r+, r- >= 0 per point, flows y_ij >= 0 on directed pairs, and t, with
 (div y)_i the flow out of i minus the flow into i: k sparse equality rows and
 two inequality rows.
 
-Columns: a block of at most NEAREST + 1 points gets a flow column for
-exactly the pairs (i, j) with w_i > 0 > w_j, in row-major order, and is
-final after one solve: some optimum uses only those pairs (Hanin, Proc. AMS
-1992).  Cancel an optimal flow's cycles and replace each source-to-sink
-path by its direct pair: by the triangle inequality (``StateSpace.finite``
-enforces it to 1e-12; Euclidean and envelope metrics satisfy it) that costs
-no more.  Where a point's net flow disagrees in sign with its weight, or
-exceeds it, absorb that mass at the flow's source instead: |r|_1 stays the
-same and the transport cost drops.  No prune applies: its split route
-i -> l -> j needs a hop between two atoms of one sign.
+Columns: every block gets flow columns only for pairs (i, j) with w_i > 0 >
+w_j, since some optimum uses no other pair (Hanin, Proc. AMS 1992).  Cancel
+an optimal flow's cycles and replace each source-to-sink path by its direct
+pair: by the triangle inequality (``StateSpace.finite`` enforces it to
+1e-12; Euclidean and envelope metrics satisfy it) that costs no more.
+Where a point's net flow disagrees in sign with its weight, or exceeds it,
+absorb that mass at the flow's source instead: |r|_1 stays the same and
+the transport cost drops.  A block of at most NEAREST + 1 points gets all
+of those pairs, in row-major order (at most k^2/4), and is final after one
+solve.
 
 Stars: a block in which at most one atom has one of the signs gets its
 norm in closed form, without an LP (``_star_norm``).  With one sign only,
@@ -40,21 +40,17 @@ max(TV - 2Y, C) at its end.  Two Diracs of weights a and b, d apart, get
 max(|a - b|, (a + b) d / (2 + d)), ``dirac_distance_exact`` when a = b.
 ``bl_dual_norm`` returns a witness, so it solves the LP for stars too.
 
-Pruning, above NEAREST + 1 points: pair (i, j) gets no flow column when
-some point l splits it into two strictly shorter hops with d_il + d_lj <=
-d_ij.  Its flow routes through l at no extra cost, and |f_i - f_j| <= L d_ij
-follows from the kept pairs by the triangle inequality (induction on d), so
-the optimum is unchanged.  It is one array test of the pairs against every
-l, PRUNE_CHUNK entries at a time.  Supports with the same points in the same
-order share distances and pairs within one ``norm_blocks`` call, only there.
-
-Column generation, above NEAREST + 1 points: a block first gets flow
-columns only for the pairs among each point's NEAREST nearest neighbours,
-pruned as above.  After each solve, every pair without a column whose dual
-constraint f_i - f_j <= L d_ij is broken by more than CHECK_TOL gets one,
-and the run is solved again until no block gains one (delayed column
-generation, with the all-pairs dual check of Schmitzer's sparse multiscale
-transport).  The restricted optimum is then the full one.
+Column generation, above NEAREST + 1 points: a block first gets the union
+of two sets of pairs, each positive atom with its NEAREST nearest negative
+atoms and each negative atom with its NEAREST nearest positive atoms
+(stable argsorts of the positive-by-negative distances), in row-major
+order; that is every pair of Columns when a sign has at most NEAREST
+atoms.  After each solve, every positive-to-negative pair without a column
+whose dual constraint f_i - f_j <= L d_ij is broken by more than CHECK_TOL
+gets one, and the run is solved again until no block gains one (delayed
+column generation).  The duals are then feasible for the LP over all
+positive-to-negative pairs, so by Columns the restricted optimum is the
+all-pairs one.
 
 Witness: the duals of the equality rows (f) and of the inequality rows (M, L,
 clipped at 0) bound f only on pairs with a column.  So, with f clipped to +-M
@@ -89,8 +85,9 @@ unchanged; only the LP's tolerance separates the two results.
 
 HiGHS runs without presolve, which cost more than it saved on these LPs: on
 a 2-vCPU VM the nine LPs of three 12-state studies (1,021 to 2,042 columns)
-took 91 ms in all with it and 73 without, a generic k = 96 norm 18.6 and
-14.9 ms, with equal optimal values.
+took 91 ms in all with it and 73 without, the 40 norms of the bl_norm_large
+benchmark 475 and 401 ms (a generic k = 96 norm 8.2 and 6.8 ms), with equal
+optimal values.
 """
 
 from __future__ import annotations
@@ -110,14 +107,16 @@ ORACLE_MAX_SUPPORT = 6
 # falls: a 12-state study's 90 blocks (5,485 columns) took 27 ms and 4.5 MB as
 # one LP, 28 ms and 1.6 MB as three of <= 2,048 columns, 31 and 0.4 as six of <= 1,024.
 MAX_LP_COLUMNS = 2048
-# Nearest neighbours per point whose pairs get a flow column before the
-# dual check.  On 40 benchmark norms (k = 96 and 200, R^3 and grid-graph
-# metrics) 8 to 24 solved equally fast, 32 took 10 % longer and 64 twice
-# as long; 8 took up to 3 rounds, 16 at most 2.
+# Nearest atoms of the other sign per atom whose pairs get a flow column
+# before the dual check.  On 40 benchmark norms (k = 96 and 200, R^3 and
+# grid-graph metrics; best of 5, interleaved) 8 to 16 solved within 7 % of
+# each other, 24 took 1.2 times as long, 32 1.4, 64 twice and 4 1.6 times;
+# 4 took up to 4 solves, 8 and 12 up to 2, 16 one but for one graph norm's 2.
 NEAREST = 16
-# Dual slack, at unit TV, above which the check adds a pair.  At 0 the 20
-# grid-graph norms of those 40 took 2 to 16 rounds, adding pairs whose
-# violations were at rounding level; at 1e-12 each takes one.
+# Dual slack, at unit TV, above which the check adds a pair.  Those 40 norms
+# took the same solves at 0; with columns between atoms of one sign and a
+# triangle prune, 0 took the grid-graph norms 2 to 16 rounds, adding pairs
+# whose violations were at rounding level.
 CHECK_TOL = 1e-12
 # Relative shrink of a two-signed block's lower bound in ``max_bl_distance``,
 # so that the rounding of its sums (a few ulps) cannot lift it over the norm
@@ -126,9 +125,6 @@ BOUND_MARGIN = 1e-12
 # Pairwise distances must lie below this: HiGHS refuses matrix entries of 1e15
 # or more (large_matrix_value): three atoms 1e15 apart gave a Model error, 1e14 solved.
 MAX_DISTANCE = 1e15
-# Entries per array of the pruning's split test.  Unchunked, the k = 200
-# norms of the bl_norm_large benchmark raised its peak RSS from 89 to 108 MB.
-PRUNE_CHUNK = 1 << 14
 
 
 class OracleSupportError(ValueError):
@@ -262,8 +258,8 @@ def lipschitz_constant(values, dist) -> float:
 def _unit_support(mu: SignedMeasure, metric, shared):
     """(points, TV scale, weights at unit TV, (distances, starting pairs)).
     Norms are solved at unit TV so solver tolerances cannot swallow tiny
-    measures.  ``shared``, one call's dict, holds each support's distances
-    and, above NEAREST + 1 points, its pairs: below, they follow the signs."""
+    measures.  ``shared``, one call's dict, holds each support's distances;
+    the pairs follow the weights' signs (Columns)."""
     pts, wts = mu.support()
     scale = float(np.sum(np.abs(wts)))
     if (key := tuple(pts)) not in shared:
@@ -271,40 +267,37 @@ def _unit_support(mu: SignedMeasure, metric, shared):
         if not (dist < MAX_DISTANCE).all():  # an infinite or NaN distance fails it too
             raise DistanceRangeError(f"support points lie {float(dist.max())!r} apart; the "
                                      f"BL norm LP needs distances below {MAX_DISTANCE:g}")
-        shared[key] = dist, _flow_pairs(dist) if len(pts) > NEAREST + 1 else None
-    dist, pairs = shared[key]
-    if pairs is None:  # every positive-to-negative pair (Columns)
-        pairs = np.nonzero((wts > 0.0)[:, None] & (wts < 0.0)[None, :])
-    return pts, scale, wts / scale if scale else wts, (dist, pairs)
+        shared[key] = dist
+    dist = shared[key]
+    return pts, scale, wts / scale if scale else wts, (dist, _sign_pairs(wts, dist))
 
 
-def _flow_pairs(dist):
-    """Directed pairs (i, j) that start with a flow column in a block of
-    more than NEAREST + 1 points, in row-major order: the pairs among each
-    point's NEAREST nearest neighbours (either way round) that no point l
-    splits into two strictly shorter hops with d_il + d_lj <= d_ij."""
-    k = len(dist)
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :NEAREST + 1]
-    near = np.zeros((k, k), dtype=bool)
-    near[np.arange(k)[:, None], nearest] = True
-    near |= near.T
-    np.fill_diagonal(near, False)
-    src, dst = np.nonzero(near)
-    split, step = np.zeros(len(src), dtype=bool), max(PRUNE_CHUNK // max(k, 1), 1)
-    for a in range(0, len(src), step):  # rows: pairs (i, j); columns: l
-        i, j = src[a:a + step], dst[a:a + step]
-        into, out, d = dist[i], dist.T[j], dist[i, j, None]
-        split[a:a + step] = np.logical_or.reduce((into + out <= d) & (np.maximum(into, out) < d), 1)
-    return src[~split], dst[~split]
+def _sign_pairs(wts, dist):
+    """Starting flow columns, in row-major order: the pairs (i, j) with w_i >
+    0 > w_j in which j is one of i's NEAREST nearest negative atoms or i one
+    of j's NEAREST nearest positive atoms.  That is every such pair when a
+    sign has at most NEAREST atoms, as in every block of at most NEAREST + 1
+    points."""
+    pos, neg = wts > 0.0, wts < 0.0
+    if len(wts) <= NEAREST + 1:
+        return np.nonzero(pos[:, None] & neg[None, :])
+    pos, neg = np.flatnonzero(pos), np.flatnonzero(neg)
+    cross = dist[np.ix_(pos, neg)]
+    near = np.zeros(cross.shape, dtype=bool)
+    near[np.arange(len(pos))[:, None], np.argsort(cross, axis=1, kind="stable")[:, :NEAREST]] = True
+    near[np.argsort(cross, axis=0, kind="stable")[:NEAREST], np.arange(len(neg))] = True
+    i, j = np.nonzero(near)
+    return pos[i], neg[j]
 
 
 def _certified_lp(blocks):
     """``_flow_lp`` with delayed column generation.  After each solve, every
-    block of more than NEAREST + 1 points tests the dual constraint
-    f_i - f_j <= L d_ij of every pair without a column and gains the pairs
-    that break it by more than CHECK_TOL; the run is solved again until no
-    block gains a pair.  Each block's duals are then feasible for its LP on
-    all pairs, so its optimum is the all-pairs optimum."""
+    block of more than NEAREST + 1 points tests the dual constraint f_i -
+    f_j <= L d_ij of every pair (i, j) with w_i > 0 > w_j that has no column
+    and gains the pairs that break it by more than CHECK_TOL; the run is
+    solved again until no block gains a pair.  Each block's duals are then
+    feasible for its LP on every such pair, so its optimum is the all-pairs
+    optimum (Columns).  Smaller blocks have a column for every such pair."""
     blocks = list(blocks)
     while True:
         res, t_cols = _flow_lp(blocks)
@@ -312,12 +305,16 @@ def _certified_lp(blocks):
         for m, (wts, dist, (src, dst)) in enumerate(blocks):
             k = len(wts)
             if k > NEAREST + 1:
+                pos, neg = np.flatnonzero(wts > 0.0), np.flatnonzero(wts < 0.0)
                 f, L = res.eqlin.marginals[row:row + k], -res.ineqlin.marginals[2 * m + 1]
-                gap = f[:, None] - f[None, :] - L * dist
-                gap[src, dst] = 0.0
+                gap = f[pos, None] - f[None, neg] - L * dist[np.ix_(pos, neg)]
+                rank = np.empty(k, dtype=np.intp)
+                rank[pos], rank[neg] = np.arange(len(pos)), np.arange(len(neg))
+                gap[rank[src], rank[dst]] = 0.0
                 i, j = np.nonzero(gap > CHECK_TOL)
                 if len(i):
-                    blocks[m] = (wts, dist, (np.concatenate([src, i]), np.concatenate([dst, j])))
+                    blocks[m] = (wts, dist, (np.concatenate([src, pos[i]]),
+                                             np.concatenate([dst, neg[j]])))
                     added = True
             row += k
         if not added:
@@ -327,8 +324,8 @@ def _certified_lp(blocks):
 def _flow_lp(blocks):
     """Solve the flow LPs of ``blocks`` as one block-diagonal LP.
 
-    A block is (unit-TV weights, distances, kept pairs) of one measure, with
-    columns r+, r-, y (kept pairs) and t_m, k_m equality rows and two
+    A block is (unit-TV weights, distances, flow pairs) of one measure, with
+    columns r+, r-, y (its pairs) and t_m, k_m equality rows and two
     inequality rows; the objective is the sum of the t_m.  Returns the
     result and the column of each t_m.
     """

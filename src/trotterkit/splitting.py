@@ -312,12 +312,12 @@ def dyadic_cauchy_bounds(rs, t, C: float, omega: ModulusEstimate):
 
     Returns list of (i, j, lhs, rhs) over all pairs i > j.
     """
+    env = [omega.envelope_at(t / 2 ** (l + 1)) for l in range(len(rs) - 1)]
     out = []
     for i in range(1, len(rs)):
         for j in range(i):
             lhs = abs(rs[i] - rs[j])
-            tail = sum(omega.envelope_at(t / 2 ** (l + 1)) for l in range(j, i))
-            rhs = C * (t / 2.0) * tail
+            rhs = C * (t / 2.0) * sum(env[j:i])
             out.append((i, j, float(lhs), float(rhs)))
     return out
 

@@ -165,8 +165,7 @@ def grid_metric(rng, rows, cols):
     """Shortest paths on a rows x cols grid with edge weights in {1, 2, 3}/8.
 
     The sums are exact in floating point, so every shortest path through an
-    intermediate point is an exact triangle equality and pruning removes
-    all but (some of) the grid edges.
+    intermediate point is an exact triangle equality.
     """
     k = rows * cols
     d = np.full((k, k), np.inf)
@@ -182,7 +181,7 @@ def grid_metric(rng, rows, cols):
 
 def near_collinear_space(rng, k):
     """Points close to a line: d_il + d_lj exceeds d_ij by a relative 1e-6
-    to 1e-3, so pruning removes no pair."""
+    to 1e-3."""
     pts = np.column_stack([np.arange(float(k)), rng.uniform(-0.03, 0.03, k)])
     return StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
 
@@ -226,8 +225,8 @@ def primal_lp(mu, space):
 
 
 def assert_certificate(mu, space, value, witness, tol=1e-9):
-    """The witness is feasible on every pair of its points (pruned ones too),
-    lies in the unit BL ball and attains the value."""
+    """The witness is feasible on every pair of its points (those without a
+    flow column too), lies in the unit BL ball and attains the value."""
     assert witness.check_feasible(space, slack=tol)
     assert witness.sup_bound >= 0.0 and witness.lip_bound >= 0.0
     assert witness.sup_bound + witness.lip_bound <= 1.0 + tol
@@ -247,43 +246,37 @@ class TestFlowForm:
                 assert norm_value(mu, space) == pytest.approx(ref_value, abs=1e-9)
                 assert_certificate(mu, space, value, witness)
 
-    def test_near_triangle_equalities_are_not_pruned(self):
-        # every pair must keep its flow column
-        rng = np.random.default_rng(31)
-        for _ in range(4):
-            space = near_collinear_space(rng, 10)
-            assert len(bl_metric._flow_pairs(space.dist)[0]) == 90
-            mu = full_support_measure(rng, space, zero_mass=True)
-            value, witness = bl_dual_norm(mu, space)
-            assert value == pytest.approx(primal_lp(mu, space), abs=1e-9)
-            assert_certificate(mu, space, value, witness)
-
-    def test_pruning_is_exact_on_a_graph_metric(self):
+    def test_graph_metric_matches_the_primal_lp(self):
         rng = np.random.default_rng(48)
         space = grid_metric(rng, 6, 8)
-        kept = len(bl_metric._flow_pairs(space.dist)[0])
-        assert kept <= 2 * (5 * 8 + 6 * 7)  # at most the directed grid edges
         for zero_mass in (True, False):
             mu = full_support_measure(rng, space, zero_mass)
             value, witness = bl_dual_norm(mu, space)
             assert value == pytest.approx(primal_lp(mu, space), abs=1e-9)
             assert_certificate(mu, space, value, witness)
 
-    def test_path_metric_keeps_only_neighbour_pairs(self):
-        pts = np.arange(7, dtype=float)
-        src, dst = bl_metric._flow_pairs(np.abs(pts[:, None] - pts[None, :]))
-        assert sorted(zip(src.tolist(), dst.tolist())) == sorted(
-            [(i, i + 1) for i in range(6)] + [(i + 1, i) for i in range(6)])
+    def test_near_triangle_equalities_keep_every_sign_pair(self):
+        # no pair from a positive to a negative atom loses its flow column
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            space = near_collinear_space(rng, 10)
+            mu = full_support_measure(rng, space, zero_mass=True)
+            (_, (_, _, (src, _))), = bl_metric.norm_blocks([mu], space)
+            assert len(src) == len(mu.pos) * len(mu.neg)
+            value, witness = bl_dual_norm(mu, space)
+            assert value == pytest.approx(primal_lp(mu, space), abs=1e-9)
+            assert_certificate(mu, space, value, witness)
 
-    def test_hop_below_rounding_does_not_prune(self):
-        # d_02 = 1e-17 vanishes in d_01 + d_12, so 1 + 1e-17 <= 1 holds in
-        # floating point both for (0, 1) via 2 and for (0, 2) via 1; pruning
-        # both would cut point 0 off.  Neither hop is strictly shorter.
+    def test_hop_below_rounding(self):
+        # d_12 = 1e-17 vanishes in d_01 + d_12: both negative atoms keep
+        # their column from the positive one
         space = StateSpace.finite([[0.0, 1.0, 1.0], [1.0, 0.0, 1e-17], [1.0, 1e-17, 0.0]])
-        assert len(bl_metric._flow_pairs(space.dist)[0]) == 6
         mu = SignedMeasure.from_atoms(space, [(0, 1.0), (1, -0.5), (2, -0.5)])
+        (_, (_, _, (src, dst))), = bl_metric.norm_blocks([mu], space)
+        assert (src.tolist(), dst.tolist()) == ([0, 0], [1, 2])
         value, witness = bl_dual_norm(mu, space)
         assert value == pytest.approx(dirac_distance_exact(1.0), abs=1e-9)
+        assert norm_value(mu, space) == pytest.approx(dirac_distance_exact(1.0), abs=1e-12)
         assert_certificate(mu, space, value, witness)
 
     @pytest.mark.parametrize("k", [12, 48, 96, 200])
@@ -317,23 +310,11 @@ class TestFlowForm:
                 norm(two_by_two(path4), path4)
 
 
-def all_pairs_prune(dist):
-    """Reference: every directed pair that no point splits into two strictly
-    shorter hops, from the O(k^3) prune over all pairs, in row-major order."""
-    k = len(dist)
-    pruned = np.eye(k, dtype=bool)
-    for l in range(k):
-        via = dist[:, l, None] + dist[None, l, :]
-        hop = np.maximum(dist[:, l, None], dist[None, l, :])
-        pruned |= (via <= dist) & (hop < dist)
-    return np.nonzero(~pruned)
-
-
 def full_lp_value(mu, metric):
-    """Reference: the norm from one flow LP with a column for every pair the
-    all-pairs prune keeps."""
+    """Reference: the norm from one flow LP with a column for every directed
+    pair of distinct points (dense all pairs)."""
     _, scale, wts, (dist, _) = bl_metric._unit_support(mu, metric, {})
-    res, _ = bl_metric._flow_lp([(wts, dist, all_pairs_prune(dist))])
+    res, _ = bl_metric._flow_lp([(wts, dist, np.nonzero(~np.eye(len(wts), dtype=bool)))])
     return res.fun * scale
 
 
@@ -400,7 +381,10 @@ class TestColumnGeneration:
             bl_dual_norm(mu, space)
             assert lp_calls == [(k, 2 * k + len(ref_src) + 1)]
 
-    def test_large_generic_support_adds_columns_in_rounds(self, lp_calls):
+    def test_large_generic_support_adds_columns_in_rounds(self, lp_calls, monkeypatch):
+        # with each atom's two nearest atoms of the other sign the first
+        # solve misses pairs that the optimum needs
+        monkeypatch.setattr(bl_metric, "NEAREST", 2)
         k = 200
         rng = np.random.default_rng(5)
         space = random_metric_space(rng, k)
@@ -408,32 +392,38 @@ class TestColumnGeneration:
         value, _ = bl_dual_norm(mu, space)
         assert len(lp_calls) >= 2
         columns = [cols - 2 * k - 1 for _, cols in lp_calls]
-        assert columns == sorted(set(columns)) and columns[-1] < k * (k - 1)
+        assert columns == sorted(set(columns)) and columns[-1] < len(mu.pos) * len(mu.neg)
         assert abs(value - full_lp_value(mu, space)) <= 1e-12 * mu.tv
 
     def test_stops_only_when_no_pair_without_a_column_breaks_its_dual_constraint(
             self, monkeypatch):
-        # the end points' direct pair is barely shorter than a path of
-        # neighbour hops, so the first solve's duals break a constraint by
-        # about 3e-7 at unit TV, above 1e-12 and below 1e-6
-        space, mu = parabola_measure(1e-3)
+        # the pairs tested are those from a positive to a negative atom:
+        # every solve but the last leaves one of them broken by more than
+        # CHECK_TOL, the last none
+        monkeypatch.setattr(bl_metric, "NEAREST", 2)
+        rng = np.random.default_rng(8)
+        space = grid_metric(rng, 5, 8)
+        mu = full_support_measure(rng, space, zero_mass=True)
         solves = []
         flow_lp = bl_metric._flow_lp
 
         def recording(blocks):
             res, t_cols = flow_lp(blocks)
-            solves.append((blocks[0][2], res))
+            solves.append((blocks[0], res))
             return res, t_cols
 
         monkeypatch.setattr(bl_metric, "_flow_lp", recording)
         value, _ = bl_dual_norm(mu, space)
         assert len(solves) >= 2
-        (src, dst), res = solves[-1]
-        f, L = res.eqlin.marginals, -res.ineqlin.marginals[1]
-        gap = f[:, None] - f[None, :] - L * space.dist
-        gap[src, dst] = 0.0
-        assert gap.max() <= 1e-12
-        # the solver's own tolerances limit both values to about 1e-10 here
+        broken = []
+        for (wts, dist, (src, dst)), res in solves:
+            pos, neg = wts > 0.0, wts < 0.0
+            assert pos[src].all() and neg[dst].all()
+            f, L = res.eqlin.marginals, -res.ineqlin.marginals[1]
+            gap = f[:, None] - f[None, :] - L * dist
+            gap[src, dst] = 0.0
+            broken.append(gap[np.ix_(pos, neg)].max() > bl_metric.CHECK_TOL)
+        assert broken == [True] * (len(solves) - 1) + [False]
         assert abs(value - full_lp_value(mu, space)) <= 1e-9 * mu.tv
 
     @pytest.mark.parametrize("c", [1e-2, 1e-3])
@@ -444,8 +434,24 @@ class TestColumnGeneration:
         assert witness.check_feasible(space, slack=1e-15)
         assert abs(witness.pair(mu) - value) <= 1e-9 * mu.tv
 
-    def test_mixed_batch_matches_each_own_solve(self, lp_calls):
-        rng = np.random.default_rng(64)  # a 60-point support that needs two solves
+    def test_a_sign_of_at_most_nearest_atoms_starts_with_every_pair(self, lp_calls):
+        # 10 positive and 30 negative atoms: each negative atom's NEAREST
+        # nearest positive atoms are all 10, so one solve is final
+        rng = np.random.default_rng(66)
+        space = random_metric_space(rng, 40)
+        w = -rng.uniform(0.5, 1.0, 40)
+        w[rng.permutation(40)[:10]] *= -3.0
+        mu = SignedMeasure.from_atoms(space, list(enumerate((w / np.abs(w).sum()).tolist())))
+        (_, (wts, _, (src, dst))), = bl_metric.norm_blocks([mu], space)
+        assert (src.tolist(), dst.tolist()) == sign_pairs(wts)
+        value, witness = bl_dual_norm(mu, space)
+        assert lp_calls == [(40, 2 * 40 + 10 * 30 + 1)]
+        assert abs(value - full_lp_value(mu, space)) <= 1e-12 * mu.tv
+        assert_certificate(mu, space, value, witness)
+
+    def test_mixed_batch_matches_each_own_solve(self, lp_calls, monkeypatch):
+        monkeypatch.setattr(bl_metric, "NEAREST", 4)  # the 60-point support needs rounds
+        rng = np.random.default_rng(64)
         space = random_metric_space(rng, 60)
         large = full_support_measure(rng, space, zero_mass=True)
         small = [SignedMeasure.from_atoms(space, list(zip(
@@ -458,68 +464,6 @@ class TestColumnGeneration:
         for mu, value in zip(batch, values):
             assert abs(value - bl_norm_values([mu], space)[0]) <= 1e-12
         assert abs(values[1] - full_lp_value(large, space)) <= 1e-12 * large.tv
-
-
-def loop_flow_pairs(dist):
-    """Reference: the starting pairs with the split test as a loop over the
-    middle point l, one vector test of every candidate pair per l."""
-    k = len(dist)
-    near = np.ones((k, k), dtype=bool)
-    if k > bl_metric.NEAREST + 1:
-        near[:] = False
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :bl_metric.NEAREST + 1]
-        near[np.arange(k)[:, None], nearest] = True
-        near |= near.T
-    np.fill_diagonal(near, False)
-    src, dst = np.nonzero(near)
-    d, kept = dist[src, dst], np.ones(len(src), dtype=bool)
-    for l in range(k):
-        into, out = dist[src, l], dist[l, dst]
-        kept &= ~((into + out <= d) & (np.maximum(into, out) < d))
-    return src[kept], dst[kept]
-
-
-def pruning_cases():
-    """(name, distance matrix) per metric the array test must prune as the
-    loop does: commuting.json's path metric, and random R^3 points and grid
-    graphs (exact triangle equalities) at k = 1, 2, NEAREST + 1, NEAREST + 2,
-    40 and 200."""
-    rng = np.random.default_rng(71)
-    commuting = load_scenario(str(resources.files("trotterkit").joinpath(
-        "scenarios/commuting.json"))).space
-    cases = [("commuting", commuting.dist)]
-    near = bl_metric.NEAREST
-    grids = {1: (1, 1), 2: (1, 2), near + 1: (1, near + 1), near + 2: (1, near + 2),
-             40: (5, 8), 200: (10, 20)}  # 1 x k grids are path graphs
-    for k, shape in grids.items():
-        cases += [(f"generic{k}", random_metric_space(rng, k).dist),
-                  (f"grid{k}", grid_metric(rng, *shape).dist)]
-    return [pytest.param(dist, id=name) for name, dist in cases]
-
-
-def is_row_major(src, dst):
-    return bool(np.all((src[1:] > src[:-1]) | (src[1:] == src[:-1]) & (dst[1:] > dst[:-1])))
-
-
-class TestArrayPruning:
-    @pytest.mark.parametrize("dist", pruning_cases())
-    def test_keeps_the_loops_pairs_bitwise_in_row_major_order(self, dist):
-        src, dst = bl_metric._flow_pairs(dist)
-        ref_src, ref_dst = loop_flow_pairs(dist)
-        assert src.dtype == ref_src.dtype and dst.dtype == ref_dst.dtype
-        assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst)
-        assert is_row_major(src, dst)
-
-    @pytest.mark.parametrize("chunk", [1, 7, 121, bl_metric.PRUNE_CHUNK])
-    def test_pairs_that_span_several_chunks(self, chunk, monkeypatch):
-        rng = np.random.default_rng(72)
-        monkeypatch.setattr(bl_metric, "PRUNE_CHUNK", chunk)
-        for dist in (random_metric_space(rng, 40).dist, grid_metric(rng, 10, 20).dist,
-                     random_metric_space(rng, 200).dist):
-            src, dst = bl_metric._flow_pairs(dist)
-            ref_src, ref_dst = loop_flow_pairs(dist)
-            assert len(ref_src) > max(chunk // len(dist), 1)  # kept pairs alone fill a chunk
-            assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst)
 
 
 def assert_entry_equal(entry, alone):
@@ -551,6 +495,26 @@ class TestSharedSupports:
         assert entries[0][1][1] is entries[2][1][1] is entries[6][1][1]
         assert entries[1][1][1] is entries[5][1][1]
         assert entries[3][1][1] is not entries[0][1][1]
+
+    def test_a_support_shares_its_distances_and_not_its_pairs(self):
+        # positive on points 0-19 or on 0-14, negative on the rest: the same
+        # support, in the same order, with other signs
+        rng = np.random.default_rng(75)
+        space = random_metric_space(rng, 40)
+        w = rng.uniform(0.5, 1.0, 40)
+        batch = [SignedMeasure.from_atoms(space, list(enumerate(
+            np.where(np.arange(40) < split, w, -w).tolist()))) for split in (20, 15)]
+        assert batch[0].support()[0] == batch[1].support()[0] == list(range(40))
+        entries = bl_metric.norm_blocks(batch, space)
+        (_, (_, dist, pairs)), (_, (_, other_dist, other_pairs)) = entries
+        assert other_dist is dist
+        assert len(pairs[0]) != len(other_pairs[0])
+        for mu, entry in zip(batch, entries):
+            (_, (wts, _, (src, dst))) = entry
+            assert (wts[src] > 0.0).all() and (wts[dst] < 0.0).all()
+            assert_entry_equal(entry, bl_metric.norm_blocks([mu], space)[0])
+        for mu, value in zip(batch, bl_norm_values(batch, space)):
+            assert abs(value - full_lp_value(mu, space)) <= 1e-12 * mu.tv
 
     def test_calls_on_two_spaces_share_nothing(self, path3):
         flat = StateSpace.finite(np.ones((3, 3)) - np.eye(3))
@@ -617,7 +581,7 @@ class TestPresolveOff:
 @st.composite
 def lattice_spaces(draw, min_size=2, max_size=6):
     """Distinct points of a coarse 2-D lattice: their Euclidean metric has
-    exact triangle equalities along lattice lines, which pruning removes."""
+    exact triangle equalities along lattice lines."""
     coords = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
     pts = np.array(draw(st.lists(coords, min_size=min_size, max_size=max_size, unique=True)),
                    dtype=float) / 2.0
@@ -891,6 +855,112 @@ class TestColumnRule:
         assert len(witness.points) == len(wts)
         assert witness.check_feasible(metric, slack=1e-12)
         assert_certificate(mu, metric, value, witness, tol)
+
+
+def nearest_sign_pairs(wts, dist, nearest):
+    """Reference: a block's starting pairs from loops, as (sources, sinks)
+    lists in row-major order: the (i, j) with w_i > 0 > w_j in which j is
+    one of i's ``nearest`` nearest negative atoms or i one of j's nearest
+    positive atoms, ties going to the lower index."""
+    pos = [i for i in range(len(wts)) if wts[i] > 0.0]
+    neg = [j for j in range(len(wts)) if wts[j] < 0.0]
+    pairs = set()
+    for i in pos:
+        pairs.update((i, j) for j in sorted(neg, key=lambda j: (dist[i, j], j))[:nearest])
+    for j in neg:
+        pairs.update((i, j) for i in sorted(pos, key=lambda i: (dist[i, j], i))[:nearest])
+    pairs = sorted(pairs)
+    return [i for i, _ in pairs], [j for _, j in pairs]
+
+
+@st.composite
+def large_blocks(draw, kind):
+    """(space, measure, NEAREST to run with, tolerance) on 18 to 40 points,
+    by ``kind``: random R^3 points ("generic"), shortest paths of a grid
+    graph (exact triangle equalities, "grid"), or R^3 points some of which
+    copy an earlier point moved by 1e-9 to 1e-6 ("near").  The weights are normal, with zero net mass or not, on
+    every point.  NEAREST is at times small enough that the LP gains columns
+    in rounds.  The tolerance, at unit TV, is 1e-9, but the LP's
+    feasibility tolerance 1e-7 beside near points: on 200 such supports the
+    value came up to 6.7e-9 from the dense LP and the witness paired up to
+    1.2e-8 below the value (4.0e-9 and 1.7e-8 with the old columns)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "grid":
+        space = grid_metric(rng, draw(st.integers(3, 5)), draw(st.integers(6, 8)))
+    else:
+        pts = rng.normal(size=(draw(st.integers(18, 40)), 3))
+        for i in range(1, len(pts) if kind == "near" else 0):
+            if draw(st.integers(0, 3)) == 0:
+                shift = rng.normal(size=3)
+                pts[i] = pts[draw(st.integers(0, i - 1))] + shift / np.linalg.norm(
+                    shift) * 10.0 ** draw(st.floats(-9.0, -6.0))
+        space = StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+    mu = full_support_measure(rng, space, zero_mass=draw(st.booleans()))
+    return (space, mu, draw(st.sampled_from([2, 4, 8, bl_metric.NEAREST])),
+            1e-7 if kind == "near" else 1e-9)
+
+
+class TestLargeBlocks:
+    @pytest.mark.parametrize("kind", ["generic", "grid", "near"])
+    @settings(max_examples=20)
+    @given(st.data())
+    def test_sign_pairs_give_the_all_pairs_value_and_a_certified_witness(self, kind, data):
+        space, mu, nearest, tol = data.draw(large_blocks(kind))
+        solved, flow_lp = [], bl_metric._flow_lp
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bl_metric, "NEAREST", nearest)
+            patch.setattr(bl_metric, "_flow_lp",
+                          lambda blocks: solved.extend(blocks) or flow_lp(blocks))
+            (_, (wts, dist, (src, dst))), = bl_metric.norm_blocks([mu], space)
+            value, witness = bl_dual_norm(mu, space)
+            norm = norm_value(mu, space)
+        assert (src.tolist(), dst.tolist()) == nearest_sign_pairs(wts, dist, nearest)
+        for _, _, (src, dst) in solved:  # starting and generated columns
+            assert (wts[src] > 0.0).all() and (wts[dst] < 0.0).all()
+        full = full_lp_value(mu, space)
+        assert abs(value - full) <= tol * mu.tv
+        assert abs(norm - full) <= tol * mu.tv
+        assert witness.check_feasible(space, slack=1e-9)
+        assert abs(witness.pair(mu) - value) <= tol * mu.tv
+
+
+def starting_pair_cases():
+    """(name, distance matrix) per metric whose starting pairs the array rule
+    must take as the loops do: commuting.json's path metric, and random R^3
+    points and grid graphs (exact triangle equalities) at k = 1, 2,
+    NEAREST + 1, NEAREST + 2, 40 and 200."""
+    rng = np.random.default_rng(71)
+    commuting = load_scenario(str(resources.files("trotterkit").joinpath(
+        "scenarios/commuting.json"))).space
+    cases = [("commuting", commuting.dist)]
+    near = bl_metric.NEAREST
+    grids = {1: (1, 1), 2: (1, 2), near + 1: (1, near + 1), near + 2: (1, near + 2),
+             40: (5, 8), 200: (10, 20)}  # 1 x k grids are path graphs
+    for k, shape in grids.items():
+        cases += [(f"generic{k}", random_metric_space(rng, k).dist),
+                  (f"grid{k}", grid_metric(rng, *shape).dist)]
+    return [pytest.param(dist, id=name) for name, dist in cases]
+
+
+def is_row_major(src, dst):
+    return bool(np.all((src[1:] > src[:-1]) | (src[1:] == src[:-1]) & (dst[1:] > dst[:-1])))
+
+
+class TestStartingPairs:
+    @pytest.mark.parametrize("dist", starting_pair_cases())
+    def test_array_rule_keeps_the_loops_pairs_bitwise_in_row_major_order(self, dist):
+        # normal weights with and without zero net mass, and a few atoms of
+        # one sign among many of the other, either way round
+        rng = np.random.default_rng(len(dist))
+        w = rng.normal(size=len(dist))
+        few = -np.ones(len(dist))
+        few[rng.permutation(len(dist))[:3]] = 1.0
+        for wts in (w, w - w.mean(), few, -few):
+            src, dst = bl_metric._sign_pairs(wts, dist)
+            ref_src, ref_dst = nearest_sign_pairs(wts, dist, bl_metric.NEAREST)
+            assert src.dtype == np.intp and dst.dtype == np.intp
+            assert src.tolist() == ref_src and dst.tolist() == ref_dst
+            assert is_row_major(src, dst)
 
 
 @st.composite

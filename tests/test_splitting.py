@@ -162,6 +162,23 @@ class TestBounds:
         for i, j, lhs, rhs in dyadic_cauchy_bounds(rs, 1.0, c_hat, omega):
             assert lhs <= rhs + 1e-12
 
+    def test_dyadic_cauchy_bounds_look_each_level_up_once(self, monkeypatch):
+        grid = np.array([1.0 / 2 ** j for j in range(12)])
+        env = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 12))[::-1]
+        omega = ModulusEstimate(t_grid=grid, values=env, monotone_envelope=env,
+                                dini_integral=0.0)
+        rs, C, t = np.random.default_rng(4).normal(size=10).tolist(), 0.37, 1.0
+        # the per-triple lookups, summed left to right as before
+        expected = [(i, j, abs(rs[i] - rs[j]), C * (t / 2.0) * sum(
+            omega.envelope_at(t / 2 ** (l + 1)) for l in range(j, i)))
+            for i in range(1, 10) for j in range(i)]
+        calls = []
+        lookup = ModulusEstimate.envelope_at
+        monkeypatch.setattr(ModulusEstimate, "envelope_at",
+                            lambda self, s: calls.append(s) or lookup(self, s))
+        assert dyadic_cauchy_bounds(rs, t, C, omega) == expected  # bitwise
+        assert calls == [t / 2 ** (l + 1) for l in range(9)]
+
     def test_dyadic_sequence_rejects_non_powers(self, pair, mu0, path3):
         study = SplittingStudy(g1=pair[0], g2=pair[1], mu0=mu0, t=1.0,
                                schedule=(1, 3, 5))
