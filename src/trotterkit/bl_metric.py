@@ -19,9 +19,17 @@ pair: by the triangle inequality (``StateSpace.finite`` enforces it to
 1e-12; Euclidean and envelope metrics satisfy it) that costs no more.
 Where a point's net flow disagrees in sign with its weight, or exceeds it,
 absorb that mass at the flow's source instead: |r|_1 stays the same and
-the transport cost drops.  A block of at most NEAREST + 1 points gets all
-of those pairs, in row-major order (at most k^2/4), and is final after one
-solve.
+the transport cost drops.  A block gets its columns when it reaches the
+LP: first the union of two sets of those pairs, each positive atom with its
+NEAREST nearest negative atoms and each negative atom with its NEAREST
+nearest positive atoms (stable argsorts of the positive-by-negative
+distances), in row-major order.  When a sign has at most NEAREST atoms
+that is every pair, and one solve is final.  Otherwise, after each solve,
+every positive-to-negative pair without a column whose dual constraint
+f_i - f_j <= L d_ij is broken by more than CHECK_TOL gets one, and the run
+is solved again until no block gains one (delayed column generation).  The
+duals are then feasible for the LP over all positive-to-negative pairs, so
+the restricted optimum is the all-pairs one.
 
 Stars: a block in which at most one atom has one of the signs gets its
 norm in closed form, without an LP (``_star_norm``).  With one sign only,
@@ -39,18 +47,6 @@ relative at d = 1e-10).  If no segment holds the crossing, the norm is
 max(TV - 2Y, C) at its end.  Two Diracs of weights a and b, d apart, get
 max(|a - b|, (a + b) d / (2 + d)), ``dirac_distance_exact`` when a = b.
 ``bl_dual_norm`` returns a witness, so it solves the LP for stars too.
-
-Column generation, above NEAREST + 1 points: a block first gets the union
-of two sets of pairs, each positive atom with its NEAREST nearest negative
-atoms and each negative atom with its NEAREST nearest positive atoms
-(stable argsorts of the positive-by-negative distances), in row-major
-order; that is every pair of Columns when a sign has at most NEAREST
-atoms.  After each solve, every positive-to-negative pair without a column
-whose dual constraint f_i - f_j <= L d_ij is broken by more than CHECK_TOL
-gets one, and the run is solved again until no block gains one (delayed
-column generation).  The duals are then feasible for the LP over all
-positive-to-negative pairs, so by Columns the restricted optimum is the
-all-pairs one.
 
 Witness: the duals of the equality rows (f) and of the inequality rows (M, L,
 clipped at 0) bound f only on pairs with a column.  So, with f clipped to +-M
@@ -229,10 +225,6 @@ class EnvelopeMetric:
         return d
 
 
-def build_envelope_metric(base: StateSpace, family) -> EnvelopeMetric:
-    return EnvelopeMetric(base=base, family=tuple(family))
-
-
 def pairwise_distances(metric, points) -> np.ndarray:
     """Distance matrix of ``points`` under a StateSpace or an EnvelopeMetric:
     read off a finite space's matrix, else one ``metric.distance`` per pair."""
@@ -256,10 +248,9 @@ def lipschitz_constant(values, dist) -> float:
 
 
 def _unit_support(mu: SignedMeasure, metric, shared):
-    """(points, TV scale, weights at unit TV, (distances, starting pairs)).
-    Norms are solved at unit TV so solver tolerances cannot swallow tiny
-    measures.  ``shared``, one call's dict, holds each support's distances;
-    the pairs follow the weights' signs (Columns)."""
+    """(points, TV scale, weights at unit TV, distances).  Norms are solved
+    at unit TV so solver tolerances cannot swallow tiny measures.
+    ``shared``, one call's dict, holds each support's distances."""
     pts, wts = mu.support()
     scale = float(np.sum(np.abs(wts)))
     if (key := tuple(pts)) not in shared:
@@ -268,20 +259,15 @@ def _unit_support(mu: SignedMeasure, metric, shared):
             raise DistanceRangeError(f"support points lie {float(dist.max())!r} apart; the "
                                      f"BL norm LP needs distances below {MAX_DISTANCE:g}")
         shared[key] = dist
-    dist = shared[key]
-    return pts, scale, wts / scale if scale else wts, (dist, _sign_pairs(wts, dist))
+    return pts, scale, wts / scale if scale else wts, shared[key]
 
 
 def _sign_pairs(wts, dist):
-    """Starting flow columns, in row-major order: the pairs (i, j) with w_i >
-    0 > w_j in which j is one of i's NEAREST nearest negative atoms or i one
-    of j's NEAREST nearest positive atoms.  That is every such pair when a
-    sign has at most NEAREST atoms, as in every block of at most NEAREST + 1
-    points."""
-    pos, neg = wts > 0.0, wts < 0.0
-    if len(wts) <= NEAREST + 1:
-        return np.nonzero(pos[:, None] & neg[None, :])
-    pos, neg = np.flatnonzero(pos), np.flatnonzero(neg)
+    """Starting flow columns of a block that reaches the LP, in row-major
+    order: the pairs (i, j) with w_i > 0 > w_j in which j is one of i's
+    NEAREST nearest negative atoms or i one of j's NEAREST nearest positive
+    atoms.  That is every such pair when a sign has at most NEAREST atoms."""
+    pos, neg = np.flatnonzero(wts > 0.0), np.flatnonzero(wts < 0.0)
     cross = dist[np.ix_(pos, neg)]
     near = np.zeros(cross.shape, dtype=bool)
     near[np.arange(len(pos))[:, None], np.argsort(cross, axis=1, kind="stable")[:, :NEAREST]] = True
@@ -292,20 +278,20 @@ def _sign_pairs(wts, dist):
 
 def _certified_lp(blocks):
     """``_flow_lp`` with delayed column generation.  After each solve, every
-    block of more than NEAREST + 1 points tests the dual constraint f_i -
-    f_j <= L d_ij of every pair (i, j) with w_i > 0 > w_j that has no column
-    and gains the pairs that break it by more than CHECK_TOL; the run is
-    solved again until no block gains a pair.  Each block's duals are then
-    feasible for its LP on every such pair, so its optimum is the all-pairs
-    optimum (Columns).  Smaller blocks have a column for every such pair."""
+    block that lacks a column for some pair (i, j) with w_i > 0 > w_j tests
+    the dual constraint f_i - f_j <= L d_ij of each such pair and gains the
+    pairs that break it by more than CHECK_TOL; the run is solved again
+    until no block gains a pair.  Each block's duals are then feasible for
+    its LP on every such pair, so its optimum is the all-pairs optimum
+    (Columns)."""
     blocks = list(blocks)
     while True:
         res, t_cols = _flow_lp(blocks)
         added, row = False, 0
         for m, (wts, dist, (src, dst)) in enumerate(blocks):
             k = len(wts)
-            if k > NEAREST + 1:
-                pos, neg = np.flatnonzero(wts > 0.0), np.flatnonzero(wts < 0.0)
+            pos, neg = np.flatnonzero(wts > 0.0), np.flatnonzero(wts < 0.0)
+            if len(src) < len(pos) * len(neg):
                 f, L = res.eqlin.marginals[row:row + k], -res.ineqlin.marginals[2 * m + 1]
                 gap = f[pos, None] - f[None, neg] - L * dist[np.ix_(pos, neg)]
                 rank = np.empty(k, dtype=np.intp)
@@ -371,34 +357,35 @@ def bl_norm_values(measures, metric) -> list[float]:
 
 
 def norm_blocks(measures, metric) -> list:
-    """One (TV scale, flow block) entry per measure, unsolved: unit-TV
-    weights, distances (DistanceRangeError here) and starting flow pairs.
-    A zero measure gets scale 0 and no block."""
+    """One (TV scale, (unit-TV weights, distances)) entry per measure,
+    unsolved, with no flow columns yet (DistanceRangeError here).  A zero
+    measure gets scale 0 and None."""
     entries, shared = [], {}
     for mu in measures:
-        _, scale, wts, (dist, pairs) = _unit_support(mu, metric, shared)
-        entries.append((scale, (wts, dist, pairs) if scale else None))
+        _, scale, wts, dist = _unit_support(mu, metric, shared)
+        entries.append((scale, (wts, dist) if scale else None))
     return entries
 
 
 def solve_blocks(entries) -> list[float]:
     """Dual BL norms of ``norm_blocks`` entries (of one call or several
-    joined): stars in closed form (Stars), the other blocks from
-    block-diagonal flow LPs.  Each LP value agrees with its measure's own
-    solve to HiGHS's default tolerances (feasibility 1e-7), not bitwise:
-    batched together, the 65 pushed commutator distances of linear_flow's
-    study (supports of 4 points, TV 2) came up to 2.3e-9 from one solve
-    each, and a support with an atom of weight about 3e-8 beside atoms of
-    0.3 to 0.7 3.7e-9.  Consecutive blocks share one LP up to
-    MAX_LP_COLUMNS columns of the blocks' first solve; a run is solved
-    again while its large blocks gain columns.  Zero measures get 0.0, and
-    a list of them and stars, or an empty list, solves no LP.
+    joined): stars in closed form (Stars); only the other blocks get
+    their starting columns (``_sign_pairs``), and block-diagonal flow LPs
+    solve them.  Each LP value agrees with its measure's own solve to
+    HiGHS's default tolerances (feasibility 1e-7), not bitwise: batched
+    together, the 65 pushed commutator distances of linear_flow's study
+    (supports of 4 points, TV 2) came up to 2.3e-9 from one solve each,
+    and a support with an atom of weight about 3e-8 beside atoms of 0.3 to
+    0.7 3.7e-9.  Consecutive blocks share one LP up to MAX_LP_COLUMNS
+    columns of the blocks' first solve; a run is solved again while its
+    blocks gain columns.  Zero measures get 0.0, and a list of them and
+    stars, or an empty list, solves no LP.
     """
     values, blocks = [0.0] * len(entries), []
     for i, (scale, block) in enumerate(entries):
-        star = _star_norm(*block[:2]) if scale else 0.0
+        star = _star_norm(*block) if scale else 0.0
         if star is None:
-            blocks.append((i, scale, block))
+            blocks.append((i, scale, (*block, _sign_pairs(*block))))
         else:
             values[i] = star * scale
     for run in _column_runs(blocks):
@@ -450,11 +437,11 @@ def bl_dual_norm(mu: SignedMeasure, metric) -> tuple[float, LipschitzWitness]:
     """Dual BL norm of ``mu`` (``metric``: a StateSpace or an EnvelopeMetric over
     it) with an attaining unit-ball witness, both from the flow LP's last
     solve: the witness is the double c-transform of its duals (Witness)."""
-    pts, scale, wts, (dist, pairs) = _unit_support(mu, metric, {})
+    pts, scale, wts, dist = _unit_support(mu, metric, {})
     if scale == 0.0:
         return 0.0, LipschitzWitness(points=tuple(pts), values=np.zeros(len(pts)),
                                      sup_bound=float(len(pts) > 0), lip_bound=0.0)
-    res, _ = _certified_lp([(wts, dist, pairs)])
+    res, _ = _certified_lp([(wts, dist, _sign_pairs(wts, dist))])
     M, L = np.maximum(-res.ineqlin.marginals, 0.0) + 0.0
     neg = wts < 0.0
     cross = L * dist[np.ix_(~neg, neg)]
@@ -521,7 +508,7 @@ def bl_dual_norm_oracle(mu: SignedMeasure, metric) -> float:
     for M = 1 - L), so a coarse grid followed by ternary refinement recovers
     the optimum.  Refuses supports larger than ORACLE_MAX_SUPPORT.
     """
-    pts, scale, wts, (dist, _) = _unit_support(mu, metric, {})
+    pts, scale, wts, dist = _unit_support(mu, metric, {})
     if len(pts) > ORACLE_MAX_SUPPORT:
         raise OracleSupportError(f"oracle limited to supports of size <= {ORACLE_MAX_SUPPORT}")
     if scale == 0.0:
@@ -564,7 +551,7 @@ def max_bl_distance(pairs, metric) -> float:
     whose TV exceeds every block's lower bound (see Maxima in the module
     docstring): any other has a norm of at most the largest bound."""
     entries = [entry for entry in distance_blocks(pairs, metric) if entry[0]]
-    low = max((scale * _unit_lower_bound(wts, dist) for scale, (wts, dist, _) in entries),
+    low = max((scale * _unit_lower_bound(wts, dist) for scale, (wts, dist) in entries),
               default=0.0)
     return max([low] + solve_blocks([entry for entry in entries if entry[0] > low]))
 

@@ -25,10 +25,10 @@ import numpy as np
 from . import __version__
 from .bl_metric import (
     DistanceRangeError,
+    EnvelopeMetric,
     FunctionWitness,
     LipschitzWitness,
     bl_distance,
-    build_envelope_metric,
     dirac_distance_exact,
     distance_blocks,
     lipschitz_constant,
@@ -342,7 +342,7 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
     witnesses = build_witnesses(space, scn.witness_specs, rng)
     metric = space
     if scn.metric == "envelope":
-        metric = build_envelope_metric(space, witnesses)
+        metric = EnvelopeMetric(base=space, family=tuple(witnesses))
 
     study = SplittingStudy(g1=g1, g2=g2, mu0=mu0, t=t, schedule=scn.schedule,
                            order=scn.order, metric=metric)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .bl_metric import LipschitzWitness
 from .measures import (
     COINCIDENCE_TOL,
     PRUNE_REL_TOL,
@@ -410,8 +409,9 @@ def apply_signed(P: MarkovOperatorSpec, mu: SignedMeasure) -> SignedMeasure:
     return linear_combine([1.0, -1.0], [pos, neg])
 
 
-def pairing(mu, f: LipschitzWitness) -> float:
-    """<mu, f> for a positive or signed measure."""
+def pairing(mu, f) -> float:
+    """<mu, f> for a positive or signed measure and a witness ``f`` with a
+    ``pair`` method (a LipschitzWitness or a FunctionWitness)."""
     if isinstance(mu, PositiveMeasure):
         mu = mu.as_signed()
     return f.pair(mu)

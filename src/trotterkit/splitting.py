@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bl_metric import LipschitzWitness, bl_distance, bl_distances
+from .bl_metric import FunctionWitness, LipschitzWitness, bl_distance, bl_distances
 from .measures import PositiveMeasure
 from .operators import (
     SemigroupSpec,
@@ -284,7 +284,7 @@ def sample_scheme_family(g1, g2, delta, count, rng, order="g1_first"):
     return ops
 
 
-def refinement_bound_check(g1, g2, mu0, f: LipschitzWitness, t, pairs,
+def refinement_bound_check(g1, g2, mu0, f: LipschitzWitness | FunctionWitness, t, pairs,
                            C: float, omega: ModulusEstimate,
                            order="g1_first"):
     """Per (n, k): lhs = |<iter(n) - iter(nk), f>|, rhs = C (k-1)/2 t omega(t/nk)."""
@@ -298,7 +298,7 @@ def refinement_bound_check(g1, g2, mu0, f: LipschitzWitness, t, pairs,
     return out
 
 
-def dyadic_sequence(study: SplittingStudy, f: LipschitzWitness):
+def dyadic_sequence(study: SplittingStudy, f: LipschitzWitness | FunctionWitness):
     """r_k = <[P1 P2]^{2^k} mu0, f> along a dyadic schedule."""
     for n in study.schedule:
         if n & (n - 1):

@@ -9,6 +9,7 @@ from scipy.optimize import OptimizeResult, linprog
 from trotterkit import bl_metric
 from trotterkit.bl_metric import (
     DistanceRangeError,
+    EnvelopeMetric,
     LipschitzWitness,
     OracleSupportError,
     bl_distance,
@@ -16,7 +17,6 @@ from trotterkit.bl_metric import (
     bl_dual_norm,
     bl_dual_norm_oracle,
     bl_norm_values,
-    build_envelope_metric,
     dirac_distance_exact,
     max_bl_distance,
 )
@@ -130,7 +130,7 @@ class TestEnvelopeMetric:
     def test_envelope_dominates_base(self, path3):
         mu = SignedMeasure.from_atoms(path3, [(0, 1.0), (1, -0.5), (2, -0.5)])
         _, witness = bl_dual_norm(mu, path3)
-        env = build_envelope_metric(path3, [witness])
+        env = EnvelopeMetric(base=path3, family=(witness,))
         for i in range(3):
             for j in range(3):
                 assert env.distance(i, j) >= path3.distance(i, j) - 1e-15
@@ -138,7 +138,7 @@ class TestEnvelopeMetric:
     def test_envelope_norm_at_least_base(self, path3):
         mu = SignedMeasure.from_atoms(path3, [(0, 0.5), (1, 0.1), (2, -0.6)])
         _, witness = bl_dual_norm(mu, path3)
-        env = build_envelope_metric(path3, [witness])
+        env = EnvelopeMetric(base=path3, family=(witness,))
         base_value, _ = bl_dual_norm(mu, path3)
         env_value, _ = bl_dual_norm(mu, env)
         assert env_value >= base_value - 1e-10
@@ -224,6 +224,13 @@ def primal_lp(mu, space):
     return -res.fun * scale
 
 
+def starting_pairs(mu, metric):
+    """The flow columns a block of ``mu`` starts its LP with, as (sources,
+    sinks) arrays."""
+    (_, (wts, dist)), = bl_metric.norm_blocks([mu], metric)
+    return bl_metric._sign_pairs(wts, dist)
+
+
 def assert_certificate(mu, space, value, witness, tol=1e-9):
     """The witness is feasible on every pair of its points (those without a
     flow column too), lies in the unit BL ball and attains the value."""
@@ -261,7 +268,7 @@ class TestFlowForm:
         for _ in range(4):
             space = near_collinear_space(rng, 10)
             mu = full_support_measure(rng, space, zero_mass=True)
-            (_, (_, _, (src, _))), = bl_metric.norm_blocks([mu], space)
+            src, _ = starting_pairs(mu, space)
             assert len(src) == len(mu.pos) * len(mu.neg)
             value, witness = bl_dual_norm(mu, space)
             assert value == pytest.approx(primal_lp(mu, space), abs=1e-9)
@@ -272,7 +279,7 @@ class TestFlowForm:
         # their column from the positive one
         space = StateSpace.finite([[0.0, 1.0, 1.0], [1.0, 0.0, 1e-17], [1.0, 1e-17, 0.0]])
         mu = SignedMeasure.from_atoms(space, [(0, 1.0), (1, -0.5), (2, -0.5)])
-        (_, (_, _, (src, dst))), = bl_metric.norm_blocks([mu], space)
+        src, dst = starting_pairs(mu, space)
         assert (src.tolist(), dst.tolist()) == ([0, 0], [1, 2])
         value, witness = bl_dual_norm(mu, space)
         assert value == pytest.approx(dirac_distance_exact(1.0), abs=1e-9)
@@ -313,7 +320,7 @@ class TestFlowForm:
 def full_lp_value(mu, metric):
     """Reference: the norm from one flow LP with a column for every directed
     pair of distinct points (dense all pairs)."""
-    _, scale, wts, (dist, _) = bl_metric._unit_support(mu, metric, {})
+    _, scale, wts, dist = bl_metric._unit_support(mu, metric, {})
     res, _ = bl_metric._flow_lp([(wts, dist, np.nonzero(~np.eye(len(wts), dtype=bool)))])
     return res.fun * scale
 
@@ -330,7 +337,7 @@ def column_generation_cases():
     base = random_metric_space(rng, 30)
     family = [LipschitzWitness(points=tuple(range(30)), values=rng.uniform(-1.0, 1.0, 30),
                                sup_bound=1.0, lip_bound=1.0) for _ in range(2)]
-    cases.append(pytest.param(build_envelope_metric(base, family),
+    cases.append(pytest.param(EnvelopeMetric(base=base, family=tuple(family)),
                               full_support_measure(rng, base, zero_mass=True), id="envelope30"))
     plane = StateSpace.euclidean(2)
     w = rng.normal(size=32)
@@ -374,7 +381,8 @@ class TestColumnGeneration:
         spaces = [random_metric_space(rng, k), grid_metric(rng, 1, k)]
         for space in spaces:
             mu = full_support_measure(rng, space)
-            (_, (wts, _, (src, dst))), = bl_metric.norm_blocks([mu], space)
+            (_, (wts, dist)), = bl_metric.norm_blocks([mu], space)
+            src, dst = bl_metric._sign_pairs(wts, dist)
             ref_src, ref_dst = sign_pairs(wts)
             assert src.tolist() == ref_src and dst.tolist() == ref_dst
             del lp_calls[:]
@@ -434,18 +442,27 @@ class TestColumnGeneration:
         assert witness.check_feasible(space, slack=1e-15)
         assert abs(witness.pair(mu) - value) <= 1e-9 * mu.tv
 
-    def test_a_sign_of_at_most_nearest_atoms_starts_with_every_pair(self, lp_calls):
-        # 10 positive and 30 negative atoms: each negative atom's NEAREST
-        # nearest positive atoms are all 10, so one solve is final
+    @pytest.mark.parametrize("k, positive", [(40, 10), (30, 15)])
+    def test_a_sign_of_at_most_nearest_atoms_starts_with_every_pair(self, k, positive,
+                                                                    lp_calls):
+        # more than NEAREST + 1 points.  10 positive and 30 negative atoms:
+        # each negative atom's NEAREST nearest positive atoms are all 10.  15
+        # of each sign: each atom's NEAREST nearest atoms of the other sign
+        # are all of them.  Either way the first solve is final
         rng = np.random.default_rng(66)
-        space = random_metric_space(rng, 40)
-        w = -rng.uniform(0.5, 1.0, 40)
-        w[rng.permutation(40)[:10]] *= -3.0
+        space = random_metric_space(rng, k)
+        w = -rng.uniform(0.5, 1.0, k)
+        w[rng.permutation(k)[:positive]] *= -3.0
         mu = SignedMeasure.from_atoms(space, list(enumerate((w / np.abs(w).sum()).tolist())))
-        (_, (wts, _, (src, dst))), = bl_metric.norm_blocks([mu], space)
+        assert k > bl_metric.NEAREST + 1 and min(positive, k - positive) <= bl_metric.NEAREST
+        (_, (wts, dist)), = bl_metric.norm_blocks([mu], space)
+        src, dst = bl_metric._sign_pairs(wts, dist)
         assert (src.tolist(), dst.tolist()) == sign_pairs(wts)
         value, witness = bl_dual_norm(mu, space)
-        assert lp_calls == [(40, 2 * 40 + 10 * 30 + 1)]
+        shape = (k, 2 * k + positive * (k - positive) + 1)
+        assert lp_calls == [shape]
+        assert abs(norm_value(mu, space) - value) <= 1e-12 * mu.tv
+        assert lp_calls == [shape] * 2
         assert abs(value - full_lp_value(mu, space)) <= 1e-12 * mu.tv
         assert_certificate(mu, space, value, witness)
 
@@ -472,9 +489,8 @@ def assert_entry_equal(entry, alone):
     if block is None:
         assert alone_block is None
         return
-    (wts, dist, (src, dst)), (a_wts, a_dist, (a_src, a_dst)) = block, alone_block
+    (wts, dist), (a_wts, a_dist) = block, alone_block
     assert np.array_equal(wts, a_wts) and np.array_equal(dist, a_dist)
-    assert np.array_equal(src, a_src) and np.array_equal(dst, a_dst)
 
 
 class TestSharedSupports:
@@ -506,11 +522,12 @@ class TestSharedSupports:
             np.where(np.arange(40) < split, w, -w).tolist()))) for split in (20, 15)]
         assert batch[0].support()[0] == batch[1].support()[0] == list(range(40))
         entries = bl_metric.norm_blocks(batch, space)
-        (_, (_, dist, pairs)), (_, (_, other_dist, other_pairs)) = entries
+        (_, (_, dist)), (_, (_, other_dist)) = entries
         assert other_dist is dist
+        pairs, other_pairs = (bl_metric._sign_pairs(*block) for _, block in entries)
         assert len(pairs[0]) != len(other_pairs[0])
-        for mu, entry in zip(batch, entries):
-            (_, (wts, _, (src, dst))) = entry
+        for mu, entry, (src, dst) in zip(batch, entries, (pairs, other_pairs)):
+            (_, (wts, _)) = entry
             assert (wts[src] > 0.0).all() and (wts[dst] < 0.0).all()
             assert_entry_equal(entry, bl_metric.norm_blocks([mu], space)[0])
         for mu, value in zip(batch, bl_norm_values(batch, space)):
@@ -522,7 +539,8 @@ class TestSharedSupports:
         nu = SignedMeasure.from_atoms(flat, [(0, 1.0), (1, -0.5), (2, -0.5)])
         assert mu.support()[0] == nu.support()[0]
         for space, m in ((path3, mu), (flat, nu), (path3, mu)):
-            (_, (_, dist, (src, dst))), = bl_metric.norm_blocks([m], space)
+            (_, (wts, dist)), = bl_metric.norm_blocks([m], space)
+            src, dst = bl_metric._sign_pairs(wts, dist)
             assert np.array_equal(dist, space.dist) and len(src) == 2  # (0, 1) and (0, 2)
             assert (src.tolist(), dst.tolist()) == ([0, 0], [1, 2])
 
@@ -531,7 +549,7 @@ class TestSharedSupports:
         base = random_metric_space(rng, 8)
         family = [LipschitzWitness(points=tuple(range(8)), values=rng.uniform(-1.0, 1.0, 8),
                                    sup_bound=1.0, lip_bound=1.0)]
-        metric = build_envelope_metric(base, family)
+        metric = EnvelopeMetric(base=base, family=tuple(family))
         a = full_support_measure(rng, base, zero_mass=True)
         b = SignedMeasure.from_atoms(base, [(1, 0.4), (5, -0.1), (6, -0.3)])
         calls = []
@@ -561,7 +579,7 @@ class TestPresolveOff:
         bl_norm_values([mu, mu], path4)
         assert options == [{"presolve": False}] * 2
 
-    def test_witness_attains_the_value_in_the_unit_ball(self, lp_calls):
+    def test_witness_attains_the_value_in_the_unit_ball(self, lp_calls, monkeypatch):
         rng = np.random.default_rng(75)
         space = random_metric_space(rng, 40)
         sizes = list(range(2, 41, 3)) + [40]
@@ -570,12 +588,20 @@ class TestPresolveOff:
             chosen = rng.choice(40, k, replace=False).tolist()
             w = rng.normal(size=k)
             mu = SignedMeasure.from_atoms(space, list(zip(chosen, (w - w.mean()).tolist())))
-            del lp_calls[:]
             value, witness = bl_dual_norm(mu, space)
             # check_feasible at LP_FEAS_TOL, the unit ball and the value attained
             assert_certificate(mu, space, value, witness, tol=bl_metric.LP_FEAS_TOL)
             assert abs(value - full_lp_value(mu, space)) <= 1e-12 * mu.tv
-        assert len(lp_calls) >= 2  # the 40-point support took column generation
+        # the witness of a support that takes column generation: with each
+        # atom's two nearest atoms of the other sign, the first solve of this
+        # 40-point support misses pairs that its optimum needs
+        monkeypatch.setattr(bl_metric, "NEAREST", 2)
+        mu = full_support_measure(rng, space, zero_mass=True)
+        del lp_calls[:]
+        value, witness = bl_dual_norm(mu, space)
+        assert len(lp_calls) >= 2
+        assert_certificate(mu, space, value, witness, tol=bl_metric.LP_FEAS_TOL)
+        assert abs(value - full_lp_value(mu, space)) <= 1e-12 * mu.tv
 
 
 @st.composite
@@ -653,7 +679,7 @@ def batch_metrics(draw):
     values = draw(st.lists(st.floats(-1.0, 1.0), min_size=space.size, max_size=space.size))
     g = LipschitzWitness(points=tuple(points), values=np.array(values),
                          sup_bound=1.0, lip_bound=1.0)
-    return build_envelope_metric(space, [g]), points
+    return EnvelopeMetric(base=space, family=(g,)), points
 
 
 @st.composite
@@ -759,7 +785,7 @@ def signed_measures_on(draw, space, signs):
 def lower_bound(mu, metric):
     """``max_bl_distance``'s lower bound on the norm of ``mu``."""
     ((scale, block),) = bl_metric.norm_blocks([mu], metric)
-    return scale * bl_metric._unit_lower_bound(*block[:2])
+    return scale * bl_metric._unit_lower_bound(*block)
 
 
 class TestLowerBounds:
@@ -825,7 +851,7 @@ def small_blocks(draw):
     if kind == "envelope":
         g = LipschitzWitness(points=tuple(range(k)), values=rng.uniform(-1.0, 1.0, k),
                              sup_bound=1.0, lip_bound=1.0)
-        metric = build_envelope_metric(space, [g])
+        metric = EnvelopeMetric(base=space, family=(g,))
     chosen = rng.choice(len(lattice) if kind == "euclidean" else space.size, k, replace=False)
     points = [lattice[i] for i in chosen] if kind == "euclidean" else chosen.tolist()
     form = draw(st.sampled_from(["zero mass", "net mass", "one sign"] if k > 1 else ["one sign"]))
@@ -847,7 +873,8 @@ class TestColumnRule:
     @given(st.data())
     def test_sign_pairs_give_the_all_pairs_value_and_a_certified_witness(self, data):
         metric, mu, tol = data.draw(small_blocks())
-        (_, (wts, _, (src, dst))), = bl_metric.norm_blocks([mu], metric)
+        (_, (wts, dist)), = bl_metric.norm_blocks([mu], metric)
+        src, dst = bl_metric._sign_pairs(wts, dist)
         assert (src.tolist(), dst.tolist()) == sign_pairs(wts)
         value, witness = bl_dual_norm(mu, metric)
         assert abs(value - full_lp_value(mu, metric)) <= tol * mu.tv
@@ -911,7 +938,8 @@ class TestLargeBlocks:
             patch.setattr(bl_metric, "NEAREST", nearest)
             patch.setattr(bl_metric, "_flow_lp",
                           lambda blocks: solved.extend(blocks) or flow_lp(blocks))
-            (_, (wts, dist, (src, dst))), = bl_metric.norm_blocks([mu], space)
+            (_, (wts, dist)), = bl_metric.norm_blocks([mu], space)
+            src, dst = bl_metric._sign_pairs(wts, dist)
             value, witness = bl_dual_norm(mu, space)
             norm = norm_value(mu, space)
         assert (src.tolist(), dst.tolist()) == nearest_sign_pairs(wts, dist, nearest)
@@ -962,6 +990,28 @@ class TestStartingPairs:
             assert src.tolist() == ref_src and dst.tolist() == ref_dst
             assert is_row_major(src, dst)
 
+    def test_only_blocks_that_reach_the_lp_get_pairs(self, path4, monkeypatch):
+        calls, sign_pairs = [], bl_metric._sign_pairs  # each call's point count
+        monkeypatch.setattr(bl_metric, "_sign_pairs",
+                            lambda wts, dist: calls.append(len(wts)) or sign_pairs(wts, dist))
+        star = SignedMeasure.from_atoms(path4, [(0, 1.0), (2, -0.5), (3, -0.5)])
+        one_sign = SignedMeasure.from_atoms(path4, [(1, 0.3)])
+        empty = SignedMeasure.from_atoms(path4, [])
+        entries = bl_metric.norm_blocks([two_by_two(path4), star, one_sign, empty], path4)
+        assert calls == []  # preparing a block makes no pairs
+        bl_metric.solve_blocks(entries)
+        assert calls == [4]  # nor does a star or a zero measure
+        bl_dual_norm(star, path4)  # one LP, for its witness
+        assert calls == [4, 3]
+        # a block that the bounds settle gets none: one sign and TV 2.5
+        # bound the maximum above two_by_two's TV of 2
+        both = PositiveMeasure.from_atoms(path4, [(0, 1.0), (1, 1.5)])
+        halves = [PositiveMeasure.from_atoms(path4, pts) for pts in ([(0, 0.5), (3, 0.5)],
+                                                                     [(1, 0.5), (2, 0.5)])]
+        assert max_bl_distance([(both, PositiveMeasure.from_atoms(path4, [])), halves],
+                               path4) == 2.5
+        assert calls == [4, 3]
+
 
 @st.composite
 def stars(draw):
@@ -988,8 +1038,9 @@ def stars(draw):
         space = metric = StateSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
         points = list(range(k))
     if kind == "envelope":
-        metric = build_envelope_metric(space, [LipschitzWitness(
-            points=tuple(points), values=rng.uniform(-1.0, 1.0, k), sup_bound=1.0, lip_bound=1.0)])
+        g = LipschitzWitness(points=tuple(points), values=rng.uniform(-1.0, 1.0, k),
+                             sup_bound=1.0, lip_bound=1.0)
+        metric = EnvelopeMetric(base=space, family=(g,))
     w = rng.uniform(0.01, 1.0, k) * draw(st.sampled_from([-1.0, 1.0]))
     centre = draw(st.integers(0, k - 1))
     if draw(st.integers(0, 3)):
@@ -1010,7 +1061,7 @@ class TestStars:
     @given(data=st.data())
     def test_closed_form_matches_the_oracle_and_the_full_lp(self, lp_calls, data):
         metric, mu, tol = data.draw(stars())
-        (_, (wts, dist, _)), = bl_metric.norm_blocks([mu], metric)
+        (_, (wts, dist)), = bl_metric.norm_blocks([mu], metric)
         assert bl_metric._star_norm(wts, dist) is not None
         del lp_calls[:]
         value = norm_value(mu, metric)

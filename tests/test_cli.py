@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from importlib import resources
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from trotterkit import bl_metric
+from trotterkit import bl_metric, cli, identities
 from trotterkit.bl_metric import bl_distances
 from trotterkit.cli import (
     MAX_SCHEDULE_BLOCKS,
@@ -21,11 +22,13 @@ from trotterkit.cli import (
     run_study,
 )
 from trotterkit.diagnostics import perturb_measures
+from trotterkit.measures import StateSpace
 from trotterkit.splitting import (
     SplittingStudy,
     commutator_modulus,
     estimate_limit,
     extended_commutator_constant,
+    fit_rate,
     sample_scheme_family,
     swap_order_limit_distance,
 )
@@ -271,6 +274,25 @@ class TestScenarioLoading:
             assert w.sup_bound + w.lip_bound <= 1.0 + 1e-12
             assert w.check_feasible(scn.space)
 
+    def test_random_witnesses_on_euclidean_space(self):
+        space = StateSpace.euclidean(3)
+        specs = [{"kind": "random", "count": 4}]
+        x = np.random.default_rng(0).normal(size=(60, 3)) * 3.0
+
+        def values(seed):
+            witnesses = build_witnesses(space, specs, np.random.default_rng(seed))
+            assert len(witnesses) == 4
+            return witnesses, np.array([[w.value_at(space, p) for p in x] for w in witnesses])
+
+        witnesses, v = values(5)
+        for w, row in zip(witnesses, v):
+            assert w.sup_bound + w.lip_bound <= 1.0
+            assert np.all(np.abs(row) <= w.sup_bound)
+            gaps = np.linalg.norm(x[:, None] - x[None, :], axis=-1)
+            assert np.all(np.abs(row[:, None] - row[None, :]) <= w.lip_bound * gaps + 1e-15)
+        assert np.array_equal(v, values(5)[1])  # equal seeds, equal witnesses
+        assert not np.array_equal(v, values(6)[1])
+
 
 def _huge_coordinates(tmp_path, rate, t, points=None):
     """translation.json with g1 a contraction of ``rate`` up to time ``t``,
@@ -398,6 +420,52 @@ class TestStudy:
         assert summary["C_hat"] == pytest.approx(c_hat, rel=0, abs=1e-10)
         assert summary["C_hat_flags"] == flags
 
+    def test_a_refuted_bound_exits_2_and_still_writes_every_report(self, tmp_path,
+                                                                  monkeypatch):
+        # C_hat forced to 0 makes every right side 0, so each refinement and
+        # dyadic Cauchy bound whose left side exceeds 1e-12 is a violation
+        monkeypatch.setattr(cli, "_pushed_constant", lambda omega, distances: (0.0, []))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["study", "--scenario", scenario_path("three_state"),
+                                           "--out", str(out), "--seed", "42"])
+        assert result.exit_code == 2, result.output
+        for f in ("report.csv", "summary.json", "modulus.csv", "bounds.csv"):
+            assert (out / f).exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["C_hat"], summary["C_hat_flags"]) == (0.0, [])
+        expected = []
+        for line in (out / "bounds.csv").read_text().splitlines()[2:]:
+            check, witness, a, b, lhs, rhs = line.split(",")
+            assert float(rhs) == 0.0
+            if float(lhs) > 1e-12:
+                names = ("n", "k") if check == "refinement" else ("i", "j")
+                expected.append({"kind": check, "witness": int(witness), names[0]: int(a),
+                                 names[1]: int(b), "lhs": float(lhs), "rhs": 0.0})
+        assert summary["violations"] == expected
+        assert {v["kind"] for v in expected} == {"refinement", "dyadic_cauchy"}
+
+    @pytest.mark.parametrize("g2", [None, {"kind": "map_flow", "map": "contraction",
+                                           "params": {"rate": 1.0}}])
+    def test_without_a_closed_form_limit_the_finest_iterate_is_the_reference(self, tmp_path,
+                                                                              g2):
+        # named flows have no closed-form limit; translation's two commute,
+        # a contraction does not commute with a translation
+        path = scenario_path("translation")
+        if g2 is not None:
+            doc = json.loads(Path(path).read_text())
+            doc["g2"] = g2
+            path = tmp_path / "contraction.json"
+            path.write_text(json.dumps(doc))
+        assert run_study(path, tmp_path / "out", seed=42) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["referenceKind"] == "finest_iterate"
+        rows = _table(tmp_path / "out" / "report.csv")
+        schedule, distances = [int(row[0]) for row in rows], [row[1] for row in rows]
+        assert schedule == list(load_scenario(path).schedule) and distances[-1] == 0.0
+        rate, saturated = fit_rate(schedule[:-1], distances[:-1])
+        assert (summary["fittedRate"], summary["rateSaturated"]) == (rate, saturated)
+        assert saturated == (g2 is None)
+
     def test_envelope_metric_option(self, tmp_path):
         code = run_study(scenario_path("three_state"), tmp_path, seed=0,
                          overrides={"metric": "envelope", "dyadic": 5})
@@ -441,6 +509,27 @@ class TestIdentitiesCommand:
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["trials"] == 1
 
+    def test_a_failed_check_exits_2_with_its_replay_data(self, tmp_path, monkeypatch):
+        # a tolerance below 0 fails every check on matrix exponentials
+        monkeypatch.setattr(identities, "MATRIX_TOL", -1.0)
+        out = tmp_path / "identities.json"
+        result = CliRunner().invoke(main, ["identities", "--seed", "42", "--trials", "2",
+                                           "--max-states", "3", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        payload = json.loads(out.read_text())
+        results, failures = payload["results"], payload["failures"]
+        assert len(results) == 12 and not any(r["passed"] for r in results)
+        assert [f["identity"] for f in failures] == [r["identityName"] for r in results]
+        assert [f["deviation"] for f in failures] == [r["maxDeviation"] for r in results]
+        assert [f["trial"] for f in failures] == [0] * 6 + [1] * 6
+        for f in failures:
+            assert f.keys() == {"trial", "seed", "states", "t", "n", "k", "j", "identity",
+                                "deviation"}
+            assert f["seed"] == 42 and 2 <= f["states"] <= 3 and 0.2 <= f["t"] <= 1.5
+            assert 1 <= f["n"] <= 8 and 1 <= f["k"] <= 8 and 1 <= f["j"] <= f["n"] * f["k"]
+        for trial in (failures[:6], failures[6:]):  # one instance per trial
+            assert len({(f["states"], f["t"], f["n"], f["k"], f["j"]) for f in trial}) == 1
+
     def test_cli_rejects_zero_trials(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, ["identities", "--trials", "0",
@@ -456,6 +545,27 @@ class TestDiagnosticsCommand:
         lines = (tmp_path / "stochastic.csv").read_text().splitlines()[2:]
         h, d = map(float, lines[0].split(","))
         assert d == pytest.approx(2 * h / (2 + h), abs=1e-9)
+
+    def test_a_closed_form_mismatch_exits_2_and_still_writes_the_table(self, tmp_path,
+                                                                      monkeypatch):
+        args = ["diagnostics", "--scenario", scenario_path("translation"), "--probe",
+                "stochastic", "--out"]
+        assert CliRunner().invoke(main, args + [str(tmp_path / "exact")]).exit_code == 0
+        # a closed form 1e-8 off, beyond the check's 1e-9
+        monkeypatch.setattr(cli, "dirac_distance_exact", lambda d: 2.0 * d / (2.0 + d) + 1e-8)
+        result = CliRunner().invoke(main, args + [str(tmp_path / "off")])
+        assert result.exit_code == 2, result.output
+        table = (tmp_path / "off" / "stochastic.csv").read_text()
+        assert table == (tmp_path / "exact" / "stochastic.csv").read_text()
+        assert [row[0] for row in _table(tmp_path / "off" / "stochastic.csv")] == list(
+            cli.STOCHASTIC_H_GRID)
+
+    def test_semigroup_table_written(self, tmp_path):
+        assert run_diagnostics(scenario_path("three_state"), "semigroup", tmp_path, seed=0) == 0
+        lines = (tmp_path / "semigroup.csv").read_text().splitlines()[2:]
+        rows = [line.split(",") for line in lines]
+        assert [name for name, _ in rows] == ["distPower", "distAdditive", "selfConvergence"]
+        assert all(math.isfinite(float(v)) and float(v) >= 0.0 for _, v in rows)
 
     def test_stochastic_grid_past_the_horizon_refuses_an_overflow(self, tmp_path):
         # exp(20000 * 0.01) is finite, but the h grid starts at 0.1
