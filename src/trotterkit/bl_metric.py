@@ -19,41 +19,45 @@ pair: by the triangle inequality (``StateSpace.finite`` enforces it to
 1e-12; Euclidean and envelope metrics satisfy it) that costs no more.
 Where a point's net flow disagrees in sign with its weight, or exceeds it,
 absorb that mass at the flow's source instead: |r|_1 stays the same and
-the transport cost drops.  A block gets its columns when it reaches the
-LP: first the union of two sets of those pairs, each positive atom with its
-NEAREST nearest negative atoms and each negative atom with its NEAREST
-nearest positive atoms (stable argsorts of the positive-by-negative
-distances), in row-major order.  When a sign has at most NEAREST atoms
-that is every pair, and one solve is final.  Otherwise, after each solve,
-every positive-to-negative pair without a column whose dual constraint
-f_i - f_j <= L d_ij is broken by more than CHECK_TOL gets one, and the run
-is solved again until no block gains one (delayed column generation).  The
-duals are then feasible for the LP over all positive-to-negative pairs, so
-the restricted optimum is the all-pairs one.
+the transport cost drops.  So a block (``norm_blocks``) holds only the
+unit-TV weights, positive atoms first, and ``cross``, the (p, n)
+positive-to-negative distances, whose shape gives the sign split.  A
+block gets its columns when it reaches the LP: first the union of two
+sets of those pairs, each positive atom with its NEAREST nearest negative
+atoms and each negative atom with its NEAREST nearest positive atoms
+(stable argsorts of ``cross``), in row-major order.  When a sign has at
+most NEAREST atoms that is every pair, and one solve is final.  Else,
+after each solve, every pair without a column whose dual constraint f_i -
+f_j <= L d_ij is broken by more than CHECK_TOL gets one, and the run is
+solved again until no block gains one (delayed column generation).  The
+duals are then feasible for the LP over all those pairs, so the
+restricted optimum is the all-pairs one.
 
-Stars: a block in which at most one atom has one of the signs gets its
-norm in closed form, without an LP (``_star_norm``).  With one sign only,
-the norm is the TV: f = 1 or f = -1 is in the unit ball.  Otherwise let c
-be the lone atom of its sign, a = |w_c|, and let the leaves j carry b_j =
-|w_j| at d_j = d(c, j), sorted stably by d_j.  By Columns some optimum
-ships flow only from c to the leaves or back.  Shipping Y <= min(a, sum b)
-leaves |r|_1 = TV - 2Y, and the cheapest transport of Y fills the nearest
-leaves first, at a cost C(Y) that is convex and piecewise linear.  So the
-norm is min_Y max(TV - 2Y, C(Y)).  Walk the segments: on leaf j, from (Y,
-C) over min(b_j, a - Y), the sides meet after s = (TV - 2Y - C) / (2 +
-d_j).  If s fits in the segment the norm is C + d_j s, the transport side,
-a sum of nonnegative terms; the equal TV - 2(Y + s) cancels (8e-8 off
-relative at d = 1e-10).  If no segment holds the crossing, the norm is
-max(TV - 2Y, C) at its end.  Two Diracs of weights a and b, d apart, get
-max(|a - b|, (a + b) d / (2 + d)), ``dirac_distance_exact`` when a = b.
+Stars: a block in which at most one atom has one of the signs (p or n at
+most 1) gets its norm in closed form, without an LP (``_star_norm``).  With
+one sign only, the norm is the TV: f = 1 or f = -1 is in the unit ball.
+Otherwise let c be the lone atom of its sign, a = |w_c|, and let the
+leaves j carry b_j = |w_j| at d_j = d(c, j), c's line of ``cross``, sorted
+stably by d_j.  By Columns some optimum ships flow only from c to the
+leaves or back.  Shipping Y <= min(a, sum b) leaves |r|_1 = TV - 2Y, and
+the cheapest transport of Y fills the nearest leaves first, at a cost C(Y)
+that is convex and piecewise linear.  So the norm is min_Y max(TV - 2Y,
+C(Y)).  Walk the segments: on leaf j, from (Y, C) over min(b_j, a - Y),
+the sides meet after s = (TV - 2Y - C) / (2 + d_j).  If s fits in the
+segment the norm is C + d_j s, the transport side, a sum of nonnegative
+terms; the equal TV - 2(Y + s) cancels (8e-8 off relative at d = 1e-10).
+If no segment holds the crossing, the norm is max(TV - 2Y, C) at its end.
+Two Diracs of weights a and b, d apart, get max(|a - b|, (a + b) d / (2 +
+d)), ``dirac_distance_exact`` when a = b.
 ``bl_dual_norm`` returns a witness, so it solves the LP for stars too.
 
 Witness: the duals of the equality rows (f) and of the inequality rows (M, L,
-clipped at 0) bound f only on pairs with a column.  So, with f clipped to +-M
-and N the negative atoms, ``bl_dual_norm`` takes their double c-transform: each
-point outside N gets min(M, min_{j in N} f_j + L d_ij), then each j in N gets
-max(-M, max_{i not in N} f_i - L d_ij).  That is feasible on every pair by
-construction and, on exactly feasible duals, never lowers the pairing.
+clipped at 0) bound f only on pairs with a column.  So, with f clipped to
++-M, ``bl_dual_norm`` takes their double c-transform on ``cross``: each
+positive atom i gets min(M, min_j f_j + L d_ij) over the negative atoms j,
+then each negative atom j gets max(-M, max_i f_i - L d_ij) over the
+positive atoms i.  That is feasible on every pair by construction and, on
+exactly feasible duals, never lowers the pairing.
 
 Batches: ``bl_norm_values`` stacks the flow LPs of many measures as
 diagonal blocks, each with its own t_m, and minimizes the sum of the t_m.
@@ -71,13 +75,13 @@ Maxima: ``max_bl_distance`` is the largest of ``bl_distances`` without
 solving every block.  With w the unit-TV weights, a block of one sign has
 norm exactly its TV (f = 1 or f = -1 is in the unit ball).  A block of both
 signs has norm at least TV max(|sum w|, c), c = dmin / (2 + dmin) with dmin
-the least distance between a positive and a negative atom: f = 1 pairs to
-sum w, and f = c sign(w) has sup c and Lipschitz constant 2c / dmin, so
-sup + Lip = 1, and pairs to c.  With L the largest of these bounds (those
-of both signs less BOUND_MARGIN), one ``solve_blocks`` call takes only the
-blocks with TV above L, never one of one sign.  Any other block has norm
-at most its TV <= L, and L is at most the maximum, so the maximum is
-unchanged; only the LP's tolerance separates the two results.
+the least entry of ``cross``: f = 1 pairs to sum w, and f = c sign(w) has
+sup c and Lipschitz constant 2c / dmin, so sup + Lip = 1, and pairs to c.
+With L the largest of these bounds (those of both signs less
+BOUND_MARGIN), one ``solve_blocks`` call takes only the blocks with TV
+above L, never one of one sign.  Any other block has norm at most its TV
+<= L, and L is at most the maximum, so the maximum is unchanged; only the
+LP's tolerance separates the two results.
 
 HiGHS runs without presolve, which cost more than it saved on these LPs: on
 a 2-vCPU VM the nine LPs of three 12-state studies (1,021 to 2,042 columns)
@@ -262,45 +266,38 @@ def _unit_support(mu: SignedMeasure, metric, shared):
     return pts, scale, wts / scale if scale else wts, shared[key]
 
 
-def _sign_pairs(wts, dist):
-    """Starting flow columns of a block that reaches the LP, in row-major
-    order: the pairs (i, j) with w_i > 0 > w_j in which j is one of i's
-    NEAREST nearest negative atoms or i one of j's NEAREST nearest positive
-    atoms.  That is every such pair when a sign has at most NEAREST atoms."""
-    pos, neg = np.flatnonzero(wts > 0.0), np.flatnonzero(wts < 0.0)
-    cross = dist[np.ix_(pos, neg)]
-    near = np.zeros(cross.shape, dtype=bool)
-    near[np.arange(len(pos))[:, None], np.argsort(cross, axis=1, kind="stable")[:, :NEAREST]] = True
-    near[np.argsort(cross, axis=0, kind="stable")[:NEAREST], np.arange(len(neg))] = True
-    i, j = np.nonzero(near)
-    return pos[i], neg[j]
+def _sign_pairs(cross):
+    """Starting flow columns of a block that reaches the LP, as (i, j)
+    indices into its ``cross`` distances in row-major order: the pairs in
+    which negative atom j is one of positive atom i's NEAREST nearest or i
+    one of j's.  That is every pair when a sign has at most NEAREST atoms."""
+    (p, n), near = cross.shape, np.zeros(cross.shape, dtype=bool)
+    near[np.arange(p)[:, None], np.argsort(cross, axis=1, kind="stable")[:, :NEAREST]] = True
+    near[np.argsort(cross, axis=0, kind="stable")[:NEAREST], np.arange(n)] = True
+    return np.nonzero(near)
 
 
 def _certified_lp(blocks):
     """``_flow_lp`` with delayed column generation.  After each solve, every
-    block that lacks a column for some pair (i, j) with w_i > 0 > w_j tests
-    the dual constraint f_i - f_j <= L d_ij of each such pair and gains the
-    pairs that break it by more than CHECK_TOL; the run is solved again
-    until no block gains a pair.  Each block's duals are then feasible for
-    its LP on every such pair, so its optimum is the all-pairs optimum
-    (Columns)."""
+    block that lacks a column for some positive-to-negative pair (i, j)
+    tests the dual constraint f_i - f_j <= L d_ij of each such pair and
+    gains the pairs that break it by more than CHECK_TOL; the run is solved
+    again until no block gains a pair.  Each block's duals are then
+    feasible for its LP on every such pair, so its optimum is the all-pairs
+    optimum (Columns)."""
     blocks = list(blocks)
     while True:
         res, t_cols = _flow_lp(blocks)
         added, row = False, 0
-        for m, (wts, dist, (src, dst)) in enumerate(blocks):
-            k = len(wts)
-            pos, neg = np.flatnonzero(wts > 0.0), np.flatnonzero(wts < 0.0)
-            if len(src) < len(pos) * len(neg):
+        for m, (wts, cross, (src, dst)) in enumerate(blocks):
+            k, p = len(wts), len(cross)
+            if len(src) < cross.size:
                 f, L = res.eqlin.marginals[row:row + k], -res.ineqlin.marginals[2 * m + 1]
-                gap = f[pos, None] - f[None, neg] - L * dist[np.ix_(pos, neg)]
-                rank = np.empty(k, dtype=np.intp)
-                rank[pos], rank[neg] = np.arange(len(pos)), np.arange(len(neg))
-                gap[rank[src], rank[dst]] = 0.0
+                gap = f[:p, None] - f[None, p:] - L * cross
+                gap[src, dst] = 0.0
                 i, j = np.nonzero(gap > CHECK_TOL)
                 if len(i):
-                    blocks[m] = (wts, dist, (np.concatenate([src, pos[i]]),
-                                             np.concatenate([dst, neg[j]])))
+                    blocks[m] = (wts, cross, (np.concatenate([src, i]), np.concatenate([dst, j])))
                     added = True
             row += k
         if not added:
@@ -310,9 +307,9 @@ def _certified_lp(blocks):
 def _flow_lp(blocks):
     """Solve the flow LPs of ``blocks`` as one block-diagonal LP.
 
-    A block is (unit-TV weights, distances, flow pairs) of one measure, with
-    columns r+, r-, y (its pairs) and t_m, k_m equality rows and two
-    inequality rows; the objective is the sum of the t_m.  Returns the
+    A block is a ``norm_blocks`` block and its flow pairs (atoms i to p +
+    j), with columns r+, r-, y (its pairs) and t_m, k_m equality rows and
+    two inequality rows; the objective is the sum of the t_m.  Returns the
     result and the column of each t_m.
     """
     c, A_ub, b_ub, A_eq, b_eq, t_cols = _flow_matrices(blocks)
@@ -328,16 +325,16 @@ def _flow_matrices(blocks):
     are freed before the solver runs."""
     rows, cols, vals, ub_rows, ub_cols, ub_vals, t_cols = [], [], [], [], [], [], []
     row = col = 0
-    for m, (wts, dist, (src, dst)) in enumerate(blocks):
-        k, e = len(wts), len(src)
+    for m, (wts, cross, (src, dst)) in enumerate(blocks):
+        k, e, p = len(wts), len(src), len(cross)
         t = col + 2 * k + e
         pts, flows = np.arange(k), np.arange(col + 2 * k, t)
-        rows += [row + pts, row + pts, row + src, row + dst]
+        rows += [row + pts, row + pts, row + src, row + p + dst]
         cols += [col + pts, col + k + pts, flows, flows]
         vals += [np.ones(k), -np.ones(k), np.ones(e), -np.ones(e)]
         ub_rows.append(np.repeat([2 * m, 2 * m + 1, 2 * m, 2 * m + 1], [2 * k, e, 1, 1]))
         ub_cols += [np.arange(col, col + 2 * k), flows, [t, t]]
-        ub_vals += [np.ones(2 * k), dist[src, dst], [-1.0, -1.0]]
+        ub_vals += [np.ones(2 * k), cross[src, dst], [-1.0, -1.0]]
         t_cols.append(t)
         row, col = row + k, t + 1
     c = np.zeros(col)
@@ -357,13 +354,16 @@ def bl_norm_values(measures, metric) -> list[float]:
 
 
 def norm_blocks(measures, metric) -> list:
-    """One (TV scale, (unit-TV weights, distances)) entry per measure,
-    unsolved, with no flow columns yet (DistanceRangeError here).  A zero
-    measure gets scale 0 and None."""
+    """One (TV scale, (wts, cross)) entry per measure, unsolved, with no
+    flow columns yet (DistanceRangeError here): the unit-TV weights of
+    ``mu.support()``, its p positive atoms first, and ``cross``, the view
+    ``dist[:p, p:]`` of its distances (Columns; a hand-built 0.0 weight
+    counts with its part).  A zero measure gets scale 0 and None."""
     entries, shared = [], {}
     for mu in measures:
         _, scale, wts, dist = _unit_support(mu, metric, shared)
-        entries.append((scale, (wts, dist) if scale else None))
+        p = len(mu.pos)
+        entries.append((scale, (wts, dist[:p, p:]) if scale else None))
     return entries
 
 
@@ -385,7 +385,7 @@ def solve_blocks(entries) -> list[float]:
     for i, (scale, block) in enumerate(entries):
         star = _star_norm(*block) if scale else 0.0
         if star is None:
-            blocks.append((i, scale, (*block, _sign_pairs(*block))))
+            blocks.append((i, scale, (*block, _sign_pairs(block[1]))))
         else:
             values[i] = star * scale
     for run in _column_runs(blocks):
@@ -395,19 +395,18 @@ def solve_blocks(entries) -> list[float]:
     return values
 
 
-def _star_norm(wts, dist):
-    """Norm of unit-TV weights ``wts`` on points ``dist`` apart when at most
-    one atom has one of the signs (Stars), else None."""
-    pos, neg = np.flatnonzero(wts > 0.0), np.flatnonzero(wts < 0.0)
-    if len(pos) > 1 and len(neg) > 1:
+def _star_norm(wts, cross):
+    """Norm of a ``norm_blocks`` block (unit-TV weights, cross distances)
+    when at most one atom has one of the signs (Stars), else None."""
+    p, n = cross.shape
+    if p > 1 and n > 1:
         return None
-    if not (len(pos) and len(neg)):
+    if not (p and n):
         return 1.0
-    (c,), leaves = (pos, neg) if len(pos) == 1 else (neg, pos)
-    near = dist[c, leaves]
+    c, leaves, near = (0, wts[1:], cross[0]) if p == 1 else (p, wts[:p], cross[:, 0])
     order = np.argsort(near, kind="stable")
     left, y, cost = abs(float(wts[c])), 0.0, 0.0  # left = a - Y
-    for d, b in zip(near[order].tolist(), np.abs(wts[leaves[order]]).tolist()):
+    for d, b in zip(near[order].tolist(), np.abs(leaves[order]).tolist()):
         s, step = (1.0 - 2.0 * y - cost) / (2.0 + d), min(b, left)
         if s <= step:
             return cost + d * max(s, 0.0)
@@ -441,13 +440,13 @@ def bl_dual_norm(mu: SignedMeasure, metric) -> tuple[float, LipschitzWitness]:
     if scale == 0.0:
         return 0.0, LipschitzWitness(points=tuple(pts), values=np.zeros(len(pts)),
                                      sup_bound=float(len(pts) > 0), lip_bound=0.0)
-    res, _ = _certified_lp([(wts, dist, _sign_pairs(wts, dist))])
+    p = len(mu.pos)
+    cross = dist[:p, p:]
+    res, _ = _certified_lp([(wts, cross, _sign_pairs(cross))])
     M, L = np.maximum(-res.ineqlin.marginals, 0.0) + 0.0
-    neg = wts < 0.0
-    cross = L * dist[np.ix_(~neg, neg)]
     f = np.clip(res.eqlin.marginals, -M, M)
-    f[~neg] = np.min(f[neg] + cross, axis=1, initial=M)
-    f[neg] = np.max(f[~neg][:, None] - cross, axis=0, initial=-M)
+    f[:p] = np.min(f[p:] + L * cross, axis=1, initial=M)
+    f[p:] = np.max(f[:p, None] - L * cross, axis=0, initial=-M)
     witness = LipschitzWitness(points=tuple(pts), values=f + 0.0,
                                sup_bound=float(M), lip_bound=float(L))
     return float(max(res.fun * scale, 0.0)) + 0.0, witness
@@ -551,19 +550,17 @@ def max_bl_distance(pairs, metric) -> float:
     whose TV exceeds every block's lower bound (see Maxima in the module
     docstring): any other has a norm of at most the largest bound."""
     entries = [entry for entry in distance_blocks(pairs, metric) if entry[0]]
-    low = max((scale * _unit_lower_bound(wts, dist) for scale, (wts, dist) in entries),
-              default=0.0)
+    low = max((scale * _unit_lower_bound(*block) for scale, block in entries), default=0.0)
     return max([low] + solve_blocks([entry for entry in entries if entry[0] > low]))
 
 
-def _unit_lower_bound(wts, dist) -> float:
-    """A lower bound on the norm of unit-TV weights ``wts`` on points
-    ``dist`` apart: 1.0, the norm itself, for weights of one sign, else
-    max(|sum w|, dmin / (2 + dmin)) less BOUND_MARGIN."""
-    pos, neg = wts > 0.0, wts < 0.0
-    if not (pos.any() and neg.any()):
+def _unit_lower_bound(wts, cross) -> float:
+    """A lower bound on the norm of a ``norm_blocks`` block (unit-TV
+    weights, cross distances): 1.0, the norm itself, for weights of one
+    sign, else max(|sum w|, dmin / (2 + dmin)) less BOUND_MARGIN."""
+    if not cross.size:
         return 1.0
-    gap = float(dist[np.ix_(pos, neg)].min())
+    gap = float(cross.min())
     return max(abs(float(wts.sum())), gap / (2.0 + gap)) * (1.0 - BOUND_MARGIN)
 
 

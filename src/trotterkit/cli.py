@@ -213,7 +213,7 @@ WITNESS_KINDS = ("random", "coordinate", "indicator")
 
 
 def _check_witness_spec(path, space: StateSpace, spec: dict) -> None:
-    """What ``build_witnesses`` relies on: a known kind, an integer count >= 1,
+    """What ``build_witnesses`` relies on: a known kind, a JSON integer count >= 1,
     indices and centers that are points of ``space`` (numpy would wrap a
     negative index around, or broadcast a short center), a finite radius > 0."""
     kind = spec["kind"]
@@ -221,7 +221,7 @@ def _check_witness_spec(path, space: StateSpace, spec: dict) -> None:
         raise ScenarioError(f"{path}: unknown witness kind {kind!r}")
     if kind == "random":
         count = spec.get("count", 1)
-        if isinstance(count, (bool, str)) or int(count) != count or count < 1:
+        if type(count) is not int or count < 1:  # a JSON integer: not true, 2.0 or 1e300
             raise ValueError(f"witness count must be an integer >= 1, got {count!r}")
     elif space.kind == "finite":
         for i in [spec["index"]] if kind == "coordinate" else spec["subset"]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, linprog
+from scipy.sparse import coo_array
 
 from trotterkit import bl_metric
 from trotterkit.bl_metric import (
@@ -226,9 +227,10 @@ def primal_lp(mu, space):
 
 def starting_pairs(mu, metric):
     """The flow columns a block of ``mu`` starts its LP with, as (sources,
-    sinks) arrays."""
-    (_, (wts, dist)), = bl_metric.norm_blocks([mu], metric)
-    return bl_metric._sign_pairs(wts, dist)
+    sinks) arrays of indices into its cross distances: positive atom i to
+    negative atom j."""
+    (_, (_, cross)), = bl_metric.norm_blocks([mu], metric)
+    return bl_metric._sign_pairs(cross)
 
 
 def assert_certificate(mu, space, value, witness, tol=1e-9):
@@ -275,12 +277,12 @@ class TestFlowForm:
             assert_certificate(mu, space, value, witness)
 
     def test_hop_below_rounding(self):
-        # d_12 = 1e-17 vanishes in d_01 + d_12: both negative atoms keep
-        # their column from the positive one
+        # d_12 = 1e-17 vanishes in d_01 + d_12: both negative atoms (states 1
+        # and 2, negative atoms 0 and 1) keep their column from the positive one
         space = StateSpace.finite([[0.0, 1.0, 1.0], [1.0, 0.0, 1e-17], [1.0, 1e-17, 0.0]])
         mu = SignedMeasure.from_atoms(space, [(0, 1.0), (1, -0.5), (2, -0.5)])
         src, dst = starting_pairs(mu, space)
-        assert (src.tolist(), dst.tolist()) == ([0, 0], [1, 2])
+        assert (src.tolist(), dst.tolist()) == ([0, 0], [0, 1])
         value, witness = bl_dual_norm(mu, space)
         assert value == pytest.approx(dirac_distance_exact(1.0), abs=1e-9)
         assert norm_value(mu, space) == pytest.approx(dirac_distance_exact(1.0), abs=1e-12)
@@ -319,9 +321,26 @@ class TestFlowForm:
 
 def full_lp_value(mu, metric):
     """Reference: the norm from one flow LP with a column for every directed
-    pair of distinct points (dense all pairs)."""
+    pair of distinct points (dense all pairs), same-sign pairs included,
+    built here rather than by ``_flow_matrices``: columns r+, r- (k each),
+    a flow y_ij per pair and t; min t subject to r+ - r- + div y = w,
+    sum(r+ + r-) <= t and sum d_ij y_ij <= t."""
     _, scale, wts, dist = bl_metric._unit_support(mu, metric, {})
-    res, _ = bl_metric._flow_lp([(wts, dist, np.nonzero(~np.eye(len(wts), dtype=bool)))])
+    k = len(wts)
+    src, dst = np.nonzero(~np.eye(k, dtype=bool))
+    e, pts = len(src), np.arange(k)
+    flows, t = 2 * k + np.arange(e), 2 * k + e
+    A_eq = coo_array((np.concatenate([np.ones(k), -np.ones(k), np.ones(e), -np.ones(e)]),
+                      (np.concatenate([pts, pts, src, dst]),
+                       np.concatenate([pts, k + pts, flows, flows]))), shape=(k, t + 1))
+    A_ub = coo_array((np.concatenate([np.ones(2 * k), dist[src, dst], [-1.0, -1.0]]),
+                      (np.repeat([0, 1, 0, 1], [2 * k, e, 1, 1]),
+                       np.concatenate([np.arange(2 * k), flows, [t, t]]))), shape=(2, t + 1))
+    c = np.zeros(t + 1)
+    c[t] = 1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(2), A_eq=A_eq, b_eq=wts, method="highs",
+                  options={"presolve": False})
+    assert res.success, res.message
     return res.fun * scale
 
 
@@ -358,10 +377,12 @@ def parabola_measure(c):
     return space, SignedMeasure.from_atoms(space, list(enumerate(w.tolist())))
 
 
-def sign_pairs(wts):
-    """Reference: the pairs (i, j) with w_i > 0 > w_j, as (sources, sinks)
-    lists from a loop in row-major order."""
-    pairs = [(i, j) for i in range(len(wts)) for j in range(len(wts)) if wts[i] > 0.0 > wts[j]]
+def sign_pairs(wts, p):
+    """Reference: the pairs of an atom i of the positive part (the first
+    ``p`` weights) and an atom j of the negative part, from a loop in
+    row-major order, as (sources, sinks) lists of indices into the block's
+    cross distances: i and j - p."""
+    pairs = [(i, j - p) for i in range(p) for j in range(p, len(wts))]
     return [i for i, _ in pairs], [j for _, j in pairs]
 
 
@@ -381,9 +402,9 @@ class TestColumnGeneration:
         spaces = [random_metric_space(rng, k), grid_metric(rng, 1, k)]
         for space in spaces:
             mu = full_support_measure(rng, space)
-            (_, (wts, dist)), = bl_metric.norm_blocks([mu], space)
-            src, dst = bl_metric._sign_pairs(wts, dist)
-            ref_src, ref_dst = sign_pairs(wts)
+            (_, (wts, cross)), = bl_metric.norm_blocks([mu], space)
+            src, dst = bl_metric._sign_pairs(cross)
+            ref_src, ref_dst = sign_pairs(wts, len(mu.pos))
             assert src.tolist() == ref_src and dst.tolist() == ref_dst
             del lp_calls[:]
             bl_dual_norm(mu, space)
@@ -423,13 +444,13 @@ class TestColumnGeneration:
         monkeypatch.setattr(bl_metric, "_flow_lp", recording)
         value, _ = bl_dual_norm(mu, space)
         assert len(solves) >= 2
-        broken = []
-        for (wts, dist, (src, dst)), res in solves:
-            pos, neg = wts > 0.0, wts < 0.0
-            assert pos[src].all() and neg[dst].all()
+        broken, dist = [], bl_metric.pairwise_distances(space, mu.support()[0])
+        for (wts, cross, (src, dst)), res in solves:
+            pos, neg, p = wts > 0.0, wts < 0.0, len(cross)
+            assert pos[src].all() and neg[p + dst].all()
             f, L = res.eqlin.marginals, -res.ineqlin.marginals[1]
             gap = f[:, None] - f[None, :] - L * dist
-            gap[src, dst] = 0.0
+            gap[src, p + dst] = 0.0
             broken.append(gap[np.ix_(pos, neg)].max() > bl_metric.CHECK_TOL)
         assert broken == [True] * (len(solves) - 1) + [False]
         assert abs(value - full_lp_value(mu, space)) <= 1e-9 * mu.tv
@@ -455,9 +476,9 @@ class TestColumnGeneration:
         w[rng.permutation(k)[:positive]] *= -3.0
         mu = SignedMeasure.from_atoms(space, list(enumerate((w / np.abs(w).sum()).tolist())))
         assert k > bl_metric.NEAREST + 1 and min(positive, k - positive) <= bl_metric.NEAREST
-        (_, (wts, dist)), = bl_metric.norm_blocks([mu], space)
-        src, dst = bl_metric._sign_pairs(wts, dist)
-        assert (src.tolist(), dst.tolist()) == sign_pairs(wts)
+        (_, (wts, cross)), = bl_metric.norm_blocks([mu], space)
+        src, dst = bl_metric._sign_pairs(cross)
+        assert (src.tolist(), dst.tolist()) == sign_pairs(wts, len(mu.pos))
         value, witness = bl_dual_norm(mu, space)
         shape = (k, 2 * k + positive * (k - positive) + 1)
         assert lp_calls == [shape]
@@ -489,8 +510,8 @@ def assert_entry_equal(entry, alone):
     if block is None:
         assert alone_block is None
         return
-    (wts, dist), (a_wts, a_dist) = block, alone_block
-    assert np.array_equal(wts, a_wts) and np.array_equal(dist, a_dist)
+    (wts, cross), (a_wts, a_cross) = block, alone_block
+    assert np.array_equal(wts, a_wts) and np.array_equal(cross, a_cross)
 
 
 class TestSharedSupports:
@@ -507,10 +528,11 @@ class TestSharedSupports:
         entries = bl_metric.norm_blocks(batch, space)
         for mu, entry in zip(batch, entries):
             assert_entry_equal(entry, bl_metric.norm_blocks([mu], space)[0])
-        # one distance matrix per support within the call
-        assert entries[0][1][1] is entries[2][1][1] is entries[6][1][1]
-        assert entries[1][1][1] is entries[5][1][1]
-        assert entries[3][1][1] is not entries[0][1][1]
+        # one distance matrix per support within the call: each block's
+        # cross distances are a view of it
+        assert entries[0][1][1].base is entries[2][1][1].base is entries[6][1][1].base
+        assert entries[1][1][1].base is entries[5][1][1].base
+        assert entries[3][1][1].base is not entries[0][1][1].base
 
     def test_a_support_shares_its_distances_and_not_its_pairs(self):
         # positive on points 0-19 or on 0-14, negative on the rest: the same
@@ -522,13 +544,13 @@ class TestSharedSupports:
             np.where(np.arange(40) < split, w, -w).tolist()))) for split in (20, 15)]
         assert batch[0].support()[0] == batch[1].support()[0] == list(range(40))
         entries = bl_metric.norm_blocks(batch, space)
-        (_, (_, dist)), (_, (_, other_dist)) = entries
-        assert other_dist is dist
-        pairs, other_pairs = (bl_metric._sign_pairs(*block) for _, block in entries)
+        (_, (_, cross)), (_, (_, other_cross)) = entries
+        assert other_cross.base is cross.base
+        pairs, other_pairs = (bl_metric._sign_pairs(cross) for _, (_, cross) in entries)
         assert len(pairs[0]) != len(other_pairs[0])
         for mu, entry, (src, dst) in zip(batch, entries, (pairs, other_pairs)):
-            (_, (wts, _)) = entry
-            assert (wts[src] > 0.0).all() and (wts[dst] < 0.0).all()
+            (_, (wts, cross)) = entry
+            assert (wts[src] > 0.0).all() and (wts[len(cross) + dst] < 0.0).all()
             assert_entry_equal(entry, bl_metric.norm_blocks([mu], space)[0])
         for mu, value in zip(batch, bl_norm_values(batch, space)):
             assert abs(value - full_lp_value(mu, space)) <= 1e-12 * mu.tv
@@ -539,10 +561,11 @@ class TestSharedSupports:
         nu = SignedMeasure.from_atoms(flat, [(0, 1.0), (1, -0.5), (2, -0.5)])
         assert mu.support()[0] == nu.support()[0]
         for space, m in ((path3, mu), (flat, nu), (path3, mu)):
-            (_, (wts, dist)), = bl_metric.norm_blocks([m], space)
-            src, dst = bl_metric._sign_pairs(wts, dist)
-            assert np.array_equal(dist, space.dist) and len(src) == 2  # (0, 1) and (0, 2)
-            assert (src.tolist(), dst.tolist()) == ([0, 0], [1, 2])
+            (_, (_, cross)), = bl_metric.norm_blocks([m], space)
+            src, dst = bl_metric._sign_pairs(cross)
+            # states (0, 1) and (0, 2): negative atoms 0 and 1
+            assert np.array_equal(cross, space.dist[:1, 1:]) and len(src) == 2
+            assert (src.tolist(), dst.tolist()) == ([0, 0], [0, 1])
 
     def test_envelope_values_and_distances_with_and_without_repeats(self, monkeypatch):
         rng = np.random.default_rng(74)
@@ -563,6 +586,55 @@ class TestSharedSupports:
         assert repeated == pytest.approx(distinct * 2 + distinct[:1], abs=1e-12)
         for mu, entry in zip([a, b, a], bl_metric.norm_blocks([a, b, a], metric)):
             assert_entry_equal(entry, bl_metric.norm_blocks([mu], metric)[0])
+
+
+@st.composite
+def format_measures(draw):
+    """(space, measures, pairs): a random finite space or the plane, signed
+    measures from ``from_atoms`` on its points (repeats merge, and may cancel
+    to 0), their ``linear_combine`` sums and (mu, nu) pairs of them."""
+    if draw(st.booleans()):
+        space = StateSpace.euclidean(2)
+        points = [(x / 4.0, y / 4.0) for x in range(-3, 4) for y in range(-3, 4)]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        space = random_metric_space(rng, draw(st.integers(1, 8)))
+        points = list(range(space.size))
+    atoms = st.tuples(st.sampled_from(points), st.floats(-1.0, 1.0))
+    built = [SignedMeasure.from_atoms(space, draw(st.lists(atoms, max_size=10)))
+             for _ in range(draw(st.integers(1, 4)))]
+    sums = [linear_combine([draw(st.floats(-2.0, 2.0)) for _ in pick], pick)
+            for pick in draw(st.lists(st.lists(st.sampled_from(built), min_size=1, max_size=3),
+                                      max_size=3))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(built), st.sampled_from(built + sums)),
+                          max_size=3))
+    return space, built + sums, pairs
+
+
+class TestBlockFormat:
+    @settings(max_examples=60)
+    @given(format_measures())
+    def test_cross_holds_the_distances_from_positive_to_negative_atoms(self, drawn):
+        # a block takes the first len(mu.pos) atoms of mu.support() as its
+        # positive ones.  The package's measures hold no weight of 0
+        # (_merge_atoms and prune_dense prune them), so those are exactly the
+        # atoms of positive weight; a hand-built part holding an explicit 0.0
+        # weight counts with its part (see small_blocks)
+        space, measures, pairs = drawn
+        entries = bl_metric.norm_blocks(measures, space) + bl_metric.distance_blocks(pairs, space)
+        sources = measures + [linear_combine([1.0, -1.0], [mu, nu]) for mu, nu in pairs]
+        assert len(entries) == len(sources)
+        for mu, (scale, block) in zip(sources, entries):
+            pts, w = mu.support()
+            if not scale:
+                assert block is None and not pts
+                continue
+            wts, cross = block
+            p = len(mu.pos)
+            assert (wts[:p] > 0.0).all() and (wts[p:] < 0.0).all()
+            assert np.array_equal(wts > 0.0, w > 0.0)
+            expected = bl_metric.pairwise_distances(space, pts)[np.ix_(w > 0.0, w < 0.0)]
+            assert cross.shape == expected.shape and cross.tobytes() == expected.tobytes()
 
 
 class TestPresolveOff:
@@ -873,9 +945,9 @@ class TestColumnRule:
     @given(st.data())
     def test_sign_pairs_give_the_all_pairs_value_and_a_certified_witness(self, data):
         metric, mu, tol = data.draw(small_blocks())
-        (_, (wts, dist)), = bl_metric.norm_blocks([mu], metric)
-        src, dst = bl_metric._sign_pairs(wts, dist)
-        assert (src.tolist(), dst.tolist()) == sign_pairs(wts)
+        (_, (wts, cross)), = bl_metric.norm_blocks([mu], metric)
+        src, dst = bl_metric._sign_pairs(cross)
+        assert (src.tolist(), dst.tolist()) == sign_pairs(wts, len(mu.pos))
         value, witness = bl_dual_norm(mu, metric)
         assert abs(value - full_lp_value(mu, metric)) <= tol * mu.tv
         assert abs(norm_value(mu, metric) - value) <= 1e-12 * mu.tv
@@ -888,7 +960,8 @@ def nearest_sign_pairs(wts, dist, nearest):
     """Reference: a block's starting pairs from loops, as (sources, sinks)
     lists in row-major order: the (i, j) with w_i > 0 > w_j in which j is
     one of i's ``nearest`` nearest negative atoms or i one of j's nearest
-    positive atoms, ties going to the lower index."""
+    positive atoms, ties going to the lower index.  Given in cross
+    coordinates: i's rank among the positive atoms, j's among the negative."""
     pos = [i for i in range(len(wts)) if wts[i] > 0.0]
     neg = [j for j in range(len(wts)) if wts[j] < 0.0]
     pairs = set()
@@ -896,7 +969,7 @@ def nearest_sign_pairs(wts, dist, nearest):
         pairs.update((i, j) for j in sorted(neg, key=lambda j: (dist[i, j], j))[:nearest])
     for j in neg:
         pairs.update((i, j) for i in sorted(pos, key=lambda i: (dist[i, j], i))[:nearest])
-    pairs = sorted(pairs)
+    pairs = sorted((pos.index(i), neg.index(j)) for i, j in pairs)
     return [i for i, _ in pairs], [j for _, j in pairs]
 
 
@@ -938,13 +1011,14 @@ class TestLargeBlocks:
             patch.setattr(bl_metric, "NEAREST", nearest)
             patch.setattr(bl_metric, "_flow_lp",
                           lambda blocks: solved.extend(blocks) or flow_lp(blocks))
-            (_, (wts, dist)), = bl_metric.norm_blocks([mu], space)
-            src, dst = bl_metric._sign_pairs(wts, dist)
+            (_, (wts, cross)), = bl_metric.norm_blocks([mu], space)
+            src, dst = bl_metric._sign_pairs(cross)
             value, witness = bl_dual_norm(mu, space)
             norm = norm_value(mu, space)
+        dist = bl_metric.pairwise_distances(space, mu.support()[0])
         assert (src.tolist(), dst.tolist()) == nearest_sign_pairs(wts, dist, nearest)
-        for _, _, (src, dst) in solved:  # starting and generated columns
-            assert (wts[src] > 0.0).all() and (wts[dst] < 0.0).all()
+        for _, cross, (src, dst) in solved:  # starting and generated columns
+            assert (wts[src] > 0.0).all() and (wts[len(cross) + dst] < 0.0).all()
         full = full_lp_value(mu, space)
         assert abs(value - full) <= tol * mu.tv
         assert abs(norm - full) <= tol * mu.tv
@@ -984,25 +1058,26 @@ class TestStartingPairs:
         few = -np.ones(len(dist))
         few[rng.permutation(len(dist))[:3]] = 1.0
         for wts in (w, w - w.mean(), few, -few):
-            src, dst = bl_metric._sign_pairs(wts, dist)
+            pos, neg = np.flatnonzero(wts > 0.0), np.flatnonzero(wts < 0.0)
+            src, dst = bl_metric._sign_pairs(dist[np.ix_(pos, neg)])
             ref_src, ref_dst = nearest_sign_pairs(wts, dist, bl_metric.NEAREST)
             assert src.dtype == np.intp and dst.dtype == np.intp
             assert src.tolist() == ref_src and dst.tolist() == ref_dst
             assert is_row_major(src, dst)
 
     def test_only_blocks_that_reach_the_lp_get_pairs(self, path4, monkeypatch):
-        calls, sign_pairs = [], bl_metric._sign_pairs  # each call's point count
+        calls, sign_pairs = [], bl_metric._sign_pairs  # each call's atoms of each sign
         monkeypatch.setattr(bl_metric, "_sign_pairs",
-                            lambda wts, dist: calls.append(len(wts)) or sign_pairs(wts, dist))
+                            lambda cross: calls.append(cross.shape) or sign_pairs(cross))
         star = SignedMeasure.from_atoms(path4, [(0, 1.0), (2, -0.5), (3, -0.5)])
         one_sign = SignedMeasure.from_atoms(path4, [(1, 0.3)])
         empty = SignedMeasure.from_atoms(path4, [])
         entries = bl_metric.norm_blocks([two_by_two(path4), star, one_sign, empty], path4)
         assert calls == []  # preparing a block makes no pairs
         bl_metric.solve_blocks(entries)
-        assert calls == [4]  # nor does a star or a zero measure
+        assert calls == [(2, 2)]  # nor does a star or a zero measure
         bl_dual_norm(star, path4)  # one LP, for its witness
-        assert calls == [4, 3]
+        assert calls == [(2, 2), (1, 2)]
         # a block that the bounds settle gets none: one sign and TV 2.5
         # bound the maximum above two_by_two's TV of 2
         both = PositiveMeasure.from_atoms(path4, [(0, 1.0), (1, 1.5)])
@@ -1010,7 +1085,7 @@ class TestStartingPairs:
                                                                      [(1, 0.5), (2, 0.5)])]
         assert max_bl_distance([(both, PositiveMeasure.from_atoms(path4, [])), halves],
                                path4) == 2.5
-        assert calls == [4, 3]
+        assert calls == [(2, 2), (1, 2)]
 
 
 @st.composite
@@ -1061,12 +1136,12 @@ class TestStars:
     @given(data=st.data())
     def test_closed_form_matches_the_oracle_and_the_full_lp(self, lp_calls, data):
         metric, mu, tol = data.draw(stars())
-        (_, (wts, dist)), = bl_metric.norm_blocks([mu], metric)
-        assert bl_metric._star_norm(wts, dist) is not None
+        (_, block), = bl_metric.norm_blocks([mu], metric)
+        assert bl_metric._star_norm(*block) is not None
         del lp_calls[:]
         value = norm_value(mu, metric)
         assert lp_calls == []
-        if len(wts) <= bl_metric.ORACLE_MAX_SUPPORT:
+        if len(block[0]) <= bl_metric.ORACLE_MAX_SUPPORT:
             assert abs(value - bl_dual_norm_oracle(mu, metric)) <= 1e-12 * mu.tv
         # beside near points the LP read one star of one sign, whose norm is
         # its TV, 2.3e-9 x TV above it

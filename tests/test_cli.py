@@ -164,6 +164,12 @@ class TestScenarioLoading:
          "witness count must be an integer >= 1, got -3"),
         ("linear_flow", lambda d: d["witnesses"].append({"kind": "random", "count": 0}),
          "witness count must be an integer >= 1, got 0"),
+        # a float count, even a whole one, is refused as schedule counts are;
+        # 1e300 would loop over range(int(1e300)) witnesses
+        ("three_state", lambda d: d["witnesses"].append({"kind": "random", "count": 2.0}),
+         "witness count must be an integer >= 1, got 2.0"),
+        ("three_state", lambda d: d["witnesses"].append({"kind": "random", "count": 1e300}),
+         "witness count must be an integer >= 1, got 1e\\+300"),
         ("linear_flow", lambda d: d["witnesses"][2].update(radius=0),
          "indicator radius must be finite and positive, got 0"),
         ("linear_flow", lambda d: d["witnesses"][2].update(radius=-1),
