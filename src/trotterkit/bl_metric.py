@@ -252,7 +252,7 @@ def lipschitz_constant(values, dist) -> float:
 
 
 def _unit_support(mu: SignedMeasure, metric, shared):
-    """(points, TV scale, weights at unit TV, distances).  Norms are solved
+    """(TV scale, weights at unit TV, distances).  Norms are solved
     at unit TV so solver tolerances cannot swallow tiny measures.
     ``shared``, one call's dict, holds each support's distances."""
     pts, wts = mu.support()
@@ -263,7 +263,7 @@ def _unit_support(mu: SignedMeasure, metric, shared):
             raise DistanceRangeError(f"support points lie {float(dist.max())!r} apart; the "
                                      f"BL norm LP needs distances below {MAX_DISTANCE:g}")
         shared[key] = dist
-    return pts, scale, wts / scale if scale else wts, shared[key]
+    return scale, wts / scale if scale else wts, shared[key]
 
 
 def _sign_pairs(cross):
@@ -361,7 +361,7 @@ def norm_blocks(measures, metric) -> list:
     counts with its part).  A zero measure gets scale 0 and None."""
     entries, shared = [], {}
     for mu in measures:
-        _, scale, wts, dist = _unit_support(mu, metric, shared)
+        scale, wts, dist = _unit_support(mu, metric, shared)
         p = len(mu.pos)
         entries.append((scale, (wts, dist[:p, p:]) if scale else None))
     return entries
@@ -436,18 +436,19 @@ def bl_dual_norm(mu: SignedMeasure, metric) -> tuple[float, LipschitzWitness]:
     """Dual BL norm of ``mu`` (``metric``: a StateSpace or an EnvelopeMetric over
     it) with an attaining unit-ball witness, both from the flow LP's last
     solve: the witness is the double c-transform of its duals (Witness)."""
-    pts, scale, wts, dist = _unit_support(mu, metric, {})
+    pts = tuple(mu.pos.points) + tuple(mu.neg.points)
+    (scale, block), = norm_blocks([mu], metric)
     if scale == 0.0:
-        return 0.0, LipschitzWitness(points=tuple(pts), values=np.zeros(len(pts)),
+        return 0.0, LipschitzWitness(points=pts, values=np.zeros(len(pts)),
                                      sup_bound=float(len(pts) > 0), lip_bound=0.0)
-    p = len(mu.pos)
-    cross = dist[:p, p:]
+    wts, cross = block
+    p = len(cross)
     res, _ = _certified_lp([(wts, cross, _sign_pairs(cross))])
     M, L = np.maximum(-res.ineqlin.marginals, 0.0) + 0.0
     f = np.clip(res.eqlin.marginals, -M, M)
     f[:p] = np.min(f[p:] + L * cross, axis=1, initial=M)
     f[p:] = np.max(f[:p, None] - L * cross, axis=0, initial=-M)
-    witness = LipschitzWitness(points=tuple(pts), values=f + 0.0,
+    witness = LipschitzWitness(points=pts, values=f + 0.0,
                                sup_bound=float(M), lip_bound=float(L))
     return float(max(res.fun * scale, 0.0)) + 0.0, witness
 
@@ -507,8 +508,8 @@ def bl_dual_norm_oracle(mu: SignedMeasure, metric) -> float:
     for M = 1 - L), so a coarse grid followed by ternary refinement recovers
     the optimum.  Refuses supports larger than ORACLE_MAX_SUPPORT.
     """
-    pts, scale, wts, dist = _unit_support(mu, metric, {})
-    if len(pts) > ORACLE_MAX_SUPPORT:
+    scale, wts, dist = _unit_support(mu, metric, {})
+    if len(wts) > ORACLE_MAX_SUPPORT:
         raise OracleSupportError(f"oracle limited to supports of size <= {ORACLE_MAX_SUPPORT}")
     if scale == 0.0:
         return 0.0

@@ -82,6 +82,13 @@ class ScenarioError(ValueError):
 # ("dyadic": 22, "linear": 4096) three_state took 36 s and 27 s.
 MAX_SCHEDULE_BLOCKS = 2 ** 21
 
+# The most random witnesses a scenario's specs may ask for, summed.  A study
+# checks its bounds once per witness: on a 2-vCPU x86-64 VM, at this bound the
+# three_state and linear_flow studies took 6.3 s and 5.0 s, and linear_flow's
+# with the envelope metric 24 s (as at MAX_SCHEDULE_BLOCKS); at 2^13 they took
+# 14 s, 12 s and 47 s.
+MAX_RANDOM_WITNESSES = 2 ** 12
+
 
 def _schedule(path, kind: str, n) -> tuple:
     """Iterate counts 1, 2, 4, ..., 2^n ("dyadic") or 1, 2, ..., n ("linear");
@@ -115,7 +122,7 @@ def _flow_overflows(g: SemigroupSpec, t: float) -> bool:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed scenario file.
+    """A parsed scenario file; ``witnesses`` holds its parsed witness specs (``_witness_makers``).
 
     Construction checks the fields that command-line overrides may change:
     ScenarioError, prefixed with ``path``, unless the schedule has at least
@@ -134,7 +141,7 @@ class Scenario:
     schedule: tuple
     order: str = "g1_first"
     metric: str = "base"
-    witness_specs: tuple = ()
+    witnesses: tuple = ()
 
     def __post_init__(self):
         if self.order not in ("g1_first", "g2_first"):
@@ -194,9 +201,7 @@ def load_scenario(path) -> Scenario:
         schedule = _schedule(path, kind,
                              json_integer(sched_spec[kind], f"{kind} schedule count"))
         t = json_number(study["t"], "time horizon t")
-        witness_specs = tuple(doc.get("witnesses", []))
-        for spec in witness_specs:
-            _check_witness_spec(path, space, spec)
+        witnesses = _witness_makers(path, space, doc.get("witnesses", []))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ScenarioError):
             raise
@@ -206,78 +211,74 @@ def load_scenario(path) -> Scenario:
         hash=hashlib.sha256(raw).hexdigest()[:16],
         space=space, g1=g1, g2=g2, mu0=mu0, t=t, schedule=schedule,
         order=study.get("order", "g1_first"), metric=study.get("metric", "base"),
-        witness_specs=witness_specs)
+        witnesses=witnesses)
 
 
-WITNESS_KINDS = ("random", "coordinate", "indicator")
-
-
-def _check_witness_spec(path, space: StateSpace, spec: dict) -> None:
-    """What ``build_witnesses`` relies on: a known kind, a JSON integer count >= 1,
-    indices and centers that are points of ``space`` (numpy would wrap a
-    negative index around, or broadcast a short center), a finite radius > 0."""
-    kind = spec["kind"]
-    if kind not in WITNESS_KINDS:
-        raise ScenarioError(f"{path}: unknown witness kind {kind!r}")
-    if kind == "random":
-        count = spec.get("count", 1)
-        if type(count) is not int or count < 1:  # a JSON integer: not true, 2.0 or 1e300
-            raise ValueError(f"witness count must be an integer >= 1, got {count!r}")
-    elif space.kind == "finite":
-        for i in [spec["index"]] if kind == "coordinate" else spec["subset"]:
-            space.point_key(i)
-    elif kind == "coordinate":
-        i = spec["index"]
-        if isinstance(i, bool) or not (int(i) == i and 0 <= i < space.dim):
-            raise ValueError(f"coordinate index {i!r} outside R^{space.dim}")
-    else:
-        space.point_key(json_point(spec["center"]))
-        radius = json_number(spec["radius"], "indicator radius")
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise ValueError(f"indicator radius must be finite and positive, "
-                             f"got {spec['radius']!r}")
-
-
-def build_witnesses(space: StateSpace, specs, rng):
-    """Unit-BL-ball witnesses from scenario specs.
-
-    Finite spaces get value tables with exactly certified bounds; Euclidean
-    spaces get closed-form functions with known bounds.
-    """
-    out = []
+def _witness_makers(path, space: StateSpace, specs) -> tuple:
+    """Per witness spec, the function of a study's rng that makes its unit-BL-ball
+    witnesses: value tables with exactly certified bounds on finite spaces,
+    closed forms with known bounds on Euclidean ones.  Only random specs draw,
+    when called; the other witnesses are built here.  Refuses, in spec order,
+    an unknown kind, a count that is not a JSON integer >= 1, random counts
+    summing past MAX_RANDOM_WITNESSES, indices and centers that are not points
+    of ``space`` (numpy would wrap a negative index around, or broadcast a
+    short center), and a radius that is not finite and > 0."""
+    makers, drawn = [], 0
     for spec in specs:
         kind = spec["kind"]
-        if kind not in WITNESS_KINDS:
-            raise ScenarioError(f"unknown witness kind {kind!r}")
         if kind == "random":
-            for _ in range(int(spec.get("count", 1))):
-                if space.kind == "finite":
-                    out.append(_finite_witness(space, rng.uniform(-1.0, 1.0, space.size)))
-                    continue
-                w = rng.normal(size=space.dim)
-                w /= np.linalg.norm(w)
-                out.append(FunctionWitness(
-                    fn=lambda x, _w=w: 0.5 * np.tanh(float(_w @ x)),
-                    sup_bound=0.5, lip_bound=0.5, label="random_direction"))
-        elif space.kind == "finite":
+            count = spec.get("count", 1)
+            if type(count) is not int or count < 1:  # a JSON integer: not true, 2.0 or 1e300
+                raise ValueError(f"witness count must be an integer >= 1, got {count!r}")
+            if (drawn := drawn + count) > MAX_RANDOM_WITNESSES:
+                raise ScenarioError(f"{path}: random witness counts sum to more than "
+                                    f"{MAX_RANDOM_WITNESSES}")
+            if space.kind == "finite":
+                draw = lambda rng: _finite_witness(space, rng.uniform(-1.0, 1.0, space.size))
+            else:
+                draw = lambda rng: _direction_witness(rng.normal(size=space.dim))
+            makers.append(lambda rng, n=count, draw=draw: [draw(rng) for _ in range(n)])
+            continue
+        if kind not in ("coordinate", "indicator"):
+            raise ScenarioError(f"{path}: unknown witness kind {kind!r}")
+        if space.kind == "finite":
             v = np.zeros(space.size)
-            v[list(map(int, [spec["index"]] if kind == "coordinate" else spec["subset"]))] = 1.0
-            out.append(_finite_witness(space, v))
+            v[[space.point_key(i)
+               for i in ([spec["index"]] if kind == "coordinate" else spec["subset"])]] = 1.0
+            witness = _finite_witness(space, v)
         elif kind == "coordinate":
-            i = int(spec["index"])
+            i = spec["index"]
+            if isinstance(i, bool) or not (int(i) == i and 0 <= i < space.dim):
+                raise ValueError(f"coordinate index {i!r} outside R^{space.dim}")
             # tanh keeps sup = lip = 1; scale to the unit BL ball
-            out.append(FunctionWitness(
-                fn=lambda x, _i=i: 0.5 * np.tanh(x[_i]),
-                sup_bound=0.5, lip_bound=0.5, label=f"coordinate_{i}"))
+            witness = FunctionWitness(fn=lambda x, i=int(i): 0.5 * np.tanh(x[i]), sup_bound=0.5,
+                                      lip_bound=0.5, label=f"coordinate_{int(i)}")
         else:
-            c = np.asarray(spec["center"], dtype=float)
-            r = float(spec["radius"])
-            out.append(FunctionWitness(
-                fn=lambda x, _c=c, _r=r: (_r / (1.0 + _r)) * max(
-                    0.0, 1.0 - float(np.linalg.norm(x - _c)) / _r),
+            c = np.array(space.point_key(json_point(spec["center"])))
+            r = json_number(spec["radius"], "indicator radius")
+            if not (math.isfinite(r) and r > 0.0):
+                raise ValueError(f"indicator radius must be finite and positive, "
+                                 f"got {spec['radius']!r}")
+            witness = FunctionWitness(
+                fn=lambda x, c=c, r=r: (r / (1.0 + r)) * max(
+                    0.0, 1.0 - float(np.linalg.norm(x - c)) / r),
                 sup_bound=r / (1.0 + r), lip_bound=1.0 / (1.0 + r),
-                label="smoothed_indicator"))
-    return out
+                label="smoothed_indicator")
+        makers.append(lambda rng, w=witness: [w])
+    return tuple(makers)
+
+
+def build_witnesses(makers, rng) -> list:
+    """The witnesses of a scenario's ``witnesses`` makers, in spec order;
+    its random specs draw from ``rng`` in that order."""
+    return [w for make in makers for w in make(rng)]
+
+
+def _direction_witness(w) -> FunctionWitness:
+    """0.5 tanh along the direction of ``w``: sup and Lipschitz bounds 0.5."""
+    w = w / np.linalg.norm(w)
+    return FunctionWitness(fn=lambda x: 0.5 * np.tanh(float(w @ x)),
+                           sup_bound=0.5, lip_bound=0.5, label="random_direction")
 
 
 def _finite_witness(space: StateSpace, values: np.ndarray) -> LipschitzWitness:
@@ -339,7 +340,7 @@ def run_study(scenario_path, out_dir, seed, overrides=None) -> int:
 
     rng = np.random.default_rng(seed)
     space, g1, g2, mu0, t = scn.space, scn.g1, scn.g2, scn.mu0, scn.t
-    witnesses = build_witnesses(space, scn.witness_specs, rng)
+    witnesses = build_witnesses(scn.witnesses, rng)
     metric = space
     if scn.metric == "envelope":
         metric = EnvelopeMetric(base=space, family=tuple(witnesses))
@@ -544,14 +545,11 @@ def study(scenario, out, seed, t, dyadic, linear, order, metric):
 
 @main.command()
 @click.option("--seed", default=0, type=click.IntRange(min=0))
-@click.option("--trials", default=10, type=int)
-@click.option("--max-states", default=4, type=int)
+@click.option("--trials", default=10, type=click.IntRange(min=1))
+@click.option("--max-states", default=4, type=click.IntRange(min=2))
 @click.option("--out", required=True, type=click.Path())
 def identities(seed, trials, max_states, out):
     """Identity suite on seeded random instances; JSON results."""
-    if trials < 1 or max_states < 2:
-        click.echo("need trials >= 1 and max-states >= 2", err=True)
-        sys.exit(1)
     sys.exit(run_identities(seed, trials, max_states, out))
 
 

@@ -168,7 +168,7 @@ def test_criterion_5_refinement_bound(three_state, modulus_and_constant):
     scn = three_state
     omega, c_hat = modulus_and_constant
     rng = np.random.default_rng(5)
-    witnesses = build_witnesses(scn.space, scn.witness_specs, rng)
+    witnesses = build_witnesses(scn.witnesses, rng)
     pairs = [(n, k) for n in (1, 2, 4, 8) for k in (2, 3, 4)]
     worst_margin, violations = np.inf, 0
     for f in witnesses:
@@ -187,7 +187,7 @@ def test_criterion_6_dyadic_cauchy_domination(three_state, modulus_and_constant)
     scn = three_state
     omega, c_hat = modulus_and_constant
     rng = np.random.default_rng(6)
-    witnesses = build_witnesses(scn.space, scn.witness_specs, rng)[:5]
+    witnesses = build_witnesses(scn.witnesses, rng)[:5]
     study = SplittingStudy(g1=scn.g1, g2=scn.g2, mu0=scn.mu0, t=scn.t,
                            schedule=tuple(2 ** j for j in range(11)))
     worst_margin, violations, cases = np.inf, 0, 0

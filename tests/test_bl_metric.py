@@ -325,7 +325,7 @@ def full_lp_value(mu, metric):
     built here rather than by ``_flow_matrices``: columns r+, r- (k each),
     a flow y_ij per pair and t; min t subject to r+ - r- + div y = w,
     sum(r+ + r-) <= t and sum d_ij y_ij <= t."""
-    _, scale, wts, dist = bl_metric._unit_support(mu, metric, {})
+    scale, wts, dist = bl_metric._unit_support(mu, metric, {})
     k = len(wts)
     src, dst = np.nonzero(~np.eye(k, dtype=bool))
     e, pts = len(src), np.arange(k)

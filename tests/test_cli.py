@@ -11,9 +11,11 @@ from click.testing import CliRunner
 from trotterkit import bl_metric, cli, identities
 from trotterkit.bl_metric import bl_distances
 from trotterkit.cli import (
+    MAX_RANDOM_WITNESSES,
     MAX_SCHEDULE_BLOCKS,
     ScenarioError,
     _schedule,
+    _witness_makers,
     build_witnesses,
     load_scenario,
     main,
@@ -36,6 +38,38 @@ from trotterkit.splitting import (
 
 def scenario_path(name):
     return str(resources.files("trotterkit").joinpath(f"scenarios/{name}.json"))
+
+
+def _with_witnesses(tmp_path, name, specs):
+    """The bundled scenario ``name`` with witness specs ``specs``, as a file."""
+    doc = json.loads(Path(scenario_path(name)).read_text())
+    doc["witnesses"] = specs
+    path = tmp_path / f"{name}_witnesses.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# linear_flow's witness specs with two random directions after its first coordinate
+R2_RANDOM_SPECS = [{"kind": "coordinate", "index": 0}, {"kind": "random", "count": 2},
+                   {"kind": "coordinate", "index": 1},
+                   {"kind": "indicator", "center": [0.5, 0.5], "radius": 1.0}]
+
+
+def _assert_in_unit_ball(space, witnesses):
+    """Each witness has bounds summing to at most 1 and keeps them: a finite
+    one exactly (``check_feasible``), a Euclidean one at 60 sampled points."""
+    if space.kind == "finite":
+        for w in witnesses:
+            assert w.sup_bound + w.lip_bound <= 1.0 + 1e-12
+            assert w.check_feasible(space)
+        return
+    x = np.random.default_rng(0).normal(size=(60, space.dim)) * 3.0
+    gaps = np.linalg.norm(x[:, None] - x[None, :], axis=-1)
+    for w in witnesses:
+        row = np.array([w.value_at(space, p) for p in x])
+        assert w.sup_bound + w.lip_bound <= 1.0
+        assert np.all(np.abs(row) <= w.sup_bound)
+        assert np.all(np.abs(row[:, None] - row[None, :]) <= w.lip_bound * gaps + 1e-15)
 
 
 class TestScenarioLoading:
@@ -170,6 +204,14 @@ class TestScenarioLoading:
          "witness count must be an integer >= 1, got 2.0"),
         ("three_state", lambda d: d["witnesses"].append({"kind": "random", "count": 1e300}),
          "witness count must be an integer >= 1, got 1e\\+300"),
+        # random counts sum to at most MAX_RANDOM_WITNESSES = 2^12 over the
+        # specs (three_state's own spec asks for 3)
+        ("three_state", lambda d: d["witnesses"].append({"kind": "random", "count": 10 ** 300}),
+         "random witness counts sum to more than 4096"),
+        ("linear_flow", lambda d: d.update(witnesses=[
+            {"kind": "random", "count": 2048}, {"kind": "coordinate", "index": 0},
+            {"kind": "random", "count": 2049}]),
+         "random witness counts sum to more than 4096"),
         ("linear_flow", lambda d: d["witnesses"][2].update(radius=0),
          "indicator radius must be finite and positive, got 0"),
         ("linear_flow", lambda d: d["witnesses"][2].update(radius=-1),
@@ -273,31 +315,80 @@ class TestScenarioLoading:
         assert (linear.dyadic, linear.t, scn.dyadic, scn.t) == (False, 0.5, True, 1.0)
         assert linear.with_overrides(schedule=(1, 2, 4)).dyadic
 
-    def test_witnesses_lie_in_unit_ball(self):
-        scn = load_scenario(scenario_path("three_state"))
-        rng = np.random.default_rng(0)
-        for w in build_witnesses(scn.space, scn.witness_specs, rng):
-            assert w.sup_bound + w.lip_bound <= 1.0 + 1e-12
-            assert w.check_feasible(scn.space)
+    @pytest.mark.parametrize("name", ["three_state", "commuting", "translation",
+                                      "linear_flow", "linear_flow_random"])
+    def test_witnesses_lie_in_unit_ball(self, tmp_path, name):
+        path = (_with_witnesses(tmp_path, "linear_flow", R2_RANDOM_SPECS)
+                if name == "linear_flow_random" else scenario_path(name))
+        scn = load_scenario(path)
+        witnesses = build_witnesses(scn.witnesses, np.random.default_rng(0))
+        assert len(witnesses) == {"three_state": 5, "commuting": 3, "translation": 2,
+                                  "linear_flow": 3, "linear_flow_random": 5}[name]
+        _assert_in_unit_ball(scn.space, witnesses)
 
     def test_random_witnesses_on_euclidean_space(self):
         space = StateSpace.euclidean(3)
-        specs = [{"kind": "random", "count": 4}]
+        makers = _witness_makers("s.json", space, [{"kind": "random", "count": 4}])
         x = np.random.default_rng(0).normal(size=(60, 3)) * 3.0
 
         def values(seed):
-            witnesses = build_witnesses(space, specs, np.random.default_rng(seed))
+            witnesses = build_witnesses(makers, np.random.default_rng(seed))
             assert len(witnesses) == 4
             return witnesses, np.array([[w.value_at(space, p) for p in x] for w in witnesses])
 
         witnesses, v = values(5)
-        for w, row in zip(witnesses, v):
-            assert w.sup_bound + w.lip_bound <= 1.0
-            assert np.all(np.abs(row) <= w.sup_bound)
-            gaps = np.linalg.norm(x[:, None] - x[None, :], axis=-1)
-            assert np.all(np.abs(row[:, None] - row[None, :]) <= w.lip_bound * gaps + 1e-15)
+        _assert_in_unit_ball(space, witnesses)
         assert np.array_equal(v, values(5)[1])  # equal seeds, equal witnesses
         assert not np.array_equal(v, values(6)[1])
+
+    def test_witnesses_are_made_in_spec_order(self, tmp_path, monkeypatch):
+        """[coordinate, random x2, coordinate, indicator] on R^2: loading
+        creates no rng, so it draws nothing; the two random directions are
+        drawn from the study's rng, in spec order, and nothing else draws
+        from it.  Each coordinate witness reads its own coordinate."""
+        path = _with_witnesses(tmp_path, "linear_flow", R2_RANDOM_SPECS)
+
+        def no_rng(*args):
+            raise AssertionError("loading a scenario made an rng")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", no_rng)
+            scn = load_scenario(path)
+        x = np.random.default_rng(0).normal(size=(20, 2))
+
+        def made(seed):
+            rng = np.random.default_rng(seed)
+            witnesses = build_witnesses(scn.witnesses, rng)
+            assert [w.label for w in witnesses] == [
+                "coordinate_0", "random_direction", "random_direction", "coordinate_1",
+                "smoothed_indicator"]
+            expected = np.random.default_rng(seed)
+            directions = [expected.normal(size=2) for _ in range(2)]
+            assert rng.bit_generator.state == expected.bit_generator.state
+            v = np.array([[w.value_at(scn.space, p) for p in x] for w in witnesses])
+            assert v[[0, 3]].tolist() == [[0.5 * np.tanh(p[i]) for p in x] for i in (0, 1)]
+            assert v[1:3].tolist() == [[0.5 * np.tanh(float(d / np.linalg.norm(d) @ p))
+                                        for p in x] for d in directions]
+            return v
+
+        v = made(3)
+        assert np.array_equal(v, made(3))  # equal seeds, equal witnesses
+        assert not np.array_equal(v[1:3], made(4)[1:3])
+        assert np.array_equal(v[[0, 3, 4]], made(4)[[0, 3, 4]])
+
+    def test_random_witness_counts_up_to_the_bound(self, tmp_path, monkeypatch):
+        """A random count of MAX_RANDOM_WITNESSES = 2^12 loads, and loading
+        makes only the coordinate witness beside it; the study's rng makes
+        the 2^12 random ones."""
+        assert MAX_RANDOM_WITNESSES == 2 ** 12
+        path = _with_witnesses(tmp_path, "three_state", [
+            {"kind": "random", "count": MAX_RANDOM_WITNESSES}, {"kind": "coordinate", "index": 1}])
+        tables = []
+        monkeypatch.setattr(cli, "_finite_witness", lambda space, values: tables.append(values))
+        scn = load_scenario(path)
+        assert len(scn.witnesses) == 2 and len(tables) == 1
+        assert len(build_witnesses(scn.witnesses, np.random.default_rng(0))) == 2 ** 12 + 1
+        assert len(tables) == 2 ** 12 + 1
 
 
 def _huge_coordinates(tmp_path, rate, t, points=None):
@@ -409,7 +500,7 @@ class TestStudy:
         assert run_study(scenario_path(name), tmp_path, seed=42) == 0
         scn = load_scenario(scenario_path(name))
         rng = np.random.default_rng(42)
-        build_witnesses(scn.space, scn.witness_specs, rng)  # the draws before the family
+        build_witnesses(scn.witnesses, rng)  # the draws before the family
         study = SplittingStudy(g1=scn.g1, g2=scn.g2, mu0=scn.mu0, t=scn.t,
                                schedule=scn.schedule, order=scn.order)
         modulus = _table(tmp_path / "modulus.csv")
@@ -489,6 +580,8 @@ class TestUsageErrors:
         ["study", "--scenario", scenario_path("three_state")],
         ["study", "--scenario", scenario_path("three_state"), "--out", "out", "--seed", "-1"],
         ["identities", "--out", "out/identities.json", "--seed", "-1"],
+        ["identities", "--out", "out/identities.json", "--trials", "0"],
+        ["identities", "--out", "out/identities.json", "--max-states", "1"],
         ["diagnostics", "--scenario", scenario_path("three_state"), "--probe", "tightness",
          "--out", "out", "--seed", "-1"],
     ])
@@ -540,6 +633,11 @@ class TestIdentitiesCommand:
         runner = CliRunner()
         result = runner.invoke(main, ["identities", "--trials", "0",
                                       "--out", str(tmp_path / "x.json")])
+        assert result.exit_code == 1
+
+    def test_cli_rejects_a_single_state(self, tmp_path):
+        result = CliRunner().invoke(main, ["identities", "--max-states", "1",
+                                           "--out", str(tmp_path / "x.json")])
         assert result.exit_code == 1
 
 
